@@ -11,6 +11,20 @@ rank(i) = rank_X(i+1) and differential -d_X(i+1).
 Over a modular ring all entries are kept canonical in [0, m); equality of
 matrices is therefore plain equality.  Homology is computed over Z only;
 residue-ring questions are answered by lifting and modular solving.
+
+Every linear question about maps is asked of the Hom complex (Weibel, An
+Introduction to Homological Algebra, 2.7): Hom(X, Y)^n is the product over i
+of Hom(X^i, Y^(i+n)), with differential D(n) phi = d_Y phi - (-1)^n phi d_X.
+Chain maps are its cocycles Z^0, null-homotopic maps its coboundaries B^0,
+and Hom in the homotopy category is H^0.  `HomComplex` lays out Hom^n as one
+vector: the nonzero blocks Hom(X^i, Y^(i+n)) in increasing degree i, each a
+rank_Y(i+n) x rank_X(i) matrix read row-major.
+
+`Ring` is the linear-algebra backend of these vectors and matrices: prime
+fields F_p with p <= 2^20 are solved in int64 by `modp`, and every other
+ring (Z, Z/m, larger primes) by the exact Smith kernel of `intmat`.
+`Ring.asarray` puts a matrix into its backend's form; no other code
+converts between the two.
 """
 
 from dataclasses import dataclass
@@ -52,7 +66,11 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Ring:
-    """Coefficient ring: Z when modulus is None, else Z/m (m >= 2)."""
+    """Coefficient ring: Z when modulus is None, else Z/m (m >= 2).
+
+    Also the linear-algebra backend for matrices over the ring; see the
+    module docstring for which rings are solved in int64.
+    """
 
     modulus: int | None = None
 
@@ -67,6 +85,93 @@ class Ring:
     @property
     def is_prime_field(self) -> bool:
         return self.modulus is not None and _is_prime(self.modulus)
+
+    @property
+    def is_small_prime_field(self) -> bool:
+        """F_p with p <= 2^20, the rings solved in int64 by `modp`."""
+        return self.modulus is not None and self.modulus <= modp.P_MAX and _is_prime(self.modulus)
+
+    @property
+    def dtype(self):
+        """numpy dtype of backend arrays."""
+        return np.int64 if self.is_small_prime_field else object
+
+    def asarray(self, a) -> np.ndarray:
+        """An integer matrix or vector in backend form: int64 reduced mod p
+        on a small prime field, exact Python ints otherwise."""
+        a = np.asarray(a.array if isinstance(a, IntMatrix) else a)
+        if self.is_small_prime_field:
+            return (a % self.modulus).astype(np.int64)
+        return np.asarray(a, dtype=object)
+
+    def solve(self, a: np.ndarray, b: np.ndarray):
+        """(x, kernel) with a @ x = b and columns of kernel spanning ker a,
+        or None when there is no solution.  b may also be a matrix whose
+        columns are right-hand sides; x then has one column for each."""
+        n = a.shape[1]
+        if n == 0:
+            if np.count_nonzero(b):
+                return None
+            return np.zeros((0,) + b.shape[1:], dtype=self.dtype), np.zeros((0, 0), dtype=self.dtype)
+        if self.is_small_prime_field:
+            r, pivots = modp.rref(np.hstack([a, b.reshape(-1, 1) if b.ndim == 1 else b]), self.modulus)
+            if pivots and pivots[-1] >= n:
+                return None
+            x = np.zeros((n, r.shape[1] - n), dtype=np.int64)
+            x[pivots] = r[: len(pivots), n:]
+            return x.reshape((n,) + b.shape[1:]), modp.kernel_from_rref(r, pivots, n, self.modulus)
+        if b.ndim == 2:
+            sols = [self.solve(a, col) for col in b.T]
+            if any(sol is None for sol in sols):
+                return None
+            x = np.array([sol[0] for sol in sols], dtype=object).reshape(len(sols), n).T
+            return x, (sols[0][1] if sols else self.kernel(a))
+        got = solve_linear(IntMatrix(a), list(b), modulus=self.modulus)
+        if got is None:
+            return None
+        x, ker = got
+        return x, np.array(ker, dtype=object).reshape(len(ker), n).T
+
+    def kernel(self, a: np.ndarray) -> np.ndarray:
+        """Columns spanning {x : a @ x = 0}: a basis over Z and over a small
+        prime field, a generating set over the other modular rings."""
+        if self.is_small_prime_field:
+            return modp.kernel(a, self.modulus)
+        if a.shape[0] == 0 or a.shape[1] == 0:
+            return np.eye(a.shape[1], dtype=object)
+        if self.modulus is None:
+            s = smith_normal_form(IntMatrix(a))
+            return s.v.array[:, s.rank :]
+        return self.solve(a, np.zeros(a.shape[0], dtype=object))[1]
+
+    def independent_columns(self, base: np.ndarray, cols: np.ndarray) -> list[int]:
+        """Indices of the columns of `cols` outside the span of `base` and of
+        the columns picked before them: over a field, a basis of span(cols)
+        modulo span(base)."""
+        if cols.shape[1] == 0:
+            return []
+        if self.is_small_prime_field:
+            _, pivots = modp.rref(np.hstack([base, cols]), self.modulus)
+            return [j - base.shape[1] for j in pivots if j >= base.shape[1]]
+        picked = []
+        for j in range(cols.shape[1]):
+            if self.solve(np.hstack([base, cols[:, picked]]), cols[:, j]) is None:
+                picked.append(j)
+        return picked
+
+    def diagonalize(self, d: IntMatrix):
+        """(u, v, vinv, r) as exact integer arrays with u d v = diag(1, ..., 1, 0, ...)
+        holding r ones, over Z or a small prime field; None over Z when an
+        invariant factor of d is not 1."""
+        if self.is_small_prime_field:
+            u, _, v, vinv, r = modp.diagonalize(self.asarray(d), self.modulus)
+            return u.astype(object), v.astype(object), vinv.astype(object), r
+        if self.modulus is not None:
+            raise ComplexError(f"no unit diagonal form over {self}")
+        s = smith_normal_form(d)
+        if any(x != 1 for x in s.diagonal()[: s.rank]):
+            return None
+        return s.u.array, s.v.array, s.vinv.array, s.rank
 
     def canon(self, m: IntMatrix) -> IntMatrix:
         return m if self.modulus is None else m.reduce_mod(self.modulus)
@@ -466,120 +571,97 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
 
 
 # ---------------------------------------------------------------------------
-# linear systems in degreewise matrix unknowns
+# the Hom complex
 
 
-class _BlockSystem:
-    """Assembles equations  sum_k  L_k @ VAR_k @ R_k = RHS  over matrix unknowns.
+def _layout(x: Complex, y: Complex, n: int) -> list[tuple[int, int, int, int]]:
+    """(i, rows, cols, offset) of each nonzero block Hom(x^i, y^(i+n)), by increasing i."""
+    out, off = [], 0
+    for i in x.degrees():
+        r, c = y.rank(i + n), x.rank(i)
+        if r:
+            out.append((i, r, c, off))
+            off += r * c
+    return out
 
-    Vectorization is row-major, so a term L @ X @ R contributes
-    kron(L, R^T) on the columns of X.
+
+def _size(layout) -> int:
+    return sum(r * c for _, r, c, _ in layout)
+
+
+class HomComplex:
+    """Hom(x, y) with the layout and differential of the module docstring.
+
+    Matrices and vectors are in the ring's backend form (`Ring.asarray`),
+    with entries not necessarily reduced.
     """
 
-    def __init__(self, ring: Ring):
-        self.ring = ring
-        self._int64 = ring.is_prime_field
-        self.vars: dict[object, tuple[int, int, int]] = {}  # name -> (offset, rows, cols)
-        self._size = 0
-        self._rows = 0
-        self._eqs: list[tuple[int, int, int, list, np.ndarray]] = []
+    def __init__(self, x: Complex, y: Complex):
+        if x.ring != y.ring:
+            raise ComplexError("Hom between different rings")
+        self.x, self.y, self.ring = x, y, x.ring
+        self._dx = {i: self.ring.asarray(x.differential(i)) for i in x.degrees()}
+        self._dy = {i: self.ring.asarray(y.differential(i)) for i in y.degrees()}
 
-    def add_var(self, name, rows: int, cols: int):
-        if rows * cols == 0 or name in self.vars:
-            return
-        self.vars[name] = (self._size, rows, cols)
-        self._size += rows * cols
+    def layout(self, n: int) -> list[tuple[int, int, int, int]]:
+        return _layout(self.x, self.y, n)
 
-    def add_equation(self, rows: int, cols: int, terms, rhs: IntMatrix):
-        """terms: iterable of (var name, L IntMatrix | None, R IntMatrix | None)."""
-        if rows * cols == 0:
-            return
-        live = [(n, l, r) for (n, l, r) in terms if n in self.vars]
-        self._eqs.append((self._rows, rows, cols, live, rhs.array))
-        self._rows += rows * cols
+    def dim(self, n: int) -> int:
+        return _size(self.layout(n))
 
-    def _assemble(self):
-        dtype = np.int64 if self._int64 else object
-        p = self.ring.modulus
-        a = np.zeros((self._rows, self._size), dtype=dtype)
-        b = np.zeros(self._rows, dtype=dtype)
-        for row0, rows, cols, terms, rhs in self._eqs:
-            if self._int64:
-                b[row0 : row0 + rows * cols] = modp.as_modp(rhs, p).reshape(-1)
-            else:
-                b[row0 : row0 + rows * cols] = rhs.reshape(-1)
-            for name, left, right in terms:
-                off, vr, vc = self.vars[name]
-                l = left.array if left is not None else IntMatrix.identity(rows).array
-                r = right.array if right is not None else IntMatrix.identity(cols).array
-                if self._int64:
-                    l = modp.as_modp(l, p)
-                    r = modp.as_modp(r, p)
-                a[row0 : row0 + rows * cols, off : off + vr * vc] += np.kron(l, r.T)
-        if self._int64:
-            a %= p
-        return a, b
+    def vec(self, f: "ChainMap") -> np.ndarray:
+        """Vector of a chain map x -> y in Hom^0."""
+        parts = [self.ring.asarray(f.component(i)).reshape(-1) for i, _, _, _ in self.layout(0)]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=self.ring.dtype)
 
-    def solve_particular(self) -> dict | None:
-        """One solution as {var name: IntMatrix} or None."""
-        a, b = self._assemble()
-        if self._size == 0:
-            if self._int64:
-                return {} if not b.any() else None
-            return {} if not any(b) else None
-        if self._int64:
-            x = modp.solve(a, b, self.ring.modulus)
-            if x is None:
-                return None
-        else:
-            res = solve_linear(IntMatrix(a), list(b), modulus=self.ring.modulus)
-            if res is None:
-                return None
-            x = res[0]
-        return self.unpack(x)
+    def unvec(self, v, n: int = 0) -> dict[int, IntMatrix]:
+        """Components of the degree-n map with vector v."""
+        return {i: IntMatrix(np.asarray(v[off : off + r * c]).reshape(r, c)) for i, r, c, off in self.layout(n)}
 
-    def unpack(self, x) -> dict:
-        out = {}
-        for name, (off, vr, vc) in self.vars.items():
-            chunk = x[off : off + vr * vc]
-            mat = np.empty((vr, vc), dtype=object)
-            flat = list(chunk)
-            for i in range(vr):
-                for j in range(vc):
-                    mat[i, j] = int(flat[i * vc + j])
-            out[name] = IntMatrix(mat)
+    def D(self, n: int) -> np.ndarray:
+        """Matrix of phi |-> d_y phi - (-1)^n phi d_x from Hom^n to Hom^(n+1)."""
+        src, tgt = self.layout(n), self.layout(n + 1)
+        pos = {i: (r, c, off) for i, r, c, off in src}
+        sign, dt = (1 if n % 2 else -1), self.ring.dtype
+        out = np.zeros((_size(tgt), _size(src)), dtype=dt)
+        for i, r, c, row in tgt:
+            rows = slice(row, row + r * c)
+            if i in pos:
+                sr, sc, off = pos[i]
+                out[rows, off : off + sr * sc] = np.kron(self._dy[i + n], np.eye(c, dtype=dt))
+            if i + 1 in pos:
+                sr, sc, off = pos[i + 1]
+                out[rows, off : off + sr * sc] = sign * np.kron(np.eye(r, dtype=dt), self._dx[i].T)
         return out
 
-
-def _homotopy_system(f: ChainMap, g: ChainMap) -> _BlockSystem:
-    x, y = f.source, f.target
-    sys = _BlockSystem(x.ring)
-    for i in x.degrees():
-        if y.rank(i - 1) > 0:
-            sys.add_var(i, y.rank(i - 1), x.rank(i))
-    for i in sorted(set(x.degrees()) | set(y.degrees())):
-        rs, rt = x.rank(i), y.rank(i)
-        if rs == 0 or rt == 0:
-            continue
-        terms = [
-            (i, y.differential(i - 1), None),
-            (i + 1, None, x.differential(i)),
-        ]
-        sys.add_equation(rt, rs, terms, f.component(i) - g.component(i))
-    return sys
+    def compose_matrix(self, pre: "ChainMap | None", post: "ChainMap | None") -> np.ndarray:
+        """Matrix of phi |-> post o phi o pre from Hom^0(x, y) to Hom^0(w, v),
+        for pre : w -> x and post : y -> v; None stands for an identity."""
+        w = pre.source if pre is not None else self.x
+        v = post.target if post is not None else self.y
+        src, tgt, ring = self.layout(0), _layout(w, v, 0), self.ring
+        pos = {i: (r, c, off) for i, r, c, off in src}
+        out = np.zeros((_size(tgt), _size(src)), dtype=ring.dtype)
+        for i, r, c, row in tgt:
+            if i in pos:
+                sr, sc, off = pos[i]
+                left = ring.asarray(post.component(i)) if post is not None else np.eye(r, dtype=ring.dtype)
+                right = ring.asarray(pre.component(i)) if pre is not None else np.eye(c, dtype=ring.dtype)
+                out[row : row + r * c, off : off + sr * sc] = np.kron(left, right.T)
+        return out
 
 
 def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
     """A verified homotopy between parallel maps f and g, if one exists.
 
-    Decided by solving d h + h d = f - g over the coefficient ring.
+    Decided by solving D(-1) h = f - g in the Hom complex.
     """
     f._require_parallel(g)
-    sys = _homotopy_system(f, g)
-    sol = sys.solve_particular()
+    hom = HomComplex(f.source, f.target)
+    sol = hom.ring.solve(hom.D(-1), hom.vec(f) - hom.vec(g))
     if sol is None:
         return None
-    return Homotopy(f, g, sol)
+    return Homotopy(f, g, hom.unvec(sol[0], -1))
 
 
 def _acyclic_split_contraction(c: Complex) -> Homotopy | None:
@@ -592,20 +674,12 @@ def _acyclic_split_contraction(c: Complex) -> Homotopy | None:
     degs = c.degrees()
     if not degs:
         return Homotopy(identity_map(c), zero_map(c, c), {}, check=False)
-    p = c.ring.modulus
     info = {}
     lo, hi = degs[0], degs[-1]
     for i in range(lo, hi + 1):
-        d = c.differential(i)
-        if p is None:
-            s = smith_normal_form(d)
-            r = s.rank
-            if any(x != 1 for x in s.diagonal()[:r]):
-                return None
-            info[i] = (s.u.array, s.v.array, s.vinv.array, r)
-        else:
-            u, uinv, v, vinv, r = modp.diagonalize(np.array(d.tolist(), dtype=np.int64) if d.rows and d.cols else np.zeros(d.shape, dtype=np.int64), p)
-            info[i] = (u, v, vinv, r)
+        info[i] = c.ring.diagonalize(c.differential(i))
+        if info[i] is None:
+            return None
     # exactness: rank d(i-1) + rank d(i) = rank(i)
     for i in range(lo, hi + 1):
         prev_r = info[i - 1][3] if i - 1 in info else 0
@@ -617,27 +691,14 @@ def _acyclic_split_contraction(c: Complex) -> Homotopy | None:
             continue
         u_prev, v_prev, _, r_prev = info[i - 1]
         _, v_cur, vinv_cur, r_cur = info[i]
-        n = c.rank(i)
-        if p is None:
-            proj = np.zeros((n, n), dtype=object)
-            for j in range(r_cur, n):
-                proj[j, j] = 1
-            kerproj = v_cur @ proj @ vinv_cur
-            h = (v_prev[:, :r_prev] @ (u_prev @ kerproj)[:r_prev, :]) if r_prev else np.zeros((c.rank(i - 1), n), dtype=object)
-            comps[i] = IntMatrix(h)
-        else:
-            proj = np.zeros((n, n), dtype=np.int64)
-            for j in range(r_cur, n):
-                proj[j, j] = 1
-            kerproj = modp.matmul(modp.matmul(v_cur, proj, p), vinv_cur, p)
-            h = modp.matmul(v_prev[:, :r_prev], modp.matmul(u_prev, kerproj, p)[:r_prev, :], p) if r_prev else np.zeros((c.rank(i - 1), n), dtype=np.int64)
-            comps[i] = IntMatrix(h.astype(object))
+        kerproj = v_cur[:, r_cur:] @ vinv_cur[r_cur:, :]
+        comps[i] = IntMatrix(v_prev[:, :r_prev] @ (u_prev @ kerproj)[:r_prev, :])
     return Homotopy(identity_map(c), zero_map(c, c), comps)
 
 
 def is_contractible(c: Complex) -> Homotopy | None:
     """A contraction (identity null-homotopic) if the complex is contractible."""
-    if c.ring.is_integers or c.ring.is_prime_field:
+    if c.ring.is_integers or c.ring.is_small_prime_field:
         return _acyclic_split_contraction(c)
     return homotopic(identity_map(c), zero_map(c, c))
 
@@ -731,139 +792,29 @@ def _coords_in_lattice(basis: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 # Hom in the homotopy category
 
 
-def _cm_layout(x: Complex, y: Complex) -> list[tuple[int, int, int, int]]:
-    """(degree, rows, cols, offset) for the chain-map variable space."""
-    out = []
-    off = 0
-    for i in sorted(set(x.degrees()) & set(y.degrees())):
-        r, c = y.rank(i), x.rank(i)
-        if r and c:
-            out.append((i, r, c, off))
-            off += r * c
-    return out
-
-
-def _h_layout(x: Complex, y: Complex) -> list[tuple[int, int, int, int]]:
-    out = []
-    off = 0
-    for i in sorted(x.degrees()):
-        r, c = y.rank(i - 1), x.rank(i)
-        if r and c:
-            out.append((i, r, c, off))
-            off += r * c
-    return out
-
-
-def _layout_size(layout) -> int:
-    return layout[-1][3] + layout[-1][1] * layout[-1][2] if layout else 0
-
-
-def _chain_condition_matrix(x: Complex, y: Complex, dtype) -> np.ndarray:
-    """Matrix of f |-> (d_Y f - f d_X) on the chain-map variable space."""
-    layout = _cm_layout(x, y)
-    n = _layout_size(layout)
-    pos = {i: (r, c, off) for (i, r, c, off) in layout}
-    rows = []
-    for i in sorted(set(x.degrees())):
-        rt, rs = y.rank(i + 1), x.rank(i)
-        if rt == 0 or rs == 0:
-            continue
-        block = np.zeros((rt * rs, n), dtype=dtype)
-        if i in pos:
-            r, c, off = pos[i]
-            dmat = y.differential(i).array
-            block[:, off : off + r * c] += np.kron(
-                dmat.astype(dtype) if dtype is np.int64 else dmat,
-                np.eye(c, dtype=np.int64) if dtype is np.int64 else IntMatrix.identity(c).array,
-            )
-        if i + 1 in pos:
-            r, c, off = pos[i + 1]
-            dmat = x.differential(i).array
-            ident = np.eye(r, dtype=np.int64) if dtype is np.int64 else IntMatrix.identity(r).array
-            block[:, off : off + r * c] -= np.kron(ident, (dmat.astype(dtype) if dtype is np.int64 else dmat).T)
-        rows.append(block)
-    if not rows:
-        return np.zeros((0, n), dtype=dtype)
-    return np.vstack(rows)
-
-
-def _boundary_matrix(x: Complex, y: Complex, dtype) -> np.ndarray:
-    """Matrix of h |-> d_Y h + h d_X from homotopy space to chain-map space."""
-    cm = _cm_layout(x, y)
-    hl = _h_layout(x, y)
-    n = _layout_size(cm)
-    m = _layout_size(hl)
-    hpos = {i: (r, c, off) for (i, r, c, off) in hl}
-    out = np.zeros((n, m), dtype=dtype)
-    for i, r, c, off in cm:
-        if i in hpos:
-            hr, hc, hoff = hpos[i]
-            dmat = y.differential(i - 1).array
-            ident = np.eye(c, dtype=np.int64) if dtype is np.int64 else IntMatrix.identity(c).array
-            out[off : off + r * c, hoff : hoff + hr * hc] += np.kron(
-                dmat.astype(dtype) if dtype is np.int64 else dmat, ident
-            )
-        if i + 1 in hpos:
-            hr, hc, hoff = hpos[i + 1]
-            dmat = x.differential(i).array
-            ident = np.eye(r, dtype=np.int64) if dtype is np.int64 else IntMatrix.identity(r).array
-            out[off : off + r * c, hoff : hoff + hr * hc] += np.kron(
-                ident, (dmat.astype(dtype) if dtype is np.int64 else dmat).T
-            )
-    return out
-
-
-def vec_of_chain_map(f: ChainMap) -> np.ndarray:
-    layout = _cm_layout(f.source, f.target)
-    v = np.zeros(_layout_size(layout), dtype=object)
-    for i, r, c, off in layout:
-        v[off : off + r * c] = f.component(i).array.reshape(-1)
-    return v
-
-
-def chain_map_of_vec(x: Complex, y: Complex, v) -> ChainMap:
-    layout = _cm_layout(x, y)
-    comps = {}
-    for i, r, c, off in layout:
-        mat = np.empty((r, c), dtype=object)
-        flat = list(v[off : off + r * c])
-        for a in range(r):
-            for b in range(c):
-                mat[a, b] = int(flat[a * c + b])
-        comps[i] = IntMatrix(mat)
-    return ChainMap(x, y, comps)
-
-
 class HomGroupPresentation:
     """Hom in the homotopy category as a finitely generated abelian group.
 
-    Coordinates returned by `lookup` are (torsion residues..., free
+    This is H^0 of `HomComplex(x, y)`: ker D(0) modulo im D(-1), and modulo
+    m over Z/m, presented by Smith forms over Z.  Coordinates returned by `lookup` are (torsion residues..., free
     integers...) aligned with `torsion_reps` + `free_reps`; two chain maps get
     equal coordinates exactly when they are homotopic.
     """
 
     def __init__(self, x: Complex, y: Complex):
-        if x.ring != y.ring:
-            raise ComplexError("hom group over different rings")
-        self.x = x
-        self.y = y
-        self.ring = x.ring
-        t = _chain_condition_matrix(x, y, object)
+        self.x, self.y, self.ring = x, y, x.ring
+        self.hom = HomComplex(x, y)
+        t, bd = ZZ.asarray(self.hom.D(0)), ZZ.asarray(self.hom.D(-1))
         n = t.shape[1]
-        bd = _boundary_matrix(x, y, object)
         m = x.ring.modulus
         if m is None:
-            if t.shape[0] == 0:
-                kbasis = np.eye(n, dtype=object) if n else np.zeros((0, 0), dtype=object)
-            else:
-                s = smith_normal_form(IntMatrix(t))
-                kbasis = s.v.array[:, s.rank :]
+            kbasis = ZZ.kernel(t)
             rels = bd
         else:
             # lattice of solutions of T x = 0 (mod m): project the integer
             # kernel of [T | m I], then extract a basis of the column span
             if t.shape[0] == 0:
-                lat_gens = np.eye(n, dtype=object) * 1 if n else np.zeros((0, 0), dtype=object)
+                lat_gens = np.eye(n, dtype=object)
             else:
                 aug = np.hstack([t, np.eye(t.shape[0], dtype=object) * m])
                 sk = smith_normal_form(IntMatrix(aug))
@@ -895,7 +846,7 @@ class HomGroupPresentation:
         self.group = FGAbelianGroup(len(self._free_idx), tuple(self._torsion))
 
     def _rep_from_k(self, kvec) -> ChainMap:
-        return chain_map_of_vec(self.x, self.y, self._kbasis @ kvec)
+        return ChainMap(self.x, self.y, self.hom.unvec(self._kbasis @ kvec))
 
     @property
     def torsion_reps(self) -> list[ChainMap]:
@@ -912,7 +863,7 @@ class HomGroupPresentation:
         """Coordinates of the homotopy class of f."""
         if f.source != self.x or f.target != self.y:
             raise DimensionMismatch("chain map does not belong to this hom group")
-        v = vec_of_chain_map(f)
+        v = ZZ.asarray(self.hom.vec(f))
         if self._kbasis.shape[1] == 0:
             return ()
         coords = _coords_with_snf(self._ksnf, self._kbasis.shape, v.reshape(-1, 1))[:, 0]
@@ -920,9 +871,6 @@ class HomGroupPresentation:
         tors = tuple(int(y[j]) % self._torsion[a] for a, j in enumerate(self._torsion_idx))
         free = tuple(int(y[j]) for j in self._free_idx)
         return tors + free
-
-    def same_class(self, f: ChainMap, g: ChainMap) -> bool:
-        return self.lookup(f) == self.lookup(g)
 
 
 def hom_group(x: Complex, y: Complex) -> HomGroupPresentation:
@@ -951,59 +899,17 @@ def reduce_mod(obj, m: int):
 
 
 # ---------------------------------------------------------------------------
-# prime-field hom-space machinery (used by the search and fuzz layers)
-
-
-class HomModP:
-    """Chain maps x -> y over F_p: basis, null-homotopic subspace, classes."""
-
-    def __init__(self, x: Complex, y: Complex):
-        p = x.ring.modulus
-        if p is None or not x.ring.is_prime_field:
-            raise ComplexError("HomModP requires a prime field")
-        self.x, self.y, self.p = x, y, p
-        self.layout = _cm_layout(x, y)
-        self.dim = _layout_size(self.layout)
-        t = _chain_condition_matrix(x, y, np.int64) % p
-        self.chain_basis = modp.kernel(t, p) if self.dim else np.zeros((0, 0), dtype=np.int64)
-        bd = _boundary_matrix(x, y, np.int64) % p
-        self.null_gens = bd
-        # independent columns of bd inside the chain-map space
-        if bd.shape[1]:
-            r, pivots = modp.rref(bd.T, p)
-            self.null_basis = r[: len(pivots)].T
-        else:
-            self.null_basis = np.zeros((self.dim, 0), dtype=np.int64)
-        # quotient class basis: chain basis columns independent from null space
-        stacked = np.hstack([self.null_basis, self.chain_basis])
-        _, pivots = modp.rref(stacked, p)
-        nn = self.null_basis.shape[1]
-        self.class_cols = [j - nn for j in pivots if j >= nn]
-        self.class_basis = self.chain_basis[:, self.class_cols] if self.class_cols else np.zeros((self.dim, 0), dtype=np.int64)
-
-    def to_map(self, v) -> ChainMap:
-        return chain_map_of_vec(self.x, self.y, np.asarray(v, dtype=np.int64) % self.p)
-
-    def vec(self, f: ChainMap) -> np.ndarray:
-        return modp.as_modp(vec_of_chain_map(f), self.p)
-
-    def class_dim(self) -> int:
-        return self.class_basis.shape[1]
-
-    def coords_matrix(self) -> np.ndarray:
-        """Transform E with E @ [null_basis | class_basis] = [I; 0]."""
-        mcols = np.hstack([self.null_basis, self.class_basis])
-        n = mcols.shape[0]
-        aug = np.hstack([mcols, np.eye(n, dtype=np.int64)])
-        r, pivots = modp.rref(aug, self.p)
-        return r[:, mcols.shape[1] :]
+# prime-field generators and the endomorphism algebra
 
 
 def _random_combo(basis: np.ndarray, rng, p: int) -> np.ndarray:
-    if basis.shape[1] == 0:
-        return np.zeros(basis.shape[0], dtype=np.int64)
-    coeffs = np.array([rng.randrange(p) for _ in range(basis.shape[1])], dtype=np.int64)
+    coeffs = np.array([rng.randrange(p) for _ in range(basis.shape[1])], dtype=basis.dtype)
     return (basis @ coeffs) % p
+
+
+def _require_prime_field(ring: Ring, what: str):
+    if not ring.is_prime_field:
+        raise ComplexError(f"{what} requires a prime field")
 
 
 def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int, low_degree: int = 0) -> Complex:
@@ -1012,9 +918,8 @@ def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int, low_degree: i
     Each differential is drawn uniformly from the solution space of
     d(i) @ d(i-1) = 0 given the previously drawn one.
     """
+    _require_prime_field(ring, "random_complex")
     p = ring.modulus
-    if p is None or not ring.is_prime_field:
-        raise ComplexError("random_complex requires a prime field")
     ranks = {}
     for i in range(low_degree, low_degree + n_degrees):
         r = rng.randint(0, max_rank)
@@ -1028,22 +933,23 @@ def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int, low_degree: i
             prev = None
             continue
         if prev is None:
-            mat = np.array([[rng.randrange(p) for _ in range(rs)] for _ in range(rt)], dtype=np.int64)
+            mat = ring.asarray([[rng.randrange(p) for _ in range(rs)] for _ in range(rt)])
         else:
             # unknown X (rt x rs) with X @ prev = 0; vec is row-major
-            constraint = np.kron(np.eye(rt, dtype=np.int64), prev.T)
-            basis = modp.kernel(constraint % p, p)
+            basis = ring.kernel(np.kron(np.eye(rt, dtype=ring.dtype), prev.T))
             mat = _random_combo(basis, rng, p).reshape(rt, rs)
-        diffs[i] = IntMatrix(mat.astype(object))
+        diffs[i] = IntMatrix(mat)
         prev = mat
     return Complex(ring, ranks, diffs)
 
 
 def random_chain_map(x: Complex, y: Complex, rng) -> ChainMap:
-    """Uniformly random chain map x -> y over a prime field."""
-    hm = HomModP(x, y)
-    v = _random_combo(hm.chain_basis, rng, hm.p)
-    return hm.to_map(v)
+    """Uniformly random chain map x -> y over a prime field: a random
+    combination of columns spanning Z^0 = ker D(0)."""
+    _require_prime_field(x.ring, "random_chain_map")
+    hom = HomComplex(x, y)
+    v = _random_combo(x.ring.kernel(hom.D(0)), rng, x.ring.modulus)
+    return ChainMap(x, y, hom.unvec(v))
 
 
 def end_structure_mod_p(c: Complex):
@@ -1052,19 +958,24 @@ def end_structure_mod_p(c: Complex):
     Returns (table, identity coordinates, basis representatives, to_coords)
     where table[i][j] holds the coordinates of basis_i o basis_j, and
     to_coords maps any endomorphism chain map to its class coordinates.
+    The representatives are cocycles of Hom(c, c) that form a basis of
+    Z^0 / B^0 = H^0.
     """
-    hm = HomModP(c, c)
-    p = hm.p
-    e = hm.coords_matrix()
-    nn = hm.null_basis.shape[1]
+    ring = c.ring
+    _require_prime_field(ring, "end_structure_mod_p")
+    hom = HomComplex(c, c)
+    cocycles, bd = ring.kernel(hom.D(0)), hom.D(-1)
+    boundaries = bd[:, ring.independent_columns(bd[:, :0], bd)]
+    classes = cocycles[:, ring.independent_columns(boundaries, cocycles)]
+    basis = np.hstack([boundaries, classes])
+    # a left inverse of basis: coordinates of any cocycle in it
+    left = ring.solve(basis.T, np.eye(basis.shape[1], dtype=ring.dtype))[0].T
+    nb = boundaries.shape[1]
 
     def to_coords(f: ChainMap) -> tuple[int, ...]:
-        v = hm.vec(f)
-        full = (e @ v) % p
-        # residual must vanish: f must be a chain map in the span
-        return tuple(int(t) for t in full[nn : nn + hm.class_dim()])
+        return tuple(int(t) for t in (left[nb:] @ hom.vec(f)) % ring.modulus)
 
-    reps = [hm.to_map(hm.class_basis[:, j]) for j in range(hm.class_dim())]
+    reps = [ChainMap(c, c, hom.unvec(classes[:, j])) for j in range(classes.shape[1])]
     table = [[to_coords(a.compose(b)) for b in reps] for a in reps]
     ident = to_coords(identity_map(c))
     return table, ident, reps, to_coords

@@ -147,9 +147,6 @@ class IntMatrix:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self._a.flat)
 
-    def max_abs(self) -> int:
-        return max((abs(v) for v in self._a.flat), default=0)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IntMatrix)
@@ -368,13 +365,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         uinv=IntMatrix._wrap(uinv),
         vinv=IntMatrix._wrap(vinv),
     )
-
-
-def kernel_basis(a: IntMatrix) -> list[np.ndarray]:
-    """Basis of the integer kernel lattice {x : A x = 0} (a saturated lattice)."""
-    s = smith_normal_form(a)
-    r = s.rank
-    return [s.v.array[:, j].copy() for j in range(r, a.cols)]
 
 
 def _vec(values) -> np.ndarray:

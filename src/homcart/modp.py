@@ -1,18 +1,18 @@
 """Dense linear algebra over prime fields on int64 arrays.
 
-Exact throughout: entries live in [0, p) and p is capped well below the
-int64 overflow threshold.  These routines back the search-heavy paths
-(fuzzing, coset enumeration over F_p); composite moduli go through the
-integer Smith kernel instead.
+Exact throughout: entries live in [0, p) and p is capped at P_MAX, well
+below the int64 overflow threshold.  `complexes.Ring` sends prime fields up
+to P_MAX here; composite moduli and larger primes go through the integer
+Smith kernel instead.
 """
 
 import numpy as np
 
-_P_MAX = 1 << 20
+P_MAX = 1 << 20
 
 
 def _check_prime_size(p: int):
-    if p < 2 or p > _P_MAX:
+    if p < 2 or p > P_MAX:
         raise ValueError(f"prime modulus out of supported range: {p}")
 
 
@@ -55,13 +55,6 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
-def rank(a: np.ndarray, p: int) -> int:
-    if a.size == 0:
-        return 0
-    _, pivots = rref(a, p)
-    return len(pivots)
-
-
 def kernel(a: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of the null space of a over F_p."""
     nrows, ncols = a.shape
@@ -70,12 +63,19 @@ def kernel(a: np.ndarray, p: int) -> np.ndarray:
     if nrows == 0:
         return np.eye(ncols, dtype=np.int64)
     r, pivots = rref(a, p)
-    free = [j for j in range(ncols) if j not in pivots]
+    return kernel_from_rref(r, pivots, ncols, p)
+
+
+def kernel_from_rref(r: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.ndarray:
+    """Null-space basis of the first ncols columns of a matrix with rref (r, pivots).
+
+    Every pivot must lie among those columns.
+    """
+    pivot_set = set(pivots)
+    free = [j for j in range(ncols) if j not in pivot_set]
     basis = np.zeros((ncols, len(free)), dtype=np.int64)
-    for k, j in enumerate(free):
-        basis[j, k] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[pc, k] = (-int(r[row_idx, j])) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots] = (-r[: len(pivots)][:, free]) % p
     return basis
 
 
@@ -95,13 +95,6 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
     for row_idx, pc in enumerate(pivots):
         x[pc] = r[row_idx, ncols]
     return x
-
-
-def solve_with_kernel(a: np.ndarray, b: np.ndarray, p: int):
-    x = solve(a, b, p)
-    if x is None:
-        return None
-    return x, kernel(a, p)
 
 
 def diagonalize(a: np.ndarray, p: int):
@@ -152,8 +145,3 @@ def diagonalize(a: np.ndarray, p: int):
         t += 1
     return u, uinv, v, vinv, t
 
-
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if a.shape[1] == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    return (a.astype(np.int64) @ b.astype(np.int64)) % p

@@ -23,17 +23,12 @@ from itertools import product
 
 import numpy as np
 
-from . import modp
 from .complexes import (
     ChainMap,
     Complex,
     ComplexError,
+    HomComplex,
     Homotopy,
-    _BlockSystem,
-    _boundary_matrix,
-    _cm_layout,
-    _layout_size,
-    chain_map_of_vec,
     cone,
     direct_sum,
     hom_group,
@@ -245,11 +240,13 @@ def completion_candidate(seq: DiagonalSequence) -> ChainMap:
 
 
 class _ConstraintSystem:
-    """Assembled linear system deciding `post o phi o pre ~ required` jointly.
+    """Linear system deciding `post o phi o pre ~ required` jointly.
 
-    Unknowns are the components of phi followed by one homotopy per
-    constraint; the solution set projected to the phi coordinates is the set
-    of constraint-satisfying chain maps.
+    Unknowns are phi in Hom^0(d, t) followed by one homotopy in Hom^-1(w, v)
+    per constraint.  The matrix is [[D(0), 0], [C, -D(-1)]], with one row of
+    blocks [C_k, ..., -D_k(-1), ...] per constraint, C_k the matrix of
+    phi |-> post o phi o pre; the solution set projected to the phi
+    coordinates is the set of constraint-satisfying chain maps.
     """
 
     def __init__(self, d: Complex, t: Complex, constraints: list[Constraint]):
@@ -261,73 +258,28 @@ class _ConstraintSystem:
             w, v = con.source(d), con.target(t)
             if con.required.source != w or con.required.target != v:
                 raise ComplexError("constraint shapes do not compose")
-        sys = _BlockSystem(d.ring)
-        layout = _cm_layout(d, t)
-        for i, r, c, _ in layout:
-            sys.add_var(("phi", i), r, c)
-        self.n_phi = _layout_size(layout)
-        self.layout = layout
-        for ci, con in enumerate(constraints):
-            w = con.source(d)
-            v = con.target(t)
-            for i in w.degrees():
-                if v.rank(i - 1) > 0 and w.rank(i) > 0:
-                    sys.add_var(("h", ci, i), v.rank(i - 1), w.rank(i))
-        for i in sorted(d.degrees()):
-            rt, rs = t.rank(i + 1), d.rank(i)
-            if rt == 0 or rs == 0:
-                continue
-            sys.add_equation(
-                rt,
-                rs,
-                [
-                    (("phi", i), t.differential(i), None),
-                    (("phi", i + 1), IntMatrix.identity(rt).scale(-1), d.differential(i)),
-                ],
-                IntMatrix.zeros(rt, rs),
-            )
-        for ci, con in enumerate(constraints):
-            w = con.source(d)
-            v = con.target(t)
-            for i in sorted(set(w.degrees()) | set(v.degrees())):
-                rs, rt = w.rank(i), v.rank(i)
-                if rs == 0 or rt == 0:
-                    continue
-                terms = []
-                pre_i = con.precompose.component(i) if con.precompose is not None else None
-                post_i = con.postcompose.component(i) if con.postcompose is not None else None
-                if d.rank(i) and t.rank(i):
-                    terms.append((("phi", i), post_i, pre_i))
-                terms.append((("h", ci, i), v.differential(i - 1).scale(-1), None))
-                terms.append((("h", ci, i + 1), IntMatrix.identity(rt).scale(-1), w.differential(i)))
-                sys.add_equation(rt, rs, terms, con.required.component(i))
-        self.sys = sys
+        self.hom = HomComplex(d, t)
+        self.n_phi = self.hom.dim(0)
+        homs = [HomComplex(con.source(d), con.target(t)) for con in constraints]
+        row, col = self.hom.dim(1), self.n_phi
+        shape = (row + sum(h.dim(0) for h in homs), col + sum(h.dim(-1) for h in homs))
+        a = np.zeros(shape, dtype=self.ring.dtype)
+        a[:row, :col] = self.hom.D(0)
+        rhs = [np.zeros(row, dtype=self.ring.dtype)]
+        for con, h in zip(constraints, homs):
+            rows = slice(row, row + h.dim(0))
+            a[rows, : self.n_phi] = self.hom.compose_matrix(con.precompose, con.postcompose)
+            a[rows, col : col + h.dim(-1)] = -h.D(-1)
+            rhs.append(h.vec(con.required))
+            row, col = rows.stop, col + h.dim(-1)
+        self.a, self.b = a, np.concatenate(rhs)
 
     def solve(self):
         """(particular, kernel columns) in raw coordinates, or None."""
-        a, b = self.sys._assemble()
-        if a.shape[1] == 0:
-            ok = (not b.any()) if a.dtype == np.int64 else not any(b)
-            return (np.zeros(0, dtype=a.dtype), np.zeros((0, 0), dtype=a.dtype)) if ok else None
-        if a.dtype == np.int64:
-            p = self.ring.modulus
-            x = modp.solve(a, b, p)
-            if x is None:
-                return None
-            return x, modp.kernel(a, p)
-        from .intmat import solve_linear
-
-        res = solve_linear(IntMatrix(a), list(b), modulus=self.ring.modulus)
-        if res is None:
-            return None
-        x, ker = res
-        kmat = np.zeros((len(x), len(ker)), dtype=object)
-        for j, k in enumerate(ker):
-            kmat[:, j] = k
-        return x, kmat
+        return self.ring.solve(self.a, self.b)
 
     def phi_of(self, x) -> ChainMap:
-        return chain_map_of_vec(self.d, self.t, np.asarray(x[: self.n_phi]))
+        return ChainMap(self.d, self.t, self.hom.unvec(x[: self.n_phi]))
 
 
 def _constraint_holds(phi: ChainMap, con: Constraint, modulus: int | None = None) -> bool:
@@ -379,14 +331,6 @@ def _homology_isomorphic(d: Complex, t: Complex) -> bool:
     return True
 
 
-def _class_dedup_columns(null_cols: np.ndarray, cand_cols: np.ndarray, p: int) -> list[int]:
-    """Indices of cand columns forming a basis of span(cand) modulo span(null)."""
-    stacked = np.hstack([null_cols, cand_cols])
-    _, pivots = modp.rref(stacked, p)
-    nn = null_cols.shape[1]
-    return [j - nn for j in pivots if j >= nn]
-
-
 def _decide_over_modular_ring(d, t, constraints, config, hints) -> Verdict:
     m = d.ring.modulus
     for phi in hints:
@@ -399,30 +343,30 @@ def _decide_over_modular_ring(d, t, constraints, config, hints) -> Verdict:
     if sol is None:
         return Verdict(kind="no", modulus=m, exhausted=0, reason="constraints unsatisfiable")
     x0, kern = sol
-    if d.ring.is_prime_field:
+    n_phi = system.n_phi
+    if d.ring.is_small_prime_field:
         p = m
-        null = _boundary_matrix(d, t, np.int64) % p
-        k_phi = kern[: system.n_phi] if kern.size else np.zeros((system.n_phi, 0), dtype=np.int64)
-        cls_cols = _class_dedup_columns(null, k_phi, p)
+        k_phi = kern[:n_phi]
+        cls_cols = d.ring.independent_columns(system.hom.D(-1), k_phi)
         count = p ** len(cls_cols)
         if count > config.max_enum:
             return Verdict(kind="unknown", reason=f"class enumeration needs {count} > cap")
-        x0_phi = np.asarray(x0[: system.n_phi], dtype=np.int64) % p
+        x0_phi = x0[:n_phi]
         checked = 0
         for coeffs in product(range(p), repeat=len(cls_cols)):
             v = x0_phi.copy()
             for cidx, cf in zip(cls_cols, coeffs):
                 if cf:
                     v = (v + cf * k_phi[:, cidx]) % p
-            phi = chain_map_of_vec(d, t, v)
+            phi = system.phi_of(v)
             checked += 1
             res = _verify_yes(d, t, phi, constraints, {"source": "enumeration"})
             if res is not None:
                 return res
         return Verdict(kind="no", modulus=m, exhausted=checked, reason="all constraint-satisfying classes fail to be equivalences")
-    # composite modulus: canonical forms modulo null-homotopies + m Z
-    n_phi = system.n_phi
-    null = _boundary_matrix(d, t, object)
+    # composite modulus or large prime: canonical forms modulo
+    # null-homotopies + m Z
+    null = system.hom.D(-1)
     rel = np.hstack([null, np.eye(n_phi, dtype=object) * m]) if n_phi else null
     srel = smith_normal_form(IntMatrix(rel))
     diag = srel.diagonal()
@@ -456,7 +400,7 @@ def _decide_over_modular_ring(d, t, constraints, config, hints) -> Verdict:
     if overflow:
         return Verdict(kind="unknown", reason="class enumeration exceeded cap")
     for v in seen.values():
-        phi = chain_map_of_vec(d, t, v)
+        phi = system.phi_of(v)
         res = _verify_yes(d, t, phi, constraints, {"source": "enumeration"})
         if res is not None:
             return res
@@ -621,7 +565,7 @@ def find_compatible_equivalence(
         for j, cf in enumerate(coeffs):
             if cf:
                 v = v + cf * kern[: system.n_phi, j]
-        phi = chain_map_of_vec(d, t, v)
+        phi = system.phi_of(v)
         key = hom.lookup(phi)
         if key in seen_classes:
             continue

@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here is deliberately naive: exhaustive residue search, exhaustive
-enumeration of homotopy matrices over F_2, and so on.  The point is that
-these stay independent of the code under test.
+enumeration of homotopy matrices over F_p (F_2 by default), and so on.  The
+point is that these stay independent of the code under test.
 """
 
 from itertools import product
@@ -28,24 +28,24 @@ def residue_solutions(a_rows, b, m):
     return sols
 
 
-def all_matrices_f2(rows, cols):
-    """Every rows x cols matrix over F_2 as a numpy int64 array."""
+def all_matrices_f2(rows, cols, p=2):
+    """Every rows x cols matrix over F_p as a numpy int64 array."""
     if rows * cols == 0:
         yield np.zeros((rows, cols), dtype=np.int64)
         return
-    for bits in product((0, 1), repeat=rows * cols):
-        yield np.array(bits, dtype=np.int64).reshape(rows, cols)
+    for digits in product(range(p), repeat=rows * cols):
+        yield np.array(digits, dtype=np.int64).reshape(rows, cols)
 
 
-def homotopies_f2(x, y):
-    """Every degreewise matrix tuple h with h_i : x^i -> y^(i-1) over F_2."""
+def homotopies_f2(x, y, p=2):
+    """Every degreewise matrix tuple h with h_i : x^i -> y^(i-1) over F_p."""
     degs = sorted(set(x.degrees()) | {d + 1 for d in y.degrees()})
     slots = [(i, y.rank(i - 1), x.rank(i)) for i in degs]
     slots = [(i, r, c) for (i, r, c) in slots if r > 0 and c > 0]
     if not slots:
         yield {}
         return
-    pools = [list(all_matrices_f2(r, c)) for (_, r, c) in slots]
+    pools = [list(all_matrices_f2(r, c, p)) for (_, r, c) in slots]
     for combo in product(*pools):
         yield {i: m for (i, _, _), m in zip(slots, combo)}
 
@@ -73,12 +73,12 @@ def is_homotopy_witness_f2(x, y, f_comps, g_comps, h, p=2):
     return True
 
 
-def chain_maps_f2(x, y):
-    """Every chain map x -> y over F_2, as dicts of int64 arrays."""
+def chain_maps_f2(x, y, p=2):
+    """Every chain map x -> y over F_p, as dicts of int64 arrays."""
     degs = sorted(set(x.degrees()) & set(y.degrees()))
     slots = [(i, y.rank(i), x.rank(i)) for i in degs]
     slots = [(i, r, c) for (i, r, c) in slots if r > 0 and c > 0]
-    pools = [list(all_matrices_f2(r, c)) for (_, r, c) in slots]
+    pools = [list(all_matrices_f2(r, c, p)) for (_, r, c) in slots]
     if not slots:
         yield {}
         return
@@ -96,10 +96,10 @@ def chain_maps_f2(x, y):
             dx = np.array(x.differential(i).tolist(), dtype=np.int64)
             left = np.zeros((rt_next, rs), dtype=np.int64)
             if dy is not None and i in comps:
-                left = (dy @ comps[i]) % 2
+                left = (dy @ comps[i]) % p
             right = np.zeros((rt_next, rs), dtype=np.int64)
             if (i + 1) in comps and x.rank(i + 1) > 0:
-                right = (comps[i + 1] @ dx) % 2
+                right = (comps[i + 1] @ dx) % p
             if not np.array_equal(left, right):
                 ok = False
                 break

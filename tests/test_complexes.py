@@ -3,8 +3,10 @@ import random
 import numpy as np
 import pytest
 
+from homcart import modp
 from homcart.complexes import (
     ComplexError,
+    HomComplex,
     Homotopy,
     ZZ,
     Zmod,
@@ -27,7 +29,8 @@ from homcart.complexes import (
 from homcart.intmat import FGAbelianGroup, IntMatrix
 
 from helpers import cmap, cpx, one_term, two_term
-from oracles import homotopies_f2, is_homotopy_witness_f2
+from oracles import chain_maps_f2, homotopies_f2, is_homotopy_witness_f2
+from test_triangles import corpus
 
 
 def test_validate_counterexample_family_member():
@@ -188,25 +191,99 @@ def test_reduce_mod_counterexample_data():
     assert r.differential(-1) == IntMatrix([[0], [0]])
 
 
-def test_homotopic_agrees_with_brute_force_over_f2():
+@pytest.mark.parametrize("p, max_total_rank", [(2, 5), (3, 4)], ids=["F2", "F3"])
+def test_homotopic_agrees_with_brute_force_over_fp(p, max_total_rank):
     rng = random.Random(11)
-    ring = Zmod(2)
+    ring = Zmod(p)
     trials = 0
     while trials < 40:
         x = random_complex(ring, rng, n_degrees=3, max_rank=2)
         y = random_complex(ring, rng, n_degrees=3, max_rank=2)
-        if x.total_rank() + y.total_rank() > 5 or x.total_rank() == 0 or y.total_rank() == 0:
+        if x.total_rank() + y.total_rank() > max_total_rank or x.total_rank() == 0 or y.total_rank() == 0:
             continue
         trials += 1
+        # chain maps are the cocycles Z^0 = ker D(0)
+        z0 = ring.kernel(HomComplex(x, y).D(0)).shape[1]
+        assert len(list(chain_maps_f2(x, y, p))) == p**z0
         f = random_chain_map(x, y, rng)
         g = random_chain_map(x, y, rng)
         fc = {i: np.array(f.component(i).tolist(), dtype=np.int64) for i in x.degrees() if y.rank(i)}
         gc = {i: np.array(g.component(i).tolist(), dtype=np.int64) for i in x.degrees() if y.rank(i)}
         oracle = any(
-            is_homotopy_witness_f2(x, y, fc, gc, h) for h in homotopies_f2(x, y)
+            is_homotopy_witness_f2(x, y, fc, gc, h, p) for h in homotopies_f2(x, y, p)
         )
         got = homotopic(f, g)
         assert (got is not None) == oracle
+
+
+def _corpus_complexes(ring):
+    """Sources, targets and cones of the triangle-layer corpus, plus random
+    complexes when the ring is a prime field."""
+    out = []
+    for f in corpus(random.Random(3)):
+        for c in (f.source, f.target, cone(f)[0]):
+            c = c if ring.is_integers else reduce_mod(c, ring.modulus)
+            if c not in out:
+                out.append(c)
+    rng = random.Random(8)
+    while ring.is_prime_field and len(out) < 24:
+        out.append(random_complex(ring, rng, n_degrees=4, max_rank=3))
+    return out
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(9), Zmod(3)], ids=["Z", "Z9", "F3"])
+def test_hom_complex_differential_squares_to_zero(ring):
+    cs = _corpus_complexes(ring)
+    for x in cs:
+        for y in cs:
+            hom = HomComplex(x, y)
+            for n in (-2, -1, 0):
+                prod = ZZ.asarray(hom.D(n + 1)) @ ZZ.asarray(hom.D(n))
+                assert np.count_nonzero(prod % ring.modulus if ring.modulus else prod) == 0
+
+
+def test_hom_complex_vectors_round_trip():
+    for f in corpus(random.Random(4)):
+        hom = HomComplex(f.source, f.target)
+        v = hom.vec(f)
+        assert len(v) == hom.dim(0)
+        assert hom.unvec(v) == f.components()
+        # chain maps are cocycles
+        assert np.count_nonzero(hom.D(0) @ v) == 0
+
+
+BIG_PRIME = 1048583  # the smallest prime above 2^20, the int64 limit of modp
+SMALL_PRIME = 1048573  # the largest prime below 2^20
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    calls = []
+    original = modp.rref
+
+    def counting(a, p):
+        calls.append(p)
+        return original(a, p)
+
+    monkeypatch.setattr(modp, "rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, int64_path", [(BIG_PRIME, False), (SMALL_PRIME, True)])
+def test_large_primes_choose_their_backend(p, int64_path, rref_calls):
+    ring = Zmod(p)
+    assert ring.is_prime_field and ring.is_small_prime_field == int64_path
+    x = two_term(5, ring=ring)
+    y = one_term(ring=ring)
+    assert homotopic(identity_map(x), identity_map(x)) is not None
+    assert homotopic(identity_map(y), zero_map(y, y)) is None
+    assert is_contractible(x) is not None
+    assert is_contractible(y) is None
+    cn, _, _ = cone(identity_map(y))
+    assert is_contractible(cn) is not None
+    f = random_chain_map(x, x, random.Random(1))
+    assert f.source == x and f.target == x
+    assert bool(rref_calls) == int64_path
 
 
 def test_random_complex_and_chain_map_are_valid():
@@ -219,15 +296,10 @@ def test_random_complex_and_chain_map_are_valid():
         assert f.source == x and f.target == y
 
 
-def test_end_structure_identity_and_associativity():
-    rng = random.Random(9)
-    ring = Zmod(3)
-    c = random_complex(ring, rng, n_degrees=3, max_rank=2)
+def _check_end_algebra(c, p):
+    """Identity and associativity of the structure table; returns its dimension."""
     table, ident, reps, to_coords = end_structure_mod_p(c)
     n = len(reps)
-    if n == 0:
-        return
-    p = 3
 
     def mult(xc, yc):
         out = [0] * n
@@ -249,3 +321,17 @@ def test_end_structure_identity_and_associativity():
         for j in range(n):
             for k in range(n):
                 assert mult(basis[i], mult(basis[j], basis[k])) == mult(mult(basis[i], basis[j]), basis[k])
+    return n
+
+
+def test_end_structure_identity_and_associativity():
+    rng = random.Random(9)
+    c = random_complex(Zmod(3), rng, n_degrees=3, max_rank=2)
+    _check_end_algebra(c, 3)
+
+
+def test_end_structure_over_a_prime_above_the_int64_limit():
+    # H^0 and H^1 are F_p and the second summand is contractible: End = F_p x F_p
+    ring = Zmod(BIG_PRIME)
+    c = direct_sum(cpx({0: 1, 1: 1}, {0: [[0]]}, ring=ring), two_term(7, ring=ring))
+    assert _check_end_algebra(c, BIG_PRIME) == 2

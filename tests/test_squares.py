@@ -7,6 +7,7 @@ from homcart.complexes import (
     identity_map,
     random_chain_map,
     random_complex,
+    reduce_mod,
     shift,
     zero_map,
 )
@@ -21,6 +22,7 @@ from homcart.squares import (
     reduce_square,
     square_from_cone,
 )
+from homcart.suite import build_star
 from homcart.triangles import Triangle, standard_triangle
 
 from helpers import cmap, cpx, one_term, two_term
@@ -144,6 +146,17 @@ def test_yes_instance_survives_reduction(m):
     reduced = reduce_square(sq, m)
     verdict = is_homotopy_cartesian(reduced)
     assert verdict.is_yes
+
+
+@pytest.mark.parametrize("p", [1048583, 1048573])
+def test_cone_square_yes_over_primes_near_the_int64_limit(p):
+    # 1048583 > 2^20 is solved exactly, 1048573 < 2^20 in int64
+    star = build_star(3)
+    sq = square_from_cone(reduce_mod(star.morphism.q, p), reduce_mod(star.upper.g, p))
+    verdict = is_homotopy_cartesian(sq)
+    assert verdict.is_yes
+    assert verdict.witness is not None and verdict.equivalence is not None
+    assert verdict.constraint_witnesses and all(w is not None for w in verdict.constraint_witnesses)
 
 
 def test_middle_square_over_prime_base_ring_yes():

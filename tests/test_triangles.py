@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from homcart.complexes import (
+    ZZ,
+    ChainMap,
     ComplexError,
+    HomComplex,
     Zmod,
-    _chain_condition_matrix,
-    chain_map_of_vec,
     cone,
     identity_map,
     is_contractible,
@@ -16,7 +17,6 @@ from homcart.complexes import (
     shift,
     zero_map,
 )
-from homcart.intmat import IntMatrix, kernel_basis
 from homcart.triangles import (
     Triangle,
     TriangleMorphism,
@@ -32,17 +32,13 @@ from helpers import cmap, cpx, one_term, two_term
 
 
 def random_z_chain_map(x, y, rng, bound=2):
-    t = _chain_condition_matrix(x, y, object)
-    if t.shape[1] == 0:
-        return zero_map(x, y)
-    if t.shape[0] == 0:
-        v = np.array([rng.randint(-bound, bound) for _ in range(t.shape[1])], dtype=object)
-        return chain_map_of_vec(x, y, v)
-    basis = kernel_basis(IntMatrix(t))
-    v = np.zeros(t.shape[1], dtype=object)
-    for k in basis:
+    """A random integer combination of the Smith kernel basis of D(0)."""
+    hom = HomComplex(x, y)
+    basis = ZZ.kernel(hom.D(0))
+    v = np.zeros(basis.shape[0], dtype=object)
+    for k in basis.T:
         v = v + rng.randint(-bound, bound) * k
-    return chain_map_of_vec(x, y, v)
+    return ChainMap(x, y, hom.unvec(v))
 
 
 def corpus(rng):
