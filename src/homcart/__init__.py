@@ -17,7 +17,6 @@ from .intmat import (
     IntMatrix,
     SmithDecomposition,
     FGAbelianGroup,
-    AffineCosetModM,
     smith_normal_form,
     solve_linear,
     cokernel,

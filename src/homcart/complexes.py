@@ -20,6 +20,10 @@ and Hom in the homotopy category is H^0.  `HomComplex` lays out Hom^n as one
 vector: the nonzero blocks Hom(X^i, Y^(i+n)) in increasing degree i, each a
 rank_Y(i+n) x rank_X(i) matrix read row-major.
 
+Homology, Hom groups and class keys are all ker/im quotients, computed by
+one routine over Z: `Subquotient(a, b, m)` is ker a / (im b + m Z^n) by
+Smith forms, with representatives and a `lookup` of class coordinates.
+
 `Ring` is the linear-algebra backend of these vectors and matrices: prime
 fields F_p with p <= 2^20 are solved in int64 by `modp`, and every other
 ring (Z, Z/m, larger primes) by the exact Smith kernel of `intmat`.
@@ -28,6 +32,7 @@ converts between the two.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +42,7 @@ from .intmat import (
     FGAbelianGroup,
     IntMatrix,
     smith_normal_form,
+    smith_solve,
     solve_linear,
 )
 
@@ -106,26 +112,19 @@ class Ring:
 
     def solve(self, a: np.ndarray, b: np.ndarray):
         """(x, kernel) with a @ x = b and columns of kernel spanning ker a,
-        or None when there is no solution.  b may also be a matrix whose
-        columns are right-hand sides; x then has one column for each."""
+        or None when there is no solution."""
         n = a.shape[1]
         if n == 0:
             if np.count_nonzero(b):
                 return None
-            return np.zeros((0,) + b.shape[1:], dtype=self.dtype), np.zeros((0, 0), dtype=self.dtype)
+            return np.zeros(0, dtype=self.dtype), np.zeros((0, 0), dtype=self.dtype)
         if self.is_small_prime_field:
-            r, pivots = modp.rref(np.hstack([a, b.reshape(-1, 1) if b.ndim == 1 else b]), self.modulus)
+            r, pivots = modp.rref(np.hstack([a, b.reshape(-1, 1)]), self.modulus)
             if pivots and pivots[-1] >= n:
                 return None
-            x = np.zeros((n, r.shape[1] - n), dtype=np.int64)
-            x[pivots] = r[: len(pivots), n:]
-            return x.reshape((n,) + b.shape[1:]), modp.kernel_from_rref(r, pivots, n, self.modulus)
-        if b.ndim == 2:
-            sols = [self.solve(a, col) for col in b.T]
-            if any(sol is None for sol in sols):
-                return None
-            x = np.array([sol[0] for sol in sols], dtype=object).reshape(len(sols), n).T
-            return x, (sols[0][1] if sols else self.kernel(a))
+            x = np.zeros(n, dtype=np.int64)
+            x[pivots] = r[: len(pivots), n]
+            return x, modp.kernel_from_rref(r, pivots, n, self.modulus)
         got = solve_linear(IntMatrix(a), list(b), modulus=self.modulus)
         if got is None:
             return None
@@ -146,25 +145,19 @@ class Ring:
 
     def independent_columns(self, base: np.ndarray, cols: np.ndarray) -> list[int]:
         """Indices of the columns of `cols` outside the span of `base` and of
-        the columns picked before them: over a field, a basis of span(cols)
-        modulo span(base)."""
+        the columns picked before them, over a small prime field: a basis of
+        span(cols) modulo span(base)."""
         if cols.shape[1] == 0:
             return []
-        if self.is_small_prime_field:
-            _, pivots = modp.rref(np.hstack([base, cols]), self.modulus)
-            return [j - base.shape[1] for j in pivots if j >= base.shape[1]]
-        picked = []
-        for j in range(cols.shape[1]):
-            if self.solve(np.hstack([base, cols[:, picked]]), cols[:, j]) is None:
-                picked.append(j)
-        return picked
+        _, pivots = modp.rref(np.hstack([base, cols]), self.modulus)
+        return [j - base.shape[1] for j in pivots if j >= base.shape[1]]
 
     def diagonalize(self, d: IntMatrix):
         """(u, v, vinv, r) as exact integer arrays with u d v = diag(1, ..., 1, 0, ...)
         holding r ones, over Z or a small prime field; None over Z when an
         invariant factor of d is not 1."""
         if self.is_small_prime_field:
-            u, _, v, vinv, r = modp.diagonalize(self.asarray(d), self.modulus)
+            u, v, vinv, r = modp.diagonalize(self.asarray(d), self.modulus)
             return u.astype(object), v.astype(object), vinv.astype(object), r
         if self.modulus is not None:
             raise ComplexError(f"no unit diagonal form over {self}")
@@ -482,15 +475,12 @@ class Homotopy:
             want = self.lhs.component(i) - self.rhs.component(i)
             acc = IntMatrix.zeros(y.rank(i), x.rank(i))
             if y.rank(i - 1) > 0:
-                acc = acc + self.target_differential(i - 1) @ self.component(i)
+                acc = acc + y.differential(i - 1) @ self.component(i)
             if x.rank(i + 1) > 0:
                 acc = acc + self.component(i + 1) @ x.differential(i)
             if not ring.matrices_equal(want, acc):
                 return i
         return None
-
-    def target_differential(self, i: int) -> IntMatrix:
-        return self.lhs.target.differential(i)
 
     def negate(self) -> "Homotopy":
         return Homotopy(self.rhs, self.lhs, {i: -m for i, m in self._comps.items()}, check=False)
@@ -730,93 +720,47 @@ def homotopy_inverse(f: ChainMap, contraction: Homotopy | None = None) -> ChainM
     return ChainMap(y, x, comps)
 
 
+# ---------------------------------------------------------------------------
+# subquotients: homology and Hom in the homotopy category
+
+
 def homology(c: Complex) -> dict[int, FGAbelianGroup]:
     """H^i = ker d(i) / im d(i-1) by invariant factors, over Z only."""
     if not c.ring.is_integers:
         raise ComplexError("homology is computed over the integers; reduce or lift explicitly")
-    out = {}
     degs = c.degrees()
     if not degs:
-        return out
-    for i in range(degs[0], degs[-1] + 1):
-        n = c.rank(i)
-        if n == 0:
-            out[i] = FGAbelianGroup(0)
-            continue
-        s = smith_normal_form(c.differential(i))
-        k = n - s.rank
-        kbasis = s.v.array[:, s.rank :]
-        if k == 0:
-            out[i] = FGAbelianGroup(0)
-            continue
-        img = c.differential(i - 1)
-        if img.cols == 0:
-            out[i] = FGAbelianGroup(k)
-            continue
-        coords = _coords_in_lattice(kbasis, img.array)
-        from .intmat import cokernel as _cok
-
-        out[i] = _cok(IntMatrix(coords))
-    return out
+        return {}
+    return {
+        i: Subquotient(c.differential(i).array, c.differential(i - 1).array).group
+        for i in range(degs[0], degs[-1] + 1)
+    }
 
 
-def _coords_with_snf(s, shape: tuple[int, int], vectors: np.ndarray) -> np.ndarray:
-    rows, k = shape
-    diag = s.diagonal()
-    y = s.u.array @ vectors
-    out = np.zeros((k, vectors.shape[1]), dtype=object)
-    for col in range(vectors.shape[1]):
-        z = np.zeros(k, dtype=object)
-        for j in range(rows):
-            dj = diag[j] if j < len(diag) else 0
-            if j < k and dj != 0:
-                if y[j, col] % dj != 0:
-                    raise AssertionError("vector is not in the lattice")
-                z[j] = y[j, col] // dj
-            elif y[j, col] != 0:
-                raise AssertionError("vector is not in the lattice")
-        out[:, col] = s.v.array @ z
-    return out
+class Subquotient:
+    """ker a / (im b + m Z^n) over Z by Smith forms, for a of shape r x n
+    and b of shape n x k; with a modulus m, ker a is {x : a x = 0 mod m}.
 
-
-def _coords_in_lattice(basis: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Integer coordinates of each column of `vectors` in the lattice `basis`.
-
-    Requires the columns to lie in the lattice; this is asserted.
-    """
-    bm = IntMatrix(basis)
-    return _coords_with_snf(smith_normal_form(bm), bm.shape, vectors)
-
-
-# ---------------------------------------------------------------------------
-# Hom in the homotopy category
-
-
-class HomGroupPresentation:
-    """Hom in the homotopy category as a finitely generated abelian group.
-
-    This is H^0 of `HomComplex(x, y)`: ker D(0) modulo im D(-1), and modulo
-    m over Z/m, presented by Smith forms over Z.  Coordinates returned by `lookup` are (torsion residues..., free
-    integers...) aligned with `torsion_reps` + `free_reps`; two chain maps get
-    equal coordinates exactly when they are homotopic.
+    `group` is the quotient.  `torsion_reps` and `free_reps` are vectors in
+    ker a representing its generators, and `lookup(v)` gives the coordinates
+    (torsion residues..., free integers...) of the class of v in ker a along
+    them: two vectors get equal coordinates exactly when they differ by an
+    element of im b + m Z^n.
     """
 
-    def __init__(self, x: Complex, y: Complex):
-        self.x, self.y, self.ring = x, y, x.ring
-        self.hom = HomComplex(x, y)
-        t, bd = ZZ.asarray(self.hom.D(0)), ZZ.asarray(self.hom.D(-1))
-        n = t.shape[1]
-        m = x.ring.modulus
+    def __init__(self, a: np.ndarray, b: np.ndarray, m: int | None = None):
+        a, b = ZZ.asarray(a), ZZ.asarray(b)
+        n = a.shape[1]
         if m is None:
-            kbasis = ZZ.kernel(t)
-            rels = bd
+            kbasis = ZZ.kernel(a)
+            rels = b
         else:
-            # lattice of solutions of T x = 0 (mod m): project the integer
-            # kernel of [T | m I], then extract a basis of the column span
-            if t.shape[0] == 0:
+            # lattice of solutions of a x = 0 (mod m): project the integer
+            # kernel of [a | m I], then extract a basis of the column span
+            if a.size == 0:
                 lat_gens = np.eye(n, dtype=object)
             else:
-                aug = np.hstack([t, np.eye(t.shape[0], dtype=object) * m])
+                aug = np.hstack([a, np.eye(a.shape[0], dtype=object) * m])
                 sk = smith_normal_form(IntMatrix(aug))
                 lat_gens = sk.v.array[:n, sk.rank :]
             if n:
@@ -827,34 +771,73 @@ class HomGroupPresentation:
                 kbasis = sg.uinv.array @ sg.d.array[:, :n]
             else:
                 kbasis = np.zeros((0, 0), dtype=object)
-            rels = np.hstack([bd, np.eye(n, dtype=object) * m]) if n else bd
+            rels = np.hstack([b, np.eye(n, dtype=object) * m]) if n else b
         self._kbasis = kbasis
-        self._ksnf = smith_normal_form(IntMatrix(kbasis)) if kbasis.size else None
         k = kbasis.shape[1]
-        if rels.shape[1] == 0 or k == 0:
-            coords = np.zeros((k, rels.shape[1]), dtype=object)
+        if k and rels.shape[1]:
+            srel = smith_normal_form(IntMatrix(self._kcoords(rels)))
+            diag, self._u, self._uinv = srel.diagonal(), srel.u.array, srel.uinv.array
         else:
-            coords = _coords_with_snf(self._ksnf, kbasis.shape, rels)
-        srel = smith_normal_form(IntMatrix(coords))
-        diag = srel.diagonal()
-        self._u = srel.u.array
-        self._uinv = srel.uinv.array
+            diag, self._u, self._uinv = [], np.eye(k, dtype=object), np.eye(k, dtype=object)
         self._torsion_idx = [j for j, d in enumerate(diag) if d >= 2]
         self._torsion = [diag[j] for j in self._torsion_idx]
-        rank_rel = sum(1 for d in diag if d != 0)
-        self._free_idx = list(range(rank_rel, k))
+        self._free_idx = list(range(sum(1 for d in diag if d != 0), k))
         self.group = FGAbelianGroup(len(self._free_idx), tuple(self._torsion))
 
-    def _rep_from_k(self, kvec) -> ChainMap:
-        return ChainMap(self.x, self.y, self.hom.unvec(self._kbasis @ kvec))
+    @cached_property
+    def _ksnf(self):
+        return smith_normal_form(IntMatrix(self._kbasis))
+
+    def _kcoords(self, vectors: np.ndarray) -> np.ndarray:
+        """Coordinates in the kernel basis of columns that lie in ker a."""
+        coords = smith_solve(self._ksnf, vectors)
+        if coords is None:
+            raise AssertionError("vector is not in the lattice")
+        return coords
+
+    @property
+    def torsion_reps(self) -> list[np.ndarray]:
+        return [self._kbasis @ self._uinv[:, j] for j in self._torsion_idx]
+
+    @property
+    def free_reps(self) -> list[np.ndarray]:
+        return [self._kbasis @ self._uinv[:, j] for j in self._free_idx]
+
+    def lookup(self, v: np.ndarray) -> tuple[int, ...]:
+        """Coordinates of the class of v, a vector in ker a."""
+        if self._kbasis.shape[1] == 0:
+            return ()
+        y = self._u @ self._kcoords(ZZ.asarray(v).reshape(-1, 1))[:, 0]
+        tors = tuple(int(y[j]) % self._torsion[a] for a, j in enumerate(self._torsion_idx))
+        return tors + tuple(int(y[j]) for j in self._free_idx)
+
+
+class HomGroupPresentation:
+    """Hom in the homotopy category as a finitely generated abelian group.
+
+    This is H^0 of `HomComplex(x, y)`: the `Subquotient` of ker D(0) by
+    im D(-1), and by m over Z/m, with its vectors read as chain maps.
+    Coordinates returned by `lookup` are aligned with `torsion_reps` +
+    `free_reps`; two chain maps get equal coordinates exactly when they are
+    homotopic.
+    """
+
+    def __init__(self, x: Complex, y: Complex):
+        self.x, self.y, self.ring = x, y, x.ring
+        self.hom = HomComplex(x, y)
+        self.classes = Subquotient(self.hom.D(0), self.hom.D(-1), x.ring.modulus)
+        self.group = self.classes.group
+
+    def _maps(self, vectors) -> list[ChainMap]:
+        return [ChainMap(self.x, self.y, self.hom.unvec(v)) for v in vectors]
 
     @property
     def torsion_reps(self) -> list[ChainMap]:
-        return [self._rep_from_k(self._uinv[:, j]) for j in self._torsion_idx]
+        return self._maps(self.classes.torsion_reps)
 
     @property
     def free_reps(self) -> list[ChainMap]:
-        return [self._rep_from_k(self._uinv[:, j]) for j in self._free_idx]
+        return self._maps(self.classes.free_reps)
 
     def reps(self) -> list[ChainMap]:
         return self.torsion_reps + self.free_reps
@@ -863,14 +846,7 @@ class HomGroupPresentation:
         """Coordinates of the homotopy class of f."""
         if f.source != self.x or f.target != self.y:
             raise DimensionMismatch("chain map does not belong to this hom group")
-        v = ZZ.asarray(self.hom.vec(f))
-        if self._kbasis.shape[1] == 0:
-            return ()
-        coords = _coords_with_snf(self._ksnf, self._kbasis.shape, v.reshape(-1, 1))[:, 0]
-        y = self._u @ coords
-        tors = tuple(int(y[j]) % self._torsion[a] for a, j in enumerate(self._torsion_idx))
-        free = tuple(int(y[j]) for j in self._free_idx)
-        return tors + free
+        return self.classes.lookup(self.hom.vec(f))
 
 
 def hom_group(x: Complex, y: Complex) -> HomGroupPresentation:
@@ -957,25 +933,11 @@ def end_structure_mod_p(c: Complex):
 
     Returns (table, identity coordinates, basis representatives, to_coords)
     where table[i][j] holds the coordinates of basis_i o basis_j, and
-    to_coords maps any endomorphism chain map to its class coordinates.
-    The representatives are cocycles of Hom(c, c) that form a basis of
-    Z^0 / B^0 = H^0.
+    to_coords maps any endomorphism chain map to its class coordinates:
+    the representatives and `lookup` of `hom_group(c, c)`.
     """
-    ring = c.ring
-    _require_prime_field(ring, "end_structure_mod_p")
-    hom = HomComplex(c, c)
-    cocycles, bd = ring.kernel(hom.D(0)), hom.D(-1)
-    boundaries = bd[:, ring.independent_columns(bd[:, :0], bd)]
-    classes = cocycles[:, ring.independent_columns(boundaries, cocycles)]
-    basis = np.hstack([boundaries, classes])
-    # a left inverse of basis: coordinates of any cocycle in it
-    left = ring.solve(basis.T, np.eye(basis.shape[1], dtype=ring.dtype))[0].T
-    nb = boundaries.shape[1]
-
-    def to_coords(f: ChainMap) -> tuple[int, ...]:
-        return tuple(int(t) for t in (left[nb:] @ hom.vec(f)) % ring.modulus)
-
-    reps = [ChainMap(c, c, hom.unvec(classes[:, j])) for j in range(classes.shape[1])]
-    table = [[to_coords(a.compose(b)) for b in reps] for a in reps]
-    ident = to_coords(identity_map(c))
-    return table, ident, reps, to_coords
+    _require_prime_field(c.ring, "end_structure_mod_p")
+    end = hom_group(c, c)
+    reps = end.reps()
+    table = [[end.lookup(a.compose(b)) for b in reps] for a in reps]
+    return table, end.lookup(identity_map(c)), reps, end.lookup

@@ -12,14 +12,15 @@ Provided here:
   chain d_1 | d_2 | ..., plus the inverse transforms,
 * `solve_linear` -- particular solution and kernel basis over Z, or over Z/m
   by augmenting the column space with m times the identity,
+* `smith_solve` -- the back-substitution through a Smith form that both
+  `solve_linear` and `complexes.Subquotient` use,
 * `cokernel` / `FGAbelianGroup` -- finitely generated abelian groups by
   invariant factors,
-* `AffineCosetModM` / `enumerate_coset` -- duplicate-free enumeration of
-  finite affine solution sets mod m.
+* `enumerate_coset` -- duplicate-free enumeration of a finite affine
+  solution set mod m, optionally one member per class of a key.
 """
 
-from dataclasses import dataclass, field
-from math import gcd
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -414,23 +415,32 @@ def solve_linear(
         return part, gens
 
     s = smith_normal_form(a)
-    y = s.u.array @ b
-    n = a.cols
-    z = np.zeros(n, dtype=object)
-    diag = s.diagonal()
-    for i in range(a.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di != 0:
-            if y[i] % di != 0:
-                return None
-            z[i] = y[i] // di
-        elif y[i] != 0:
-            return None
-    x = s.v.array @ z
-    ker = [s.v.array[:, j].copy() for j in range(s.rank, n)]
+    x = smith_solve(s, b.reshape(-1, 1))
+    if x is None:
+        return None
+    x = x[:, 0]
+    ker = [s.v.array[:, j].copy() for j in range(s.rank, a.cols)]
     if any(a.array @ x - b):
         raise AssertionError("integer solver produced a non-solution")
     return x, ker
+
+
+def smith_solve(s: SmithDecomposition, b: np.ndarray) -> np.ndarray | None:
+    """x with A x = b, column by column, for the matrix A whose Smith form
+    is s; None when some column of b is not in the column span of A.
+
+    y = U b, z = y / D on the diagonal, x = V z.
+    """
+    diag = s.diagonal()
+    z = np.zeros((s.v.rows, b.shape[1]), dtype=object)
+    for i, row in enumerate((s.u.array @ b).tolist()):
+        d = diag[i] if i < len(diag) else 0
+        for j, y in enumerate(row):
+            if y % d if d else y:
+                return None
+            if d:
+                z[i, j] = y // d
+    return s.v.array @ z
 
 
 @dataclass(frozen=True)
@@ -497,64 +507,28 @@ def cokernel(a: IntMatrix) -> FGAbelianGroup:
     return FGAbelianGroup.from_diagonal(s.diagonal(), a.rows)
 
 
-class CosetOverflow(RuntimeError):
-    """Signals that a coset enumeration exceeded its cap; not a failure."""
+def enumerate_coset(particular, generators, modulus: int, cap: int, key=None):
+    """Members of particular + <generators> in (Z/m)^n in breadth-first order.
 
-
-@dataclass(frozen=True)
-class AffineCosetModM:
-    """Finite affine solution set v + <generators> inside (Z/m)^n."""
-
-    modulus: int
-    particular: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-    cardinality_bound: int = field(default=0)
-
-    def __post_init__(self):
-        m = int(self.modulus)
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        part = tuple(int(x) % m for x in self.particular)
-        gens = tuple(
-            tuple(int(x) % m for x in g) for g in self.generators
-        )
-        for g in gens:
-            if len(g) != len(part):
-                raise DimensionMismatch("generator length differs from particular solution")
-        object.__setattr__(self, "particular", part)
-        object.__setattr__(self, "generators", gens)
-        if self.cardinality_bound <= 0:
-            bound = 1
-            for g in gens:
-                content = 0
-                for x in g:
-                    content = gcd(content, x)
-                order = m // gcd(m, content) if content else 1
-                bound *= max(order, 1)
-            object.__setattr__(self, "cardinality_bound", min(bound, m ** max(len(part), 1)))
-
-
-def enumerate_coset(coset: AffineCosetModM, cap: int) -> tuple[list[tuple[int, ...]], bool]:
-    """All members of the coset, each exactly once, in deterministic BFS order.
-
-    Returns (members, overflowed); `overflowed` is True when the cardinality
-    exceeds `cap`, in which case `members` holds the first `cap` found.
+    Members are object vectors reduced mod m, one for each value of
+    key(member) (default: the tuple of entries).  Returns (members,
+    overflowed); `overflowed` is True when there are more than `cap`, in
+    which case `members` holds the first `cap` found.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    m = coset.modulus
-    start = coset.particular
-    seen = {start}
-    order = [start]
+    key = key or tuple
+    start = np.asarray(particular, dtype=object) % modulus
+    seen = {key(start): start}
     queue = [start]
     while queue:
         cur = queue.pop(0)
-        for g in coset.generators:
-            nxt = tuple((c + d) % m for c, d in zip(cur, g))
-            if nxt not in seen:
+        for g in generators:
+            nxt = (cur + g) % modulus
+            k = key(nxt)
+            if k not in seen:
                 if len(seen) >= cap:
-                    return order, True
-                seen.add(nxt)
-                order.append(nxt)
+                    return list(seen.values()), True
+                seen[k] = nxt
                 queue.append(nxt)
-    return order, False
+    return list(seen.values()), False

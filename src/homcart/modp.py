@@ -98,15 +98,14 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
 
 
 def diagonalize(a: np.ndarray, p: int):
-    """U A V = diag(1,...,1,0,...) over F_p, with all four transforms.
+    """U A V = diag(1,...,1,0,...) over F_p.
 
-    Returns (u, uinv, v, vinv, rank).
+    Returns (u, v, vinv, rank).
     """
     _check_prime_size(p)
     d = a.astype(np.int64, copy=True) % p
     nr, nc = d.shape
     u = np.eye(nr, dtype=np.int64)
-    uinv = np.eye(nr, dtype=np.int64)
     v = np.eye(nc, dtype=np.int64)
     vinv = np.eye(nc, dtype=np.int64)
     t = 0
@@ -119,7 +118,6 @@ def diagonalize(a: np.ndarray, p: int):
         if i != t:
             d[[t, i]] = d[[i, t]]
             u[[t, i]] = u[[i, t]]
-            uinv[:, [t, i]] = uinv[:, [i, t]]
         if j != t:
             d[:, [t, j]] = d[:, [j, t]]
             v[:, [t, j]] = v[:, [j, t]]
@@ -127,14 +125,12 @@ def diagonalize(a: np.ndarray, p: int):
         s = inv_mod(d[t, t], p)
         d[t] = (d[t] * s) % p
         u[t] = (u[t] * s) % p
-        uinv[:, t] = (uinv[:, t] * inv_mod(s, p)) % p
         col = np.nonzero(d[:, t])[0]
         col = col[col != t]
         if col.size:
             factors = d[col, t].copy()
             d[col] = (d[col] - np.outer(factors, d[t])) % p
             u[col] = (u[col] - np.outer(factors, u[t])) % p
-            uinv[:, t] = (uinv[:, t] + uinv[:, col] @ factors) % p
         rowz = np.nonzero(d[t, :])[0]
         rowz = rowz[rowz != t]
         if rowz.size:
@@ -143,5 +139,5 @@ def diagonalize(a: np.ndarray, p: int):
             v[:, rowz] = (v[:, rowz] - np.outer(v[:, t], factors)) % p
             vinv[t, :] = (vinv[t, :] + factors @ vinv[rowz, :]) % p
         t += 1
-    return u, uinv, v, vinv, t
+    return u, v, vinv, t
 

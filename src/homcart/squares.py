@@ -29,6 +29,7 @@ from .complexes import (
     ComplexError,
     HomComplex,
     Homotopy,
+    Subquotient,
     cone,
     direct_sum,
     hom_group,
@@ -40,7 +41,7 @@ from .complexes import (
     reduce_mod,
     zero_map,
 )
-from .intmat import IntMatrix, smith_normal_form
+from .intmat import FGAbelianGroup, IntMatrix, enumerate_coset
 from .triangles import Triangle, rotate
 
 
@@ -282,12 +283,8 @@ class _ConstraintSystem:
         return ChainMap(self.d, self.t, self.hom.unvec(x[: self.n_phi]))
 
 
-def _constraint_holds(phi: ChainMap, con: Constraint, modulus: int | None = None) -> bool:
-    diff = con.apply(phi) - con.required
-    if modulus is None:
-        return homotopic(diff, zero_map(diff.source, diff.target)) is not None
-    if diff.source.ring.is_integers:
-        diff = reduce_mod(diff, modulus)
+def _constraint_holds(phi: ChainMap, con: Constraint, modulus: int) -> bool:
+    diff = reduce_mod(con.apply(phi) - con.required, modulus)
     return homotopic(diff, zero_map(diff.source, diff.target)) is not None
 
 
@@ -323,8 +320,6 @@ def _torsion_exponents(c: Complex) -> list[int]:
 def _homology_isomorphic(d: Complex, t: Complex) -> bool:
     hd, ht = homology(d), homology(t)
     degs = set(hd) | set(ht)
-    from .intmat import FGAbelianGroup
-
     for i in degs:
         if hd.get(i, FGAbelianGroup(0)) != ht.get(i, FGAbelianGroup(0)):
             return False
@@ -364,47 +359,17 @@ def _decide_over_modular_ring(d, t, constraints, config, hints) -> Verdict:
             if res is not None:
                 return res
         return Verdict(kind="no", modulus=m, exhausted=checked, reason="all constraint-satisfying classes fail to be equivalences")
-    # composite modulus or large prime: canonical forms modulo
-    # null-homotopies + m Z
-    null = system.hom.D(-1)
-    rel = np.hstack([null, np.eye(n_phi, dtype=object) * m]) if n_phi else null
-    srel = smith_normal_form(IntMatrix(rel))
-    diag = srel.diagonal()
-    u = srel.u.array
-
-    def canon(v):
-        y = u @ v
-        out = []
-        for j in range(n_phi):
-            dj = diag[j] if j < len(diag) else 0
-            out.append(int(y[j]) % dj if dj else int(y[j]))
-        return tuple(out)
-
-    x0_phi = np.asarray(x0[:n_phi], dtype=object) % m
-    gens = [kern[:n_phi, j] % m for j in range(kern.shape[1])] if kern.size else []
-    seen = {canon(x0_phi): x0_phi}
-    queue = [x0_phi]
-    overflow = False
-    while queue:
-        cur = queue.pop(0)
-        for g in gens:
-            nxt = (cur + g) % m
-            key = canon(nxt)
-            if key not in seen:
-                if len(seen) >= config.max_enum:
-                    overflow = True
-                    queue = []
-                    break
-                seen[key] = nxt
-                queue.append(nxt)
+    # composite modulus or large prime: one member per class of Hom(d, t)
+    classes = Subquotient(system.hom.D(0), system.hom.D(-1), m)
+    members, overflow = enumerate_coset(x0[:n_phi], list(kern[:n_phi].T), m, config.max_enum, classes.lookup)
     if overflow:
         return Verdict(kind="unknown", reason="class enumeration exceeded cap")
-    for v in seen.values():
+    for v in members:
         phi = system.phi_of(v)
         res = _verify_yes(d, t, phi, constraints, {"source": "enumeration"})
         if res is not None:
             return res
-    return Verdict(kind="no", modulus=m, exhausted=len(seen), reason="all constraint-satisfying classes fail to be equivalences")
+    return Verdict(kind="no", modulus=m, exhausted=len(members), reason="all constraint-satisfying classes fail to be equivalences")
 
 
 def _equivalence_candidates(d: Complex, t: Complex, config, hints) -> ChainMap | None:
@@ -425,16 +390,18 @@ def _equivalence_candidates(d: Complex, t: Complex, config, hints) -> ChainMap |
             tried += 1
             if tried > config.max_candidates:
                 return None
-            phi = zero_map(d, t)
-            for a, rep in zip(fc, free):
-                if a:
-                    phi = phi + rep.scale(a)
-            for a, rep in zip(tc, tors):
-                if a:
-                    phi = phi + rep.scale(a)
+            phi = _combination(zero_map(d, t), fc + tc, free + tors)
             if is_homotopy_equivalence(phi) is not None:
                 return phi
     return None
+
+
+def _combination(base: ChainMap, coeffs, reps) -> ChainMap:
+    """base + the sum of a * rep over the nonzero coefficients a."""
+    for a, rep in zip(coeffs, reps):
+        if a:
+            base = base + rep.scale(a)
+    return base
 
 
 def _unit_candidates(t: Complex, config) -> list[ChainMap] | None:
@@ -442,39 +409,19 @@ def _unit_candidates(t: Complex, config) -> list[ChainMap] | None:
     the unit group is not finitely enumerable here (free rank >= 2)."""
     end = hom_group(t, t)
     g = end.group
+    if g.free_rank > 1:
+        return None
+    # with free rank 1, units reduce to +-1 in End/torsion, whose ring is Z
+    # generated by the identity class
+    bases = [zero_map(t, t)] if g.free_rank == 0 else [identity_map(t), -identity_map(t)]
+    if len(bases) * g.torsion_order() > config.max_candidates:
+        return None
     tors = end.torsion_reps
-    orders = g.invariant_factors
-    total = 1
-    for o in orders:
-        total *= o
-    if g.free_rank == 0:
-        if total > config.max_candidates:
-            return None
-        out = []
-        for tc in product(*(range(o) for o in orders)):
-            phi = zero_map(t, t)
-            for a, rep in zip(tc, tors):
-                if a:
-                    phi = phi + rep.scale(a)
-            out.append(phi)
-        return out
-    if g.free_rank == 1:
-        # units reduce to +-1 in End/torsion, whose ring is Z generated by
-        # the identity class
-        if 2 * total > config.max_candidates:
-            return None
-        ident = identity_map(t)
-        out = []
-        for sign in (1, -1):
-            base = ident if sign == 1 else -ident
-            for tc in product(*(range(o) for o in orders)):
-                phi = base
-                for a, rep in zip(tc, tors):
-                    if a:
-                        phi = phi + rep.scale(a)
-                out.append(phi)
-        return out
-    return None
+    return [
+        _combination(base, tc, tors)
+        for base in bases
+        for tc in product(*(range(o) for o in g.invariant_factors))
+    ]
 
 
 def find_compatible_equivalence(

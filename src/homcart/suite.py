@@ -14,7 +14,9 @@ triangles (same expectation), plus the implication between the two
 refutations.  `fuzz_prop2` generates random two-row diagrams over a prime
 field, deterministically per (seed, index); `prop2_replay` reconstructs the
 correcting automorphism 1 + e + a e^2 on such a diagram and re-verifies its
-defining identities.
+defining identities.  There e is a strict chain endomorphism and a = s(e) a
+polynomial in it, found by `unitlemma.find_alpha` on the block-diagonal
+matrix of e.
 """
 
 import json
@@ -23,20 +25,20 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
 
+import numpy as np
+
 from .complexes import (
     ChainMap,
     Complex,
     ComplexError,
     Homotopy,
     Zmod,
-    end_structure_mod_p,
     homotopic,
     identity_map,
     is_homotopy_equivalence,
     random_chain_map,
     random_complex,
     shift,
-    zero_map,
 )
 from .intmat import IntMatrix
 from .jsonio import (
@@ -63,7 +65,7 @@ from .triangles import (
     verify_distinguished_with_witness,
     verify_triangle_morphism,
 )
-from .unitlemma import FiniteAlgebra, find_alpha
+from .unitlemma import FpMatrix, find_alpha
 
 
 class TranscriptionError(RuntimeError):
@@ -413,17 +415,37 @@ class Prop2Replay:
     equivalence: Homotopy          # contraction witnessing the automorphism
 
 
+def _alpha_of(eps: ChainMap, p: int) -> ChainMap:
+    """a = s(e) with 1 + e + a e^2 invertible, for a strict endomorphism e.
+
+    Computed on the block-diagonal matrix of e, one block per degree; a is a
+    polynomial in that matrix, so its diagonal blocks form a chain map.
+    """
+    z = eps.source
+    blocks, n = {}, 0
+    for i in z.degrees():
+        blocks[i] = slice(n, n + z.rank(i))
+        n += z.rank(i)
+    big = np.zeros((n, n), dtype=object)
+    for i, b in blocks.items():
+        big[b, b] = eps.component(i).array
+    alpha = find_alpha(FpMatrix(p, big)).coefficient.a
+    return ChainMap(z, z, {i: IntMatrix(alpha[b, b]) for i, b in blocks.items()})
+
+
 def prop2_replay(m: TriangleMorphism, config: SearchConfig = DEFAULT_CONFIG) -> Prop2Replay:
     """Rebuild the unit 1 + e + a e^2 correcting c to the verified completion.
 
-    Requires a diagram with identity first component over a prime field,
-    rows standard on f and b o f.  Raises when the preimage step fails,
-    which cannot happen for valid inputs.
+    Requires a diagram with identity first component over a prime field F_p,
+    p <= 2^20, rows standard on f and b o f.  Raises when the preimage step
+    fails, which cannot happen for valid inputs.  The unit is invertible on
+    the nose; it corrects c for any a, since e^2 o c and e o g' are
+    null-homotopic.
     """
     row1, row2 = m.source, m.target
     ring = row1.x.ring
-    if not ring.is_prime_field:
-        raise ComplexError("the replay works over a prime field")
+    if not ring.is_small_prime_field:
+        raise ComplexError("the replay works over a prime field F_p with p <= 2^20")
     if m.p != identity_map(row1.x):
         raise ComplexError("the replay expects an identity on the first corner")
     b, c = m.q, m.r
@@ -443,17 +465,7 @@ def prop2_replay(m: TriangleMorphism, config: SearchConfig = DEFAULT_CONFIG) -> 
         raise ComplexError("no preimage along precomposition with the connecting map")
     psi = system.phi_of(sol[0])
     eps = psi.compose(row2.h)
-    table, ident, reps, to_coords = end_structure_mod_p(row2.z)
-    alpha = zero_map(row2.z, row2.z)
-    if reps:
-        algebra = FiniteAlgebra(ring.modulus, table, ident)
-        eps_el = algebra.element(to_coords(eps))
-        cert = find_alpha(eps_el)
-        for coeff, rep in zip(cert.coefficient.coords, reps):
-            if coeff:
-                alpha = alpha + rep.scale(int(coeff))
-    # a trivial endomorphism ring means the third object is contractible and
-    # eps is null-homotopic; alpha = 0 already makes the unit the identity class
+    alpha = _alpha_of(eps, ring.modulus)
     unit = identity_map(row2.z) + eps + alpha.compose(eps).compose(eps)
     id_c = homotopic(unit.compose(c), ctilde)
     id_gp = homotopic(unit.compose(row2.g), row2.g)

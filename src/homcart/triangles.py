@@ -135,7 +135,7 @@ def verify_distinguished_with_witness(t: Triangle, u: ChainMap) -> Distinguished
     )
 
 
-def rotation_witness(t: Triangle, check: bool = True) -> ChainMap:
+def rotation_witness(t: Triangle) -> ChainMap:
     """Candidate comparison map cone(g) -> X[1] for the rotation of t.
 
     On degree i the component is [h_i | theta_{i+1}] where theta is the
@@ -165,7 +165,7 @@ def rotation_witness(t: Triangle, check: bool = True) -> ChainMap:
         else:
             blocks.append(IntMatrix.zeros(xs.rank(i), 0))
         comps[i] = IntMatrix.hstack(blocks)
-    return ChainMap(cn, xs, comps, check=check)
+    return ChainMap(cn, xs, comps)
 
 
 class TriangleMorphism:

@@ -33,7 +33,7 @@ class UnsupportedRepresentation(TypeError):
 
 
 class FpMatrix:
-    """Square matrix over F_p."""
+    """Square matrix over F_p, p a prime up to `modp.P_MAX`."""
 
     __slots__ = ("p", "a")
 
@@ -42,6 +42,8 @@ class FpMatrix:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("expected a square matrix")
         self.p = int(p)
+        if self.p > modp.P_MAX or _prime_factors(self.p) != [self.p]:
+            raise ValueError(f"matrices over F_p need a prime p <= {modp.P_MAX}, got {self.p}")
         self.a = modp.as_modp(arr.astype(object), self.p)
 
     def _wrap(self, arr):
@@ -297,12 +299,7 @@ class PolynomialRelation:
         """e^m + e^(m+1) * s(e); zero exactly when the relation holds."""
         acc = _power(e, self.m)
         if self.s_coeffs:
-            s_of_e = e.zero()
-            pw = e.one()
-            for c in self.s_coeffs:
-                s_of_e = s_of_e.add(pw.scale(c))
-                pw = pw.mul(e)
-            acc = acc.add(_power(e, self.m + 1).mul(s_of_e))
+            acc = acc.add(_power(e, self.m + 1).mul(self.s_at(e)))
         return acc
 
     def s_at(self, e):

@@ -73,6 +73,24 @@ def is_homotopy_witness_f2(x, y, f_comps, g_comps, h, p=2):
     return True
 
 
+def null_homotopic_maps_fp(x, y, p=2):
+    """The distinct maps d h + h d over every h in homotopies_f2(x, y, p),
+    each as a tuple of its reduced entries degree by degree."""
+    degs = sorted(set(x.degrees()) & set(y.degrees()))
+    out = set()
+    for h in homotopies_f2(x, y, p):
+        key = []
+        for i in degs:
+            acc = np.zeros((y.rank(i), x.rank(i)), dtype=np.int64)
+            if i in h and y.rank(i - 1) > 0:
+                acc = acc + np.array(y.differential(i - 1).tolist(), dtype=np.int64) @ h[i]
+            if i + 1 in h and x.rank(i + 1) > 0:
+                acc = acc + h[i + 1] @ np.array(x.differential(i).tolist(), dtype=np.int64)
+            key.append(tuple((acc % p).flat))
+        out.add(tuple(key))
+    return out
+
+
 def chain_maps_f2(x, y, p=2):
     """Every chain map x -> y over F_p, as dicts of int64 arrays."""
     degs = sorted(set(x.degrees()) & set(y.degrees()))

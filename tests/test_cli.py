@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from homcart.cli import main
 from homcart.jsonio import complex_to_json, square_to_json, triangle_to_json, chain_map_to_json
 from homcart.squares import square_from_cone
@@ -123,6 +125,14 @@ def test_unit_lemma_matrix_f2(capsys):
 def test_unit_lemma_bad_ring(capsys):
     code, _, err = run(capsys, "unit-lemma", "--ring", "weird", "--eps", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("ring, eps", [("matf:4:2", "[[2,0],[0,1]]"), ("matf:6:2", "[[2,3],[1,4]]")])
+def test_unit_lemma_matrix_over_a_composite_modulus(capsys, ring, eps):
+    code, out, err = run(capsys, "unit-lemma", "--ring", ring, "--eps", eps)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "prime" in err and "Traceback" not in err
 
 
 def test_fuzz_zero_trials(capsys):

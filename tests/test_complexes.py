@@ -29,7 +29,7 @@ from homcart.complexes import (
 from homcart.intmat import FGAbelianGroup, IntMatrix
 
 from helpers import cmap, cpx, one_term, two_term
-from oracles import chain_maps_f2, homotopies_f2, is_homotopy_witness_f2
+from oracles import chain_maps_f2, homotopies_f2, is_homotopy_witness_f2, null_homotopic_maps_fp
 from test_triangles import corpus
 
 
@@ -143,6 +143,41 @@ def test_homology_rejects_modular():
         homology(c)
 
 
+def _random_z_complex(rng):
+    """Integer complex on degrees 0, 1, 2 with d(1) d(0) = 0: the rows of
+    d(1) are random combinations of a basis of the left kernel of d(0)."""
+    n0, n1, n2 = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+    d0 = IntMatrix([[rng.choice([0, 0, 1, -2, 3, 4, -6]) for _ in range(n0)] for _ in range(n1)])
+    left = ZZ.kernel(d0.array.T)
+    coeffs = np.array([rng.randint(-3, 3) for _ in range(n2 * left.shape[1])], dtype=object)
+    d1 = IntMatrix(coeffs.reshape(n2, left.shape[1]) @ left.T)
+    return cpx({0: n0, 1: n1, 2: n2}, {0: d0.tolist(), 1: d1.tolist()})
+
+
+def test_homology_against_sympy_smith_form():
+    # H^i = Z^(n - rk d(i) - rk d(i-1)) + the non-unit invariant factors of d(i-1)
+    from sympy import Matrix
+    from sympy import ZZ as SYMPY_ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    def rank_and_factors(m: IntMatrix):
+        if 0 in m.shape:
+            return 0, []
+        d = sympy_snf(Matrix(m.tolist()), domain=SYMPY_ZZ)
+        diag = [abs(int(d[j, j])) for j in range(min(m.shape))]
+        return sum(1 for v in diag if v), sorted(v for v in diag if v > 1)
+
+    rng = random.Random(17)
+    for _ in range(60):
+        c = _random_z_complex(rng)
+        got = homology(c)
+        assert sorted(got) == list(range(c.min_degree, c.max_degree + 1))
+        for i, group in got.items():
+            rk_out, _ = rank_and_factors(c.differential(i))
+            rk_in, factors = rank_and_factors(c.differential(i - 1))
+            assert group == FGAbelianGroup(c.rank(i) - rk_out - rk_in, tuple(factors)), (i, c)
+
+
 def test_hom_group_unit_interval():
     g = hom_group(one_term(), one_term())
     assert g.group == FGAbelianGroup(1)
@@ -204,7 +239,13 @@ def test_homotopic_agrees_with_brute_force_over_fp(p, max_total_rank):
         trials += 1
         # chain maps are the cocycles Z^0 = ker D(0)
         z0 = ring.kernel(HomComplex(x, y).D(0)).shape[1]
-        assert len(list(chain_maps_f2(x, y, p))) == p**z0
+        n_maps = len(list(chain_maps_f2(x, y, p)))
+        assert n_maps == p**z0
+        # [x, y] = H^0 has one element per coset of the null-homotopic maps
+        n_null = len(null_homotopic_maps_fp(x, y, p))
+        group = hom_group(x, y).group
+        assert n_maps % n_null == 0
+        assert group.free_rank == 0 and group.torsion_order() == n_maps // n_null
         f = random_chain_map(x, y, rng)
         g = random_chain_map(x, y, rng)
         fc = {i: np.array(f.component(i).tolist(), dtype=np.int64) for i in x.degrees() if y.rank(i)}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from homcart.intmat import (
-    AffineCosetModM,
     DimensionMismatch,
     FGAbelianGroup,
     IntMatrix,
@@ -84,8 +83,7 @@ def test_solve_mod9_full_coset():
     res = solve_linear(IntMatrix([[3]]), [6], modulus=9)
     assert res is not None
     x, gens = res
-    coset = AffineCosetModM(9, tuple(int(v) for v in x), tuple(tuple(int(v) for v in g) for g in gens))
-    members, overflow = enumerate_coset(coset, 100)
+    members, overflow = enumerate_coset(x, gens, 9, 100)
     assert not overflow
     assert sorted(v[0] for v in members) == [2, 5, 8]
     assert sorted(v[0] for v in residue_solutions([[3]], [6], 9)) == [2, 5, 8]
@@ -110,10 +108,9 @@ def test_solve_against_residue_oracle():
             assert oracle == []
         else:
             x, gens = got
-            coset = AffineCosetModM(m, tuple(int(v) for v in x), tuple(tuple(int(v) for v in g) for g in gens))
-            members, overflow = enumerate_coset(coset, m ** cols + 1)
+            members, overflow = enumerate_coset(x, gens, m, m ** cols + 1)
             assert not overflow
-            assert sorted(members) == sorted(oracle)
+            assert sorted(tuple(v) for v in members) == sorted(oracle)
 
 
 def test_solve_integer_random_reverify():
@@ -162,24 +159,30 @@ def test_fg_group_validation():
 
 
 def test_coset_single_point():
-    c = AffineCosetModM(5, (3, 1), ())
-    members, overflow = enumerate_coset(c, 10)
-    assert members == [(3, 1)] and not overflow
+    members, overflow = enumerate_coset((3, 1), [], 5, 10)
+    assert [tuple(v) for v in members] == [(3, 1)] and not overflow
 
 
 def test_coset_order_two_generator():
-    c = AffineCosetModM(4, (1,), ((2,),))
-    members, overflow = enumerate_coset(c, 10)
-    assert sorted(members) == [(1,), (3,)] and not overflow
+    members, overflow = enumerate_coset((1,), [(2,)], 4, 10)
+    assert sorted(tuple(v) for v in members) == [(1,), (3,)] and not overflow
 
 
 def test_coset_overflow_signal():
-    c = AffineCosetModM(3, (0, 0), ((1, 0), (0, 1)))
-    members, overflow = enumerate_coset(c, 5)
+    gens = [(1, 0), (0, 1)]
+    members, overflow = enumerate_coset((0, 0), gens, 3, 5)
     assert overflow
     assert len(members) == 5
-    full, overflow2 = enumerate_coset(c, 9)
+    full, overflow2 = enumerate_coset((0, 0), gens, 3, 9)
     assert not overflow2 and len(full) == 9
+
+
+def test_coset_one_member_per_key():
+    # Z/6 = <1>; keyed by the residue mod 3, breadth-first from 4: 4, 5, 0
+    members, overflow = enumerate_coset((4,), [(1,)], 6, 10, key=lambda v: v[0] % 3)
+    assert [tuple(v) for v in members] == [(4,), (5,), (0,)] and not overflow
+    members, overflow = enumerate_coset((4,), [(1,)], 6, 2, key=lambda v: v[0] % 3)
+    assert len(members) == 2 and overflow
 
 
 def test_matrix_json_roundtrip():

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from homcart.complexes import Zmod, identity_map
-from homcart.intmat import AffineCosetModM, IntMatrix
 from homcart.jsonio import (
     chain_map_from_json,
     chain_map_to_json,
@@ -74,13 +73,6 @@ def test_identity_morphism_roundtrip():
     m = identity_morphism(t)
     back = triangle_morphism_from_json(json.loads(json.dumps(triangle_morphism_to_json(m))))
     assert back.p == identity_map(t.x)
-
-
-def test_coset_cardinality_bound():
-    c = AffineCosetModM(4, (1,), ((2,),))
-    assert c.cardinality_bound >= 2
-    c2 = AffineCosetModM(3, (0, 0), ((1, 0), (0, 1)))
-    assert c2.cardinality_bound >= 9
 
 
 def test_package_level_exports():

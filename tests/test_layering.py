@@ -1,6 +1,9 @@
-"""The linear-algebra backend is chosen in one place, `complexes.Ring`."""
+"""The linear-algebra backend is chosen in one place, `complexes.Ring`, and
+Smith forms are taken only by `Ring` and `complexes.Subquotient`."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -8,26 +11,32 @@ import pytest
 import homcart
 
 SRC = Path(homcart.__file__).resolve().parent
+ROOT = SRC.parents[1]
 
 
 def _parse(module: str) -> ast.Module:
     return ast.parse((SRC / module).read_text(encoding="utf-8"))
 
 
+def _uses_outside(tree: ast.Module, name: str, classes: tuple[str, ...]) -> list[int]:
+    """Lines where `name` is read outside the bodies of the given classes."""
+    inside = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in classes
+        for node in ast.walk(cls)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == name and id(node) not in inside
+    ]
+
+
 @pytest.mark.parametrize("module", ["complexes.py", "squares.py", "suite.py"])
 def test_modp_is_used_only_inside_ring(module):
     tree = _parse(module)
-    inside_ring = {
-        id(node)
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and cls.name == "Ring"
-        for node in ast.walk(cls)
-    }
-    outside = [
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name) and node.id == "modp" and id(node) not in inside_ring
-    ]
+    outside = _uses_outside(tree, "modp", ("Ring",))
     assert outside == [], f"modp referenced outside Ring at lines {outside}"
     assert not any(
         isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("modp")
@@ -42,3 +51,25 @@ def test_squares_never_names_int64():
         if isinstance(node, ast.Attribute) and node.attr == "int64"
     ]
     assert hits == []
+
+
+def test_smith_forms_only_in_ring_and_subquotient():
+    outside = _uses_outside(_parse("complexes.py"), "smith_normal_form", ("Ring", "Subquotient"))
+    assert outside == [], f"smith_normal_form referenced at lines {outside}"
+    for module in ("squares.py", "suite.py"):
+        names = [
+            node.id if isinstance(node, ast.Name) else node.name
+            for node in ast.walk(_parse(module))
+            if isinstance(node, (ast.Name, ast.alias))
+        ]
+        assert "smith_normal_form" not in names, module
+
+
+def test_benchmark_traced_names_resolve():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.TRACED.items():
+        mod = importlib.import_module(f"homcart.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"homcart.{module}.{name}"

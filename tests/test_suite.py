@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from homcart.complexes import is_homotopy_equivalence
+from homcart.complexes import ComplexError, Zmod, identity_map, is_homotopy_equivalence
 from homcart.intmat import IntMatrix
 from homcart.jsonio import poly_eval
 from homcart.squares import is_homotopy_cartesian
@@ -15,7 +15,9 @@ from homcart.suite import (
     report_text,
     verify_paper,
 )
-from homcart.triangles import verify_triangle_morphism
+from homcart.triangles import identity_morphism, standard_triangle, verify_triangle_morphism
+
+from helpers import one_term
 
 
 def test_poly_eval():
@@ -195,3 +197,10 @@ def test_replay_is_trivial_without_perturbation():
         assert replay.psi.is_zero()
         assert replay.epsilon.is_zero()
         assert replay.automorphism == identity_map(trial.morphism.target.z)
+
+
+@pytest.mark.parametrize("m", [4, 1048583], ids=["Z4", "prime-above-2^20"])
+def test_replay_refuses_rings_outside_the_int64_prime_fields(m):
+    t = standard_triangle(identity_map(one_term(ring=Zmod(m))))
+    with pytest.raises(ComplexError, match="prime field"):
+        prop2_replay(identity_morphism(t))
