@@ -20,6 +20,10 @@ and Hom in the homotopy category is H^0.  `HomComplex` lays out Hom^n as one
 vector: the nonzero blocks Hom(X^i, Y^(i+n)) in increasing degree i, each a
 rank_Y(i+n) x rank_X(i) matrix read row-major.
 
+`pair` and `copair` are the maps into and out of a direct sum, and
+`cone_map(f, g, k)` is the map out of cone(f) given by g and a
+null-homotopy k of g o f (the cone's universal property).
+
 Homology, Hom groups and class keys are all ker/im quotients, computed by
 one routine over Z: `Subquotient(a, b, m)` is ker a / (im b + m Z^n) by
 Smith forms, with representatives and a `lookup` of class coordinates.
@@ -156,11 +160,13 @@ class Ring:
         """(u, v, vinv, r) as exact integer arrays with u d v = diag(1, ..., 1, 0, ...)
         holding r ones, over Z or a small prime field; None over Z when an
         invariant factor of d is not 1."""
+        if self.modulus is not None and not self.is_small_prime_field:
+            raise ComplexError(f"no unit diagonal form over {self}")
+        if 0 in d.shape:
+            return np.eye(d.rows, dtype=object), np.eye(d.cols, dtype=object), np.eye(d.cols, dtype=object), 0
         if self.is_small_prime_field:
             u, v, vinv, r = modp.diagonalize(self.asarray(d), self.modulus)
             return u.astype(object), v.astype(object), vinv.astype(object), r
-        if self.modulus is not None:
-            raise ComplexError(f"no unit diagonal form over {self}")
         s = smith_normal_form(d)
         if any(x != 1 for x in s.diagonal()[: s.rank]):
             return None
@@ -558,6 +564,39 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
         check=False,
     )
     return cn, incl, proj
+
+
+def cone_map(f: ChainMap, g: ChainMap, k: Homotopy) -> ChainMap:
+    """The map cone(f) -> W induced by g : Y -> W and a null-homotopy k of
+    g o f, with component [g_i | k_(i+1)] in degree i.
+
+    It restricts to g along the cone inclusion.  It is checked as a chain
+    map, which holds exactly when k is a null-homotopy of g o f.
+    """
+    if g.source != f.target or k.lhs.source != f.source or k.lhs.target != g.target:
+        raise ComplexError("cone_map needs f : X -> Y, g : Y -> W and k : X -> W[-1]")
+    cn, _, _ = cone(f)
+    w = g.target
+    comps = {i: IntMatrix.hstack([g.component(i), k.component(i + 1)]) for i in cn.degrees() if w.rank(i)}
+    return ChainMap(cn, w, comps)
+
+
+def pair(f: ChainMap, g: ChainMap) -> ChainMap:
+    """(f; g) : X -> Y + Z for f : X -> Y and g : X -> Z."""
+    if f.source != g.source:
+        raise ComplexError("paired maps must share their source")
+    x, mid = f.source, direct_sum(f.target, g.target)
+    comps = {i: IntMatrix.vstack([f.component(i), g.component(i)]) for i in x.degrees() if mid.rank(i)}
+    return ChainMap(x, mid, comps, check=False)
+
+
+def copair(f: ChainMap, g: ChainMap) -> ChainMap:
+    """(f, g) : Y + Z -> W for f : Y -> W and g : Z -> W."""
+    if f.target != g.target:
+        raise ComplexError("copaired maps must share their target")
+    mid, w = direct_sum(f.source, g.source), f.target
+    comps = {i: IntMatrix.hstack([f.component(i), g.component(i)]) for i in mid.degrees() if w.rank(i)}
+    return ChainMap(mid, w, comps, check=False)
 
 
 # ---------------------------------------------------------------------------

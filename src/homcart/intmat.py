@@ -77,14 +77,6 @@ class IntMatrix:
             a[i, i] = 1
         return cls._wrap(a)
 
-    @classmethod
-    def column(cls, values) -> "IntMatrix":
-        return cls([[int(v)] for v in values])
-
-    @classmethod
-    def row(cls, values) -> "IntMatrix":
-        return cls([[int(v) for v in values]])
-
     @property
     def array(self) -> np.ndarray:
         """Read-only numpy object array view."""

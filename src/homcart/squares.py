@@ -31,13 +31,15 @@ from .complexes import (
     Homotopy,
     Subquotient,
     cone,
-    direct_sum,
+    cone_map,
+    copair,
     hom_group,
     homology,
     homotopic,
     homotopy_inverse,
     identity_map,
     is_homotopy_equivalence,
+    pair,
     reduce_mod,
     zero_map,
 )
@@ -57,25 +59,29 @@ class NotCommutative(ValueError):
 class SearchConfig:
     """Bounds for the constrained-equivalence search.
 
-    coeff_bound limits integer coefficients in the Yes-side enumeration;
-    max_enum caps any coset/class enumeration (overflow yields Unknown,
-    never a wrong verdict); max_candidates caps the refutation candidate
-    set; extra_moduli are appended to the refutation schedule.
+    coeff_bound (at least 0) limits integer coefficients in the Yes-side
+    enumeration; max_enum caps any coset/class enumeration (overflow yields
+    Unknown, never a wrong verdict); extra_moduli are appended to the
+    refutation schedule.
     """
 
     coeff_bound: int = 2
     max_enum: int = 1 << 20
-    max_candidates: int = 256
     extra_moduli: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.max_enum < 1 or self.max_candidates < 1:
+        if self.coeff_bound < 0:
+            raise ValueError("coefficient bound must be nonnegative")
+        if self.max_enum < 1:
             raise ValueError("caps must be at least 1")
         if any(m < 2 for m in self.extra_moduli):
             raise ValueError("moduli must be at least 2")
 
 
 DEFAULT_CONFIG = SearchConfig()
+
+# cap on the refutation candidate set: base equivalences tried, unit classes
+MAX_CANDIDATES = 256
 
 
 @dataclass(frozen=True)
@@ -188,21 +194,8 @@ class DiagonalSequence:
 
 
 def diagonal(square: CommutativeSquare) -> DiagonalSequence:
-    mid = direct_sum(square.bprime_obj, square.c_obj)
-    first_comps = {}
-    for i in square.b_obj.degrees():
-        if mid.rank(i) == 0:
-            continue
-        first_comps[i] = IntMatrix.vstack([square.b.component(i), square.g.component(i)])
-    first = ChainMap(square.b_obj, mid, first_comps)
-    second_comps = {}
-    for i in mid.degrees():
-        if square.cprime_obj.rank(i) == 0:
-            continue
-        second_comps[i] = IntMatrix.hstack(
-            [square.gprime.component(i), -square.c.component(i)]
-        )
-    second = ChainMap(mid, square.cprime_obj, second_comps)
+    first = pair(square.b, square.g)
+    second = copair(square.gprime, -square.c)
     composite = second.compose(first)
     null = Homotopy(
         composite,
@@ -213,27 +206,9 @@ def diagonal(square: CommutativeSquare) -> DiagonalSequence:
 
 
 def completion_candidate(seq: DiagonalSequence) -> ChainMap:
-    """Canonical map cone(first) -> C' with candidate o inclusion = second.
-
-    Degree i component is [second_i | k_{i+1}] where k is the stored
-    null-homotopy of the composite.
-    """
-    cn, _, _ = cone(seq.first)
-    tgt = seq.second.target
-    b_obj = seq.first.source
-    mid = seq.first.target
-    comps = {}
-    for i in cn.degrees():
-        if tgt.rank(i) == 0:
-            continue
-        left = seq.second.component(i) if mid.rank(i) else IntMatrix.zeros(tgt.rank(i), 0)
-        right = (
-            seq.null_witness.component(i + 1)
-            if b_obj.rank(i + 1)
-            else IntMatrix.zeros(tgt.rank(i), 0)
-        )
-        comps[i] = IntMatrix.hstack([left, right])
-    return ChainMap(cn, tgt, comps)
+    """Canonical map cone(first) -> C' with candidate o inclusion = second:
+    the cone map of second and the stored null-homotopy of the composite."""
+    return cone_map(seq.first, seq.second, seq.null_witness)
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +284,12 @@ def _verify_yes(d, t, phi, constraints, extra_details=None) -> Verdict | None:
     )
 
 
-def _torsion_exponents(c: Complex) -> list[int]:
-    if not c.ring.is_integers:
-        return []
-    return sorted(
-        {g.exponent() for g in homology(c).values() if g.exponent() > 1}
-    )
+def _torsion_exponents(h: dict[int, FGAbelianGroup]) -> list[int]:
+    return sorted({g.exponent() for g in h.values() if g.exponent() > 1})
 
 
-def _homology_isomorphic(d: Complex, t: Complex) -> bool:
-    hd, ht = homology(d), homology(t)
-    degs = set(hd) | set(ht)
-    for i in degs:
-        if hd.get(i, FGAbelianGroup(0)) != ht.get(i, FGAbelianGroup(0)):
-            return False
-    return True
+def _homology_isomorphic(hd: dict[int, FGAbelianGroup], ht: dict[int, FGAbelianGroup]) -> bool:
+    return all(hd.get(i, FGAbelianGroup(0)) == ht.get(i, FGAbelianGroup(0)) for i in set(hd) | set(ht))
 
 
 def _decide_over_modular_ring(d, t, constraints, config, hints) -> Verdict:
@@ -377,8 +343,6 @@ def _equivalence_candidates(d: Complex, t: Complex, config, hints) -> ChainMap |
     for phi in hints:
         if phi.source == d and phi.target == t and is_homotopy_equivalence(phi) is not None:
             return phi
-    if not _homology_isomorphic(d, t):
-        return None
     hom = hom_group(d, t)
     free = hom.free_reps
     tors = hom.torsion_reps
@@ -388,7 +352,7 @@ def _equivalence_candidates(d: Complex, t: Complex, config, hints) -> ChainMap |
     for fc in product(free_choices, repeat=len(free)):
         for tc in product(*(range(o) for o in orders)):
             tried += 1
-            if tried > config.max_candidates:
+            if tried > MAX_CANDIDATES:
                 return None
             phi = _combination(zero_map(d, t), fc + tc, free + tors)
             if is_homotopy_equivalence(phi) is not None:
@@ -404,7 +368,7 @@ def _combination(base: ChainMap, coeffs, reps) -> ChainMap:
     return base
 
 
-def _unit_candidates(t: Complex, config) -> list[ChainMap] | None:
+def _unit_candidates(t: Complex) -> list[ChainMap] | None:
     """All endomorphism classes that can be units, as chain maps; None if
     the unit group is not finitely enumerable here (free rank >= 2)."""
     end = hom_group(t, t)
@@ -414,7 +378,7 @@ def _unit_candidates(t: Complex, config) -> list[ChainMap] | None:
     # with free rank 1, units reduce to +-1 in End/torsion, whose ring is Z
     # generated by the identity class
     bases = [zero_map(t, t)] if g.free_rank == 0 else [identity_map(t), -identity_map(t)]
-    if len(bases) * g.torsion_order() > config.max_candidates:
+    if len(bases) * g.torsion_order() > MAX_CANDIDATES:
         return None
     tors = end.torsion_reps
     return [
@@ -430,15 +394,17 @@ def find_compatible_equivalence(
     constraints: list[Constraint],
     config: SearchConfig = DEFAULT_CONFIG,
     hints: tuple[ChainMap, ...] = (),
-    extra_moduli: tuple[int, ...] = (),
+    corners: tuple[Complex, ...] = (),
 ) -> Verdict:
     """Decide existence of a homotopy equivalence phi : d -> t satisfying
     every constraint (post o phi o pre) ~ required.
 
     Over a modular base ring the search is complete within enumeration caps.
     Over Z: candidate completions are tried first; then, for each modulus in
-    the schedule, the finite set of equivalence classes (unit multiples of a
-    base equivalence) is checked against the constraints mod m, yielding a
+    the schedule (the torsion exponents of the homology of the corners, of d
+    and of t, then config.extra_moduli; each complex's homology is computed
+    once), the finite set of equivalence classes (unit multiples of a base
+    equivalence) is checked against the constraints mod m, yielding a
     certified refutation when all fail; finally a bounded integral
     enumeration hunts for a witness.  Unknown is returned when every bound
     is exhausted without a decision.
@@ -464,7 +430,11 @@ def find_compatible_equivalence(
             exhausted=0,
             reason="constraints have no chain-level solution over Z",
         )
-    if not _homology_isomorphic(d, t):
+    homologies = {}
+    for c in (*corners, d, t):
+        if c not in homologies:
+            homologies[c] = homology(c)
+    if not _homology_isomorphic(homologies[d], homologies[t]):
         return Verdict(
             kind="no",
             modulus=None,
@@ -473,13 +443,11 @@ def find_compatible_equivalence(
         )
 
     # modular refutation: unit multiples of a base equivalence vs constraints
-    schedule: list[int] = []
-    for m in tuple(extra_moduli) + tuple(_torsion_exponents(d)) + tuple(_torsion_exponents(t)) + tuple(config.extra_moduli):
-        if m >= 2 and m not in schedule:
-            schedule.append(m)
+    moduli = [m for c in (*corners, d, t) for m in _torsion_exponents(homologies[c])]
+    schedule = list(dict.fromkeys(moduli + list(config.extra_moduli)))
     if schedule:
         base = _equivalence_candidates(d, t, config, hints)
-        units = _unit_candidates(t, config) if base is not None else None
+        units = _unit_candidates(t) if base is not None else None
         if base is not None and units is not None:
             classes = [u.compose(base) for u in units]
             classes = [phi for phi in classes if is_homotopy_equivalence(phi) is not None]
@@ -538,17 +506,13 @@ def is_homotopy_cartesian(square: CommutativeSquare, config: SearchConfig = DEFA
     hints = [candidate]
     if cn == square.cprime_obj:
         hints.append(identity_map(cn))
-    extra = []
-    if square.ring.is_integers:
-        for c in (square.b_obj, square.c_obj, square.bprime_obj, square.cprime_obj):
-            extra.extend(_torsion_exponents(c))
     verdict = find_compatible_equivalence(
         cn,
         square.cprime_obj,
         [Constraint(required=seq.second, precompose=incl)],
         config=config,
         hints=tuple(hints),
-        extra_moduli=tuple(extra),
+        corners=(square.b_obj, square.c_obj, square.bprime_obj, square.cprime_obj),
     )
     if verdict.is_yes:
         inv = homotopy_inverse(verdict.witness, verdict.equivalence)
@@ -561,9 +525,9 @@ def rotation_comparison(t: Triangle, config: SearchConfig = DEFAULT_CONFIG) -> V
     """Search a certificate for rotate(t): an equivalence cone(g) -> X[1]
     compatible with both rotated maps.
 
-    The cheap candidate assembled from t's stored null-homotopy is tried
-    first; when it falls short (the stored homotopy can be under-determined
-    for non-standard triangles) the shared constrained-equivalence engine
+    The cheap candidate `rotation_witness(t)`, the cone map of a solved
+    null-homotopy of h o g, is tried first; when it falls short (that
+    homotopy can be under-determined for non-standard triangles) the shared constrained-equivalence engine
     takes over.  A yes-witness passes `verify_distinguished_with_witness`
     on rotate(t) by construction of the constraints.
     """
@@ -577,10 +541,6 @@ def rotation_comparison(t: Triangle, config: SearchConfig = DEFAULT_CONFIG) -> V
         hints.append(rotation_witness(t))
     except ComplexError:
         pass
-    extra = []
-    if t.x.ring.is_integers:
-        for c in (t.x, t.y, t.z):
-            extra.extend(_torsion_exponents(c))
     return find_compatible_equivalence(
         cn,
         xs,
@@ -590,7 +550,7 @@ def rotation_comparison(t: Triangle, config: SearchConfig = DEFAULT_CONFIG) -> V
         ],
         config=config,
         hints=tuple(hints),
-        extra_moduli=tuple(extra),
+        corners=(t.x, t.y, t.z),
     )
 
 
@@ -605,39 +565,11 @@ def square_from_cone(b: ChainMap, g: ChainMap) -> CommutativeSquare:
         raise ComplexError("b and g must share their source")
     b_obj = b.source
     bprime, c_obj = b.target, g.target
-    mid = direct_sum(bprime, c_obj)
-    first = ChainMap(
-        b_obj,
-        mid,
-        {
-            i: IntMatrix.vstack([b.component(i), g.component(i)])
-            for i in b_obj.degrees()
-            if mid.rank(i)
-        },
-    )
+    first = pair(b, g)
+    mid = first.target
     cn, incl, _ = cone(first)
-    inj_b = ChainMap(
-        bprime,
-        mid,
-        {
-            i: IntMatrix.vstack(
-                [IntMatrix.identity(bprime.rank(i)), IntMatrix.zeros(c_obj.rank(i), bprime.rank(i))]
-            )
-            for i in bprime.degrees()
-        },
-        check=False,
-    )
-    inj_c = ChainMap(
-        c_obj,
-        mid,
-        {
-            i: IntMatrix.vstack(
-                [IntMatrix.zeros(bprime.rank(i), c_obj.rank(i)), IntMatrix.identity(c_obj.rank(i))]
-            )
-            for i in c_obj.degrees()
-        },
-        check=False,
-    )
+    inj_b = pair(identity_map(bprime), zero_map(bprime, c_obj))
+    inj_c = pair(zero_map(c_obj, bprime), identity_map(c_obj))
     gprime = incl.compose(inj_b)
     c_map = -incl.compose(inj_c)
     # canonical witness: c g - g' b = d(-j) + (-j)d with j = [0; id] into the cone
@@ -707,10 +639,5 @@ def fits_vertical_iso(
     hints = []
     if dz == tz:
         hints.append(identity_map(dz))
-    extra = []
-    if square.ring.is_integers:
-        for c in (square.b_obj, square.c_obj, square.bprime_obj, square.cprime_obj, dz, tz):
-            extra.extend(_torsion_exponents(c))
-    return find_compatible_equivalence(
-        dz, tz, constraints, config=config, hints=tuple(hints), extra_moduli=tuple(extra)
-    )
+    corners = (square.b_obj, square.c_obj, square.bprime_obj, square.cprime_obj, dz, tz)
+    return find_compatible_equivalence(dz, tz, constraints, config=config, hints=tuple(hints), corners=corners)

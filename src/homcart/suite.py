@@ -242,12 +242,7 @@ def verify_paper(a: int, config: SearchConfig = DEFAULT_CONFIG) -> PaperReport:
     star = build_star(a)
     star_ok = all(w is not None for w in star.square_witnesses)
     claim1 = is_homotopy_cartesian(star.middle, config)
-    claim2 = fits_vertical_iso(
-        star.middle,
-        lemma2(1, a, b=-(a ** 3)).triangle,
-        lemma2(4, a).triangle,
-        config,
-    )
+    claim2 = fits_vertical_iso(star.middle, instances[1].triangle, instances[4].triangle, config)
     implication_ok = (not claim2.is_no) or claim1.is_no
     claimed = a >= 3
     expected = (
@@ -360,6 +355,8 @@ def fuzz_prop2(
     ring = Zmod(p)
     if not ring.is_prime_field:
         raise ValueError("fuzzing requires a prime field")
+    if max_rank < 1 or n_degrees < 1:
+        raise ValueError("fuzzing needs max_rank and n_degrees of at least 1")
     for index in range(trials):
         rng = Random(seed * 1_000_003 + index)
         a_obj = _nonzero_complex(ring, rng, n_degrees, max_rank)

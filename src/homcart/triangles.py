@@ -1,13 +1,13 @@
 """Candidate triangles, rotation, and verification of distinguishedness.
 
-A triangle is a composable chain (X --f--> Y --g--> Z --h--> X[1]).  On
-construction the three composites g f, h g, f[1] h are tested for
-null-homotopy and the witnesses (or their absence) are stored; this makes a
-Triangle a *candidate*, not a certificate.  Distinguishedness is certified
-either by being a standard cone triangle, by an explicit comparison witness
-u : cone(f) -> Z (`verify_distinguished_with_witness`), or by rotation from a
-certified triangle (`rotation_witness` produces the rotated witness, which is
-then checked, never assumed).
+A triangle is its three maps (X --f--> Y --g--> Z --h--> X[1]), checked to
+compose; nothing is solved on construction, so a Triangle is a *candidate*,
+not a certificate.  `composites_null` decides on demand whether g f, h g and
+f[1] h are null-homotopic.  Distinguishedness is certified either by being
+a standard cone triangle, by an explicit comparison witness u : cone(f) -> Z
+(`verify_distinguished_with_witness`), or by rotation from a certified
+triangle (`rotation_witness` produces the rotated witness, which is then
+checked, never assumed).
 
 Rotation follows (X, Y, Z; f, g, h) |-> (Y, Z, X[1]; g, h, -f[1]); this is
 the unique sign choice consistent with the built-in datasets, pinned by the
@@ -18,23 +18,23 @@ from dataclasses import dataclass
 
 from .complexes import (
     ChainMap,
-    Complex,
     ComplexError,
     Homotopy,
     cone,
+    cone_map,
     homotopic,
     identity_map,
     is_homotopy_equivalence,
     shift,
     zero_map,
 )
-from .intmat import IntMatrix
 
 
 class Triangle:
-    """Composable triple (f, g, h) with stored null-homotopy verdicts."""
+    """Composable triple (f, g, h): the triangle is its three maps, and
+    nothing is solved at construction."""
 
-    __slots__ = ("x", "y", "z", "f", "g", "h", "composite_witnesses")
+    __slots__ = ("x", "y", "z", "f", "g", "h")
 
     def __init__(self, f: ChainMap, g: ChainMap, h: ChainMap):
         if g.source != f.target:
@@ -49,25 +49,20 @@ class Triangle:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "h", h)
-        witnesses = (
-            homotopic(g.compose(f), zero_map(self.x, self.z)),
-            homotopic(h.compose(g), zero_map(self.y, h.target)),
-            homotopic(f.shift().compose(h), zero_map(self.z, shift(self.y))),
-        )
-        object.__setattr__(self, "composite_witnesses", witnesses)
 
     def __setattr__(self, *a):
         raise AttributeError("Triangle is immutable")
 
     @property
     def composites_null(self) -> bool:
-        return all(w is not None for w in self.composite_witnesses)
+        """Whether g f, h g and f[1] h are null-homotopic, solved on each read."""
+        return all(
+            homotopic(second.compose(first), zero_map(first.source, second.target)) is not None
+            for first, second in ((self.f, self.g), (self.g, self.h), (self.h, self.f.shift()))
+        )
 
     def maps(self) -> tuple[ChainMap, ChainMap, ChainMap]:
         return (self.f, self.g, self.h)
-
-    def objects(self) -> tuple[Complex, Complex, Complex]:
-        return (self.x, self.y, self.z)
 
     def __eq__(self, other) -> bool:
         return (
@@ -138,34 +133,18 @@ def verify_distinguished_with_witness(t: Triangle, u: ChainMap) -> Distinguished
 def rotation_witness(t: Triangle) -> ChainMap:
     """Candidate comparison map cone(g) -> X[1] for the rotation of t.
 
-    On degree i the component is [h_i | theta_{i+1}] where theta is the
-    stored null-homotopy of h o g.  For standard triangles this is the
-    certifying witness on the nose; for general triangles the stored
-    homotopy may be under-determined, so callers must check the candidate
+    This is `cone_map(g, h, theta)` for a null-homotopy theta of h o g,
+    with component [h_i | theta_(i+1)] in degree i.  For standard triangles
+    it is the certifying witness on the nose; for general triangles theta
+    may be under-determined, so callers must check the candidate
     (`verify_distinguished_with_witness` on rotate(t)) or search the full
     witness space with the constrained-equivalence engine
     (`squares.rotation_comparison`).  Nothing is ever assumed unverified.
     """
-    theta = t.composite_witnesses[1]
+    theta = homotopic(t.h.compose(t.g), zero_map(t.y, t.h.target))
     if theta is None:
         raise ComplexError("h o g is not null-homotopic; triangle cannot rotate with a witness")
-    cn, _, _ = cone(t.g)
-    xs = shift(t.x)
-    comps = {}
-    for i in cn.degrees():
-        if xs.rank(i) == 0:
-            continue
-        blocks = []
-        if t.z.rank(i) > 0:
-            blocks.append(t.h.component(i))
-        else:
-            blocks.append(IntMatrix.zeros(xs.rank(i), 0))
-        if t.y.rank(i + 1) > 0:
-            blocks.append(theta.component(i + 1))
-        else:
-            blocks.append(IntMatrix.zeros(xs.rank(i), 0))
-        comps[i] = IntMatrix.hstack(blocks)
-    return ChainMap(cn, xs, comps)
+    return cone_map(t.g, t.h, theta)
 
 
 class TriangleMorphism:

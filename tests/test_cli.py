@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import homcart
 from homcart.cli import main
 from homcart.jsonio import complex_to_json, square_to_json, triangle_to_json, chain_map_to_json
 from homcart.squares import square_from_cone
@@ -164,9 +169,28 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert code == 3
     code, _, err = run(capsys, "square", "check", str(f), "--moduli", "1")
     assert code == 3
+    code, _, err = run(capsys, "square", "check", str(f), "--coeff-bound", "-1")
+    assert code == 3
+    code, out, err = run(capsys, "paper", "verify", "--a-min", "3", "--a-max", "3", "--coeff-bound", "-1")
+    assert code == 3
+    assert out == "" and "nonnegative" in err
 
 
 def test_fuzz_rejects_non_prime_field(capsys):
     code, _, err = run(capsys, "fuzz", "prop2", "--field", "4", "--trials", "2")
     assert code == 3
     assert "prime" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-rank", "--degrees"])
+def test_fuzz_rejects_sizes_with_no_nonzero_complex(flag):
+    # in a child process with a timeout, so that a generator looping on
+    # zero complexes fails the test instead of hanging it
+    env = dict(os.environ, PYTHONPATH=str(Path(homcart.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homcart.cli", "fuzz", "prop2", "--trials", "1", flag, "0"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert "at least 1" in proc.stderr and "Traceback" not in proc.stderr

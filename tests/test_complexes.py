@@ -11,6 +11,8 @@ from homcart.complexes import (
     ZZ,
     Zmod,
     cone,
+    cone_map,
+    copair,
     direct_sum,
     end_structure_mod_p,
     hom_group,
@@ -19,6 +21,7 @@ from homcart.complexes import (
     identity_map,
     is_contractible,
     is_homotopy_equivalence,
+    pair,
     random_chain_map,
     random_complex,
     reduce_mod,
@@ -30,7 +33,7 @@ from homcart.intmat import FGAbelianGroup, IntMatrix
 
 from helpers import cmap, cpx, one_term, two_term
 from oracles import chain_maps_f2, homotopies_f2, is_homotopy_witness_f2, null_homotopic_maps_fp
-from test_triangles import corpus
+from test_triangles import corpus, random_z_chain_map
 
 
 def test_validate_counterexample_family_member():
@@ -376,3 +379,47 @@ def test_end_structure_over_a_prime_above_the_int64_limit():
     ring = Zmod(BIG_PRIME)
     c = direct_sum(cpx({0: 1, 1: 1}, {0: [[0]]}, ring=ring), two_term(7, ring=ring))
     assert _check_end_algebra(c, BIG_PRIME) == 2
+
+
+def test_cone_map_restricts_to_g_and_checks_its_homotopy():
+    rng = random.Random(47)
+    refused = 0
+    for f in corpus(rng):
+        cn, incl, _ = cone(f)
+        k = homotopic(incl.compose(f), zero_map(f.source, cn))
+        assert cone_map(f, incl, k).compose(incl) == incl
+        if not f.is_zero():
+            with pytest.raises(ComplexError):
+                cone_map(f, incl, Homotopy(k.lhs, k.rhs, {}, check=False))
+            refused += 1
+    assert refused
+
+
+def test_copair_after_pair_is_the_sum_of_composites():
+    rng = random.Random(53)
+    maps = corpus(rng)
+    objs = list(dict.fromkeys(f.source for f in maps))
+    for c in maps:
+        z, w = rng.choice(objs), rng.choice(objs)
+        d = random_z_chain_map(c.source, z, rng)
+        a = random_z_chain_map(c.target, w, rng)
+        b = random_z_chain_map(z, w, rng)
+        assert pair(c, d).target == direct_sum(c.target, z)
+        assert copair(a, b).compose(pair(c, d)) == a.compose(c) + b.compose(d)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(3)], ids=["Z", "F3"])
+def test_diagonalize_answers_empty_shapes_without_a_kernel(ring, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Smith form or rref taken of an empty shape")
+
+    monkeypatch.setattr("homcart.complexes.smith_normal_form", refuse)
+    monkeypatch.setattr(modp, "diagonalize", refuse)
+    for rows, cols in ((0, 3), (2, 0)):
+        u, v, vinv, r = ring.diagonalize(IntMatrix.zeros(rows, cols))
+        assert r == 0
+        assert np.array_equal(u, np.eye(rows, dtype=object))
+        assert np.array_equal(v, np.eye(cols, dtype=object))
+        assert np.array_equal(vinv, np.eye(cols, dtype=object))
+    with pytest.raises(ComplexError):
+        Zmod(4).diagonalize(IntMatrix.zeros(0, 3))

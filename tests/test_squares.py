@@ -220,3 +220,21 @@ def test_refutation_with_finite_endomorphism_ring():
     assert verdict.is_no
     assert verdict.modulus == 9
     assert verdict.exhausted == 6
+
+
+def test_homology_is_computed_once_per_complex(monkeypatch):
+    import homcart.squares as squares
+
+    seen = []
+    real = squares.homology
+
+    def once(c):
+        assert c not in seen, f"homology of {c!r} computed twice"
+        seen.append(c)
+        return real(c)
+
+    square = build_star(3).middle
+    monkeypatch.setattr(squares, "homology", once)
+    verdict = is_homotopy_cartesian(square)
+    assert verdict.is_no and verdict.modulus == 9
+    assert seen

@@ -204,3 +204,19 @@ def test_replay_refuses_rings_outside_the_int64_prime_fields(m):
     t = standard_triangle(identity_map(one_term(ring=Zmod(m))))
     with pytest.raises(ComplexError, match="prime field"):
         prop2_replay(identity_morphism(t))
+
+
+def test_verify_paper_reuses_its_own_triangles(monkeypatch):
+    # five instances, plus the two rows that build_star rotates
+    import homcart.suite as suite
+
+    calls = []
+    real = suite.lemma2
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "lemma2", counting)
+    assert verify_paper(3).all_ok
+    assert len(calls) == 7

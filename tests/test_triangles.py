@@ -163,3 +163,17 @@ def test_rotation_witness_over_prime_field():
         check = verify_distinguished_with_witness(rotate(t), w)
         assert check.ok, check.failures
         done += 1
+
+
+def test_triangles_are_built_and_rotated_without_solving(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a triangle solved a homotopy system")
+
+    rng = random.Random(43)
+    built = []
+    with monkeypatch.context() as m:
+        m.setattr("homcart.triangles.homotopic", refuse)
+        for f in corpus(rng):
+            t = standard_triangle(f)
+            built += [t, rotate(t), rotate(rotate(t))]
+    assert all(t.composites_null for t in built)
