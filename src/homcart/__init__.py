@@ -20,7 +20,6 @@ from .intmat import (
     smith_normal_form,
     solve_linear,
     cokernel,
-    enumerate_coset,
 )
 from .complexes import (
     Ring,

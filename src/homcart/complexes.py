@@ -24,9 +24,11 @@ rank_Y(i+n) x rank_X(i) matrix read row-major.
 `cone_map(f, g, k)` is the map out of cone(f) given by g and a
 null-homotopy k of g o f (the cone's universal property).
 
-Homology, Hom groups and class keys are all ker/im quotients, computed by
-one routine over Z: `Subquotient(a, b, m)` is ker a / (im b + m Z^n) by
-Smith forms, with representatives and a `lookup` of class coordinates.
+Homology, Hom groups and the classes of the squares search are all
+subquotients, computed by one routine: `Subquotient(ring, top, b)` is
+span(top) / (im b + m Z^n), with representatives and a `lookup` of class
+coordinates.  It takes Smith forms over Z and Z/m, and works in int64 over
+the small prime fields, where no Smith form is taken.
 
 `Ring` is the linear-algebra backend of these vectors and matrices: prime
 fields F_p with p <= 2^20 are solved in int64 by `modp`, and every other
@@ -191,7 +193,7 @@ class Ring:
         if data == "Z":
             return cls(None)
         if isinstance(data, dict) and "mod" in data:
-            return cls(int(data["mod"]))
+            return cls(int(str(data["mod"]), 10))
         raise ValueError(f"unrecognized ring descriptor: {data!r}")
 
 
@@ -771,46 +773,46 @@ def homology(c: Complex) -> dict[int, FGAbelianGroup]:
     if not degs:
         return {}
     return {
-        i: Subquotient(c.differential(i).array, c.differential(i - 1).array).group
+        i: Subquotient(ZZ, ZZ.kernel(c.differential(i).array), c.differential(i - 1).array).group
         for i in range(degs[0], degs[-1] + 1)
     }
 
 
 class Subquotient:
-    """ker a / (im b + m Z^n) over Z by Smith forms, for a of shape r x n
-    and b of shape n x k; with a modulus m, ker a is {x : a x = 0 mod m}.
+    """span(top) / (im b + m Z^n) for the columns of top and b in Z^n, over
+    the ring Z (m = 0) or Z/m; b must lie in span(top) + m Z^n.
 
-    `group` is the quotient.  `torsion_reps` and `free_reps` are vectors in
-    ker a representing its generators, and `lookup(v)` gives the coordinates
-    (torsion residues..., free integers...) of the class of v in ker a along
-    them: two vectors get equal coordinates exactly when they differ by an
-    element of im b + m Z^n.
+    Over Z, top must be a basis, as `Ring.kernel` returns; modulo m any
+    generating set will do.  `group` is the quotient.  `torsion_reps` and
+    `free_reps` are vectors in span(top) representing its generators, and
+    `lookup(v)` gives the coordinates (torsion residues..., free integers...)
+    of the class of v along them: two vectors get equal coordinates exactly
+    when they differ by an element of im b + m Z^n.
+
+    Over Z and Z/m the quotient comes from Smith forms.  Over a small prime
+    field it is computed in int64: the representatives are the columns of
+    top outside the span of b and of the columns picked before them, and
+    `lookup` solves for v along b and them.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, m: int | None = None):
-        a, b = ZZ.asarray(a), ZZ.asarray(b)
-        n = a.shape[1]
+    def __init__(self, ring: Ring, top: np.ndarray, b: np.ndarray):
+        self.ring = ring
+        if ring.is_small_prime_field:
+            self._b, top = ring.asarray(b), ring.asarray(top)
+            self._reps = top[:, ring.independent_columns(self._b, top)]
+            self.group = FGAbelianGroup(0, (ring.modulus,) * self._reps.shape[1])
+            return
+        top, b, m = ZZ.asarray(top), ZZ.asarray(b), ring.modulus
+        n = top.shape[0]
         if m is None:
-            kbasis = ZZ.kernel(a)
-            rels = b
+            kbasis, rels = top, b
+        elif n:
+            # a basis of the lattice span(top) + m Z^n, which has full rank
+            sg = smith_normal_form(IntMatrix(np.hstack([top, np.eye(n, dtype=object) * m])))
+            kbasis = sg.uinv.array @ sg.d.array[:, :n]
+            rels = np.hstack([b, np.eye(n, dtype=object) * m])
         else:
-            # lattice of solutions of a x = 0 (mod m): project the integer
-            # kernel of [a | m I], then extract a basis of the column span
-            if a.size == 0:
-                lat_gens = np.eye(n, dtype=object)
-            else:
-                aug = np.hstack([a, np.eye(a.shape[0], dtype=object) * m])
-                sk = smith_normal_form(IntMatrix(aug))
-                lat_gens = sk.v.array[:n, sk.rank :]
-            if n:
-                lat_gens = np.hstack([lat_gens, np.eye(n, dtype=object) * m])
-                sg = smith_normal_form(IntMatrix(lat_gens))
-                if sg.rank != n:
-                    raise AssertionError("solution lattice mod m must have full rank")
-                kbasis = sg.uinv.array @ sg.d.array[:, :n]
-            else:
-                kbasis = np.zeros((0, 0), dtype=object)
-            rels = np.hstack([b, np.eye(n, dtype=object) * m]) if n else b
+            kbasis, rels = np.zeros((0, 0), dtype=object), b
         self._kbasis = kbasis
         k = kbasis.shape[1]
         if k and rels.shape[1]:
@@ -828,7 +830,7 @@ class Subquotient:
         return smith_normal_form(IntMatrix(self._kbasis))
 
     def _kcoords(self, vectors: np.ndarray) -> np.ndarray:
-        """Coordinates in the kernel basis of columns that lie in ker a."""
+        """Coordinates in the lattice basis of columns that lie in the lattice."""
         coords = smith_solve(self._ksnf, vectors)
         if coords is None:
             raise AssertionError("vector is not in the lattice")
@@ -836,14 +838,23 @@ class Subquotient:
 
     @property
     def torsion_reps(self) -> list[np.ndarray]:
+        if self.ring.is_small_prime_field:
+            return list(self._reps.T)
         return [self._kbasis @ self._uinv[:, j] for j in self._torsion_idx]
 
     @property
     def free_reps(self) -> list[np.ndarray]:
+        if self.ring.is_small_prime_field:
+            return []
         return [self._kbasis @ self._uinv[:, j] for j in self._free_idx]
 
     def lookup(self, v: np.ndarray) -> tuple[int, ...]:
-        """Coordinates of the class of v, a vector in ker a."""
+        """Coordinates of the class of v, a vector in span(top) + m Z^n."""
+        if self.ring.is_small_prime_field:
+            got = self.ring.solve(np.hstack([self._b, self._reps]), self.ring.asarray(v))
+            if got is None:
+                raise AssertionError("vector is not in the lattice")
+            return tuple(int(c) for c in got[0][self._b.shape[1] :])
         if self._kbasis.shape[1] == 0:
             return ()
         y = self._u @ self._kcoords(ZZ.asarray(v).reshape(-1, 1))[:, 0]
@@ -864,7 +875,7 @@ class HomGroupPresentation:
     def __init__(self, x: Complex, y: Complex):
         self.x, self.y, self.ring = x, y, x.ring
         self.hom = HomComplex(x, y)
-        self.classes = Subquotient(self.hom.D(0), self.hom.D(-1), x.ring.modulus)
+        self.classes = Subquotient(self.ring, self.ring.kernel(self.hom.D(0)), self.hom.D(-1))
         self.group = self.classes.group
 
     def _maps(self, vectors) -> list[ChainMap]:

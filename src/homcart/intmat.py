@@ -15,9 +15,7 @@ Provided here:
 * `smith_solve` -- the back-substitution through a Smith form that both
   `solve_linear` and `complexes.Subquotient` use,
 * `cokernel` / `FGAbelianGroup` -- finitely generated abelian groups by
-  invariant factors,
-* `enumerate_coset` -- duplicate-free enumeration of a finite affine
-  solution set mod m, optionally one member per class of a key.
+  invariant factors.
 """
 
 from dataclasses import dataclass
@@ -497,30 +495,3 @@ def cokernel(a: IntMatrix) -> FGAbelianGroup:
     """Cokernel of A as an abstract group: Z^rows / column span of A."""
     s = smith_normal_form(a)
     return FGAbelianGroup.from_diagonal(s.diagonal(), a.rows)
-
-
-def enumerate_coset(particular, generators, modulus: int, cap: int, key=None):
-    """Members of particular + <generators> in (Z/m)^n in breadth-first order.
-
-    Members are object vectors reduced mod m, one for each value of
-    key(member) (default: the tuple of entries).  Returns (members,
-    overflowed); `overflowed` is True when there are more than `cap`, in
-    which case `members` holds the first `cap` found.
-    """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    key = key or tuple
-    start = np.asarray(particular, dtype=object) % modulus
-    seen = {key(start): start}
-    queue = [start]
-    while queue:
-        cur = queue.pop(0)
-        for g in generators:
-            nxt = (cur + g) % modulus
-            k = key(nxt)
-            if k not in seen:
-                if len(seen) >= cap:
-                    return list(seen.values()), True
-                seen[k] = nxt
-                queue.append(nxt)
-    return list(seen.values()), False

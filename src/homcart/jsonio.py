@@ -98,7 +98,7 @@ def complex_to_json(c: Complex) -> dict:
 
 def complex_from_json(data: dict) -> Complex:
     ring = Ring.from_json(data.get("ring", "Z"))
-    degrees = {int(i): int(r) for i, r in data.get("degrees", {}).items()}
+    degrees = {int(i): int(str(r), 10) for i, r in data.get("degrees", {}).items()}
     diffs = {}
     for i, mat in data.get("differentials", {}).items():
         i = int(i)

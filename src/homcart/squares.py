@@ -16,10 +16,18 @@ exhausted and none satisfies the compatibility constraints mod m; reduction
 preserves equivalences and homotopies, so no integral witness can exist.
 Unknown reports a search bound.  Searches over Z are not claimed complete;
 over a finite base ring and within enumeration caps they are.
+
+Every finite set of maps the search tries is a base vector plus a box of
+coefficients on representatives, walked by the one generator `_walk`: the
+classes of solutions over Z/m (a `Subquotient` of the solution set by the
+null-homotopic maps, in int64 over small primes), the base-equivalence and
+unit candidates (representatives of `hom_group`), and the bounded integral
+enumeration (raw kernel columns of the constraint system).
 """
 
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cache
+from itertools import islice, product
 
 import numpy as np
 
@@ -43,7 +51,7 @@ from .complexes import (
     reduce_mod,
     zero_map,
 )
-from .intmat import FGAbelianGroup, IntMatrix, enumerate_coset
+from .intmat import FGAbelianGroup, IntMatrix
 from .triangles import Triangle, rotate
 
 
@@ -60,7 +68,7 @@ class SearchConfig:
     """Bounds for the constrained-equivalence search.
 
     coeff_bound (at least 0) limits integer coefficients in the Yes-side
-    enumeration; max_enum caps any coset/class enumeration (overflow yields
+    enumeration; max_enum caps any class enumeration (overflow yields
     Unknown, never a wrong verdict); extra_moduli are appended to the
     refutation schedule.
     """
@@ -263,9 +271,9 @@ def _constraint_holds(phi: ChainMap, con: Constraint, modulus: int) -> bool:
     return homotopic(diff, zero_map(diff.source, diff.target)) is not None
 
 
-def _verify_yes(d, t, phi, constraints, extra_details=None) -> Verdict | None:
+def _verify_yes(phi, constraints, equivalent, details) -> Verdict | None:
     """Independent recomputation of every witness; None when phi fails."""
-    equivalence = is_homotopy_equivalence(phi)
+    equivalence = equivalent(phi)
     if equivalence is None:
         return None
     cws = []
@@ -280,7 +288,7 @@ def _verify_yes(d, t, phi, constraints, extra_details=None) -> Verdict | None:
         witness=phi,
         equivalence=equivalence,
         constraint_witnesses=tuple(cws),
-        details=dict(extra_details or {}),
+        details=details,
     )
 
 
@@ -292,80 +300,57 @@ def _homology_isomorphic(hd: dict[int, FGAbelianGroup], ht: dict[int, FGAbelianG
     return all(hd.get(i, FGAbelianGroup(0)) == ht.get(i, FGAbelianGroup(0)) for i in set(hd) | set(ht))
 
 
-def _decide_over_modular_ring(d, t, constraints, config, hints) -> Verdict:
-    m = d.ring.modulus
-    for phi in hints:
-        v = _verify_yes(d, t, phi, constraints)
-        if v is not None:
-            v.details["source"] = "candidate"
-            return v
-    system = _ConstraintSystem(d, t, constraints)
-    sol = system.solve()
+def _walk(base: np.ndarray, reps, ranges, modulus: int | None = None):
+    """base + sum_j c_j rep_j for each coefficient tuple c of product(*ranges),
+    in that order; reduced mod `modulus` when one is given."""
+    for coeffs in product(*ranges):
+        v = base
+        for c, rep in zip(coeffs, reps):
+            if c:
+                v = v + c * rep
+        yield v % modulus if modulus else v
+
+
+def _decide_over_modular_ring(system, sol, constraints, config, equivalent) -> Verdict:
+    """Walk every class of constraint-satisfying maps modulo null-homotopic
+    ones, the cosets of im D(-1) in the solution set, once each."""
+    m, n = system.ring.modulus, system.n_phi
     if sol is None:
         return Verdict(kind="no", modulus=m, exhausted=0, reason="constraints unsatisfiable")
     x0, kern = sol
-    n_phi = system.n_phi
-    if d.ring.is_small_prime_field:
-        p = m
-        k_phi = kern[:n_phi]
-        cls_cols = d.ring.independent_columns(system.hom.D(-1), k_phi)
-        count = p ** len(cls_cols)
-        if count > config.max_enum:
-            return Verdict(kind="unknown", reason=f"class enumeration needs {count} > cap")
-        x0_phi = x0[:n_phi]
-        checked = 0
-        for coeffs in product(range(p), repeat=len(cls_cols)):
-            v = x0_phi.copy()
-            for cidx, cf in zip(cls_cols, coeffs):
-                if cf:
-                    v = (v + cf * k_phi[:, cidx]) % p
-            phi = system.phi_of(v)
-            checked += 1
-            res = _verify_yes(d, t, phi, constraints, {"source": "enumeration"})
-            if res is not None:
-                return res
-        return Verdict(kind="no", modulus=m, exhausted=checked, reason="all constraint-satisfying classes fail to be equivalences")
-    # composite modulus or large prime: one member per class of Hom(d, t)
-    classes = Subquotient(system.hom.D(0), system.hom.D(-1), m)
-    members, overflow = enumerate_coset(x0[:n_phi], list(kern[:n_phi].T), m, config.max_enum, classes.lookup)
-    if overflow:
-        return Verdict(kind="unknown", reason="class enumeration exceeded cap")
-    for v in members:
-        phi = system.phi_of(v)
-        res = _verify_yes(d, t, phi, constraints, {"source": "enumeration"})
+    classes = Subquotient(system.ring, kern[:n], system.hom.D(-1))
+    count = classes.group.torsion_order()
+    if count > config.max_enum:
+        return Verdict(kind="unknown", reason=f"class enumeration needs {count} > cap")
+    ranges = [range(o) for o in classes.group.invariant_factors]
+    for v in _walk(x0[:n], classes.torsion_reps, ranges, m):
+        res = _verify_yes(system.phi_of(v), constraints, equivalent, {"source": "enumeration"})
         if res is not None:
             return res
-    return Verdict(kind="no", modulus=m, exhausted=len(members), reason="all constraint-satisfying classes fail to be equivalences")
+    return Verdict(
+        kind="no", modulus=m, exhausted=count, reason="all constraint-satisfying classes fail to be equivalences"
+    )
 
 
-def _equivalence_candidates(d: Complex, t: Complex, config, hints) -> ChainMap | None:
+def _coefficient_order(bound: int) -> list[int]:
+    """-bound..bound by increasing absolute value, positive first."""
+    return sorted(range(-bound, bound + 1), key=lambda v: (abs(v), -v))
+
+
+def _equivalence_candidates(d: Complex, t: Complex, config, hints, equivalent) -> ChainMap | None:
     """Some homotopy equivalence d -> t over Z, or None within bounds."""
     for phi in hints:
-        if phi.source == d and phi.target == t and is_homotopy_equivalence(phi) is not None:
+        if phi.source == d and phi.target == t and equivalent(phi) is not None:
             return phi
     hom = hom_group(d, t)
-    free = hom.free_reps
-    tors = hom.torsion_reps
-    orders = hom.group.invariant_factors
-    free_choices = sorted(range(-config.coeff_bound, config.coeff_bound + 1), key=lambda v: (abs(v), -v))
-    tried = 0
-    for fc in product(free_choices, repeat=len(free)):
-        for tc in product(*(range(o) for o in orders)):
-            tried += 1
-            if tried > MAX_CANDIDATES:
-                return None
-            phi = _combination(zero_map(d, t), fc + tc, free + tors)
-            if is_homotopy_equivalence(phi) is not None:
-                return phi
+    ranges = [_coefficient_order(config.coeff_bound)] * hom.group.free_rank
+    ranges += [range(o) for o in hom.group.invariant_factors]
+    walk = _walk(np.zeros(hom.hom.dim(0), dtype=object), hom.classes.free_reps + hom.classes.torsion_reps, ranges)
+    for v in islice(walk, MAX_CANDIDATES):
+        phi = ChainMap(d, t, hom.hom.unvec(v), check=False)
+        if equivalent(phi) is not None:
+            return phi
     return None
-
-
-def _combination(base: ChainMap, coeffs, reps) -> ChainMap:
-    """base + the sum of a * rep over the nonzero coefficients a."""
-    for a, rep in zip(coeffs, reps):
-        if a:
-            base = base + rep.scale(a)
-    return base
 
 
 def _unit_candidates(t: Complex) -> list[ChainMap] | None:
@@ -373,19 +358,14 @@ def _unit_candidates(t: Complex) -> list[ChainMap] | None:
     the unit group is not finitely enumerable here (free rank >= 2)."""
     end = hom_group(t, t)
     g = end.group
-    if g.free_rank > 1:
+    if g.free_rank > 1 or (1 + g.free_rank) * g.torsion_order() > MAX_CANDIDATES:
         return None
     # with free rank 1, units reduce to +-1 in End/torsion, whose ring is Z
     # generated by the identity class
-    bases = [zero_map(t, t)] if g.free_rank == 0 else [identity_map(t), -identity_map(t)]
-    if len(bases) * g.torsion_order() > MAX_CANDIDATES:
-        return None
-    tors = end.torsion_reps
-    return [
-        _combination(base, tc, tors)
-        for base in bases
-        for tc in product(*(range(o) for o in g.invariant_factors))
-    ]
+    reps = [end.hom.vec(identity_map(t))] * g.free_rank + end.classes.torsion_reps
+    ranges = [(1, -1)] * g.free_rank + [range(o) for o in g.invariant_factors]
+    walk = _walk(np.zeros(end.hom.dim(0), dtype=object), reps, ranges)
+    return [ChainMap(t, t, end.hom.unvec(v), check=False) for v in walk]
 
 
 def find_compatible_equivalence(
@@ -399,58 +379,55 @@ def find_compatible_equivalence(
     """Decide existence of a homotopy equivalence phi : d -> t satisfying
     every constraint (post o phi o pre) ~ required.
 
-    Over a modular base ring the search is complete within enumeration caps.
-    Over Z: candidate completions are tried first; then, for each modulus in
-    the schedule (the torsion exponents of the homology of the corners, of d
-    and of t, then config.extra_moduli; each complex's homology is computed
-    once), the finite set of equivalence classes (unit multiples of a base
-    equivalence) is checked against the constraints mod m, yielding a
+    The hints are tried first, and the constraint system is solved once.
+    Over a modular base ring every class of solutions is then walked, so the
+    search is complete within the enumeration cap.  Over Z: for each modulus
+    in the schedule (the torsion exponents of the homology of the corners,
+    of d and of t, then config.extra_moduli; each complex's homology is
+    computed once), the finite set of equivalence classes (unit multiples of
+    a base equivalence) is checked against the constraints mod m, yielding a
     certified refutation when all fail; finally a bounded integral
     enumeration hunts for a witness.  Unknown is returned when every bound
-    is exhausted without a decision.
+    is exhausted without a decision.  Each map is tested for being an
+    equivalence at most once per call.
     """
     if d.ring != t.ring:
         raise ComplexError("search across different rings")
     if d == t and all(h != identity_map(d) for h in hints):
         hints = tuple(hints) + (identity_map(d),)
-    if not d.ring.is_integers:
-        return _decide_over_modular_ring(d, t, constraints, config, hints)
-
+    # one answer per map for the whole search
+    equivalent = cache(lambda phi: is_homotopy_equivalence(phi))
     for phi in hints:
-        v = _verify_yes(d, t, phi, constraints, {"source": "candidate"})
+        v = _verify_yes(phi, constraints, equivalent, {"source": "candidate"})
         if v is not None:
             return v
-
     system = _ConstraintSystem(d, t, constraints)
     sol = system.solve()
+    if not d.ring.is_integers:
+        return _decide_over_modular_ring(system, sol, constraints, config, equivalent)
     if sol is None:
         return Verdict(
-            kind="no",
-            modulus=None,
-            exhausted=0,
-            reason="constraints have no chain-level solution over Z",
+            kind="no", modulus=None, exhausted=0, reason="constraints have no chain-level solution over Z"
         )
+
     homologies = {}
     for c in (*corners, d, t):
         if c not in homologies:
             homologies[c] = homology(c)
     if not _homology_isomorphic(homologies[d], homologies[t]):
         return Verdict(
-            kind="no",
-            modulus=None,
-            exhausted=0,
-            reason="homology obstruction: no equivalence exists at all",
+            kind="no", modulus=None, exhausted=0, reason="homology obstruction: no equivalence exists at all"
         )
 
     # modular refutation: unit multiples of a base equivalence vs constraints
     moduli = [m for c in (*corners, d, t) for m in _torsion_exponents(homologies[c])]
     schedule = list(dict.fromkeys(moduli + list(config.extra_moduli)))
     if schedule:
-        base = _equivalence_candidates(d, t, config, hints)
+        base = _equivalence_candidates(d, t, config, hints, equivalent)
         units = _unit_candidates(t) if base is not None else None
         if base is not None and units is not None:
             classes = [u.compose(base) for u in units]
-            classes = [phi for phi in classes if is_homotopy_equivalence(phi) is not None]
+            classes = [phi for phi in classes if equivalent(phi) is not None]
             for m in schedule:
                 if any(
                     all(_constraint_holds(phi, con, modulus=m) for con in constraints)
@@ -464,28 +441,21 @@ def find_compatible_equivalence(
                     reason="no equivalence class satisfies the constraints mod m",
                 )
 
-    # bounded integral enumeration on the constraint solution set
+    # bounded integral enumeration on the constraint solution set: the first
+    # few raw kernel columns, one try per homotopy class
     x0, kern = sol
-    ncols = min(kern.shape[1], 10)
-    seen_classes = set()
+    n = system.n_phi
     hom = hom_group(d, t)
-    budget = min(config.max_enum, 4096)
-    coeff_range = sorted(range(-config.coeff_bound, config.coeff_bound + 1), key=lambda v: (abs(v), -v))
-    count = 0
-    for coeffs in product(coeff_range, repeat=ncols):
-        if count >= budget:
-            break
-        count += 1
-        v = np.asarray(x0[: system.n_phi], dtype=object).copy()
-        for j, cf in enumerate(coeffs):
-            if cf:
-                v = v + cf * kern[: system.n_phi, j]
+    ncols = min(kern.shape[1], 10)
+    walk = _walk(x0[:n], list(kern[:n, :ncols].T), [_coefficient_order(config.coeff_bound)] * ncols)
+    seen_classes = set()
+    for v in islice(walk, min(config.max_enum, 4096)):
         phi = system.phi_of(v)
         key = hom.lookup(phi)
         if key in seen_classes:
             continue
         seen_classes.add(key)
-        res = _verify_yes(d, t, phi, constraints, {"source": "integral enumeration"})
+        res = _verify_yes(phi, constraints, equivalent, {"source": "integral enumeration"})
         if res is not None:
             return res
     return Verdict(kind="unknown", reason="search bounds exhausted without a decision")

@@ -21,7 +21,7 @@ matrix of e.
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
@@ -138,15 +138,19 @@ class StarDiagram:
 
 
 def build_star(a: int) -> StarDiagram:
+    return _star_from(a, lemma2(2, a).triangle, lemma2(1, a, b=-a).triangle)
+
+
+def _star_from(a: int, template2: Triangle, template1: Triangle) -> StarDiagram:
+    """The star diagram at a, checked against template 2 at a and template 1
+    at (a, -a), which the caller has instantiated."""
     raw = _load_template("star.json")
     data = substitute(raw, a=a)
     upper = triangle_from_json(data["upper"])
     lower = triangle_from_json(data["lower"])
-    rot_upper = rotate(lemma2(2, a).triangle)
-    rot_lower = rotate(rotate(lemma2(1, a, b=-a).triangle))
-    if upper != rot_upper:
+    if upper != rotate(template2):
         raise TranscriptionError("stored upper row differs from the rotated template 2")
-    if lower != rot_lower:
+    if lower != rotate(rotate(template1)):
         raise TranscriptionError("stored lower row differs from the twice-rotated template 1")
     p = chain_map_from_json(data["vertical"]["p"], upper.x, lower.x)
     q = chain_map_from_json(data["vertical"]["q"], upper.y, lower.y)
@@ -227,8 +231,6 @@ def verify_paper(a: int, config: SearchConfig = DEFAULT_CONFIG) -> PaperReport:
     For a >= 3 both decisions are expected to be certified refutations mod
     a^2; for smaller a the verdicts are recorded without expectations.
     """
-    if a * a >= 2:
-        config = replace(config, extra_moduli=tuple(config.extra_moduli) + (a * a,))
     instances = [
         lemma2(1, a, b=-a),
         lemma2(1, a, b=-(a ** 3)),
@@ -239,7 +241,7 @@ def verify_paper(a: int, config: SearchConfig = DEFAULT_CONFIG) -> PaperReport:
     lemma2_results = tuple(
         (inst.index, inst.a, inst.b, lemma2_verify(inst).ok) for inst in instances
     )
-    star = build_star(a)
+    star = _star_from(a, instances[2].triangle, instances[0].triangle)
     star_ok = all(w is not None for w in star.square_witnesses)
     claim1 = is_homotopy_cartesian(star.middle, config)
     claim2 = fits_vertical_iso(star.middle, instances[1].triangle, instances[4].triangle, config)

@@ -28,6 +28,21 @@ def residue_solutions(a_rows, b, m):
     return sols
 
 
+def coset_members(particular, generators, m):
+    """Every member of particular + <generators> in (Z/m)^n, as tuples of
+    residues: the closure of {particular} under adding each generator."""
+    start = tuple(int(v) % m for v in particular)
+    members, frontier = {start}, [start]
+    while frontier:
+        cur = frontier.pop()
+        for g in generators:
+            nxt = tuple((a + int(b)) % m for a, b in zip(cur, g))
+            if nxt not in members:
+                members.add(nxt)
+                frontier.append(nxt)
+    return members
+
+
 def all_matrices_f2(rows, cols, p=2):
     """Every rows x cols matrix over F_p as a numpy int64 array."""
     if rows * cols == 0:

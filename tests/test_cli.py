@@ -81,6 +81,14 @@ def test_complex_homology(tmp_path, capsys):
     assert data["1"] == {"free_rank": 0, "invariant_factors": [9]}
 
 
+def test_complex_homology_rejects_a_fractional_rank(tmp_path, capsys):
+    f = tmp_path / "cx.json"
+    f.write_text(json.dumps({"ring": "Z", "degrees": {"0": 1.9}}))
+    code, _, err = run(capsys, "complex", "homology", str(f))
+    assert code == 3
+    assert "1.9" in err
+
+
 def test_triangle_verify(tmp_path, capsys):
     inst = lemma2(2, a=3)
     f = tmp_path / "tri.json"

@@ -8,6 +8,7 @@ from homcart.complexes import (
     ComplexError,
     HomComplex,
     Homotopy,
+    Subquotient,
     ZZ,
     Zmod,
     cone,
@@ -32,7 +33,13 @@ from homcart.complexes import (
 from homcart.intmat import FGAbelianGroup, IntMatrix
 
 from helpers import cmap, cpx, one_term, two_term
-from oracles import chain_maps_f2, homotopies_f2, is_homotopy_witness_f2, null_homotopic_maps_fp
+from oracles import (
+    chain_maps_f2,
+    coset_members,
+    homotopies_f2,
+    is_homotopy_witness_f2,
+    null_homotopic_maps_fp,
+)
 from test_triangles import corpus, random_z_chain_map
 
 
@@ -258,6 +265,49 @@ def test_homotopic_agrees_with_brute_force_over_fp(p, max_total_rank):
         )
         got = homotopic(f, g)
         assert (got is not None) == oracle
+
+
+def test_hom_group_over_f3_takes_no_smith_form(monkeypatch):
+    import homcart.complexes as complexes
+
+    def refuse(a):
+        raise AssertionError("Smith form taken over a small prime field")
+
+    cs = []
+    for f in corpus(random.Random(3)):
+        for c in (f.source, f.target, cone(f)[0]):
+            c = reduce_mod(c, 3)
+            if c not in cs:
+                cs.append(c)
+    monkeypatch.setattr(complexes, "smith_normal_form", refuse)
+    pairs = [(x, y) for x in cs for y in cs if sum(HomComplex(x, y).dim(n) for n in (0, -1)) <= 5]
+    assert len(pairs) > 100
+    for x, y in pairs:
+        n_maps = len(list(chain_maps_f2(x, y, 3)))
+        n_null = len(null_homotopic_maps_fp(x, y, 3))
+        assert hom_group(x, y).group.torsion_order() == n_maps // n_null
+
+
+@pytest.mark.parametrize("m", [4, 6, 9, 3], ids=["Z4", "Z6", "Z9", "F3"])
+def test_subquotient_of_a_generating_set_against_brute_force(m):
+    # span(top) / (im b + m Z^n), with top any generating set and b in its span
+    rng = random.Random(m)
+    ring = Zmod(m)
+    for _ in range(40):
+        n, k, j = rng.randint(1, 3), rng.randint(0, 3), rng.randint(0, 2)
+        top = np.array([rng.randrange(m) for _ in range(n * k)], dtype=object).reshape(n, k)
+        b = top @ np.array([rng.randrange(m) for _ in range(k * j)], dtype=object).reshape(k, j)
+        q = Subquotient(ring, top, b)
+        span = sorted(coset_members([0] * n, list(top.T), m))
+        rels = coset_members([0] * n, list(b.T), m)
+        assert q.group.free_rank == 0
+        assert q.group.torsion_order() == len(span) // len(rels)
+        sample = rng.sample(span, min(len(span), 30))
+        keys = {u: q.lookup(np.array(u, dtype=object)) for u in sample}
+        for u in sample:
+            for v in sample:
+                same = tuple((x - y) % m for x, y in zip(u, v)) in rels
+                assert (keys[u] == keys[v]) == same
 
 
 def _corpus_complexes(ring):

@@ -28,6 +28,20 @@ def test_complex_roundtrip_including_modular():
         assert complex_from_json(data) == c
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"ring": {"mod": 9.7}, "degrees": {"0": 1}},
+        {"ring": "Z", "degrees": {"0": 1.9}},
+        {"ring": "Z", "degrees": {"0": True}},
+    ],
+    ids=["fractional-modulus", "fractional-rank", "boolean-rank"],
+)
+def test_complex_loader_rejects_non_integer_ranks_and_moduli(data):
+    with pytest.raises(ValueError):
+        complex_from_json(data)
+
+
 def test_chain_map_roundtrip():
     c = two_term(9)
     f = cmap(c, c, {0: [[4]], 1: [[4]]})
@@ -83,7 +97,6 @@ def test_package_level_exports():
         "smith_normal_form",
         "solve_linear",
         "cokernel",
-        "enumerate_coset",
         "Complex",
         "ChainMap",
         "Homotopy",

@@ -1,5 +1,6 @@
-"""The linear-algebra backend is chosen in one place, `complexes.Ring`, and
-Smith forms are taken only by `Ring` and `complexes.Subquotient`."""
+"""The linear-algebra backend is chosen in one place, `complexes.Ring`,
+Smith forms are taken only by `Ring` and `complexes.Subquotient`, and the
+squares search walks classes in one generator, whatever the ring."""
 
 import ast
 import importlib
@@ -18,13 +19,14 @@ def _parse(module: str) -> ast.Module:
     return ast.parse((SRC / module).read_text(encoding="utf-8"))
 
 
-def _uses_outside(tree: ast.Module, name: str, classes: tuple[str, ...]) -> list[int]:
-    """Lines where `name` is read outside the bodies of the given classes."""
+def _uses_outside(tree: ast.Module, name: str, scopes: tuple[str, ...]) -> list[int]:
+    """Lines where `name` is read outside the bodies of the given classes
+    and functions."""
     inside = {
         id(node)
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and cls.name in classes
-        for node in ast.walk(cls)
+        for scope in ast.walk(tree)
+        if isinstance(scope, (ast.ClassDef, ast.FunctionDef)) and scope.name in scopes
+        for node in ast.walk(scope)
     }
     return [
         node.lineno
@@ -51,6 +53,13 @@ def test_squares_never_names_int64():
         if isinstance(node, ast.Attribute) and node.attr == "int64"
     ]
     assert hits == []
+
+
+def test_squares_walks_classes_in_one_place():
+    tree = _parse("squares.py")
+    outside = _uses_outside(tree, "product", ("_walk",))
+    assert outside == [], f"product referenced outside _walk at lines {outside}"
+    assert "is_small_prime_field" not in ast.unparse(tree)
 
 
 def test_smith_forms_only_in_ring_and_subquotient():

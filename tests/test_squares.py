@@ -22,7 +22,7 @@ from homcart.squares import (
     reduce_square,
     square_from_cone,
 )
-from homcart.suite import build_star
+from homcart.suite import build_star, lemma2
 from homcart.triangles import Triangle, standard_triangle
 
 from helpers import cmap, cpx, one_term, two_term
@@ -237,4 +237,25 @@ def test_homology_is_computed_once_per_complex(monkeypatch):
     monkeypatch.setattr(squares, "homology", once)
     verdict = is_homotopy_cartesian(square)
     assert verdict.is_no and verdict.modulus == 9
+    assert seen
+
+
+def test_each_map_is_tested_for_equivalence_once(monkeypatch):
+    import homcart.squares as squares
+
+    seen = []
+    real = squares.is_homotopy_equivalence
+
+    def once(f):
+        assert f not in seen, "one map tested twice for being an equivalence"
+        seen.append(f)
+        return real(f)
+
+    monkeypatch.setattr(squares, "is_homotopy_equivalence", once)
+    square = build_star(3).middle
+    assert is_homotopy_cartesian(square).is_no
+    assert seen
+    seen.clear()
+    t_b, t_c = lemma2(1, 3, b=-27).triangle, lemma2(4, 3).triangle
+    assert fits_vertical_iso(square, t_b, t_c).is_no
     assert seen

@@ -207,7 +207,7 @@ def test_replay_refuses_rings_outside_the_int64_prime_fields(m):
 
 
 def test_verify_paper_reuses_its_own_triangles(monkeypatch):
-    # five instances, plus the two rows that build_star rotates
+    # five instances; the star diagram's rows are rotations of two of them
     import homcart.suite as suite
 
     calls = []
@@ -219,4 +219,4 @@ def test_verify_paper_reuses_its_own_triangles(monkeypatch):
 
     monkeypatch.setattr(suite, "lemma2", counting)
     assert verify_paper(3).all_ok
-    assert len(calls) == 7
+    assert len(calls) == 5
