@@ -21,7 +21,7 @@ vector: the nonzero blocks Hom(X^i, Y^(i+n)) in increasing degree i, each a
 rank_Y(i+n) x rank_X(i) matrix read row-major.
 
 `pair` and `copair` are the maps into and out of a direct sum, and
-`cone_map(f, g, k)` is the map out of cone(f) given by g and a
+`cone_map(cn, g, k)` is the map out of cn = cone(f) given by g and a
 null-homotopy k of g o f (the cone's universal property).
 
 Homology, Hom groups and the classes of the squares search are all
@@ -568,17 +568,19 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
     return cn, incl, proj
 
 
-def cone_map(f: ChainMap, g: ChainMap, k: Homotopy) -> ChainMap:
-    """The map cone(f) -> W induced by g : Y -> W and a null-homotopy k of
-    g o f, with component [g_i | k_(i+1)] in degree i.
+def cone_map(cn: Complex, g: ChainMap, k: Homotopy) -> ChainMap:
+    """The map cn -> W out of cn = cone(f), f : X -> Y, induced by
+    g : Y -> W and a null-homotopy k of g o f, with component
+    [g_i | k_(i+1)] in degree i.
 
-    It restricts to g along the cone inclusion.  It is checked as a chain
-    map, which holds exactly when k is a null-homotopy of g o f.
+    It takes the cone that the caller has built with `cone(f)`.  It
+    restricts to g along the cone inclusion.  It is checked as a chain map,
+    which holds exactly when k is a null-homotopy of g o f.
     """
-    if g.source != f.target or k.lhs.source != f.source or k.lhs.target != g.target:
-        raise ComplexError("cone_map needs f : X -> Y, g : Y -> W and k : X -> W[-1]")
-    cn, _, _ = cone(f)
-    w = g.target
+    x, y, w = k.lhs.source, g.source, g.target
+    degs = set(cn.degrees()) | set(y.degrees()) | {i - 1 for i in x.degrees()}
+    if k.lhs.target != w or any(cn.rank(i) != y.rank(i) + x.rank(i + 1) for i in degs):
+        raise ComplexError("cone_map needs cn = cone(f) for f : X -> Y, g : Y -> W and k : X -> W[-1]")
     comps = {i: IntMatrix.hstack([g.component(i), k.component(i + 1)]) for i in cn.degrees() if w.rank(i)}
     return ChainMap(cn, w, comps)
 
@@ -685,9 +687,13 @@ class HomComplex:
 def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
     """A verified homotopy between parallel maps f and g, if one exists.
 
-    Decided by solving D(-1) h = f - g in the Hom complex.
+    Equal maps get the zero homotopy, verified like any other, without
+    building or solving anything.  Otherwise decided by solving
+    D(-1) h = f - g in the Hom complex.
     """
     f._require_parallel(g)
+    if f == g:
+        return Homotopy(f, g, {})
     hom = HomComplex(f.source, f.target)
     sol = hom.ring.solve(hom.D(-1), hom.vec(f) - hom.vec(g))
     if sol is None:

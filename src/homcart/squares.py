@@ -213,12 +213,6 @@ def diagonal(square: CommutativeSquare) -> DiagonalSequence:
     return DiagonalSequence(first, second, null)
 
 
-def completion_candidate(seq: DiagonalSequence) -> ChainMap:
-    """Canonical map cone(first) -> C' with candidate o inclusion = second:
-    the cone map of second and the stored null-homotopy of the composite."""
-    return cone_map(seq.first, seq.second, seq.null_witness)
-
-
 # ---------------------------------------------------------------------------
 # constrained-equivalence search
 
@@ -337,12 +331,13 @@ def _coefficient_order(bound: int) -> list[int]:
     return sorted(range(-bound, bound + 1), key=lambda v: (abs(v), -v))
 
 
-def _equivalence_candidates(d: Complex, t: Complex, config, hints, equivalent) -> ChainMap | None:
-    """Some homotopy equivalence d -> t over Z, or None within bounds."""
+def _equivalence_candidates(d: Complex, t: Complex, config, hints, equivalent, hom_dt) -> ChainMap | None:
+    """Some homotopy equivalence d -> t over Z, or None within bounds;
+    `hom_dt()` gives hom_group(d, t)."""
     for phi in hints:
         if phi.source == d and phi.target == t and equivalent(phi) is not None:
             return phi
-    hom = hom_group(d, t)
+    hom = hom_dt()
     ranges = [_coefficient_order(config.coeff_bound)] * hom.group.free_rank
     ranges += [range(o) for o in hom.group.invariant_factors]
     walk = _walk(np.zeros(hom.hom.dim(0), dtype=object), hom.classes.free_reps + hom.classes.torsion_reps, ranges)
@@ -389,14 +384,15 @@ def find_compatible_equivalence(
     certified refutation when all fail; finally a bounded integral
     enumeration hunts for a witness.  Unknown is returned when every bound
     is exhausted without a decision.  Each map is tested for being an
-    equivalence at most once per call.
+    equivalence, and hom_group(d, t) is built, at most once per call.
     """
     if d.ring != t.ring:
         raise ComplexError("search across different rings")
     if d == t and all(h != identity_map(d) for h in hints):
         hints = tuple(hints) + (identity_map(d),)
-    # one answer per map for the whole search
+    # one answer per map, and at most one hom_group(d, t), for the whole search
     equivalent = cache(lambda phi: is_homotopy_equivalence(phi))
+    hom_dt = cache(lambda: hom_group(d, t))
     for phi in hints:
         v = _verify_yes(phi, constraints, equivalent, {"source": "candidate"})
         if v is not None:
@@ -423,7 +419,7 @@ def find_compatible_equivalence(
     moduli = [m for c in (*corners, d, t) for m in _torsion_exponents(homologies[c])]
     schedule = list(dict.fromkeys(moduli + list(config.extra_moduli)))
     if schedule:
-        base = _equivalence_candidates(d, t, config, hints, equivalent)
+        base = _equivalence_candidates(d, t, config, hints, equivalent, hom_dt)
         units = _unit_candidates(t) if base is not None else None
         if base is not None and units is not None:
             classes = [u.compose(base) for u in units]
@@ -445,7 +441,7 @@ def find_compatible_equivalence(
     # few raw kernel columns, one try per homotopy class
     x0, kern = sol
     n = system.n_phi
-    hom = hom_group(d, t)
+    hom = hom_dt()
     ncols = min(kern.shape[1], 10)
     walk = _walk(x0[:n], list(kern[:n, :ncols].T), [_coefficient_order(config.coeff_bound)] * ncols)
     seen_classes = set()
@@ -472,8 +468,9 @@ def is_homotopy_cartesian(square: CommutativeSquare, config: SearchConfig = DEFA
     """
     seq = diagonal(square)
     cn, incl, proj = cone(seq.first)
-    candidate = completion_candidate(seq)
-    hints = [candidate]
+    # the canonical candidate, with candidate o incl = second on the nose: the
+    # cone map of second and the stored null-homotopy of the composite
+    hints = [cone_map(cn, seq.second, seq.null_witness)]
     if cn == square.cprime_obj:
         hints.append(identity_map(cn))
     verdict = find_compatible_equivalence(

@@ -133,7 +133,7 @@ def verify_distinguished_with_witness(t: Triangle, u: ChainMap) -> Distinguished
 def rotation_witness(t: Triangle) -> ChainMap:
     """Candidate comparison map cone(g) -> X[1] for the rotation of t.
 
-    This is `cone_map(g, h, theta)` for a null-homotopy theta of h o g,
+    This is the cone map of h and a null-homotopy theta of h o g,
     with component [h_i | theta_(i+1)] in degree i.  For standard triangles
     it is the certifying witness on the nose; for general triangles theta
     may be under-determined, so callers must check the candidate
@@ -144,7 +144,7 @@ def rotation_witness(t: Triangle) -> ChainMap:
     theta = homotopic(t.h.compose(t.g), zero_map(t.y, t.h.target))
     if theta is None:
         raise ComplexError("h o g is not null-homotopic; triangle cannot rotate with a witness")
-    return cone_map(t.g, t.h, theta)
+    return cone_map(cone(t.g)[0], t.h, theta)
 
 
 class TriangleMorphism:

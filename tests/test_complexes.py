@@ -5,6 +5,7 @@ import pytest
 
 from homcart import modp
 from homcart.complexes import (
+    ChainMap,
     ComplexError,
     HomComplex,
     Homotopy,
@@ -110,6 +111,55 @@ def test_homotopic_equal_maps_gives_zero_homotopy():
     h = homotopic(f, f)
     assert h is not None
     assert all(m.is_zero() for m in h.components().values())
+
+
+def _refuse_to_solve(monkeypatch):
+    """Make every linear solve and elimination behind `homotopic` raise."""
+    import homcart.complexes as complexes
+    from homcart import intmat
+
+    class Solved(AssertionError):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Solved("a linear system was solved")
+
+    monkeypatch.setattr(complexes.Ring, "solve", refuse)
+    monkeypatch.setattr(complexes, "smith_normal_form", refuse)
+    monkeypatch.setattr(intmat, "smith_normal_form", refuse)
+    monkeypatch.setattr(modp, "rref", refuse)
+    return Solved
+
+
+@pytest.mark.parametrize("m", [None, 9, 3], ids=["Z", "Z9", "F3"])
+def test_homotopic_equal_maps_solve_nothing(monkeypatch, m):
+    maps = [f if m is None else reduce_mod(f, m) for f in corpus(random.Random(5))]
+    _refuse_to_solve(monkeypatch)
+    for f in maps:
+        x, y = f.source, f.target
+        # an equal copy, and the on-the-nose difference the yes-side checks ask about
+        for lhs, rhs in ((f, f), (f, ChainMap(x, y, f.components())), (f - f, zero_map(x, y))):
+            h = homotopic(lhs, rhs)
+            assert h is not None and (h.lhs, h.rhs) == (lhs, rhs)
+            assert all(c.is_zero() for c in h.components().values())
+
+
+@pytest.mark.parametrize("m", [None, 9, 3], ids=["Z", "Z9", "F3"])
+def test_homotopic_maps_that_differ_still_reach_the_solver(monkeypatch, m):
+    rng = random.Random(6)
+    pairs = []
+    for f in corpus(random.Random(5)):
+        f = f if m is None else reduce_mod(f, m)
+        hom = HomComplex(f.source, f.target)
+        h = np.array([rng.randint(-3, 3) for _ in range(hom.dim(-1))], dtype=hom.ring.dtype)
+        g = ChainMap(f.source, f.target, hom.unvec(hom.vec(f) + hom.D(-1) @ h))
+        if g != f:
+            pairs.append((f, g))
+    assert pairs
+    solved = _refuse_to_solve(monkeypatch)
+    for f, g in pairs:
+        with pytest.raises(solved):
+            homotopic(f, g)
 
 
 def test_homotopic_middle_square_shift():
@@ -437,10 +487,10 @@ def test_cone_map_restricts_to_g_and_checks_its_homotopy():
     for f in corpus(rng):
         cn, incl, _ = cone(f)
         k = homotopic(incl.compose(f), zero_map(f.source, cn))
-        assert cone_map(f, incl, k).compose(incl) == incl
+        assert cone_map(cn, incl, k).compose(incl) == incl
         if not f.is_zero():
             with pytest.raises(ComplexError):
-                cone_map(f, incl, Homotopy(k.lhs, k.rhs, {}, check=False))
+                cone_map(cn, incl, Homotopy(k.lhs, k.rhs, {}, check=False))
             refused += 1
     assert refused
 

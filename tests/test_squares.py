@@ -259,3 +259,40 @@ def test_each_map_is_tested_for_equivalence_once(monkeypatch):
     t_b, t_c = lemma2(1, 3, b=-27).triangle, lemma2(4, 3).triangle
     assert fits_vertical_iso(square, t_b, t_c).is_no
     assert seen
+
+
+def test_hom_group_of_a_pair_is_built_once(monkeypatch):
+    import homcart.squares as squares
+
+    seen = []
+    real = squares.hom_group
+
+    def once(x, y):
+        assert (x, y) not in seen, f"hom_group({x!r}, {y!r}) built twice"
+        seen.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(squares, "hom_group", once)
+    # at a = 2 the search passes the refutation step and the integral enumeration
+    verdict = is_homotopy_cartesian(build_star(2).middle)
+    assert verdict.is_yes and verdict.details["source"] == "integral enumeration"
+    assert seen
+
+
+def test_cartesian_check_builds_each_cone_once(monkeypatch):
+    import homcart.complexes as complexes
+    import homcart.squares as squares
+
+    built = []
+    real = complexes.cone
+
+    def once(f):
+        assert f not in built, f"cone of {f!r} built twice"
+        built.append(f)
+        return real(f)
+
+    square = build_star(3).middle
+    monkeypatch.setattr(complexes, "cone", once)
+    monkeypatch.setattr(squares, "cone", once)
+    assert is_homotopy_cartesian(square).is_no
+    assert diagonal(square).first in built
