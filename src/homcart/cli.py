@@ -43,6 +43,14 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parse error is a usage error and exits 3, not argparse's 2, which
+    here means unknown."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _config_from(args) -> SearchConfig:
     moduli = []
     for tok in (args.moduli or "").replace(",", " ").split():
@@ -55,11 +63,16 @@ def _config_from(args) -> SearchConfig:
     return SearchConfig(extra_moduli=tuple(moduli), **kwargs)
 
 
+def _add_format_flag(p: argparse.ArgumentParser):
+    p.add_argument("--format", choices=("json", "text"), default="text")
+
+
 def _add_config_flags(p: argparse.ArgumentParser):
+    """The search bounds of `SearchConfig`, for the subcommands that search."""
     p.add_argument("--max-enum", type=int, default=None, help="cap on coset/class enumerations")
     p.add_argument("--coeff-bound", type=int, default=None, help="coefficient bound for integral searches")
     p.add_argument("--moduli", default="", help="extra refutation moduli, comma or space separated")
-    p.add_argument("--format", choices=("json", "text"), default="text")
+    _add_format_flag(p)
 
 
 def _emit(args, payload: dict, text: str):
@@ -304,7 +317,7 @@ def cmd_fuzz_prop2(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homcart",
         description="exact verification of homotopy-cartesian squares, distinguished triangles, and unit certificates",
     )
@@ -330,21 +343,21 @@ def build_parser() -> argparse.ArgumentParser:
     cx_sub = cx.add_subparsers(dest="subcommand", required=True)
     ch = cx_sub.add_parser("homology", help="invariant factors of the homology of a complex file")
     ch.add_argument("file")
-    _add_config_flags(ch)
+    _add_format_flag(ch)
     ch.set_defaults(run=cmd_complex_homology)
 
     tri = sub.add_parser("triangle", help="operations on triangles")
     tri_sub = tri.add_subparsers(dest="subcommand", required=True)
     tv = tri_sub.add_parser("verify", help="certify distinguishedness with a stored witness")
     tv.add_argument("file")
-    _add_config_flags(tv)
+    _add_format_flag(tv)
     tv.set_defaults(run=cmd_triangle_verify)
 
     ul = sub.add_parser("unit-lemma", help="construct a unit 1 + e + a e^2 (or right-handed variant)")
     ul.add_argument("--ring", required=True, help='one of "z", "zmod:m", "matf:p:k", "matq:k"')
     ul.add_argument("--eps", required=True, help="element: integer or JSON matrix")
     ul.add_argument("--variant", choices=("alpha", "beta"), default="alpha")
-    _add_config_flags(ul)
+    _add_format_flag(ul)
     ul.set_defaults(run=cmd_unit_lemma)
 
     fz = sub.add_parser("fuzz", help="randomized conjecture checking")
@@ -362,14 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.run(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,7 +22,10 @@ rank_Y(i+n) x rank_X(i) matrix read row-major.
 
 `pair` and `copair` are the maps into and out of a direct sum, and
 `cone_map(cn, g, k)` is the map out of cn = cone(f) given by g and a
-null-homotopy k of g o f (the cone's universal property).
+null-homotopy k of g o f (the cone's universal property).  The cone's block
+layout, Y^i + X^(i+1) with differential [[d_Y, f], [0, -d_X]] (Weibel 1.5),
+is known to `cone`, `cone_map` and `cone_homotopy` only: `cone_homotopy` is
+the canonical null-homotopy [0; 1] of incl o f.
 
 Homology, Hom groups and the classes of the squares search are all
 subquotients, computed by one routine: `Subquotient(ring, top, b)` is
@@ -204,13 +207,6 @@ def Zmod(m: int) -> Ring:
     return Ring(int(m))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    message: str = ""
-    degree: int | None = None
-
-
 class Complex:
     """Bounded complex of free modules, validated on construction."""
 
@@ -289,15 +285,6 @@ class Complex:
     def __repr__(self):
         parts = ", ".join(f"{i}:{r}" for i, r in sorted(self._ranks.items()))
         return f"Complex({self.ring}; ranks {{{parts}}})"
-
-
-def validate_data(ring: Ring, ranks: dict[int, int], differentials: dict[int, IntMatrix]) -> ValidationReport:
-    """Check complex data without constructing; reports the first failure."""
-    try:
-        Complex(ring, ranks, differentials)
-    except ComplexError as e:
-        return ValidationReport(False, str(e), e.degree)
-    return ValidationReport(True)
 
 
 class ChainMap:
@@ -490,9 +477,6 @@ class Homotopy:
                 return i
         return None
 
-    def negate(self) -> "Homotopy":
-        return Homotopy(self.rhs, self.lhs, {i: -m for i, m in self._comps.items()}, check=False)
-
     def __repr__(self):
         return f"Homotopy({self.lhs!r} ~ {self.rhs!r})"
 
@@ -583,6 +567,21 @@ def cone_map(cn: Complex, g: ChainMap, k: Homotopy) -> ChainMap:
         raise ComplexError("cone_map needs cn = cone(f) for f : X -> Y, g : Y -> W and k : X -> W[-1]")
     comps = {i: IntMatrix.hstack([g.component(i), k.component(i + 1)]) for i in cn.degrees() if w.rank(i)}
     return ChainMap(cn, w, comps)
+
+
+def cone_homotopy(incl: ChainMap, f: ChainMap) -> Homotopy:
+    """The null-homotopy of incl o f, for f : X -> Y and its cone inclusion
+    incl : Y -> cone(f), with component [0; 1] : X^i -> Y^(i-1) + X^i.
+
+    It holds on the nose, by the cone's differential, so it is built
+    unchecked; `cone_map` and `Homotopy` re-check it wherever it is used.
+    """
+    x, y = f.source, f.target
+    comps = {
+        i: IntMatrix.vstack([IntMatrix.zeros(y.rank(i - 1), x.rank(i)), IntMatrix.identity(x.rank(i))])
+        for i in x.degrees()
+    }
+    return Homotopy(incl.compose(f), zero_map(x, incl.target), comps, check=False)
 
 
 def pair(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -746,17 +745,13 @@ def is_homotopy_equivalence(f: ChainMap) -> Homotopy | None:
     return is_contractible(cn)
 
 
-def homotopy_inverse(f: ChainMap, contraction: Homotopy | None = None) -> ChainMap | None:
-    """A homotopy inverse of an equivalence f : X -> Y.
+def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
+    """A homotopy inverse of an equivalence f : X -> Y, given a contraction
+    of cone(f) (`is_homotopy_equivalence`).
 
-    Extracted from a contraction of cone(f): the block of the contraction
-    mapping the Y-part to the X[1]-part is a chain map Y -> X inverting f up
-    to homotopy on both sides.
+    The block of the contraction mapping the Y-part to the X[1]-part is a
+    chain map Y -> X inverting f up to homotopy on both sides.
     """
-    if contraction is None:
-        contraction = is_homotopy_equivalence(f)
-        if contraction is None:
-            return None
     x, y = f.source, f.target
     comps = {}
     for i in y.degrees():
@@ -944,8 +939,9 @@ def _require_prime_field(ring: Ring, what: str):
         raise ComplexError(f"{what} requires a prime field")
 
 
-def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int, low_degree: int = 0) -> Complex:
-    """Random bounded complex over a prime field; d^2 = 0 by construction.
+def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int) -> Complex:
+    """Random bounded complex over a prime field in degrees 0..n_degrees-1;
+    d^2 = 0 by construction.
 
     Each differential is drawn uniformly from the solution space of
     d(i) @ d(i-1) = 0 given the previously drawn one.
@@ -953,13 +949,13 @@ def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int, low_degree: i
     _require_prime_field(ring, "random_complex")
     p = ring.modulus
     ranks = {}
-    for i in range(low_degree, low_degree + n_degrees):
+    for i in range(n_degrees):
         r = rng.randint(0, max_rank)
         if r:
             ranks[i] = r
     diffs: dict[int, IntMatrix] = {}
     prev: np.ndarray | None = None
-    for i in range(low_degree, low_degree + n_degrees):
+    for i in range(n_degrees):
         rs, rt = ranks.get(i, 0), ranks.get(i + 1, 0)
         if rs == 0 or rt == 0:
             prev = None

@@ -95,12 +95,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self._a[i, j]
 
-    def __getitem__(self, key):
-        got = self._a[key]
-        if isinstance(got, np.ndarray):
-            return got.copy()
-        return got
-
     def tolist(self) -> list[list[int]]:
         return [[int(v) for v in row] for row in self._a]
 

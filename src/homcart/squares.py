@@ -39,6 +39,7 @@ from .complexes import (
     Homotopy,
     Subquotient,
     cone,
+    cone_homotopy,
     cone_map,
     copair,
     hom_group,
@@ -49,9 +50,10 @@ from .complexes import (
     is_homotopy_equivalence,
     pair,
     reduce_mod,
+    shift,
     zero_map,
 )
-from .intmat import FGAbelianGroup, IntMatrix
+from .intmat import FGAbelianGroup
 from .triangles import Triangle, rotate
 
 
@@ -374,7 +376,8 @@ def find_compatible_equivalence(
     """Decide existence of a homotopy equivalence phi : d -> t satisfying
     every constraint (post o phi o pre) ~ required.
 
-    The hints are tried first, and the constraint system is solved once.
+    The hints are tried first, followed by the identity when d == t and no
+    hint is already the identity; then the constraint system is solved once.
     Over a modular base ring every class of solutions is then walked, so the
     search is complete within the enumeration cap.  Over Z: for each modulus
     in the schedule (the torsion exponents of the homology of the corners,
@@ -470,21 +473,17 @@ def is_homotopy_cartesian(square: CommutativeSquare, config: SearchConfig = DEFA
     cn, incl, proj = cone(seq.first)
     # the canonical candidate, with candidate o incl = second on the nose: the
     # cone map of second and the stored null-homotopy of the composite
-    hints = [cone_map(cn, seq.second, seq.null_witness)]
-    if cn == square.cprime_obj:
-        hints.append(identity_map(cn))
     verdict = find_compatible_equivalence(
         cn,
         square.cprime_obj,
         [Constraint(required=seq.second, precompose=incl)],
         config=config,
-        hints=tuple(hints),
+        hints=(cone_map(cn, seq.second, seq.null_witness),),
         corners=(square.b_obj, square.c_obj, square.bprime_obj, square.cprime_obj),
     )
     if verdict.is_yes:
         inv = homotopy_inverse(verdict.witness, verdict.equivalence)
-        if inv is not None:
-            verdict.details["third_map"] = proj.compose(inv)
+        verdict.details["third_map"] = proj.compose(inv)
     return verdict
 
 
@@ -492,22 +491,18 @@ def rotation_comparison(t: Triangle, config: SearchConfig = DEFAULT_CONFIG) -> V
     """Search a certificate for rotate(t): an equivalence cone(g) -> X[1]
     compatible with both rotated maps.
 
-    The cheap candidate `rotation_witness(t)`, the cone map of a solved
-    null-homotopy of h o g, is tried first; when it falls short (that
-    homotopy can be under-determined for non-standard triangles) the shared constrained-equivalence engine
-    takes over.  A yes-witness passes `verify_distinguished_with_witness`
-    on rotate(t) by construction of the constraints.
+    The cheap candidate is tried first: the cone map of h and a solved
+    null-homotopy theta of h o g, the map `triangles.rotation_witness(t)`,
+    built on the one cone(g) this search uses.  When it falls short (theta
+    can be under-determined for non-standard triangles) the shared
+    constrained-equivalence engine takes over.  A yes-witness passes
+    `verify_distinguished_with_witness` on rotate(t) by construction of the
+    constraints.
     """
-    from .complexes import shift as _shift
-    from .triangles import rotation_witness
-
     cn, incl, proj = cone(t.g)
-    xs = _shift(t.x)
-    hints = []
-    try:
-        hints.append(rotation_witness(t))
-    except ComplexError:
-        pass
+    xs = shift(t.x)
+    theta = homotopic(t.h.compose(t.g), zero_map(t.y, xs))
+    hints = () if theta is None else (cone_map(cn, t.h, theta),)
     return find_compatible_equivalence(
         cn,
         xs,
@@ -516,7 +511,7 @@ def rotation_comparison(t: Triangle, config: SearchConfig = DEFAULT_CONFIG) -> V
             Constraint(required=proj, postcompose=-t.f.shift()),
         ],
         config=config,
-        hints=tuple(hints),
+        hints=hints,
         corners=(t.x, t.y, t.z),
     )
 
@@ -530,27 +525,16 @@ def square_from_cone(b: ChainMap, g: ChainMap) -> CommutativeSquare:
     """
     if b.source != g.source:
         raise ComplexError("b and g must share their source")
-    b_obj = b.source
     bprime, c_obj = b.target, g.target
     first = pair(b, g)
-    mid = first.target
     cn, incl, _ = cone(first)
     inj_b = pair(identity_map(bprime), zero_map(bprime, c_obj))
     inj_c = pair(zero_map(c_obj, bprime), identity_map(c_obj))
     gprime = incl.compose(inj_b)
     c_map = -incl.compose(inj_c)
-    # canonical witness: c g - g' b = d(-j) + (-j)d with j = [0; id] into the cone
-    j_comps = {
-        i: IntMatrix.vstack(
-            [
-                IntMatrix.zeros(mid.rank(i - 1), b_obj.rank(i)),
-                IntMatrix.identity(b_obj.rank(i)).scale(-1),
-            ]
-        )
-        for i in b_obj.degrees()
-        if cn.rank(i - 1)
-    }
-    witness = Homotopy(c_map.compose(g), gprime.compose(b), j_comps)
+    # canonical witness: c g - g' b = -incl o first, so the negated cone homotopy
+    k = cone_homotopy(incl, first)
+    witness = Homotopy(c_map.compose(g), gprime.compose(b), {i: -m for i, m in k.components().items()})
     return CommutativeSquare(g, gprime, b, c_map, witness=witness)
 
 
@@ -603,8 +587,5 @@ def fits_vertical_iso(
         Constraint(required=i_c.compose(square.gprime), precompose=i_b),
         Constraint(required=square.g.shift().compose(p_b), postcompose=p_c),
     ]
-    hints = []
-    if dz == tz:
-        hints.append(identity_map(dz))
     corners = (square.b_obj, square.c_obj, square.bprime_obj, square.cprime_obj, dz, tz)
-    return find_compatible_equivalence(dz, tz, constraints, config=config, hints=tuple(hints), corners=corners)
+    return find_compatible_equivalence(dz, tz, constraints, config=config, corners=corners)

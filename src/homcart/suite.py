@@ -33,6 +33,8 @@ from .complexes import (
     ComplexError,
     Homotopy,
     Zmod,
+    cone_homotopy,
+    cone_map,
     homotopic,
     identity_map,
     is_homotopy_equivalence,
@@ -315,26 +317,9 @@ class FuzzTrial:
 
 
 def _functorial_completion(row1: Triangle, row2: Triangle, b: ChainMap) -> ChainMap:
-    """cone(f) -> cone(b o f) with blocks [[b, 0], [0, 1]]."""
-    a_obj = row1.x
-    b_obj = row1.y
-    bp_obj = row2.y
-    comps = {}
-    for i in row1.z.degrees():
-        if row2.z.rank(i) == 0:
-            continue
-        blocks = [
-            [
-                b.component(i),
-                IntMatrix.zeros(bp_obj.rank(i), a_obj.rank(i + 1)),
-            ],
-            [
-                IntMatrix.zeros(a_obj.rank(i + 1), b_obj.rank(i)),
-                IntMatrix.identity(a_obj.rank(i + 1)),
-            ],
-        ]
-        comps[i] = IntMatrix.block(blocks)
-    return ChainMap(row1.z, row2.z, comps)
+    """cone(f) -> cone(b o f) with blocks [[b, 0], [0, 1]]: the cone map of
+    the inclusion after b and the cone homotopy of the second row."""
+    return cone_map(row1.z, row2.g.compose(b), cone_homotopy(row2.g, row2.f))
 
 
 def fuzz_prop2(

@@ -16,7 +16,7 @@ construction in the opposite representation (transpose for matrices,
 reversed structure constants).  Nothing here assumes a e = e a.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -337,7 +337,6 @@ def polynomial_relation(e) -> PolynomialRelation:
     """
     p = _field_of(e)
     powers = [e.one()]
-    vecs = [powers[0].vec()]
     while True:
         nxt = powers[-1].mul(e)
         coeffs = _solve_dependence([pw.vec() for pw in powers], nxt.vec(), p)
@@ -361,7 +360,6 @@ def polynomial_relation(e) -> PolynomialRelation:
                 raise AssertionError("computed relation does not annihilate the element")
             return rel
         powers.append(nxt)
-        vecs.append(nxt.vec())
 
 
 @dataclass(frozen=True)
@@ -385,15 +383,11 @@ def _verify_unit(unit, inverse) -> bool:
     return unit.mul(inverse) == one and inverse.mul(unit) == one
 
 
-def _certificate_from_relation(e, variant: str) -> UnitCertificate:
+def _certificate_from_relation(e) -> UnitCertificate:
     rel = polynomial_relation(e)
     alpha = rel.s_at(e)
-    if variant == "left":
-        eta = e.add(alpha.mul(e).mul(e))
-        unit = e.one().add(e).add(alpha.mul(e).mul(e))
-    else:
-        eta = e.add(e.mul(e).mul(alpha))
-        unit = e.one().add(e).add(e.mul(e).mul(alpha))
+    eta = e.add(alpha.mul(e).mul(e))
+    unit = e.one().add(eta)
     power = eta.one()
     nil = None
     for k in range(0, rel.m + 2):
@@ -411,7 +405,7 @@ def _certificate_from_relation(e, variant: str) -> UnitCertificate:
     if not _verify_unit(unit, inverse):
         raise AssertionError("inverse verification failed")
     return UnitCertificate(
-        variant=variant,
+        variant="left",
         coefficient=alpha,
         unit=unit,
         inverse=inverse,
@@ -484,7 +478,7 @@ def find_alpha(e) -> UnitCertificate:
     and does answer "no such a".
     """
     if isinstance(e, (FpMatrix, QMatrix, AlgebraElement)):
-        return _certificate_from_relation(e, "left")
+        return _certificate_from_relation(e)
     if isinstance(e, ResidueElement):
         return _residue_alpha(e)
     if isinstance(e, int):
@@ -494,53 +488,29 @@ def find_alpha(e) -> UnitCertificate:
     raise UnsupportedRepresentation(f"unsupported representation {type(e).__name__}")
 
 
-def find_beta(e) -> UnitCertificate:
-    """b with 1 + e + e^2 b a unit: the construction run in the opposite ring."""
+def _opposite(e):
+    """(e in the opposite ring, the map from the opposite ring back):
+    the transpose for matrices, the opposite algebra for algebra elements."""
     if isinstance(e, (FpMatrix, QMatrix)):
-        cert_t = _certificate_from_relation(e.transpose(), "left")
-        beta = cert_t.coefficient.transpose()
-        unit = e.one().add(e).add(e.mul(e).mul(beta))
-        inverse = cert_t.inverse.transpose()
-        if not _verify_unit(unit, inverse):
-            raise AssertionError("transposed certificate failed to verify")
-        return UnitCertificate(
-            variant="right",
-            coefficient=beta,
-            unit=unit,
-            inverse=inverse,
-            nilpotency_exponent=cert_t.nilpotency_exponent,
-            relation=cert_t.relation,
-        )
-    if isinstance(e, AlgebraElement):
-        opp = e.algebra.opposite()
-        cert_o = _certificate_from_relation(opp.element(e.coords), "left")
-        beta = e.algebra.element(cert_o.coefficient.coords)
-        unit = e.one().add(e).add(e.mul(e).mul(beta))
-        inverse = e.algebra.element(cert_o.inverse.coords)
-        if not _verify_unit(unit, inverse):
-            raise AssertionError("opposite-algebra certificate failed to verify")
-        return UnitCertificate(
-            variant="right",
-            coefficient=beta,
-            unit=unit,
-            inverse=inverse,
-            nilpotency_exponent=cert_o.nilpotency_exponent,
-            relation=cert_o.relation,
-        )
-    if isinstance(e, ResidueElement):
-        cert = _residue_alpha(e)
-        return UnitCertificate(
-            variant="right",
-            coefficient=cert.coefficient,
-            unit=cert.unit,
-            inverse=cert.inverse,
-            nilpotency_exponent=cert.nilpotency_exponent,
-        )
-    if isinstance(e, int):
-        raise UnsupportedRepresentation(
-            "integers are not covered by the construction; use find_alpha_over_Z"
-        )
-    raise UnsupportedRepresentation(f"unsupported representation {type(e).__name__}")
+        return e.transpose(), lambda x: x.transpose()
+    return e.algebra.opposite().element(e.coords), lambda x: e.algebra.element(x.coords)
+
+
+def find_beta(e) -> UnitCertificate:
+    """b with 1 + e + e^2 b a unit: the construction run in the opposite ring.
+
+    Residues commute, so there b is the `find_alpha` coefficient; every
+    other representation is refused as `find_alpha` refuses it.
+    """
+    if not isinstance(e, (FpMatrix, QMatrix, AlgebraElement)):
+        return replace(find_alpha(e), variant="right")
+    e_op, back = _opposite(e)
+    cert = _certificate_from_relation(e_op)
+    beta, inverse = back(cert.coefficient), back(cert.inverse)
+    unit = e.one().add(e).add(e.mul(e).mul(beta))
+    if not _verify_unit(unit, inverse):
+        raise AssertionError("opposite-ring certificate failed to verify")
+    return replace(cert, variant="right", coefficient=beta, unit=unit, inverse=inverse)
 
 
 def find_alpha_over_Z(e: int) -> int | None:

@@ -202,3 +202,44 @@ def test_fuzz_rejects_sizes_with_no_nonzero_complex(flag):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert "at least 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["paper"],
+        ["nope"],
+        ["paper", "verify", "--bogus"],
+        ["paper", "verify", "--a-min", "x"],
+        ["fuzz", "prop2", "--format", "yaml"],
+    ],
+)
+def test_parse_errors_exit_3_with_an_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["complex", "homology", "cx.json"],
+        ["triangle", "verify", "tri.json"],
+        ["unit-lemma", "--ring", "zmod:9", "--eps", "3"],
+    ],
+)
+@pytest.mark.parametrize("flag", ["--max-enum", "--coeff-bound", "--moduli"])
+def test_search_flags_are_refused_where_no_search_runs(capsys, argv, flag):
+    code, out, err = run(capsys, *argv, flag, "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["paper", "verify", "--help"])
+    assert done.value.code == 0
+    assert "--a-min" in capsys.readouterr().out

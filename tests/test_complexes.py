@@ -6,6 +6,7 @@ import pytest
 from homcart import modp
 from homcart.complexes import (
     ChainMap,
+    Complex,
     ComplexError,
     HomComplex,
     Homotopy,
@@ -13,6 +14,7 @@ from homcart.complexes import (
     ZZ,
     Zmod,
     cone,
+    cone_homotopy,
     cone_map,
     copair,
     direct_sum,
@@ -28,7 +30,6 @@ from homcart.complexes import (
     random_complex,
     reduce_mod,
     shift,
-    validate_data,
     zero_map,
 )
 from homcart.intmat import FGAbelianGroup, IntMatrix
@@ -46,19 +47,20 @@ from test_triangles import corpus, random_z_chain_map
 
 def test_validate_counterexample_family_member():
     # [Z --(-a^3; a^2)--> Z^2] for a = 3
-    c = cpx({-1: 1, 0: 2}, {-1: [[-27], [9]]})
-    assert validate_data(ZZ, {-1: 1, 0: 2}, {-1: IntMatrix([[-27], [9]])}).ok
+    c = Complex(ZZ, {-1: 1, 0: 2}, {-1: IntMatrix([[-27], [9]])})
     assert c.rank(-1) == 1 and c.rank(0) == 2
+    assert c.differential(-1) == IntMatrix([[-27], [9]])
 
 
 def test_validate_one_degree_ok():
-    assert validate_data(ZZ, {5: 3}, {}).ok
+    c = Complex(ZZ, {5: 3}, {})
+    assert c.degrees() == [5] and c.rank(5) == 3
 
 
 def test_validate_identity_squared_fails_at_joint_degree():
-    rep = validate_data(ZZ, {0: 1, 1: 1, 2: 1}, {0: IntMatrix([[1]]), 1: IntMatrix([[1]])})
-    assert not rep.ok
-    assert rep.degree == 0
+    with pytest.raises(ComplexError) as err:
+        Complex(ZZ, {0: 1, 1: 1, 2: 1}, {0: IntMatrix([[1]]), 1: IntMatrix([[1]])})
+    assert err.value.degree == 0
 
 
 def test_shift_two_term():
@@ -523,3 +525,21 @@ def test_diagonalize_answers_empty_shapes_without_a_kernel(ring, monkeypatch):
         assert np.array_equal(vinv, np.eye(cols, dtype=object))
     with pytest.raises(ComplexError):
         Zmod(4).diagonalize(IntMatrix.zeros(0, 3))
+
+
+def test_cone_homotopy_is_the_null_homotopy_zero_one_over_z_z9_f3():
+    rng = random.Random(59)
+    checked = 0
+    for f in corpus(rng):
+        for g in (f, reduce_mod(f, 9), reduce_mod(f, 3)):
+            cn, incl, _ = cone(g)
+            k = cone_homotopy(incl, g)
+            assert k.lhs == incl.compose(g) and k.rhs == zero_map(g.source, cn)
+            Homotopy(k.lhs, k.rhs, k.components(), check=True)
+            x, y = g.source, g.target
+            for i in x.degrees():
+                assert k.component(i) == IntMatrix.vstack(
+                    [IntMatrix.zeros(y.rank(i - 1), x.rank(i)), IntMatrix.identity(x.rank(i))]
+                )
+            checked += 1
+    assert checked == 3 * len(corpus(random.Random(59)))

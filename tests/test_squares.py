@@ -20,6 +20,7 @@ from homcart.squares import (
     fits_vertical_iso,
     is_homotopy_cartesian,
     reduce_square,
+    rotation_comparison,
     square_from_cone,
 )
 from homcart.suite import build_star, lemma2
@@ -296,3 +297,24 @@ def test_cartesian_check_builds_each_cone_once(monkeypatch):
     monkeypatch.setattr(squares, "cone", once)
     assert is_homotopy_cartesian(square).is_no
     assert diagonal(square).first in built
+
+
+def test_rotation_comparison_builds_each_cone_once(monkeypatch):
+    import sys
+
+    import homcart.complexes as complexes
+
+    built = []
+    real = complexes.cone
+
+    def once(f):
+        assert f not in built, f"cone of {f!r} built twice"
+        built.append(f)
+        return real(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("homcart") and getattr(module, "cone", None) is real:
+            monkeypatch.setattr(module, "cone", once)
+    t = lemma2(2, 3).triangle
+    assert rotation_comparison(t).is_yes
+    assert t.g in built

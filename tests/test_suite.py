@@ -7,6 +7,7 @@ from homcart.intmat import IntMatrix
 from homcart.jsonio import poly_eval
 from homcart.squares import is_homotopy_cartesian
 from homcart.suite import (
+    _functorial_completion,
     build_star,
     fuzz_prop2,
     lemma2,
@@ -220,3 +221,23 @@ def test_verify_paper_reuses_its_own_triangles(monkeypatch):
     monkeypatch.setattr(suite, "lemma2", counting)
     assert verify_paper(3).all_ok
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_functorial_completion_is_the_block_map_b_0_0_1(p):
+    for trial in fuzz_prop2(p, trials=20, seed=61):
+        row1, row2, b = trial.morphism.source, trial.morphism.target, trial.morphism.q
+        a_obj, b_obj, bp_obj = row1.x, row1.y, row2.y
+        blocks = {
+            i: IntMatrix.block(
+                [
+                    [b.component(i), IntMatrix.zeros(bp_obj.rank(i), a_obj.rank(i + 1))],
+                    [IntMatrix.zeros(a_obj.rank(i + 1), b_obj.rank(i)), IntMatrix.identity(a_obj.rank(i + 1))],
+                ]
+            )
+            for i in row1.z.degrees()
+            if row2.z.rank(i)
+        }
+        completion = _functorial_completion(row1, row2, b)
+        assert completion.source == row1.z and completion.target == row2.z
+        assert completion.components() == {i: m.reduce_mod(p) for i, m in blocks.items()}

@@ -161,3 +161,16 @@ def test_beta_equals_alpha_on_commutative_representations():
     e = ResidueElement(9, 3)
     assert find_beta(e).coefficient == find_alpha(e).coefficient
     assert find_beta(e).unit.value == find_alpha(e).unit.value
+
+
+def test_find_beta_is_right_handed_in_every_representation():
+    alg = FiniteAlgebra(5, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
+    elements = [
+        FpMatrix(3, [[1, 2], [0, 1]]),
+        QMatrix([[Fraction(1, 2), 1], [0, 3]]),
+        alg.element([2, 1]),
+        ResidueElement(12, 6),
+    ]
+    for e in elements:
+        assert find_beta(e).variant == "right"
+        assert find_alpha(e).variant == "left"
