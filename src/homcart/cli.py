@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .complexes import homology
+from .complexes import cone_complex, homology
 from .jsonio import (
     chain_map_from_json,
     complex_from_json,
@@ -153,10 +153,7 @@ def cmd_triangle_verify(args) -> int:
     data = _load_json(args.file)
     try:
         tri = triangle_from_json(data["triangle"])
-        from .complexes import cone
-
-        cn, _, _ = cone(tri.f)
-        witness = chain_map_from_json(data["witness"], cn, tri.z)
+        witness = chain_map_from_json(data["witness"], cone_complex(tri.f), tri.z)
     except Exception as e:
         raise UsageError(f"invalid triangle data: {e}") from e
     check = verify_distinguished_with_witness(tri, witness)

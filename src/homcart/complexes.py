@@ -24,8 +24,15 @@ rank_Y(i+n) x rank_X(i) matrix read row-major.
 `cone_map(cn, g, k)` is the map out of cn = cone(f) given by g and a
 null-homotopy k of g o f (the cone's universal property).  The cone's block
 layout, Y^i + X^(i+1) with differential [[d_Y, f], [0, -d_X]] (Weibel 1.5),
-is known to `cone`, `cone_map` and `cone_homotopy` only: `cone_homotopy` is
-the canonical null-homotopy [0; 1] of incl o f.
+is known to `cone_complex`, `cone`, `cone_map` and `cone_homotopy`, and to
+the pair that reads an equivalence off a contraction of its cone,
+`is_homotopy_equivalence` and `homotopy_inverse`: `cone_homotopy` is the
+canonical null-homotopy [0; 1] of incl o f.
+
+Contractions are built from sections, s with d s d = d (`Ring.section`):
+an exact complex is contracted by h(i+1) = s(i) (1 - s(i+1) d(i+1)), and
+the cone of a map f that is invertible in every degree by
+[[0, 0], [f_i^-1, 0]] in degree i.
 
 Homology, Hom groups and the classes of the squares search are all
 subquotients, computed by one routine: `Subquotient(ring, top, b)` is
@@ -161,21 +168,31 @@ class Ring:
         _, pivots = modp.rref(np.hstack([base, cols]), self.modulus)
         return [j - base.shape[1] for j in pivots if j >= base.shape[1]]
 
-    def diagonalize(self, d: IntMatrix):
-        """(u, v, vinv, r) as exact integer arrays with u d v = diag(1, ..., 1, 0, ...)
-        holding r ones, over Z or a small prime field; None over Z when an
-        invariant factor of d is not 1."""
+    def section(self, d: IntMatrix):
+        """(s, r) with d s d = d and r = rank d, s as a backend array, over Z
+        or a small prime field; None over Z when an invariant factor of d is
+        not 1.
+
+        Over F_p, s comes from one rref E [d | 1] = [R | E]: row k of s at
+        the k-th pivot column of R is row k of E, for k < r.  Over Z it is
+        V[:, :r] U[:r, :] from the Smith form U d V = diag(1, ..., 1, 0, ...),
+        so s d = V[:, :r] V^-1[:r, :].
+        """
         if self.modulus is not None and not self.is_small_prime_field:
-            raise ComplexError(f"no unit diagonal form over {self}")
-        if 0 in d.shape:
-            return np.eye(d.rows, dtype=object), np.eye(d.cols, dtype=object), np.eye(d.cols, dtype=object), 0
+            raise ComplexError(f"no section of a matrix over {self}")
+        rows, cols = d.shape
+        if rows == 0 or cols == 0:
+            return np.zeros((cols, rows), dtype=self.dtype), 0
         if self.is_small_prime_field:
-            u, v, vinv, r = modp.diagonalize(self.asarray(d), self.modulus)
-            return u.astype(object), v.astype(object), vinv.astype(object), r
-        s = smith_normal_form(d)
-        if any(x != 1 for x in s.diagonal()[: s.rank]):
+            r, pivots = modp.rref(np.hstack([self.asarray(d), np.eye(rows, dtype=np.int64)]), self.modulus)
+            rank = sum(1 for j in pivots if j < cols)
+            s = np.zeros((cols, rows), dtype=np.int64)
+            s[pivots[:rank]] = r[:rank, cols:]
+            return s, rank
+        snf = smith_normal_form(d)
+        if any(x != 1 for x in snf.diagonal()[: snf.rank]):
             return None
-        return s.u.array, s.v.array, s.vinv.array, s.rank
+        return snf.v.array[:, : snf.rank] @ snf.u.array[: snf.rank, :], snf.rank
 
     def canon(self, m: IntMatrix) -> IntMatrix:
         return m if self.modulus is None else m.reduce_mod(self.modulus)
@@ -507,13 +524,9 @@ def direct_sum(x: Complex, y: Complex) -> Complex:
     return Complex(x.ring, ranks, diffs)
 
 
-def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
-    """Mapping cone of f : X -> Y.
-
-    Degree i is Y^i + X^(i+1) with differential [[d_Y, f], [0, -d_X]];
-    returns (cone, inclusion of Y, projection to X[1]).  The composite
-    projection o inclusion is zero on the nose.
-    """
+def cone_complex(f: ChainMap) -> Complex:
+    """The mapping cone of f : X -> Y as a complex: degree i is
+    Y^i + X^(i+1) with differential [[d_Y, f], [0, -d_X]]."""
     x, y = f.source, f.target
     ranks = {}
     for i in set(y.degrees()) | {d - 1 for d in x.degrees()}:
@@ -530,7 +543,17 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
                 [IntMatrix.zeros(x.rank(i + 2), y.rank(i)), -x.differential(i + 1)],
             ]
         )
-    cn = Complex(x.ring, ranks, diffs)
+    return Complex(x.ring, ranks, diffs)
+
+
+def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
+    """Mapping cone of f : X -> Y.
+
+    Returns (`cone_complex(f)`, inclusion of Y, projection to X[1]).  The
+    composite projection o inclusion is zero on the nose.
+    """
+    x, y = f.source, f.target
+    cn = cone_complex(f)
     incl = ChainMap(
         y, cn,
         {
@@ -544,7 +567,7 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
         cn, shift(x),
         {
             i: IntMatrix.hstack([IntMatrix.zeros(x.rank(i + 1), y.rank(i)), IntMatrix.identity(x.rank(i + 1))])
-            for i in ranks
+            for i in cn.degrees()
             if x.rank(i + 1) > 0
         },
         check=False,
@@ -701,34 +724,31 @@ def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
 
 
 def _acyclic_split_contraction(c: Complex) -> Homotopy | None:
-    """Contraction of an exact complex by splitting each degree.
+    """Contraction of an exact complex from one section s(i) of each
+    differential (`Ring.section`): h(i+1) = s(i) (1 - s(i+1) d(i+1)).
 
-    Over Z exactness of a bounded complex of free modules forces every
-    differential to have unit invariant factors, so preimages can be chosen
-    integrally; over a prime field only ranks matter.
+    1 - s(i+1) d(i+1) maps into ker d(i+1) = im d(i), where d(i) s(i) is the
+    identity, so d h + h d = 1.  Over Z exactness of a bounded complex of
+    free modules forces every differential to have unit invariant factors,
+    so sections exist integrally; over a prime field only ranks matter.
     """
     degs = c.degrees()
     if not degs:
         return Homotopy(identity_map(c), zero_map(c, c), {}, check=False)
-    info = {}
-    lo, hi = degs[0], degs[-1]
-    for i in range(lo, hi + 1):
-        info[i] = c.ring.diagonalize(c.differential(i))
-        if info[i] is None:
+    ring = c.ring
+    sections, ranks = {}, {}
+    for i in range(degs[0], degs[-1] + 1):
+        got = ring.section(c.differential(i))
+        # exactness: rank d(i-1) + rank d(i) = rank(i)
+        if got is None or ranks.get(i - 1, 0) + got[1] != c.rank(i):
             return None
-    # exactness: rank d(i-1) + rank d(i) = rank(i)
-    for i in range(lo, hi + 1):
-        prev_r = info[i - 1][3] if i - 1 in info else 0
-        if prev_r + info[i][3] != c.rank(i):
-            return None
+        sections[i], ranks[i] = got
     comps = {}
-    for i in range(lo + 1, hi + 1):
+    for i in range(degs[0] + 1, degs[-1] + 1):
         if c.rank(i) == 0 or c.rank(i - 1) == 0:
             continue
-        u_prev, v_prev, _, r_prev = info[i - 1]
-        _, v_cur, vinv_cur, r_cur = info[i]
-        kerproj = v_cur[:, r_cur:] @ vinv_cur[r_cur:, :]
-        comps[i] = IntMatrix(v_prev[:, :r_prev] @ (u_prev @ kerproj)[:r_prev, :])
+        kerproj = ring.asarray(np.eye(c.rank(i), dtype=ring.dtype) - sections[i] @ ring.asarray(c.differential(i)))
+        comps[i] = IntMatrix(sections[i - 1] @ kerproj)
     return Homotopy(identity_map(c), zero_map(c, c), comps)
 
 
@@ -739,10 +759,43 @@ def is_contractible(c: Complex) -> Homotopy | None:
     return homotopic(identity_map(c), zero_map(c, c))
 
 
+def _inverse_components(f: ChainMap) -> dict[int, IntMatrix] | None:
+    """The inverses of the components of f, over Z or a small prime field,
+    when every component is square and invertible; None otherwise."""
+    x, y, ring = f.source, f.target, f.source.ring
+    if not (ring.is_integers or ring.is_small_prime_field):
+        return None
+    if x.degrees() != y.degrees() or any(x.rank(i) != y.rank(i) for i in x.degrees()):
+        return None
+    inverses = {}
+    for i in x.degrees():
+        got = ring.section(f.component(i))
+        if got is None or got[1] != x.rank(i):
+            return None
+        inverses[i] = IntMatrix(got[0])
+    return inverses
+
+
 def is_homotopy_equivalence(f: ChainMap) -> Homotopy | None:
-    """Witness that f is a homotopy equivalence: a contraction of cone(f)."""
-    cn, _, _ = cone(f)
-    return is_contractible(cn)
+    """Witness that f is a homotopy equivalence: a contraction of cone(f).
+
+    When every component f_i is invertible the contraction is, in degree i,
+    [[0, 0], [f_i^-1, 0]] : Y^i + X^(i+1) -> Y^(i-1) + X^i; it holds because
+    d_Y f_i = f_(i+1) d_X gives f_(i+1)^-1 d_Y = d_X f_i^-1.  Otherwise the
+    cone is contracted by `is_contractible`.  Either way the contraction is
+    checked on construction.
+    """
+    cn = cone_complex(f)
+    inverses = _inverse_components(f)
+    if inverses is None:
+        return is_contractible(cn)
+    comps = {}
+    for i, inv in inverses.items():
+        if cn.rank(i - 1):
+            h = np.zeros((cn.rank(i - 1), cn.rank(i)), dtype=object)
+            h[f.target.rank(i - 1) :, : inv.cols] = inv.array
+            comps[i] = IntMatrix(h)
+    return Homotopy(identity_map(cn), zero_map(cn, cn), comps)
 
 
 def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:

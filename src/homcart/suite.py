@@ -33,6 +33,7 @@ from .complexes import (
     ComplexError,
     Homotopy,
     Zmod,
+    cone_complex,
     cone_homotopy,
     cone_map,
     homotopic,
@@ -110,10 +111,7 @@ def lemma2(k: int, a: int, b: int = 0) -> Lemma2Instance:
     data = substitute(raw["triangle"], a=a, b=b)
     tri = triangle_from_json(data)
     wdata = substitute(raw["witness"], a=a, b=b)
-    from .complexes import cone
-
-    cn, _, _ = cone(tri.f)
-    witness = chain_map_from_json(wdata, cn, tri.z)
+    witness = chain_map_from_json(wdata, cone_complex(tri.f), tri.z)
     return Lemma2Instance(index=k, a=a, b=b, triangle=tri, witness=witness)
 
 

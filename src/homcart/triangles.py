@@ -21,6 +21,7 @@ from .complexes import (
     ComplexError,
     Homotopy,
     cone,
+    cone_complex,
     cone_map,
     homotopic,
     identity_map,
@@ -144,7 +145,7 @@ def rotation_witness(t: Triangle) -> ChainMap:
     theta = homotopic(t.h.compose(t.g), zero_map(t.y, t.h.target))
     if theta is None:
         raise ComplexError("h o g is not null-homotopic; triangle cannot rotate with a witness")
-    return cone_map(cone(t.g)[0], t.h, theta)
+    return cone_map(cone_complex(t.g), t.h, theta)
 
 
 class TriangleMorphism:

@@ -14,6 +14,7 @@ from homcart.complexes import (
     ZZ,
     Zmod,
     cone,
+    cone_complex,
     cone_homotopy,
     cone_map,
     copair,
@@ -22,6 +23,7 @@ from homcart.complexes import (
     hom_group,
     homology,
     homotopic,
+    homotopy_inverse,
     identity_map,
     is_contractible,
     is_homotopy_equivalence,
@@ -33,6 +35,7 @@ from homcart.complexes import (
     zero_map,
 )
 from homcart.intmat import FGAbelianGroup, IntMatrix
+from homcart.suite import fuzz_prop2, lemma2, prop2_replay
 
 from helpers import cmap, cpx, one_term, two_term
 from oracles import (
@@ -511,20 +514,161 @@ def test_copair_after_pair_is_the_sum_of_composites():
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(3)], ids=["Z", "F3"])
-def test_diagonalize_answers_empty_shapes_without_a_kernel(ring, monkeypatch):
+def test_section_answers_empty_shapes_without_a_kernel(ring, monkeypatch):
     def refuse(*args):
         raise AssertionError("Smith form or rref taken of an empty shape")
 
     monkeypatch.setattr("homcart.complexes.smith_normal_form", refuse)
-    monkeypatch.setattr(modp, "diagonalize", refuse)
+    monkeypatch.setattr(modp, "rref", refuse)
     for rows, cols in ((0, 3), (2, 0)):
-        u, v, vinv, r = ring.diagonalize(IntMatrix.zeros(rows, cols))
+        s, r = ring.section(IntMatrix.zeros(rows, cols))
         assert r == 0
-        assert np.array_equal(u, np.eye(rows, dtype=object))
-        assert np.array_equal(v, np.eye(cols, dtype=object))
-        assert np.array_equal(vinv, np.eye(cols, dtype=object))
+        assert s.shape == (cols, rows)
     with pytest.raises(ComplexError):
-        Zmod(4).diagonalize(IntMatrix.zeros(0, 3))
+        Zmod(4).section(IntMatrix.zeros(0, 3))
+
+
+def _unimodular(n, rng):
+    """A random n x n integer matrix of determinant 1: a product of
+    elementary row operations."""
+    u = np.eye(n, dtype=object)
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        u[i] = u[i] + rng.randint(-2, 2) * u[j]
+    return u
+
+
+def _random_matrices(ring, rng, count=60):
+    """Random matrices over the ring, with some rank deficient; over Z half
+    are u diag(1, ..., 1, 0, ...) v with u and v unimodular, which have a
+    section."""
+    out = []
+    for k in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        if ring.is_integers and k % 2:
+            r = rng.randint(0, min(rows, cols))
+            d = np.zeros((rows, cols), dtype=object)
+            d[range(r), range(r)] = 1
+            a = _unimodular(rows, rng) @ d @ _unimodular(cols, rng)
+        else:
+            lo, hi = (-3, 3) if ring.is_integers else (0, ring.modulus - 1)
+            a = np.array([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], dtype=object)
+            if k % 3 == 0 and rows > 1:
+                a[-1] = a[0] * 2  # a repeated direction: rank below min(rows, cols)
+        out.append(IntMatrix(a))
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, SMALL_PRIME, None], ids=["F2", "F3", "F1048573", "Z"])
+def test_section_splits_random_matrices(m):
+    from sympy import GF, Matrix
+    from sympy import ZZ as SYMPY_ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = ZZ if m is None else Zmod(m)
+    rng = random.Random(67)
+    split = 0
+    for d in _random_matrices(ring, rng):
+        got = ring.section(d)
+        if ring.is_integers:
+            diag = sympy_snf(Matrix(d.tolist()), domain=SYMPY_ZZ)
+            invariants = [abs(diag[i, i]) for i in range(min(d.shape)) if diag[i, i] != 0]
+            if any(x != 1 for x in invariants):
+                assert got is None
+                continue
+            rank = len(invariants)
+        else:
+            rank = DomainMatrix.from_Matrix(Matrix(d.tolist())).convert_to(GF(m)).rank()
+        assert got is not None
+        s, r = got
+        assert r == rank and s.shape == (d.cols, d.rows)
+        assert ring.matrices_equal(d @ IntMatrix(s) @ d, d)
+        split += 1
+    assert split >= 30
+    if ring.is_integers:
+        assert ring.section(IntMatrix([[2]])) is None
+
+
+def _degreewise_invertible_maps():
+    """Identity maps over Z, F_2 and F_3, the replayed units 1 + e + a e^2
+    over F_2 and F_3, and the lemma2 witnesses over Z that are invertible in
+    every degree."""
+    maps = []
+    for ring in (ZZ, Zmod(2), Zmod(3)):
+        maps += [identity_map(c) for c in _corpus_complexes(ring)]
+    for p in (2, 3):
+        maps += [prop2_replay(t.morphism).automorphism for t in fuzz_prop2(p, trials=6, seed=5)]
+    maps += [lemma2(k, a, b).witness for k in (1, 3) for a, b in ((3, -3), (0, 1), (-2, 4))]
+    maps.append(lemma2(4, 0, 1).witness)
+    return maps
+
+
+def test_degreewise_invertible_maps_take_the_closed_form_contraction(monkeypatch):
+    maps = _degreewise_invertible_maps()
+
+    def refuse(c):
+        raise AssertionError("a degreewise invertible map reached is_contractible")
+
+    monkeypatch.setattr("homcart.complexes.is_contractible", refuse)
+    for f in maps:
+        h = is_homotopy_equivalence(f)
+        cn = cone_complex(f)
+        assert h.lhs == identity_map(cn) and h.rhs == zero_map(cn, cn)
+        Homotopy(h.lhs, h.rhs, h.components(), check=True)
+        g = homotopy_inverse(f, h)
+        assert g.compose(f) == identity_map(f.source)
+        assert f.compose(g) == identity_map(f.target)
+
+
+def test_equal_rank_maps_that_are_not_invertible_take_the_general_path(monkeypatch):
+    import homcart.complexes as complexes
+
+    calls = []
+    real = complexes.is_contractible
+
+    def counting(c):
+        calls.append(c)
+        return real(c)
+
+    monkeypatch.setattr(complexes, "is_contractible", counting)
+    z = one_term()
+    assert is_homotopy_equivalence(cmap(z, z, {0: [[2]]})) is None
+    f3 = Zmod(3)
+    contractible = two_term(1, ring=f3)
+    assert is_homotopy_equivalence(zero_map(contractible, contractible)) is not None
+    plane = cpx({0: 2}, ring=f3)
+    assert is_homotopy_equivalence(cmap(plane, plane, {0: [[1, 2], [2, 1]]})) is None
+    # equal ranks, a 3 and a -3 on the diagonal, and still an equivalence
+    assert is_homotopy_equivalence(lemma2(4, 3, -3).witness) is not None
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("p", [2, 3], ids=["F2", "F3"])
+def test_contractibility_agrees_with_the_generic_solve_on_fuzz_cones(p):
+    rng = random.Random(71 + p)
+    ring = Zmod(p)
+    seen = set()
+    for k in range(200):
+        x = random_complex(ring, rng, 3, 3)
+        y = x if k % 2 else random_complex(ring, rng, 3, 3)
+        cn = cone_complex(random_chain_map(x, y, rng))
+        got = is_contractible(cn) is not None
+        assert got == (homotopic(identity_map(cn), zero_map(cn, cn)) is not None)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_contractibility_agrees_with_the_generic_solve_on_the_triangle_corpus():
+    maps = corpus(random.Random(73))
+    maps += [identity_map(f.source) for f in maps]
+    seen = set()
+    for f in maps:
+        cn = cone_complex(f)
+        got = is_contractible(cn) is not None
+        assert got == (homotopic(identity_map(cn), zero_map(cn, cn)) is not None)
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_cone_homotopy_is_the_null_homotopy_zero_one_over_z_z9_f3():
