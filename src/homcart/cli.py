@@ -163,22 +163,11 @@ def cmd_triangle_verify(args) -> int:
     return EXIT_YES if check.ok else EXIT_NO
 
 
-def _parse_matrix_entries(raw, size: int, rational: bool):
-    data = json.loads(raw)
-    if not isinstance(data, list) or len(data) != size:
-        raise UsageError(f"expected a {size}x{size} matrix")
-    if rational:
-        return [[Fraction(str(v)) for v in row] for row in data]
-    return [[int(str(v), 10) for v in row] for row in data]
-
-
 def cmd_unit_lemma(args) -> int:
     desc = args.ring.lower()
     variant = args.variant
 
     def matrix_json(m):
-        if isinstance(m, FpMatrix):
-            return [[str(int(v)) for v in row] for row in m.a.tolist()]
         return [[str(v) for v in row] for row in m.a.tolist()]
 
     if desc == "z":
@@ -216,46 +205,28 @@ def cmd_unit_lemma(args) -> int:
         )
         _emit(args, payload, text)
         return EXIT_YES
-    if desc.startswith("matf:"):
+    if desc.startswith(("matf:", "matq:")):
+        rational = desc.startswith("matq:")
         try:
-            _, p, k = desc.split(":")
-            p, k = int(p), int(k)
-            entries = _parse_matrix_entries(args.eps, k, rational=False)
-            eps = FpMatrix(p, entries)
-        except (ValueError, UsageError) as e:
+            params = [int(v) for v in desc.split(":")[1:]]
+            if len(params) != (1 if rational else 2):
+                raise ValueError("expected matq:k" if rational else "expected matf:p:k")
+            rows = json.loads(args.eps)
+            if not isinstance(rows, list) or len(rows) != params[-1]:
+                raise ValueError(f"expected a {params[-1]}x{params[-1]} matrix")
+            if rational:
+                eps = QMatrix([[Fraction(str(v)) for v in row] for row in rows])
+            else:
+                eps = FpMatrix(params[0], [[int(str(v), 10) for v in row] for row in rows])
+        except (ValueError, TypeError) as e:
             raise UsageError(f"bad matrix element: {e}") from e
         cert = find_alpha(eps) if variant == "alpha" else find_beta(eps)
-        payload = {
-            "coefficient": matrix_json(cert.coefficient),
-            "unit": matrix_json(cert.unit),
-            "inverse": matrix_json(cert.inverse),
-            "nilpotency_exponent": cert.nilpotency_exponent,
-        }
-        text = (
-            f"{variant} = {cert.coefficient.a.tolist()}\n"
-            f"unit = {cert.unit.a.tolist()}\ninverse = {cert.inverse.a.tolist()}"
-        )
-        _emit(args, payload, text)
-        return EXIT_YES
-    if desc.startswith("matq:"):
-        try:
-            _, k = desc.split(":")
-            k = int(k)
-            entries = _parse_matrix_entries(args.eps, k, rational=True)
-            eps = QMatrix(entries)
-        except (ValueError, UsageError) as e:
-            raise UsageError(f"bad matrix element: {e}") from e
-        cert = find_alpha(eps) if variant == "alpha" else find_beta(eps)
-        payload = {
-            "coefficient": matrix_json(cert.coefficient),
-            "unit": matrix_json(cert.unit),
-            "inverse": matrix_json(cert.inverse),
-            "nilpotency_exponent": cert.nilpotency_exponent,
-        }
-        text = (
-            f"{variant} = {matrix_json(cert.coefficient)}\n"
-            f"unit = {matrix_json(cert.unit)}\ninverse = {matrix_json(cert.inverse)}"
-        )
+        mats = {"coefficient": cert.coefficient, "unit": cert.unit, "inverse": cert.inverse}
+        payload = {name: matrix_json(m) for name, m in mats.items()}
+        payload["nilpotency_exponent"] = cert.nilpotency_exponent
+        # matq prints the quoted entries of the payload, matf plain integers
+        render = matrix_json if rational else (lambda m: m.a.tolist())
+        text = "\n".join(f"{variant if name == 'coefficient' else name} = {render(m)}" for name, m in mats.items())
         _emit(args, payload, text)
         return EXIT_YES
     raise UsageError(f"unrecognized ring descriptor {args.ring!r}")

@@ -47,6 +47,7 @@ ring (Z, Z/m, larger primes) by the exact Smith kernel of `intmat`.
 converts between the two.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +58,7 @@ from .intmat import (
     DimensionMismatch,
     FGAbelianGroup,
     IntMatrix,
+    det,
     smith_normal_form,
     smith_solve,
     solve_linear,
@@ -69,21 +71,6 @@ class ComplexError(ValueError):
     def __init__(self, message: str, degree: int | None = None):
         super().__init__(message)
         self.degree = degree
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -106,12 +93,12 @@ class Ring:
 
     @property
     def is_prime_field(self) -> bool:
-        return self.modulus is not None and _is_prime(self.modulus)
+        return self.modulus is not None and modp.is_prime(self.modulus)
 
     @property
     def is_small_prime_field(self) -> bool:
         """F_p with p <= 2^20, the rings solved in int64 by `modp`."""
-        return self.modulus is not None and self.modulus <= modp.P_MAX and _is_prime(self.modulus)
+        return self.modulus is not None and self.modulus <= modp.P_MAX and modp.is_prime(self.modulus)
 
     @property
     def dtype(self):
@@ -129,18 +116,13 @@ class Ring:
     def solve(self, a: np.ndarray, b: np.ndarray):
         """(x, kernel) with a @ x = b and columns of kernel spanning ker a,
         or None when there is no solution."""
+        if self.is_small_prime_field:
+            return modp.solve(a, b, self.modulus)
         n = a.shape[1]
         if n == 0:
             if np.count_nonzero(b):
                 return None
-            return np.zeros(0, dtype=self.dtype), np.zeros((0, 0), dtype=self.dtype)
-        if self.is_small_prime_field:
-            r, pivots = modp.rref(np.hstack([a, b.reshape(-1, 1)]), self.modulus)
-            if pivots and pivots[-1] >= n:
-                return None
-            x = np.zeros(n, dtype=np.int64)
-            x[pivots] = r[: len(pivots), n]
-            return x, modp.kernel_from_rref(r, pivots, n, self.modulus)
+            return np.zeros(0, dtype=object), np.zeros((0, 0), dtype=object)
         got = solve_linear(IntMatrix(a), list(b), modulus=self.modulus)
         if got is None:
             return None
@@ -761,19 +743,17 @@ def is_contractible(c: Complex) -> Homotopy | None:
 
 def _inverse_components(f: ChainMap) -> dict[int, IntMatrix] | None:
     """The inverses of the components of f, over Z or a small prime field,
-    when every component is square and invertible; None otherwise."""
+    when every component is square and invertible; None otherwise.  No
+    section is taken unless every determinant is a unit: gcd 1 with the
+    modulus, or with 0 over Z."""
     x, y, ring = f.source, f.target, f.source.ring
     if not (ring.is_integers or ring.is_small_prime_field):
         return None
     if x.degrees() != y.degrees() or any(x.rank(i) != y.rank(i) for i in x.degrees()):
         return None
-    inverses = {}
-    for i in x.degrees():
-        got = ring.section(f.component(i))
-        if got is None or got[1] != x.rank(i):
-            return None
-        inverses[i] = IntMatrix(got[0])
-    return inverses
+    if any(math.gcd(det(f.component(i)), ring.modulus or 0) != 1 for i in x.degrees()):
+        return None
+    return {i: IntMatrix(ring.section(f.component(i))[0]) for i in x.degrees()}
 
 
 def is_homotopy_equivalence(f: ChainMap) -> Homotopy | None:

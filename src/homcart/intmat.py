@@ -9,7 +9,7 @@ Provided here:
 
 * `IntMatrix` -- immutable exact matrix with the usual block/arithmetic ops,
 * `smith_normal_form` -- U A V = D with unimodular U, V and divisibility
-  chain d_1 | d_2 | ..., plus the inverse transforms,
+  chain d_1 | d_2 | ..., plus the inverse of U,
 * `solve_linear` -- particular solution and kernel basis over Z, or over Z/m
   by augmenting the column space with m times the identity,
 * `smith_solve` -- the back-substitution through a Smith form that both
@@ -181,45 +181,48 @@ class IntMatrix:
 
 
 def det(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by fraction-free (Bareiss) elimination on lists.
+
+    A row whose update is the identity (zero below the pivot, pivot equal to
+    the previous one) is left alone, so near-identity input costs about n^2.
+    """
     n = a.rows
     if n != a.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
     if n == 0:
         return 1
-    m = a.array.astype(object, copy=True)
+    m = a.array.tolist()
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k, k] == 0:
-            for i in range(k + 1, n):
-                if m[i, k] != 0:
-                    m[[k, i]] = m[[i, k]]
-                    sign = -sign
-                    break
-            else:
+        if m[k][k] == 0:
+            i = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if i is None:
                 return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i, j] = (m[i, j] * m[k, k] - m[i, k] * m[k, j]) // prev
-            m[i, k] = 0
-        prev = m[k, k]
-    return sign * m[n - 1, n - 1]
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            f = row[k]
+            if f or pivot != prev:
+                for j in range(k + 1, n):
+                    row[j] = (row[j] * pivot - f * top[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U @ A @ V = D with U, V unimodular and D diagonal, d_1 | d_2 | ...
 
-    `uinv` and `vinv` are the exact inverses of U and V, accumulated during
-    the reduction so no separate matrix inversion is ever needed.
+    `uinv` is the exact inverse of U, accumulated during the reduction so no
+    separate matrix inversion is ever needed.
     """
 
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
     uinv: IntMatrix
-    vinv: IntMatrix
 
     def diagonal(self) -> list[int]:
         return [self.d.entry(i, i) for i in range(min(self.d.rows, self.d.cols))]
@@ -263,7 +266,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     u = IntMatrix.identity(nr).array.astype(object, copy=True)
     uinv = u.copy()
     v = IntMatrix.identity(nc).array.astype(object, copy=True)
-    vinv = v.copy()
 
     def row_op(i, k, q):  # row_i -= q * row_k
         d[i, :] -= q * d[k, :]
@@ -273,7 +275,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     def col_op(j, k, q):  # col_j -= q * col_k
         d[:, j] -= q * d[:, k]
         v[:, j] -= q * v[:, k]
-        vinv[k, :] += q * vinv[j, :]
 
     def row_swap(i, k):
         if i != k:
@@ -285,7 +286,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if j != k:
             d[:, [j, k]] = d[:, [k, j]]
             v[:, [j, k]] = v[:, [k, j]]
-            vinv[[j, k], :] = vinv[[k, j], :]
 
     def row_negate(i):
         d[i, :] = -d[i, :]
@@ -348,7 +348,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         d=IntMatrix._wrap(d),
         v=IntMatrix._wrap(v),
         uinv=IntMatrix._wrap(uinv),
-        vinv=IntMatrix._wrap(vinv),
     )
 
 

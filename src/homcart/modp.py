@@ -1,10 +1,13 @@
-"""Dense linear algebra over prime fields on int64 arrays.
+"""Dense linear algebra over prime fields on int64 arrays, and the one
+primality test.
 
 Exact throughout: entries live in [0, p) and p is capped at P_MAX, well
 below the int64 overflow threshold.  `complexes.Ring` sends prime fields up
 to P_MAX here; composite moduli and larger primes go through the integer
 Smith kernel instead.
 """
+
+import math
 
 import numpy as np
 
@@ -16,13 +19,11 @@ def _check_prime_size(p: int):
         raise ValueError(f"prime modulus out of supported range: {p}")
 
 
-def as_modp(a, p: int) -> np.ndarray:
-    arr = np.asarray(a)
-    if arr.dtype == object:
-        arr = np.vectorize(lambda v: int(v) % p, otypes=[np.int64])(arr) if arr.size else arr.astype(np.int64)
-    else:
-        arr = arr.astype(np.int64)
-    return arr % p
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division by 2 and the odd numbers."""
+    if n < 4:
+        return n >= 2
+    return n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
 
 
 def inv_mod(a: int, p: int) -> int:
@@ -79,22 +80,26 @@ def kernel_from_rref(r: np.ndarray, pivots: list[int], ncols: int, p: int) -> np
     return basis
 
 
-def solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One particular solution of A x = b mod p, or None."""
+def solve(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(x, kernel) with a @ x = b mod p and the columns of kernel a basis of
+    ker a, from one rref of [a | b]; None when there is no solution.
+
+    a and b are int64 arrays, b of shape (rows of a,); their entries are
+    read mod p.
+    """
     nrows, ncols = a.shape
-    b = as_modp(b, p).reshape(-1)
-    if b.shape[0] != nrows:
+    if b.shape != (nrows,):
         raise ValueError("rhs length mismatch")
     if ncols == 0:
-        return np.zeros(0, dtype=np.int64) if not b.any() else None
-    aug = np.hstack([a % p, b.reshape(-1, 1)])
-    r, pivots = rref(aug, p)
-    if ncols in pivots:
+        if (b % p).any():
+            return None
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
+    r, pivots = rref(np.hstack([a, b.reshape(-1, 1)]), p)
+    if pivots and pivots[-1] >= ncols:
         return None
     x = np.zeros(ncols, dtype=np.int64)
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = r[row_idx, ncols]
-    return x
+    x[pivots] = r[: len(pivots), ncols]
+    return x, kernel_from_rref(r, pivots, ncols, p)
 
 
 def diagonalize(a: np.ndarray, p: int):

@@ -14,6 +14,10 @@ For an element e of a representable ring this module finds a such that
 The right-handed variant 1 + e + e^2 b is obtained by running the same
 construction in the opposite representation (transpose for matrices,
 reversed structure constants).  Nothing here assumes a e = e a.
+
+`FpMatrix` (int64 entries in [0, p)) and `QMatrix` (`Fraction` entries)
+take every field-independent method from `FieldMatrix`, on which the
+searches dispatch; dependence over F_p is solved by `modp.solve`.
 """
 
 from dataclasses import dataclass, replace
@@ -32,24 +36,20 @@ class UnsupportedRepresentation(TypeError):
 # element representations
 
 
-class FpMatrix:
-    """Square matrix over F_p, p a prime up to `modp.P_MAX`."""
+class FieldMatrix:
+    """Square matrix over a field, with the methods that do not depend on it.
+
+    `a` holds the entries and `p` the prime of F_p, None over Q.  A subclass
+    supplies its constructor, `_reduce` (entries into canonical form),
+    `_scalar` (a scalar into the field), `one` and `repr`.
+    """
 
     __slots__ = ("p", "a")
 
-    def __init__(self, p: int, entries):
-        arr = np.asarray(entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError("expected a square matrix")
-        self.p = int(p)
-        if self.p > modp.P_MAX or _prime_factors(self.p) != [self.p]:
-            raise ValueError(f"matrices over F_p need a prime p <= {modp.P_MAX}, got {self.p}")
-        self.a = modp.as_modp(arr.astype(object), self.p)
-
     def _wrap(self, arr):
-        out = object.__new__(FpMatrix)
+        out = object.__new__(type(self))
         out.p = self.p
-        out.a = arr % self.p
+        out.a = self._reduce(arr)
         return out
 
     @property
@@ -63,70 +63,7 @@ class FpMatrix:
         return self._wrap(self.a + other.a)
 
     def scale(self, c):
-        return self._wrap(self.a * (int(c) % self.p))
-
-    def one(self):
-        return self._wrap(np.eye(self.n, dtype=np.int64))
-
-    def zero(self):
-        return self._wrap(np.zeros((self.n, self.n), dtype=np.int64))
-
-    def transpose(self):
-        return self._wrap(self.a.T.copy())
-
-    def is_zero(self):
-        return not self.a.any()
-
-    def __eq__(self, other):
-        return isinstance(other, FpMatrix) and self.p == other.p and np.array_equal(self.a, other.a)
-
-    def vec(self):
-        return tuple(int(v) for v in self.a.reshape(-1))
-
-    def __repr__(self):
-        return f"FpMatrix(p={self.p}, {self.a.tolist()})"
-
-
-class QMatrix:
-    """Square matrix over the rationals, exact arithmetic via Fraction."""
-
-    __slots__ = ("a",)
-
-    def __init__(self, entries):
-        rows = [list(r) for r in entries]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("expected a square matrix")
-        arr = np.empty((n, n), dtype=object)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                arr[i, j] = Fraction(v)
-        self.a = arr
-
-    def _wrap(self, arr):
-        out = object.__new__(QMatrix)
-        out.a = arr
-        return out
-
-    @property
-    def n(self):
-        return self.a.shape[0]
-
-    def mul(self, other):
-        return self._wrap(self.a @ other.a)
-
-    def add(self, other):
-        return self._wrap(self.a + other.a)
-
-    def scale(self, c):
-        return self._wrap(self.a * Fraction(c))
-
-    def one(self):
-        arr = np.empty((self.n, self.n), dtype=object)
-        for i in range(self.n):
-            for j in range(self.n):
-                arr[i, j] = Fraction(1 if i == j else 0)
-        return self._wrap(arr)
+        return self._wrap(self.a * self._scalar(c))
 
     def zero(self):
         return self._wrap(self.a * 0)
@@ -135,13 +72,64 @@ class QMatrix:
         return self._wrap(self.a.T.copy())
 
     def is_zero(self):
-        return all(v == 0 for v in self.a.reshape(-1))
+        return not self.a.any()
 
     def __eq__(self, other):
-        return isinstance(other, QMatrix) and self.a.shape == other.a.shape and bool((self.a == other.a).all())
+        return type(other) is type(self) and self.p == other.p and np.array_equal(self.a, other.a)
 
     def vec(self):
-        return tuple(self.a.reshape(-1))
+        return tuple(self.a.reshape(-1).tolist())
+
+
+class FpMatrix(FieldMatrix):
+    """Square matrix over F_p, p a prime up to `modp.P_MAX`, with int64
+    entries in [0, p)."""
+
+    __slots__ = ()
+
+    def __init__(self, p: int, entries):
+        arr = np.asarray(entries)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError("expected a square matrix")
+        self.p = int(p)
+        if self.p > modp.P_MAX or not modp.is_prime(self.p):
+            raise ValueError(f"matrices over F_p need a prime p <= {modp.P_MAX}, got {self.p}")
+        self.a = np.vectorize(lambda v: int(v) % self.p, otypes=[np.int64])(arr)
+
+    def _reduce(self, arr):
+        return arr % self.p
+
+    def _scalar(self, c):
+        return int(c) % self.p
+
+    def one(self):
+        return self._wrap(np.eye(self.n, dtype=np.int64))
+
+    def __repr__(self):
+        return f"FpMatrix(p={self.p}, {self.a.tolist()})"
+
+
+class QMatrix(FieldMatrix):
+    """Square matrix over the rationals, with `Fraction` entries."""
+
+    __slots__ = ()
+
+    def __init__(self, entries):
+        rows = [[Fraction(v) for v in r] for r in entries]
+        if any(len(r) != len(rows) for r in rows):
+            raise ValueError("expected a square matrix")
+        self.p = None
+        self.a = np.empty((len(rows), len(rows)), dtype=object)
+        self.a[:] = rows
+
+    def _reduce(self, arr):
+        return arr
+
+    def _scalar(self, c):
+        return Fraction(c)
+
+    def one(self):
+        return self._wrap(np.eye(self.n, dtype=object) * Fraction(1))
 
     def __repr__(self):
         return f"QMatrix({[[str(v) for v in row] for row in self.a.tolist()]})"
@@ -253,12 +241,9 @@ def _solve_dependence(columns, target, p: int | None):
     if ncols == 0:
         return [] if all(v == 0 for v in target) else None
     if p is not None:
-        a = np.zeros((dim, ncols + 1), dtype=np.int64)
-        for j, col in enumerate(columns):
-            a[:, j] = [int(v) % p for v in col]
-        a[:, ncols] = [int(v) % p for v in target]
-        x = modp.solve(a[:, :ncols], a[:, ncols], p)
-        return None if x is None else [int(v) for v in x]
+        # vec() over F_p is canonical, so it fits int64
+        got = modp.solve(np.array(columns, dtype=np.int64).T, np.array(target, dtype=np.int64), p)
+        return None if got is None else [int(v) for v in got[0]]
     rows = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(dim)]
     piv_cols = []
     r = 0
@@ -320,10 +305,8 @@ def _power(e, k: int):
 
 
 def _field_of(e) -> int | None:
-    if isinstance(e, FpMatrix):
+    if isinstance(e, FieldMatrix):
         return e.p
-    if isinstance(e, QMatrix):
-        return None
     if isinstance(e, AlgebraElement):
         return e.algebra.p
     raise UnsupportedRepresentation(f"no base field for {type(e).__name__}")
@@ -477,7 +460,7 @@ def find_alpha(e) -> UnitCertificate:
     mod m.  Plain integers are refused: use `find_alpha_over_Z`, which can
     and does answer "no such a".
     """
-    if isinstance(e, (FpMatrix, QMatrix, AlgebraElement)):
+    if isinstance(e, (FieldMatrix, AlgebraElement)):
         return _certificate_from_relation(e)
     if isinstance(e, ResidueElement):
         return _residue_alpha(e)
@@ -491,7 +474,7 @@ def find_alpha(e) -> UnitCertificate:
 def _opposite(e):
     """(e in the opposite ring, the map from the opposite ring back):
     the transpose for matrices, the opposite algebra for algebra elements."""
-    if isinstance(e, (FpMatrix, QMatrix)):
+    if isinstance(e, FieldMatrix):
         return e.transpose(), lambda x: x.transpose()
     return e.algebra.opposite().element(e.coords), lambda x: e.algebra.element(x.coords)
 
@@ -502,7 +485,7 @@ def find_beta(e) -> UnitCertificate:
     Residues commute, so there b is the `find_alpha` coefficient; every
     other representation is refused as `find_alpha` refuses it.
     """
-    if not isinstance(e, (FpMatrix, QMatrix, AlgebraElement)):
+    if not isinstance(e, (FieldMatrix, AlgebraElement)):
         return replace(find_alpha(e), variant="right")
     e_op, back = _opposite(e)
     cert = _certificate_from_relation(e_op)

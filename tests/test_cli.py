@@ -135,6 +135,63 @@ def test_unit_lemma_matrix_f2(capsys):
     assert data["coefficient"] == [["0", "0"], ["0", "0"]]
 
 
+_UNIT_LEMMA_PINS = [
+    (
+        "matf:5:3",
+        "[[2, 3, 0], [0, 1, 1], [0, 4, 4]]",
+        "{variant} = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]\n"
+        "unit = [[1, 1, 1], [0, 2, 1], [0, 4, 0]]\n"
+        "inverse = [[1, 4, 4], [0, 0, 4], [0, 1, 2]]\n",
+        {
+            "coefficient": [["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]],
+            "inverse": [["1", "4", "4"], ["0", "0", "4"], ["0", "1", "2"]],
+            "nilpotency_exponent": 2,
+            "unit": [["1", "1", "1"], ["0", "2", "1"], ["0", "4", "0"]],
+        },
+    ),
+    (
+        "matq:3",
+        '[["1/2", 1, 0], [0, 0, 1], [0, 0, 0]]',
+        "{variant} = [['-2', '0', '0'], ['0', '-2', '0'], ['0', '0', '-2']]\n"
+        "unit = [['1', '0', '-2'], ['0', '1', '1'], ['0', '0', '1']]\n"
+        "inverse = [['1', '0', '2'], ['0', '1', '-1'], ['0', '0', '1']]\n",
+        {
+            "coefficient": [["-2", "0", "0"], ["0", "-2", "0"], ["0", "0", "-2"]],
+            "inverse": [["1", "0", "2"], ["0", "1", "-1"], ["0", "0", "1"]],
+            "nilpotency_exponent": 2,
+            "unit": [["1", "0", "-2"], ["0", "1", "1"], ["0", "0", "1"]],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("variant", ["alpha", "beta"])
+@pytest.mark.parametrize("ring, eps, text, payload", _UNIT_LEMMA_PINS, ids=["matf", "matq"])
+def test_unit_lemma_matrix_stdout_is_pinned(capsys, ring, eps, text, payload, variant, fmt):
+    code, out, _ = run(capsys, "unit-lemma", "--ring", ring, "--eps", eps, "--variant", variant, "--format", fmt)
+    expected = text.format(variant=variant) if fmt == "text" else json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert code == 0
+    assert out == expected
+
+
+@pytest.mark.parametrize("ring", ["matf:2", "matf:2:2:2", "matf:x:2", "matq", "matq:2:2"])
+def test_unit_lemma_rejects_malformed_matrix_descriptors(capsys, ring):
+    code, out, err = run(capsys, "unit-lemma", "--ring", ring, "--eps", "[[1, 0], [0, 1]]")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("ring", ["matf:2:2", "matq:2"])
+@pytest.mark.parametrize("eps", ["[1, 2]", "[[1, 0], 2]", "[[1, 0]]", '{"a": 1}', "[[1, 0], [0, x]]"])
+def test_unit_lemma_rejects_malformed_matrix_entries(capsys, ring, eps):
+    code, out, err = run(capsys, "unit-lemma", "--ring", ring, "--eps", eps)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_unit_lemma_bad_ring(capsys):
     code, _, err = run(capsys, "unit-lemma", "--ring", "weird", "--eps", "1")
     assert code == 3

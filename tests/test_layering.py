@@ -1,6 +1,7 @@
 """The linear-algebra backend is chosen in one place, `complexes.Ring`,
-Smith forms are taken only by `Ring` and `complexes.Subquotient`, and the
-squares search walks classes in one generator, whatever the ring."""
+Smith forms are taken only by `Ring` and `complexes.Subquotient`, the
+squares search walks classes in one generator, whatever the ring, the unit
+lemma's matrices share one field layer, and primality is decided in `modp`."""
 
 import ast
 import importlib
@@ -72,6 +73,28 @@ def test_smith_forms_only_in_ring_and_subquotient():
             if isinstance(node, (ast.Name, ast.alias))
         ]
         assert "smith_normal_form" not in names, module
+
+
+@pytest.mark.parametrize("name", ["FpMatrix", "QMatrix"])
+def test_field_matrices_are_named_only_in_their_own_class_bodies(name):
+    outside = _uses_outside(_parse("unitlemma.py"), name, (name,))
+    assert outside == [], f"{name} referenced outside its class at lines {outside}"
+
+
+def test_primality_is_decided_only_in_modp():
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "modp.py":
+            continue
+        tree = _parse(path.name)
+        tests = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.replace("_", "") == "isprime"
+        ]
+        assert tests == [], f"{path.name} defines {tests}"
+    # factoring serves only the residue CRT
+    outside = _uses_outside(_parse("unitlemma.py"), "_prime_factors", ("_residue_alpha",))
+    assert outside == [], f"_prime_factors referenced at lines {outside}"
 
 
 def test_benchmark_traced_names_resolve():
