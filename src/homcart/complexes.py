@@ -16,9 +16,15 @@ Every linear question about maps is asked of the Hom complex (Weibel, An
 Introduction to Homological Algebra, 2.7): Hom(X, Y)^n is the product over i
 of Hom(X^i, Y^(i+n)), with differential D(n) phi = d_Y phi - (-1)^n phi d_X.
 Chain maps are its cocycles Z^0, null-homotopic maps its coboundaries B^0,
-and Hom in the homotopy category is H^0.  `HomComplex` lays out Hom^n as one
-vector: the nonzero blocks Hom(X^i, Y^(i+n)) in increasing degree i, each a
-rank_Y(i+n) x rank_X(i) matrix read row-major.
+and Hom in the homotopy category is H^0.
+
+`_layout(X, Y, n)` is the one definition of the blocks of a degree-n map
+X -> Y: a rank_Y(i+n) x rank_X(i) block X^i -> Y^(i+n) for each i where both
+ranks are nonzero, in increasing i.  Differentials are maps of degree 1,
+chain maps of degree 0 and homotopies of degree -1.  `Complex`, `ChainMap`
+and `Homotopy` keep one block per layout entry, zero where none was given,
+so equal maps compare equal however they were written.  `HomComplex` lays
+out Hom^n as one vector of the same blocks, each read row-major.
 
 `pair` and `copair` are the maps into and out of a direct sum, and
 `cone_map(cn, g, k)` is the map out of cn = cone(f) given by g and a
@@ -206,46 +212,81 @@ def Zmod(m: int) -> Ring:
     return Ring(int(m))
 
 
-class Complex:
-    """Bounded complex of free modules, validated on construction."""
+def _layout(x: "Complex", y: "Complex", n: int) -> list[tuple[int, int, int, int]]:
+    """(i, rows, cols, offset) of each block Hom(x^i, y^(i+n)) of a degree-n
+    map x -> y, one for each i where both ranks are nonzero, by increasing i."""
+    out, off, target = [], 0, y._ranks
+    for i, c in x._ranks.items():
+        r = target.get(i + n)
+        if r:
+            out.append((i, r, c, off))
+            off += r * c
+    return out
 
-    __slots__ = ("ring", "_ranks", "_diffs")
 
-    def __init__(self, ring: Ring, ranks: dict[int, int], differentials: dict[int, IntMatrix]):
-        clean_ranks = {int(i): int(r) for i, r in ranks.items() if int(r) != 0}
-        if any(r < 0 for r in clean_ranks.values()):
-            raise ComplexError("negative rank")
-        clean_diffs: dict[int, IntMatrix] = {}
-        for i, m in differentials.items():
-            i = int(i)
-            rs = clean_ranks.get(i, 0)
-            rt = clean_ranks.get(i + 1, 0)
-            if rs == 0 or rt == 0:
-                if not m.is_zero():
-                    raise ComplexError(f"differential at degree {i} maps to/from rank 0", degree=i)
-                continue
-            if m.shape != (rt, rs):
-                raise ComplexError(
-                    f"differential at degree {i} has shape {m.shape}, expected {(rt, rs)}",
-                    degree=i,
-                )
-            clean_diffs[i] = ring.canon(m)
-        for i in clean_diffs:
-            if i + 1 in clean_diffs:
-                comp = clean_diffs[i + 1] @ clean_diffs[i]
-                if not ring.canon(comp).is_zero():
-                    raise ComplexError(
-                        f"differentials do not compose to zero at degree {i}", degree=i
-                    )
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_ranks", clean_ranks)
-        object.__setattr__(self, "_diffs", clean_diffs)
+class _GradedMap:
+    """A degree-n map x -> y, kept as one block X^i -> Y^(i+n), reduced by the
+    ring, for each entry of `_layout(x, y, n)`; `_ends` gives (x, y, n)."""
+
+    __slots__ = ("_blocks",)
 
     def __setattr__(self, *a):
-        raise AttributeError("Complex is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set_blocks(self, given: dict, what: str):
+        """Store the given blocks, and a zero block for each layout entry
+        given none.  A block of the wrong shape, or a nonzero block outside
+        the layout, raises ComplexError at its degree."""
+        x, y, n = self._ends()
+        canon, blocks = x.ring.canon, {}
+        for i, r, c, _ in _layout(x, y, n):
+            m = given.get(i)
+            if m is None:
+                blocks[i] = IntMatrix.zeros(r, c)
+            elif m.shape != (r, c):
+                raise ComplexError(f"{what} at degree {i} has shape {m.shape}, expected {(r, c)}", degree=i)
+            else:
+                blocks[i] = canon(m)
+        for i, m in given.items():
+            if i not in blocks and not m.is_zero():
+                raise ComplexError(f"nonzero {what} at degree {i} maps to or from rank 0", degree=int(i))
+        object.__setattr__(self, "_blocks", blocks)
+
+    def component(self, i: int) -> IntMatrix:
+        """The block X^i -> Y^(i+n); zero outside the layout."""
+        got = self._blocks.get(i)
+        if got is not None:
+            return got
+        x, y, n = self._ends()
+        return IntMatrix.zeros(y.rank(i + n), x.rank(i))
+
+    def components(self) -> dict[int, IntMatrix]:
+        return dict(self._blocks)
+
+
+class Complex(_GradedMap):
+    """Bounded complex of free modules, validated on construction."""
+
+    __slots__ = ("ring", "_ranks")
+
+    def __init__(self, ring: Ring, ranks: dict[int, int], differentials: dict[int, IntMatrix]):
+        clean_ranks = dict(sorted((int(i), int(r)) for i, r in ranks.items() if int(r) != 0))
+        if any(r < 0 for r in clean_ranks.values()):
+            raise ComplexError("negative rank")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_ranks", clean_ranks)
+        self._set_blocks(differentials, "differential")
+        for i, d in self._blocks.items():
+            if i + 1 in self._blocks and not ring.canon(self._blocks[i + 1] @ d).is_zero():
+                raise ComplexError(f"differentials do not compose to zero at degree {i}", degree=i)
+
+    def _ends(self):
+        return self, self, 1
+
+    differential = _GradedMap.component
 
     def degrees(self) -> list[int]:
-        return sorted(self._ranks)
+        return list(self._ranks)
 
     def rank(self, i: int) -> int:
         return self._ranks.get(i, 0)
@@ -261,12 +302,6 @@ class Complex:
     def total_rank(self) -> int:
         return sum(self._ranks.values())
 
-    def differential(self, i: int) -> IntMatrix:
-        got = self._diffs.get(i)
-        if got is not None:
-            return got
-        return IntMatrix.zeros(self.rank(i + 1), self.rank(i))
-
     def is_zero(self) -> bool:
         return not self._ranks
 
@@ -275,51 +310,35 @@ class Complex:
             isinstance(other, Complex)
             and self.ring == other.ring
             and self._ranks == other._ranks
-            and self._diffs == other._diffs
+            and self._blocks == other._blocks
         )
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self._ranks.items()))))
+        return hash((self.ring, tuple(self._ranks.items())))
 
     def __repr__(self):
-        parts = ", ".join(f"{i}:{r}" for i, r in sorted(self._ranks.items()))
+        parts = ", ".join(f"{i}:{r}" for i, r in self._ranks.items())
         return f"Complex({self.ring}; ranks {{{parts}}})"
 
 
-class ChainMap:
+class ChainMap(_GradedMap):
     """Degreewise map between complexes over the same ring."""
 
-    __slots__ = ("source", "target", "_comps")
+    __slots__ = ("source", "target")
 
     def __init__(self, source: Complex, target: Complex, components: dict[int, IntMatrix], check: bool = True):
         if source.ring != target.ring:
             raise ComplexError("chain map between different rings")
-        ring = source.ring
-        comps: dict[int, IntMatrix] = {}
-        for i in set(source.degrees()) & set(target.degrees()):
-            rs, rt = source.rank(i), target.rank(i)
-            m = components.get(i)
-            if m is None:
-                m = IntMatrix.zeros(rt, rs)
-            if m.shape != (rt, rs):
-                raise ComplexError(
-                    f"component at degree {i} has shape {m.shape}, expected {(rt, rs)}", degree=i
-                )
-            comps[i] = ring.canon(m)
-        for i, m in components.items():
-            i = int(i)
-            if i not in comps and not m.is_zero():
-                raise ComplexError(f"nonzero component at degree {i} outside common support", degree=i)
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_comps", comps)
+        self._set_blocks(components, "component")
         if check:
             bad = self.first_chain_violation()
             if bad is not None:
                 raise ComplexError(f"chain condition fails at degree {bad}", degree=bad)
 
-    def __setattr__(self, *a):
-        raise AttributeError("ChainMap is immutable")
+    def _ends(self):
+        return self.source, self.target, 0
 
     def first_chain_violation(self) -> int | None:
         ring = self.source.ring
@@ -332,29 +351,18 @@ class ChainMap:
                 return i
         return None
 
-    def component(self, i: int) -> IntMatrix:
-        got = self._comps.get(i)
-        if got is not None:
-            return got
-        return IntMatrix.zeros(self.target.rank(i), self.source.rank(i))
-
-    def components(self) -> dict[int, IntMatrix]:
-        return dict(self._comps)
-
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply `other` first)."""
         if other.target != self.source:
             raise DimensionMismatch("chain maps do not compose")
-        comps = {}
-        for i in set(other.source.degrees()) & set(self.target.degrees()):
-            comps[i] = self.component(i) @ other.component(i)
+        comps = {i: self.component(i) @ m for i, m in other._blocks.items() if self.target.rank(i)}
         return ChainMap(other.source, self.target, comps, check=False)
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         self._require_parallel(other)
         return ChainMap(
             self.source, self.target,
-            {i: self.component(i) + other.component(i) for i in self._comps},
+            {i: m + other._blocks[i] for i, m in self._blocks.items()},
             check=False,
         )
 
@@ -362,27 +370,26 @@ class ChainMap:
         self._require_parallel(other)
         return ChainMap(
             self.source, self.target,
-            {i: self.component(i) - other.component(i) for i in self._comps},
+            {i: m - other._blocks[i] for i, m in self._blocks.items()},
             check=False,
         )
 
     def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, {i: -m for i, m in self._comps.items()}, check=False)
+        return ChainMap(self.source, self.target, {i: -m for i, m in self._blocks.items()}, check=False)
 
     def scale(self, k: int) -> "ChainMap":
-        return ChainMap(self.source, self.target, {i: m.scale(k) for i, m in self._comps.items()}, check=False)
+        return ChainMap(self.source, self.target, {i: m.scale(k) for i, m in self._blocks.items()}, check=False)
 
     def shift(self) -> "ChainMap":
         """f[1] : X[1] -> Y[1], components f[1]_i = f_{i+1}."""
         return ChainMap(
             shift(self.source), shift(self.target),
-            {i - 1: m for i, m in self._comps.items()},
+            {i - 1: m for i, m in self._blocks.items()},
             check=False,
         )
 
     def is_zero(self) -> bool:
-        ring = self.source.ring
-        return all(ring.canon(m).is_zero() for m in self._comps.values())
+        return all(m.is_zero() for m in self._blocks.values())
 
     def _require_parallel(self, other: "ChainMap"):
         if self.source != other.source or self.target != other.target:
@@ -393,11 +400,11 @@ class ChainMap:
             isinstance(other, ChainMap)
             and self.source == other.source
             and self.target == other.target
-            and self._comps == other._comps
+            and self._blocks == other._blocks
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, tuple(sorted(self._comps.items(), key=lambda kv: kv[0]))))
+        return hash((self.source, self.target, tuple(self._blocks.items())))
 
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
@@ -411,54 +418,27 @@ def zero_map(x: Complex, y: Complex) -> ChainMap:
     return ChainMap(x, y, {}, check=False)
 
 
-class Homotopy:
+class Homotopy(_GradedMap):
     """Witness that two parallel chain maps agree in the homotopy category.
 
     Components h_i : X^i -> Y^(i-1); the defining equation
     f_i - g_i = d_Y(i-1) h_i + h_{i+1} d_X(i) is verified on construction.
     """
 
-    __slots__ = ("lhs", "rhs", "_comps")
+    __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs: ChainMap, rhs: ChainMap, components: dict[int, IntMatrix], check: bool = True):
         lhs._require_parallel(rhs)
-        x, y = lhs.source, lhs.target
-        ring = x.ring
-        comps = {}
-        for i in x.degrees():
-            rs = x.rank(i)
-            rt = y.rank(i - 1)
-            if rs == 0 or rt == 0:
-                continue
-            m = components.get(i)
-            if m is None:
-                m = IntMatrix.zeros(rt, rs)
-            if m.shape != (rt, rs):
-                raise ComplexError(f"homotopy component at degree {i} has shape {m.shape}, expected {(rt, rs)}", degree=i)
-            comps[i] = ring.canon(m)
-        for i, m in components.items():
-            i = int(i)
-            if i not in comps and not m.is_zero():
-                raise ComplexError(f"nonzero homotopy component at impossible degree {i}", degree=i)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "_comps", comps)
+        self._set_blocks(components, "homotopy component")
         if check:
             bad = self._first_violation()
             if bad is not None:
                 raise ComplexError(f"homotopy witness equation fails at degree {bad}", degree=bad)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Homotopy is immutable")
-
-    def component(self, i: int) -> IntMatrix:
-        got = self._comps.get(i)
-        if got is not None:
-            return got
-        return IntMatrix.zeros(self.lhs.target.rank(i - 1), self.lhs.source.rank(i))
-
-    def components(self) -> dict[int, IntMatrix]:
-        return dict(self._comps)
+    def _ends(self):
+        return self.lhs.source, self.lhs.target, -1
 
     def _first_violation(self) -> int | None:
         x, y = self.lhs.source, self.lhs.target
@@ -482,27 +462,24 @@ class Homotopy:
 
 def shift(c: Complex) -> Complex:
     """c[1]: rank(i) = rank_c(i+1) and differential(i) = -d_c(i+1)."""
-    ranks = {i - 1: r for i, r in ((d, c.rank(d)) for d in c.degrees())}
-    diffs = {i - 1: -c.differential(i) for i in c.degrees() if c.rank(i + 1) > 0 and c.rank(i) > 0}
-    return Complex(c.ring, ranks, diffs)
+    ranks = {i - 1: r for i, r in c._ranks.items()}
+    return Complex(c.ring, ranks, {i - 1: -d for i, d in c._blocks.items()})
 
 
 def direct_sum(x: Complex, y: Complex) -> Complex:
     if x.ring != y.ring:
         raise ComplexError("direct sum over different rings")
-    ranks = {}
-    for i in set(x.degrees()) | set(y.degrees()):
-        ranks[i] = x.rank(i) + y.rank(i)
-    diffs = {}
-    for i in ranks:
-        if ranks.get(i + 1, 0) == 0 or ranks[i] == 0:
-            continue
-        diffs[i] = IntMatrix.block(
+    ranks = {i: x.rank(i) + y.rank(i) for i in {*x.degrees(), *y.degrees()}}
+    diffs = {
+        i: IntMatrix.block(
             [
                 [x.differential(i), IntMatrix.zeros(x.rank(i + 1), y.rank(i))],
                 [IntMatrix.zeros(y.rank(i + 1), x.rank(i)), y.differential(i)],
             ]
         )
+        for i in ranks
+        if i + 1 in ranks
+    }
     return Complex(x.ring, ranks, diffs)
 
 
@@ -510,21 +487,17 @@ def cone_complex(f: ChainMap) -> Complex:
     """The mapping cone of f : X -> Y as a complex: degree i is
     Y^i + X^(i+1) with differential [[d_Y, f], [0, -d_X]]."""
     x, y = f.source, f.target
-    ranks = {}
-    for i in set(y.degrees()) | {d - 1 for d in x.degrees()}:
-        r = y.rank(i) + x.rank(i + 1)
-        if r:
-            ranks[i] = r
-    diffs = {}
-    for i in ranks:
-        if ranks.get(i + 1, 0) == 0:
-            continue
-        diffs[i] = IntMatrix.block(
+    ranks = {i: y.rank(i) + x.rank(i + 1) for i in {*y.degrees(), *(d - 1 for d in x.degrees())}}
+    diffs = {
+        i: IntMatrix.block(
             [
                 [y.differential(i), f.component(i + 1)],
                 [IntMatrix.zeros(x.rank(i + 2), y.rank(i)), -x.differential(i + 1)],
             ]
         )
+        for i in ranks
+        if i + 1 in ranks
+    }
     return Complex(x.ring, ranks, diffs)
 
 
@@ -541,7 +514,6 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
         {
             i: IntMatrix.vstack([IntMatrix.identity(y.rank(i)), IntMatrix.zeros(x.rank(i + 1), y.rank(i))])
             for i in y.degrees()
-            if cn.rank(i) > 0
         },
         check=False,
     )
@@ -611,17 +583,6 @@ def copair(f: ChainMap, g: ChainMap) -> ChainMap:
 # the Hom complex
 
 
-def _layout(x: Complex, y: Complex, n: int) -> list[tuple[int, int, int, int]]:
-    """(i, rows, cols, offset) of each nonzero block Hom(x^i, y^(i+n)), by increasing i."""
-    out, off = [], 0
-    for i in x.degrees():
-        r, c = y.rank(i + n), x.rank(i)
-        if r:
-            out.append((i, r, c, off))
-            off += r * c
-    return out
-
-
 def _size(layout) -> int:
     return sum(r * c for _, r, c, _ in layout)
 
@@ -637,8 +598,8 @@ class HomComplex:
         if x.ring != y.ring:
             raise ComplexError("Hom between different rings")
         self.x, self.y, self.ring = x, y, x.ring
-        self._dx = {i: self.ring.asarray(x.differential(i)) for i in x.degrees()}
-        self._dy = {i: self.ring.asarray(y.differential(i)) for i in y.degrees()}
+        self._dx = {i: self.ring.asarray(d) for i, d in x._blocks.items()}
+        self._dy = {i: self.ring.asarray(d) for i, d in y._blocks.items()}
 
     def layout(self, n: int) -> list[tuple[int, int, int, int]]:
         return _layout(self.x, self.y, n)
@@ -726,9 +687,7 @@ def _acyclic_split_contraction(c: Complex) -> Homotopy | None:
             return None
         sections[i], ranks[i] = got
     comps = {}
-    for i in range(degs[0] + 1, degs[-1] + 1):
-        if c.rank(i) == 0 or c.rank(i - 1) == 0:
-            continue
+    for i, _, _, _ in _layout(c, c, -1):
         kerproj = ring.asarray(np.eye(c.rank(i), dtype=ring.dtype) - sections[i] @ ring.asarray(c.differential(i)))
         comps[i] = IntMatrix(sections[i - 1] @ kerproj)
     return Homotopy(identity_map(c), zero_map(c, c), comps)
@@ -786,12 +745,8 @@ def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
     chain map Y -> X inverting f up to homotopy on both sides.
     """
     x, y = f.source, f.target
-    comps = {}
-    for i in y.degrees():
-        if x.rank(i) == 0:
-            continue
-        h = contraction.component(i)  # cone^i -> cone^(i-1)
-        comps[i] = IntMatrix(h.array[y.rank(i - 1) :, : y.rank(i)])
+    # the block of cone^i -> cone^(i-1) from Y^i to X^i
+    comps = {i: IntMatrix(contraction.component(i).array[y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
     return ChainMap(y, x, comps)
 
 
@@ -945,8 +900,7 @@ def reduce_mod(obj, m: int):
     if isinstance(obj, Complex):
         if not obj.ring.is_integers:
             raise ComplexError("reduce_mod expects integer coefficients")
-        ring = Zmod(m)
-        return Complex(ring, {i: obj.rank(i) for i in obj.degrees()}, {i: obj.differential(i) for i in obj.degrees() if obj.rank(i + 1) > 0})
+        return Complex(Zmod(m), obj._ranks, obj._blocks)
     if isinstance(obj, ChainMap):
         src = reduce_mod(obj.source, m)
         tgt = reduce_mod(obj.target, m)

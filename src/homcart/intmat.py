@@ -173,10 +173,7 @@ class IntMatrix:
         if rows is not None and m.rows != rows:
             raise ValueError(f"expected {rows} rows, got {m.rows}")
         if cols is not None and m.cols != cols:
-            # rows of length 0 cannot encode their column count; trust caller
-            if m.rows != 0 and m.cols != 0:
-                raise ValueError(f"expected {cols} cols, got {m.cols}")
-            m = cls.zeros(m.rows if rows is None else rows, cols)
+            raise ValueError(f"expected {cols} cols, got {m.cols}")
         return m
 
 

@@ -4,8 +4,15 @@ Matrices are arrays of arrays of decimal integer strings, row-major, rows
 indexed by the target basis.  A complex is {"ring": "Z" | {"mod": m},
 "degrees": {"<i>": rank}, "differentials": {"<i>": matrix}}; omitted degrees
 mean rank 0.  A chain map is {"components": {"<i>": matrix}} relative to a
-source and target supplied by context.  Loaders re-validate everything they
-read (d o d = 0, chain conditions, witness equations).
+source and target supplied by context, and a square's witness homotopy is
+{"<i>": matrix}.
+
+Differentials, chain maps and homotopies, maps of degree 1, 0 and -1, are
+read by one block loader and written by one block dumper, which omits zero
+blocks.  The block in degree i of a degree-n map X -> Y has rank_Y(i+n) rows
+of exactly rank_X(i) entries; a zero block may be written out or omitted.
+Loaders re-validate everything they read (shapes, d o d = 0, chain
+conditions, witness equations).
 
 Dataset templates may carry polynomial entries in the parameters a and b
 ("-a^3", "1+a", ...); `substitute` evaluates them to integers.
@@ -84,46 +91,44 @@ def substitute(node, a: int = 0, b: int = 0):
     return node
 
 
+def _blocks_to_json(blocks: dict[int, IntMatrix]) -> dict:
+    """The nonzero blocks of a graded map, keyed by degree."""
+    return {str(i): m.to_json() for i, m in blocks.items() if not m.is_zero()}
+
+
+def _blocks_from_json(data: dict, source_rank, target_rank, n: int) -> dict[int, IntMatrix]:
+    """The blocks X^i -> Y^(i+n) of a degree-n map, each read at the shape
+    target_rank(i+n) x source_rank(i)."""
+    return {
+        int(i): IntMatrix.from_json(mat, rows=target_rank(int(i) + n), cols=source_rank(int(i)))
+        for i, mat in data.items()
+    }
+
+
 def complex_to_json(c: Complex) -> dict:
     return {
         "ring": c.ring.to_json(),
         "degrees": {str(i): c.rank(i) for i in c.degrees()},
-        "differentials": {
-            str(i): c.differential(i).to_json()
-            for i in c.degrees()
-            if c.rank(i + 1) > 0 and not c.differential(i).is_zero()
-        },
+        "differentials": _blocks_to_json(c.components()),
     }
 
 
 def complex_from_json(data: dict) -> Complex:
     ring = Ring.from_json(data.get("ring", "Z"))
     degrees = {int(i): int(str(r), 10) for i, r in data.get("degrees", {}).items()}
-    diffs = {}
-    for i, mat in data.get("differentials", {}).items():
-        i = int(i)
-        diffs[i] = IntMatrix.from_json(mat, rows=degrees.get(i + 1, 0), cols=degrees.get(i, 0))
-    return Complex(ring, degrees, diffs)
+
+    def rank(i: int) -> int:
+        return degrees.get(i, 0)
+
+    return Complex(ring, degrees, _blocks_from_json(data.get("differentials", {}), rank, rank, 1))
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
-    return {
-        "components": {
-            str(i): m.to_json() for i, m in f.components().items() if not m.is_zero()
-        }
-    }
+    return {"components": _blocks_to_json(f.components())}
 
 
 def chain_map_from_json(data: dict, source: Complex, target: Complex) -> ChainMap:
-    comps = {}
-    for i, mat in data.get("components", {}).items():
-        i = int(i)
-        comps[i] = IntMatrix.from_json(mat, rows=target.rank(i), cols=source.rank(i))
-    return ChainMap(source, target, comps)
-
-
-def homotopy_components_to_json(h: Homotopy) -> dict:
-    return {str(i): m.to_json() for i, m in h.components().items() if not m.is_zero()}
+    return ChainMap(source, target, _blocks_from_json(data.get("components", {}), source.rank, target.rank, 0))
 
 
 def triangle_to_json(t: Triangle) -> dict:
@@ -182,7 +187,7 @@ def square_to_json(sq: CommutativeSquare) -> dict:
             "b": chain_map_to_json(sq.b),
             "c": chain_map_to_json(sq.c),
         },
-        "witness": homotopy_components_to_json(sq.witness),
+        "witness": _blocks_to_json(sq.witness.components()),
     }
 
 
@@ -199,11 +204,6 @@ def square_from_json(data: dict) -> CommutativeSquare:
     c = chain_map_from_json(maps["c"], c_obj, cp)
     witness = None
     if data.get("witness"):
-        lhs = c.compose(g)
-        rhs = gp.compose(b)
-        comps = {
-            int(i): IntMatrix.from_json(mat, rows=cp.rank(int(i) - 1), cols=b_obj.rank(int(i)))
-            for i, mat in data["witness"].items()
-        }
-        witness = Homotopy(lhs, rhs, comps)
+        comps = _blocks_from_json(data["witness"], b_obj.rank, cp.rank, -1)
+        witness = Homotopy(c.compose(g), gp.compose(b), comps)
     return CommutativeSquare(g, gp, b, c, witness=witness)

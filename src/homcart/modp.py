@@ -1,5 +1,5 @@
 """Dense linear algebra over prime fields on int64 arrays, and the one
-primality test.
+primality test, `is_prime`.
 
 Exact throughout: entries live in [0, p) and p is capped at P_MAX, well
 below the int64 overflow threshold.  `complexes.Ring` sends prime fields up
@@ -19,11 +19,30 @@ def _check_prime_size(p: int):
         raise ValueError(f"prime modulus out of supported range: {p}")
 
 
+# Miller-Rabin with these bases is exact below PSI_13 (Sorenson and Webster 2015).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Whether n is prime, by trial division by 2 and the odd numbers."""
-    if n < 4:
-        return n >= 2
-    return n % 2 == 1 and all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+    """Whether n is prime, by deterministic Miller-Rabin with the 13 prime
+    bases 2..41, exact for every n below PSI_13 = 3317044064679887385961981.
+
+    At or above PSI_13 a witness among those bases still proves n composite
+    at once; a number with no witness is decided by trial division by the
+    odd numbers, so no answer is ever guessed.
+    """
+    if n < 2 or any(n % q == 0 for q in _BASES):
+        return n in _BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        # a witnesses that n is composite unless a^d = 1 or some a^(d 2^k) = -1
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
+            return False
+    return n < PSI_13 or all(n % f for f in range(3, math.isqrt(n) + 1, 2))
 
 
 def inv_mod(a: int, p: int) -> int:

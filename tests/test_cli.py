@@ -9,7 +9,8 @@ import pytest
 import homcart
 from homcart.cli import main
 from homcart.jsonio import complex_to_json, square_to_json, triangle_to_json, chain_map_to_json
-from homcart.squares import square_from_cone
+from homcart.complexes import identity_map
+from homcart.squares import CommutativeSquare, square_from_cone
 from homcart.suite import build_star, lemma2
 
 from helpers import cmap, one_term, two_term
@@ -300,3 +301,21 @@ def test_help_exits_0(capsys):
         main(["paper", "verify", "--help"])
     assert done.value.code == 0
     assert "--a-min" in capsys.readouterr().out
+
+
+def test_complex_homology_rejects_a_truncated_block(tmp_path, capsys):
+    f = tmp_path / "cx.json"
+    f.write_text(json.dumps({"ring": "Z", "degrees": {"0": 3, "1": 1}, "differentials": {"0": [[]]}}))
+    code, out, err = run(capsys, "complex", "homology", str(f))
+    assert code == 3 and out == "" and err.startswith("error:")
+
+
+def test_square_check_rejects_a_truncated_witness_block(tmp_path, capsys):
+    one = identity_map(two_term(3))
+    data = square_to_json(CommutativeSquare(one, one, one, one))
+    # the zero homotopy would do; its block X^1 -> Y^0 is 1 x 1, not 1 x 0
+    data["witness"] = {"1": [[]]}
+    f = tmp_path / "sq.json"
+    f.write_text(json.dumps(data))
+    code, out, err = run(capsys, "square", "check", str(f))
+    assert code == 3 and out == "" and err.startswith("error:")

@@ -687,3 +687,130 @@ def test_cone_homotopy_is_the_null_homotopy_zero_one_over_z_z9_f3():
                 )
             checked += 1
     assert checked == 3 * len(corpus(random.Random(59)))
+
+
+# ---------------------------------------------------------------------------
+# one block layout for differentials, chain maps and homotopies
+
+
+@pytest.mark.parametrize("ring, zero", [(ZZ, 0), (Zmod(9), 9)], ids=["Z", "Z9"])
+def test_a_zero_differential_written_out_or_omitted_gives_one_complex(ring, zero):
+    omitted = Complex(ring, {0: 1, 1: 1}, {})
+    written = Complex(ring, {0: 1, 1: 1}, {0: IntMatrix([[zero]])})
+    assert omitted == written and hash(omitted) == hash(written)
+
+
+def test_reduce_mod_of_a_differential_that_vanishes_equals_the_omitted_one():
+    assert reduce_mod(two_term(3), 3) == Complex(Zmod(3), {0: 1, 1: 1}, {})
+
+
+def test_chain_maps_on_complexes_with_zero_blocks_compose():
+    omitted = Complex(ZZ, {0: 1, 1: 1}, {})
+    written = Complex(ZZ, {0: 1, 1: 1}, {0: IntMatrix([[0]])})
+    f = cmap(omitted, omitted, {0: [[2]], 1: [[3]]})
+    g = cmap(written, written, {0: [[5]], 1: [[7]]})
+    assert g.compose(f) == cmap(omitted, omitted, {0: [[10]], 1: [[21]]})
+    assert shift(direct_sum(omitted, omitted)) == shift(direct_sum(written, written))
+
+
+def _graded_cases(ring):
+    """Chain maps of the triangle corpus over `ring`, plus random chain maps
+    between random complexes over a prime field, and a generator."""
+    rng = random.Random(91)
+    maps = [f if ring.is_integers else reduce_mod(f, ring.modulus) for f in corpus(rng)]
+    while ring.is_prime_field and len(maps) < 40:
+        x, y = random_complex(ring, rng, 3, 3), random_complex(ring, rng, 3, 3)
+        maps.append(random_chain_map(x, y, rng))
+    return maps, rng
+
+
+def _random_block(r, c, rng):
+    return IntMatrix(np.array([rng.randint(-2, 2) for _ in range(r * c)], dtype=object).reshape(r, c))
+
+
+def _perturbed(blocks, layout, rng):
+    """blocks with a random matrix added to one block of the layout."""
+    out = dict(blocks)
+    if layout:
+        i, r, c, _ = rng.choice(layout)
+        out[i] = out.get(i, IntMatrix.zeros(r, c)) + _random_block(r, c, rng)
+    return out
+
+
+def _vector(layout, blocks):
+    """The Hom-complex vector of a dict of blocks, zero where none is given."""
+    parts = [
+        ZZ.asarray(blocks[i]).reshape(-1) if i in blocks else np.zeros(r * c, dtype=object)
+        for i, r, c, _ in layout
+    ]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=object)
+
+
+def _first_nonzero_block(layout, v, m):
+    """The degree of the first block of v that is nonzero mod m (m None for Z)."""
+    for i, r, c, off in layout:
+        if any((e % m if m else e) != 0 for e in v[off : off + r * c]):
+            return i
+    return None
+
+
+def _raises_at(build, degree):
+    if degree is None:
+        return build()
+    with pytest.raises(ComplexError) as err:
+        build()
+    assert err.value.degree == degree
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(9), Zmod(3)], ids=["Z", "Z9", "F3"])
+def test_chain_maps_raise_exactly_where_d0_of_their_vector_is_nonzero(ring):
+    maps, rng = _graded_cases(ring)
+    raised = 0
+    for f in maps:
+        x, y, hom = f.source, f.target, HomComplex(f.source, f.target)
+        for comps in (f.components(), _perturbed(f.components(), hom.layout(0), rng)):
+            d0v = ZZ.asarray(hom.D(0)) @ _vector(hom.layout(0), comps)
+            bad = _first_nonzero_block(hom.layout(1), d0v, ring.modulus)
+            _raises_at(lambda: ChainMap(x, y, comps), bad)
+            raised += bad is not None
+    assert raised
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(9), Zmod(3)], ids=["Z", "Z9", "F3"])
+def test_homotopies_raise_exactly_where_their_witness_equation_fails(ring):
+    maps, rng = _graded_cases(ring)
+    raised = 0
+    for f in maps:
+        x, y, hom = f.source, f.target, HomComplex(f.source, f.target)
+        dm1, lay = ZZ.asarray(hom.D(-1)), hom.layout(-1)
+        h = {i: _random_block(r, c, rng) for i, r, c, _ in lay}
+        g = ChainMap(x, y, hom.unvec(ZZ.asarray(hom.vec(f)) - dm1 @ _vector(lay, h)))
+        for comps in (h, _perturbed(h, lay, rng)):
+            miss = dm1 @ _vector(lay, comps) - ZZ.asarray(hom.vec(f)) + ZZ.asarray(hom.vec(g))
+            bad = _first_nonzero_block(hom.layout(0), miss, ring.modulus)
+            _raises_at(lambda: Homotopy(f, g, comps), bad)
+            raised += bad is not None
+    assert raised
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(9), Zmod(3)], ids=["Z", "Z9", "F3"])
+def test_blocks_of_the_wrong_shape_or_outside_the_layout_raise_at_their_degree(ring):
+    maps, _ = _graded_cases(ring)
+    for f in maps:
+        x, y = f.source, f.target
+        degs = x.degrees() + y.degrees()
+        span = range(min(degs, default=0) - 2, max(degs, default=0) + 3)
+        kinds = [
+            (x, x, 1, lambda b: Complex(ring, {i: x.rank(i) for i in x.degrees()}, b), x.differential),
+            (x, y, 0, lambda b: ChainMap(x, y, b), f.component),
+            (x, y, -1, lambda b: Homotopy(f, f, b), Homotopy(f, f, {}).component),
+        ]
+        for src, tgt, n, build, block in kinds:
+            layout = HomComplex(src, tgt).layout(n)
+            valid = {i: block(i) for i, _, _, _ in layout}
+            build(valid)
+            for i, r, c, _ in layout:
+                _raises_at(lambda: build({**valid, i: IntMatrix.zeros(r + 1, c)}), i)
+            for i in set(span) - {i for i, _, _, _ in layout}:
+                _raises_at(lambda: build({**valid, i: IntMatrix([[1]])}), i)
+                assert block(i).is_zero() and block(i).shape == (tgt.rank(i + n), src.rank(i))

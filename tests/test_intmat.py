@@ -172,3 +172,12 @@ def test_matrix_json_roundtrip():
     assert a.to_json()[1][1] == str(10 ** 30)
     empty = IntMatrix.zeros(0, 3)
     assert IntMatrix.from_json(empty.to_json(), rows=0, cols=3).shape == (0, 3)
+
+
+def test_matrix_json_rows_have_exactly_the_expected_width():
+    for m in (IntMatrix.zeros(2, 0), IntMatrix.zeros(0, 3)):
+        assert IntMatrix.from_json(m.to_json(), rows=m.rows, cols=m.cols) == m
+    assert IntMatrix.from_json([[], []]).shape == (2, 0)
+    for data in ([[]], [["1", "2"]]):
+        with pytest.raises(ValueError):
+            IntMatrix.from_json(data, rows=1, cols=3)

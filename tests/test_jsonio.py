@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from homcart.complexes import Zmod, identity_map
+from homcart.complexes import Zmod, cone_complex, direct_sum, identity_map, shift, zero_map
 from homcart.jsonio import (
     chain_map_from_json,
     chain_map_to_json,
@@ -120,3 +120,22 @@ def test_package_level_exports():
         "prop2_replay",
     ):
         assert hasattr(homcart, name), name
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        shift(cpx({0: 2, 1: 1, 2: 1}, {0: [[1, 0]]})),
+        direct_sum(one_term(), one_term(degree=1)),
+        cone_complex(zero_map(one_term(), one_term())),
+        direct_sum(two_term(9, ring=Zmod(9)), one_term(ring=Zmod(9))),
+    ],
+    ids=["shift", "direct-sum", "cone", "direct-sum-mod-9"],
+)
+def test_complexes_with_zero_blocks_round_trip(c):
+    assert complex_from_json(json.loads(json.dumps(complex_to_json(c)))) == c
+
+
+def test_a_zero_block_written_out_or_omitted_loads_to_one_complex():
+    written = {"ring": "Z", "degrees": {"0": 1, "1": 1}, "differentials": {"0": [["0"]]}}
+    assert complex_from_json(written) == complex_from_json({"ring": "Z", "degrees": {"0": 1, "1": 1}})

@@ -1,7 +1,9 @@
 """The linear-algebra backend is chosen in one place, `complexes.Ring`,
 Smith forms are taken only by `Ring` and `complexes.Subquotient`, the
 squares search walks classes in one generator, whatever the ring, the unit
-lemma's matrices share one field layer, and primality is decided in `modp`."""
+lemma's matrices share one field layer, primality is decided in `modp`, and
+the blocks of graded maps are checked in one function of `complexes` and
+read from JSON in one function of `jsonio`."""
 
 import ast
 import importlib
@@ -105,3 +107,46 @@ def test_benchmark_traced_names_resolve():
         mod = importlib.import_module(f"homcart.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"homcart.{module}.{name}"
+
+
+def _functions_around(tree: ast.Module, hit) -> list[str]:
+    """The qualified name of the innermost function around each node for
+    which hit(node) holds."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if hit(node):
+            out.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return out
+
+
+def test_block_shapes_are_checked_in_one_function():
+    def shape_error(node):
+        return (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "ComplexError"
+            and "has shape" in ast.unparse(node.exc.args[0])
+        )
+
+    sites = _functions_around(_parse("complexes.py"), shape_error)
+    assert len(set(sites)) == 1, f"block shapes checked in {sorted(set(sites))}"
+
+
+def test_blocks_are_read_from_json_in_one_function():
+    def matrix_load(node):
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "from_json"
+            and getattr(node.func.value, "id", None) == "IntMatrix"
+        )
+
+    sites = _functions_around(_parse("jsonio.py"), matrix_load)
+    assert len(set(sites)) == 1, f"IntMatrix.from_json called in {sorted(set(sites))}"

@@ -2,6 +2,7 @@
 against sympy."""
 
 import random
+import time
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import sympy
 
 from homcart import modp
+from homcart.complexes import Zmod
 
 
 def _solutions(a, b, p):
@@ -65,3 +67,24 @@ def test_is_prime_agrees_with_sympy():
     assert [n for n in range(-3, 10**4) if modp.is_prime(n)] == [n for n in range(-3, 10**4) if sympy.isprime(n)]
     assert modp.is_prime(1048573)
     assert not modp.is_prime(1048575)
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, for k = 1..12
+# (psi_8 = psi_7 and psi_11 = psi_10 = psi_9)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+       3825123056546413051, 318665857834031151167461)
+
+
+def test_is_prime_agrees_with_sympy_below_psi13():
+    rng = random.Random(13)
+    ns = [rng.randrange(modp.PSI_13) for _ in range(2000)]
+    ns += [sympy.nextprime(n) for n in ns[:100]] + list(PSI)
+    assert [modp.is_prime(n) for n in ns] == [sympy.isprime(n) for n in ns]
+    assert not modp.is_prime(PSI[-1])
+
+
+@pytest.mark.parametrize("p", [100000000000031, 10000000000000061])
+def test_large_primes_are_recognised_at_once(p):
+    start = time.perf_counter()
+    assert Zmod(p).is_prime_field
+    assert time.perf_counter() - start < 0.01
