@@ -35,10 +35,12 @@ the pair that reads an equivalence off a contraction of its cone,
 `is_homotopy_equivalence` and `homotopy_inverse`: `cone_homotopy` is the
 canonical null-homotopy [0; 1] of incl o f.
 
-Contractions are built from sections, s with d s d = d (`Ring.section`):
-an exact complex is contracted by h(i+1) = s(i) (1 - s(i+1) d(i+1)), and
-the cone of a map f that is invertible in every degree by
-[[0, 0], [f_i^-1, 0]] in degree i.
+Contractions are built from sections, s with d s d = d (`Ring.section`),
+over every ring: an exact complex is contracted by
+h(i+1) = s(i) (1 - s(i+1) d(i+1)), and the cone of a map f that is
+invertible in every degree by [[0, 0], [f_i^-1, 0]] in degree i.  Over
+Z/m, d has a section exactly when each invariant factor d_k of its Smith
+form is a unit modulo m / gcd(d_k, m).
 
 Homology, Hom groups and the classes of the squares search are all
 subquotients, computed by one routine: `Subquotient(ring, top, b)` is
@@ -48,7 +50,8 @@ the small prime fields, where no Smith form is taken.
 
 `Ring` is the linear-algebra backend of these vectors and matrices: prime
 fields F_p with p <= 2^20 are solved in int64 by `modp`, and every other
-ring (Z, Z/m, larger primes) by the exact Smith kernel of `intmat`.
+ring (Z, Z/m, larger primes) by the exact Smith kernel of `intmat`, from
+one Smith form of the matrix asked about.
 `Ring.asarray` puts a matrix into its backend's form; no other code
 converts between the two.
 """
@@ -157,17 +160,16 @@ class Ring:
         return [j - base.shape[1] for j in pivots if j >= base.shape[1]]
 
     def section(self, d: IntMatrix):
-        """(s, r) with d s d = d and r = rank d, s as a backend array, over Z
-        or a small prime field; None over Z when an invariant factor of d is
-        not 1.
+        """(s, r) with d s d = d and r = rank d, s as a backend array, or
+        None when d has no section.
 
         Over F_p, s comes from one rref E [d | 1] = [R | E]: row k of s at
-        the k-th pivot column of R is row k of E, for k < r.  Over Z it is
-        V[:, :r] U[:r, :] from the Smith form U d V = diag(1, ..., 1, 0, ...),
-        so s d = V[:, :r] V^-1[:r, :].
+        the k-th pivot column of R is row k of E, for k < r.  Otherwise
+        s = V T U from the Smith form U d V = D over Z of d itself, with T
+        diagonal and D T D = D: over Z, V[:, :r] U[:r, :] when every nonzero
+        d_k is 1; over Z/m, t_k = d_k^-1 modulo m / gcd(d_k, m) when every
+        d_k is a unit there, and r counts the d_k nonzero mod m.
         """
-        if self.modulus is not None and not self.is_small_prime_field:
-            raise ComplexError(f"no section of a matrix over {self}")
         rows, cols = d.shape
         if rows == 0 or cols == 0:
             return np.zeros((cols, rows), dtype=self.dtype), 0
@@ -177,10 +179,18 @@ class Ring:
             s = np.zeros((cols, rows), dtype=np.int64)
             s[pivots[:rank]] = r[:rank, cols:]
             return s, rank
-        snf = smith_normal_form(d)
-        if any(x != 1 for x in snf.diagonal()[: snf.rank]):
+        snf, m = smith_normal_form(d), self.modulus
+        diag = snf.diagonal()
+        if m is None:
+            if any(x != 1 for x in diag[: snf.rank]):
+                return None
+            return snf.v.array[:, : snf.rank] @ snf.u.array[: snf.rank, :], snf.rank
+        mods = [m // math.gcd(x, m) for x in diag]  # d_k must be a unit modulo m / gcd(d_k, m)
+        if any(math.gcd(x, q) != 1 for x, q in zip(diag, mods)):
             return None
-        return snf.v.array[:, : snf.rank] @ snf.u.array[: snf.rank, :], snf.rank
+        t = np.array([pow(x, -1, q) for x, q in zip(diag, mods)], dtype=object)
+        k = len(diag)
+        return (snf.v.array[:, :k] * t) @ snf.u.array[:k, :] % m, sum(1 for x in diag if x % m)
 
     def canon(self, m: IntMatrix) -> IntMatrix:
         return m if self.modulus is None else m.reduce_mod(self.modulus)
@@ -290,14 +300,6 @@ class Complex(_GradedMap):
 
     def rank(self, i: int) -> int:
         return self._ranks.get(i, 0)
-
-    @property
-    def min_degree(self) -> int | None:
-        return min(self._ranks) if self._ranks else None
-
-    @property
-    def max_degree(self) -> int | None:
-        return max(self._ranks) if self._ranks else None
 
     def total_rank(self) -> int:
         return sum(self._ranks.values())
@@ -666,48 +668,46 @@ def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
     return Homotopy(f, g, hom.unvec(sol[0], -1))
 
 
-def _acyclic_split_contraction(c: Complex) -> Homotopy | None:
-    """Contraction of an exact complex from one section s(i) of each
-    differential (`Ring.section`): h(i+1) = s(i) (1 - s(i+1) d(i+1)).
+def is_contractible(c: Complex) -> Homotopy | None:
+    """A contraction (identity null-homotopic) if the complex is
+    contractible: h(i+1) = s(i) (1 - s(i+1) d(i+1)) from a section s(i) of
+    each differential (`Ring.section`).
 
-    1 - s(i+1) d(i+1) maps into ker d(i+1) = im d(i), where d(i) s(i) is the
-    identity, so d h + h d = 1.  Over Z exactness of a bounded complex of
-    free modules forces every differential to have unit invariant factors,
-    so sections exist integrally; over a prime field only ranks matter.
+    1 - s(i+1) d(i+1) maps into ker d(i+1), which is im d(i) when c is
+    exact, and there d(i) s(i) is 1, so d h + h d = 1.  A contractible
+    complex is exact and d = d h d, so a missing section means None.  Over
+    Z and the small prime fields ranks test exactness first, rank d(i-1) +
+    rank d(i) = rank(i), and a failed contraction check raises; over the
+    other Z/m that check decides exactness, and a failure returns None.
     """
     degs = c.degrees()
     if not degs:
         return Homotopy(identity_map(c), zero_map(c, c), {}, check=False)
     ring = c.ring
+    by_rank = ring.is_integers or ring.is_small_prime_field
     sections, ranks = {}, {}
     for i in range(degs[0], degs[-1] + 1):
         got = ring.section(c.differential(i))
-        # exactness: rank d(i-1) + rank d(i) = rank(i)
-        if got is None or ranks.get(i - 1, 0) + got[1] != c.rank(i):
+        if got is None or (by_rank and ranks.get(i - 1, 0) + got[1] != c.rank(i)):
             return None
         sections[i], ranks[i] = got
     comps = {}
     for i, _, _, _ in _layout(c, c, -1):
         kerproj = ring.asarray(np.eye(c.rank(i), dtype=ring.dtype) - sections[i] @ ring.asarray(c.differential(i)))
         comps[i] = IntMatrix(sections[i - 1] @ kerproj)
-    return Homotopy(identity_map(c), zero_map(c, c), comps)
-
-
-def is_contractible(c: Complex) -> Homotopy | None:
-    """A contraction (identity null-homotopic) if the complex is contractible."""
-    if c.ring.is_integers or c.ring.is_small_prime_field:
-        return _acyclic_split_contraction(c)
-    return homotopic(identity_map(c), zero_map(c, c))
+    try:
+        return Homotopy(identity_map(c), zero_map(c, c), comps)
+    except ComplexError:
+        if by_rank:
+            raise
+        return None
 
 
 def _inverse_components(f: ChainMap) -> dict[int, IntMatrix] | None:
-    """The inverses of the components of f, over Z or a small prime field,
-    when every component is square and invertible; None otherwise.  No
-    section is taken unless every determinant is a unit: gcd 1 with the
-    modulus, or with 0 over Z."""
+    """The inverses of the components of f when every component is square
+    and invertible; None otherwise.  No section is taken unless every
+    determinant is a unit: gcd 1 with the modulus, or with 0 over Z."""
     x, y, ring = f.source, f.target, f.source.ring
-    if not (ring.is_integers or ring.is_small_prime_field):
-        return None
     if x.degrees() != y.degrees() or any(x.rank(i) != y.rank(i) for i in x.degrees()):
         return None
     if any(math.gcd(det(f.component(i)), ring.modulus or 0) != 1 for i in x.degrees()):

@@ -10,14 +10,15 @@ Provided here:
 * `IntMatrix` -- immutable exact matrix with the usual block/arithmetic ops,
 * `smith_normal_form` -- U A V = D with unimodular U, V and divisibility
   chain d_1 | d_2 | ..., plus the inverse of U,
-* `solve_linear` -- particular solution and kernel basis over Z, or over Z/m
-  by augmenting the column space with m times the identity,
-* `smith_solve` -- the back-substitution through a Smith form that both
-  `solve_linear` and `complexes.Subquotient` use,
+* `solve_linear` -- particular solution and kernel generators over Z or
+  Z/m, from one Smith form of the matrix itself,
+* `smith_solve` -- the back-substitution through a Smith form, over Z or
+  modulo m, that both `solve_linear` and `complexes.Subquotient` use,
 * `cokernel` / `FGAbelianGroup` -- finitely generated abelian groups by
   invariant factors.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -360,66 +361,55 @@ def solve_linear(
 ) -> tuple[np.ndarray, list[np.ndarray]] | None:
     """Solve A x = b over Z, or A x = b (mod m).
 
-    Returns (particular solution, kernel basis) or None when no solution
-    exists.  Every solution is particular + an integer combination of the
-    kernel basis (taken mod m in the modular case).  The modular case is
-    reduced to the integer case by augmenting the columns with m times the
-    identity, so a single integer kernel drives both.
+    Returns (particular solution, kernel generators) or None when no
+    solution exists; every solution is particular + an integer combination
+    of the generators (mod m).  Both read one Smith form U A V = D, of A
+    reduced into [0, m) mod m, through `smith_solve`.  Over Z the generators
+    are the columns of V past the rank, a basis of ker A; mod m they are the
+    columns k of V times m / gcd(d_k, m), those nonzero mod m.
     """
     b = _vec(b)
     if a.rows != len(b):
         raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)}")
-    if modulus is not None:
-        m = int(modulus)
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        scaled = IntMatrix.identity(a.rows).scale(m)
-        aug = IntMatrix.hstack([IntMatrix._wrap(a.array % m), scaled])
-        res = solve_linear(aug, b % m, None)
-        if res is None:
-            return None
-        x, ker = res
-        n = a.cols
-        part = x[:n] % m
-        gens = []
-        seen = set()
-        for k in ker:
-            g = k[:n] % m
-            key = tuple(g)
-            if any(g) and key not in seen:
-                seen.add(key)
-                gens.append(g)
-        residual = (a.array @ part - b) % m
-        if any(residual):
-            raise AssertionError("modular solver produced a non-solution")
-        return part, gens
-
-    s = smith_normal_form(a)
-    x = smith_solve(s, b.reshape(-1, 1))
+    m = None if modulus is None else int(modulus)
+    if m is not None and m < 2:
+        raise ValueError("modulus must be at least 2")
+    s = smith_normal_form(a if m is None else a.reduce_mod(m))
+    x = smith_solve(s, b.reshape(-1, 1), m)
     if x is None:
         return None
-    x = x[:, 0]
-    ker = [s.v.array[:, j].copy() for j in range(s.rank, a.cols)]
-    if any(a.array @ x - b):
-        raise AssertionError("integer solver produced a non-solution")
+    if m is None:
+        x, ker = x[:, 0], [s.v.array[:, j].copy() for j in range(s.rank, a.cols)]
+    else:
+        diag = s.diagonal() + [0] * (a.cols - min(a.shape))  # d_k = 0 past the diagonal
+        gens = (s.v.array[:, k] * (m // math.gcd(d, m)) % m for k, d in enumerate(diag))
+        x, ker = x[:, 0] % m, [g for g in gens if any(g)]
+    residual = a.array @ x - b
+    if any(residual % m if m else residual):
+        raise AssertionError("solver produced a non-solution")
     return x, ker
 
 
-def smith_solve(s: SmithDecomposition, b: np.ndarray) -> np.ndarray | None:
-    """x with A x = b, column by column, for the matrix A whose Smith form
-    is s; None when some column of b is not in the column span of A.
+def smith_solve(s: SmithDecomposition, b: np.ndarray, modulus: int | None = None) -> np.ndarray | None:
+    """x with A x = b, column by column, over Z or modulo m, for the matrix
+    A whose Smith form is s; None when some column of b has no solution.
 
-    y = U b, z = y / D on the diagonal, x = V z.
+    y = U b, z = y / D on the diagonal, x = V z.  Modulo m, row k asks
+    d_k z_k = y_k (d_k = 0 past the diagonal): with g = gcd(d_k, m) it is
+    solvable exactly when g divides y_k, by z_k = (y_k / g) (d_k / g)^-1,
+    the inverse taken modulo m / g.
     """
     diag = s.diagonal()
     z = np.zeros((s.v.rows, b.shape[1]), dtype=object)
     for i, row in enumerate((s.u.array @ b).tolist()):
         d = diag[i] if i < len(diag) else 0
+        g = math.gcd(d, modulus) if modulus else d
+        inv = pow(d // g, -1, modulus // g) if modulus else 1
         for j, y in enumerate(row):
-            if y % d if d else y:
+            if y % g if g else y:
                 return None
             if d:
-                z[i, j] = y // d
+                z[i, j] = y // g * inv
     return s.v.array @ z
 
 
@@ -454,9 +444,6 @@ class FGAbelianGroup:
             free_rank=ambient_rank - len(nonzero),
             invariant_factors=tuple(d for d in nonzero if d >= 2),
         )
-
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
 
     def torsion_order(self) -> int:
         out = 1

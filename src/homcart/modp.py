@@ -7,8 +7,6 @@ to P_MAX here; composite moduli and larger primes go through the integer
 Smith kernel instead.
 """
 
-import math
-
 import numpy as np
 
 P_MAX = 1 << 20
@@ -29,8 +27,8 @@ def is_prime(n: int) -> bool:
     bases 2..41, exact for every n below PSI_13 = 3317044064679887385961981.
 
     At or above PSI_13 a witness among those bases still proves n composite
-    at once; a number with no witness is decided by trial division by the
-    odd numbers, so no answer is ever guessed.
+    at once; a number with no witness raises ValueError, since the bases no
+    longer prove it prime, so no answer is ever guessed.
     """
     if n < 2 or any(n % q == 0 for q in _BASES):
         return n in _BASES
@@ -42,7 +40,9 @@ def is_prime(n: int) -> bool:
         x = pow(a, d, n)
         if x != 1 and all(pow(x, 1 << k, n) != n - 1 for k in range(s)):
             return False
-    return n < PSI_13 or all(n % f for f in range(3, math.isqrt(n) + 1, 2))
+    if n < PSI_13:
+        return True
+    raise ValueError(f"primality of {n} is not decided")
 
 
 def inv_mod(a: int, p: int) -> int:

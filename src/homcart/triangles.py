@@ -2,9 +2,8 @@
 
 A triangle is its three maps (X --f--> Y --g--> Z --h--> X[1]), checked to
 compose; nothing is solved on construction, so a Triangle is a *candidate*,
-not a certificate.  `composites_null` decides on demand whether g f, h g and
-f[1] h are null-homotopic.  Distinguishedness is certified either by being
-a standard cone triangle, by an explicit comparison witness u : cone(f) -> Z
+not a certificate.  Distinguishedness is certified either by being a
+standard cone triangle, by an explicit comparison witness u : cone(f) -> Z
 (`verify_distinguished_with_witness`), or by rotation from a certified
 triangle (`rotation_witness` produces the rotated witness, which is then
 checked, never assumed).
@@ -24,7 +23,6 @@ from .complexes import (
     cone_complex,
     cone_map,
     homotopic,
-    identity_map,
     is_homotopy_equivalence,
     shift,
     zero_map,
@@ -53,14 +51,6 @@ class Triangle:
 
     def __setattr__(self, *a):
         raise AttributeError("Triangle is immutable")
-
-    @property
-    def composites_null(self) -> bool:
-        """Whether g f, h g and f[1] h are null-homotopic, solved on each read."""
-        return all(
-            homotopic(second.compose(first), zero_map(first.source, second.target)) is not None
-            for first, second in ((self.f, self.g), (self.g, self.h), (self.h, self.f.shift()))
-        )
 
     def maps(self) -> tuple[ChainMap, ChainMap, ChainMap]:
         return (self.f, self.g, self.h)
@@ -193,7 +183,3 @@ def verify_triangle_morphism(m: TriangleMorphism) -> MorphismCheck:
         if w is None
     )
     return MorphismCheck(ok=not failing, failing_squares=failing, square_witnesses=(w1, w2, w3))
-
-
-def identity_morphism(t: Triangle) -> TriangleMorphism:
-    return TriangleMorphism(t, t, identity_map(t.x), identity_map(t.y), identity_map(t.z))

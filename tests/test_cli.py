@@ -248,6 +248,14 @@ def test_fuzz_rejects_non_prime_field(capsys):
     assert "prime" in err
 
 
+def test_fuzz_reports_an_undecided_primality_as_an_error(capsys):
+    from homcart.modp import PSI_13
+
+    code, out, err = run(capsys, "fuzz", "prop2", "--field", str(PSI_13), "--trials", "1")
+    assert code == 3
+    assert out == "" and err.startswith("error:") and "not decided" in err
+
+
 @pytest.mark.parametrize("flag", ["--max-rank", "--degrees"])
 def test_fuzz_rejects_sizes_with_no_nonzero_complex(flag):
     # in a child process with a timeout, so that a generator looping on

@@ -92,12 +92,20 @@ def test_solve_dimension_mismatch():
 
 def test_solve_against_residue_oracle():
     rng = random.Random(99)
-    for _ in range(150):
+    for k in range(180):
         m = rng.randint(2, 50)
         rows = rng.randint(1, 3)
-        cols = rng.randint(1, 3)
+        cols = rng.randint(0, 3) if k % 4 == 0 else rng.randint(1, 3)
         a_rows = [[rng.randint(-10, 10) for _ in range(cols)] for _ in range(rows)]
+        if k % 4 == 1 and cols > 1:
+            for row in a_rows:  # a zero column
+                row[0] = 0
+        if k % 4 == 2 and rows > 1:
+            a_rows[-1] = [3 * v for v in a_rows[0]]  # rank deficient
         b = [rng.randint(-10, 10) for _ in range(rows)]
+        if k % 8 == 2:  # a right-hand side in the span
+            xs = [rng.randint(0, m - 1) for _ in range(cols)]
+            b = [sum(c * v for c, v in zip(row, xs)) for row in a_rows]
         oracle = residue_solutions(a_rows, b, m)
         got = solve_linear(IntMatrix(a_rows), b, modulus=m)
         if got is None:

@@ -12,7 +12,7 @@ from homcart.squares import (
 from homcart.suite import build_star, data_dir, fuzz_prop2, lemma2, verify_paper
 from homcart.triangles import standard_triangle
 
-from helpers import cmap, cpx, one_term, two_term
+from helpers import cmap, composites_null, cpx, one_term, two_term
 
 
 def test_golden_reports_byte_identical():
@@ -138,7 +138,7 @@ def test_yes_verdict_extends_to_verified_triangle():
         third = verdict.details["third_map"]
         seq = diagonal(sq)
         tri = Triangle(seq.first, seq.second, third)
-        assert tri.composites_null
+        assert composites_null(tri)
         check = verify_distinguished_with_witness(tri, verdict.witness)
         assert check.ok, check.failures
 

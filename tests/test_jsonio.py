@@ -17,9 +17,9 @@ from homcart.jsonio import (
 )
 from homcart.squares import square_from_cone
 from homcart.suite import build_star, lemma2
-from homcart.triangles import identity_morphism, standard_triangle, verify_triangle_morphism
+from homcart.triangles import standard_triangle, verify_triangle_morphism
 
-from helpers import cmap, cpx, one_term, two_term
+from helpers import cmap, cpx, identity_morphism, one_term, two_term
 
 
 def test_complex_roundtrip_including_modular():

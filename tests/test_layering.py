@@ -3,7 +3,9 @@ Smith forms are taken only by `Ring` and `complexes.Subquotient`, the
 squares search walks classes in one generator, whatever the ring, the unit
 lemma's matrices share one field layer, primality is decided in `modp`, and
 the blocks of graded maps are checked in one function of `complexes` and
-read from JSON in one function of `jsonio`."""
+read from JSON in one function of `jsonio`, and contractions and modular
+solves have one algorithm for every ring: no Hom-system fallback, no
+recursion."""
 
 import ast
 import importlib
@@ -150,3 +152,21 @@ def test_blocks_are_read_from_json_in_one_function():
 
     sites = _functions_around(_parse("jsonio.py"), matrix_load)
     assert len(set(sites)) == 1, f"IntMatrix.from_json called in {sorted(set(sites))}"
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    return next(n for n in ast.walk(_parse(module)) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def test_contractions_solve_no_hom_system():
+    names = {n.id for n in ast.walk(_function("complexes.py", "is_contractible")) if isinstance(n, ast.Name)}
+    assert "homotopic" not in names
+
+
+def test_solve_linear_does_not_recurse():
+    calls = [
+        n.lineno
+        for n in ast.walk(_function("intmat.py", "solve_linear"))
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "solve_linear"
+    ]
+    assert calls == [], f"solve_linear calls itself at lines {calls}"

@@ -1,5 +1,5 @@
 """`modp.solve` against brute force over F_2 and F_3, and `modp.is_prime`
-against sympy."""
+against sympy, with the numbers it cannot decide refused at once."""
 
 import random
 import time
@@ -81,6 +81,17 @@ def test_is_prime_agrees_with_sympy_below_psi13():
     ns += [sympy.nextprime(n) for n in ns[:100]] + list(PSI)
     assert [modp.is_prime(n) for n in ns] == [sympy.isprime(n) for n in ns]
     assert not modp.is_prime(PSI[-1])
+
+
+def test_is_prime_refuses_at_once_what_its_bases_cannot_decide():
+    # PSI_13 is a strong pseudoprime to every base 2..41, so no base proves it
+    # composite and the bases prove nothing at or above it
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not decided"):
+        modp.is_prime(modp.PSI_13)
+    assert time.perf_counter() - start < 1
+    # a witness still proves a larger number composite
+    assert not modp.is_prime(modp.PSI_13 + 2) and not sympy.isprime(modp.PSI_13 + 2)
 
 
 @pytest.mark.parametrize("p", [100000000000031, 10000000000000061])

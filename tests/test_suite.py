@@ -16,9 +16,9 @@ from homcart.suite import (
     report_text,
     verify_paper,
 )
-from homcart.triangles import identity_morphism, standard_triangle, verify_triangle_morphism
+from homcart.triangles import standard_triangle, verify_triangle_morphism
 
-from helpers import one_term
+from helpers import identity_morphism, one_term
 
 
 def test_poly_eval():
