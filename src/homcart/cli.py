@@ -209,8 +209,8 @@ def cmd_unit_lemma(args) -> int:
         rational = desc.startswith("matq:")
         try:
             params = [int(v) for v in desc.split(":")[1:]]
-            if len(params) != (1 if rational else 2):
-                raise ValueError("expected matq:k" if rational else "expected matf:p:k")
+            if len(params) != (1 if rational else 2) or params[-1] < 1:
+                raise ValueError(f"expected {'matq:k' if rational else 'matf:p:k'} with k >= 1")
             rows = json.loads(args.eps)
             if not isinstance(rows, list) or len(rows) != params[-1]:
                 raise ValueError(f"expected a {params[-1]}x{params[-1]} matrix")
@@ -218,7 +218,7 @@ def cmd_unit_lemma(args) -> int:
                 eps = QMatrix([[Fraction(str(v)) for v in row] for row in rows])
             else:
                 eps = FpMatrix(params[0], [[int(str(v), 10) for v in row] for row in rows])
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, ZeroDivisionError) as e:
             raise UsageError(f"bad matrix element: {e}") from e
         cert = find_alpha(eps) if variant == "alpha" else find_beta(eps)
         mats = {"coefficient": cert.coefficient, "unit": cert.unit, "inverse": cert.inverse}

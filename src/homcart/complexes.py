@@ -42,11 +42,13 @@ invertible in every degree by [[0, 0], [f_i^-1, 0]] in degree i.  Over
 Z/m, d has a section exactly when each invariant factor d_k of its Smith
 form is a unit modulo m / gcd(d_k, m).
 
-Homology, Hom groups and the classes of the squares search are all
-subquotients, computed by one routine: `Subquotient(ring, top, b)` is
+Hom groups and the classes of the squares search are subquotients,
+computed by one routine: `Subquotient(ring, top, b)` is
 span(top) / (im b + m Z^n), with representatives and a `lookup` of class
-coordinates.  It takes Smith forms over Z and Z/m, and works in int64 over
-the small prime fields, where no Smith form is taken.
+coordinates.  Over Z and Z/m it takes two Smith forms, of top and of the
+relations in its coordinates; over the small prime fields it works in
+int64, where no Smith form is taken.  `homology` needs no representatives
+and reads each H^i off the Smith forms of d(i-1) and d(i) alone.
 
 `Ring` is the linear-algebra backend of these vectors and matrices: prime
 fields F_p with p <= 2^20 are solved in int64 by `modp`, and every other
@@ -58,7 +60,6 @@ converts between the two.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -67,7 +68,9 @@ from .intmat import (
     DimensionMismatch,
     FGAbelianGroup,
     IntMatrix,
+    cokernel,
     det,
+    smith_kernel,
     smith_normal_form,
     smith_solve,
     solve_linear,
@@ -145,10 +148,7 @@ class Ring:
             return modp.kernel(a, self.modulus)
         if a.shape[0] == 0 or a.shape[1] == 0:
             return np.eye(a.shape[1], dtype=object)
-        if self.modulus is None:
-            s = smith_normal_form(IntMatrix(a))
-            return s.v.array[:, s.rank :]
-        return self.solve(a, np.zeros(a.shape[0], dtype=object))[1]
+        return smith_kernel(smith_normal_form(self.canon(IntMatrix(a))), self.modulus)
 
     def independent_columns(self, base: np.ndarray, cols: np.ndarray) -> list[int]:
         """Indices of the columns of `cols` outside the span of `base` and of
@@ -194,11 +194,6 @@ class Ring:
 
     def canon(self, m: IntMatrix) -> IntMatrix:
         return m if self.modulus is None else m.reduce_mod(self.modulus)
-
-    def matrices_equal(self, a: IntMatrix, b: IntMatrix) -> bool:
-        if self.modulus is None:
-            return a == b
-        return a.reduce_mod(self.modulus) == b.reduce_mod(self.modulus)
 
     def __str__(self):
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
@@ -349,7 +344,7 @@ class ChainMap(_GradedMap):
                 continue
             lhs = self.target.differential(i) @ self.component(i)
             rhs = self.component(i + 1) @ self.source.differential(i)
-            if not ring.matrices_equal(lhs, rhs):
+            if not ring.canon(lhs - rhs).is_zero():
                 return i
         return None
 
@@ -448,13 +443,12 @@ class Homotopy(_GradedMap):
         for i in sorted(set(x.degrees()) | set(y.degrees())):
             if x.rank(i) == 0 or y.rank(i) == 0:
                 continue
-            want = self.lhs.component(i) - self.rhs.component(i)
-            acc = IntMatrix.zeros(y.rank(i), x.rank(i))
+            rest = self.lhs.component(i) - self.rhs.component(i)
             if y.rank(i - 1) > 0:
-                acc = acc + y.differential(i - 1) @ self.component(i)
+                rest = rest - y.differential(i - 1) @ self.component(i)
             if x.rank(i + 1) > 0:
-                acc = acc + self.component(i + 1) @ x.differential(i)
-            if not ring.matrices_equal(want, acc):
+                rest = rest - self.component(i + 1) @ x.differential(i)
+            if not ring.canon(rest).is_zero():
                 return i
         return None
 
@@ -755,33 +749,41 @@ def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
 
 
 def homology(c: Complex) -> dict[int, FGAbelianGroup]:
-    """H^i = ker d(i) / im d(i-1) by invariant factors, over Z only."""
+    """H^i = ker d(i) / im d(i-1) by invariant factors, over Z only, from one
+    Smith form per differential: H^i has the torsion of coker d(i-1), and
+    its free rank less rank d(i)."""
     if not c.ring.is_integers:
         raise ComplexError("homology is computed over the integers; reduce or lift explicitly")
     degs = c.degrees()
     if not degs:
         return {}
-    return {
-        i: Subquotient(ZZ, ZZ.kernel(c.differential(i).array), c.differential(i - 1).array).group
-        for i in range(degs[0], degs[-1] + 1)
-    }
+    cok = {i: cokernel(d) for i, d in c.components().items()}
+    out = {}
+    for i in range(degs[0], degs[-1] + 1):
+        q = cok.get(i - 1, FGAbelianGroup(c.rank(i)))
+        rank = c.rank(i + 1) - cok[i].free_rank if i in cok else 0
+        out[i] = FGAbelianGroup(q.free_rank - rank, q.invariant_factors)
+    return out
 
 
 class Subquotient:
-    """span(top) / (im b + m Z^n) for the columns of top and b in Z^n, over
-    the ring Z (m = 0) or Z/m; b must lie in span(top) + m Z^n.
+    """span(top) / (im b + m Z^n) for the columns of top, any generating
+    set, and of b in Z^n, over the ring Z (m = 0) or Z/m; b must lie in
+    span(top) + m Z^n.
 
-    Over Z, top must be a basis, as `Ring.kernel` returns; modulo m any
-    generating set will do.  `group` is the quotient.  `torsion_reps` and
-    `free_reps` are vectors in span(top) representing its generators, and
-    `lookup(v)` gives the coordinates (torsion residues..., free integers...)
-    of the class of v along them: two vectors get equal coordinates exactly
-    when they differ by an element of im b + m Z^n.
+    `group` is the quotient.  `torsion_reps` and `free_reps` are vectors in
+    span(top) representing its generators, and `lookup(v)` gives the
+    coordinates (torsion residues..., free integers...) of the class of v
+    along them: two vectors get equal coordinates exactly when they differ
+    by an element of im b + m Z^n.
 
-    Over Z and Z/m the quotient comes from Smith forms.  Over a small prime
-    field it is computed in int64: the representatives are the columns of
-    top outside the span of b and of the columns picked before them, and
-    `lookup` solves for v along b and them.
+    Over Z and Z/m the quotient is Z^k, the coordinates x of v = top x, by
+    the relations [x(b) | ker top | m 1_k], read off their Smith form: x(b)
+    and ker top come from the Smith form of top (reduced mod m) through
+    `smith_solve` and `smith_kernel`.  Over a small prime field it is
+    computed in int64: the representatives are the columns of top outside
+    the span of b and of the columns picked before them, and `lookup`
+    solves for v along b and them.
     """
 
     def __init__(self, ring: Ring, top: np.ndarray, b: np.ndarray):
@@ -791,36 +793,24 @@ class Subquotient:
             self._reps = top[:, ring.independent_columns(self._b, top)]
             self.group = FGAbelianGroup(0, (ring.modulus,) * self._reps.shape[1])
             return
-        top, b, m = ZZ.asarray(top), ZZ.asarray(b), ring.modulus
-        n = top.shape[0]
-        if m is None:
-            kbasis, rels = top, b
-        elif n:
-            # a basis of the lattice span(top) + m Z^n, which has full rank
-            sg = smith_normal_form(IntMatrix(np.hstack([top, np.eye(n, dtype=object) * m])))
-            kbasis = sg.uinv.array @ sg.d.array[:, :n]
-            rels = np.hstack([b, np.eye(n, dtype=object) * m])
-        else:
-            kbasis, rels = np.zeros((0, 0), dtype=object), b
-        self._kbasis = kbasis
-        k = kbasis.shape[1]
-        if k and rels.shape[1]:
-            srel = smith_normal_form(IntMatrix(self._kcoords(rels)))
-            diag, self._u, self._uinv = srel.diagonal(), srel.u.array, srel.uinv.array
-        else:
-            diag, self._u, self._uinv = [], np.eye(k, dtype=object), np.eye(k, dtype=object)
+        self._top, m = ZZ.asarray(top), ring.modulus
+        k = self._top.shape[1]
+        diag, self._u, self._uinv = [], np.eye(k, dtype=object), np.eye(k, dtype=object)
+        if k:
+            self._s = smith_normal_form(ring.canon(IntMatrix(self._top)))
+            rels = [self._coords(ZZ.asarray(b)), smith_kernel(self._s, m)]
+            rels = np.hstack(rels + [np.eye(k, dtype=object) * m] if m else rels)
+            if rels.shape[1]:
+                srel = smith_normal_form(IntMatrix(rels))
+                diag, self._u, self._uinv = srel.diagonal(), srel.u.array, srel.uinv.array
         self._torsion_idx = [j for j, d in enumerate(diag) if d >= 2]
         self._torsion = [diag[j] for j in self._torsion_idx]
         self._free_idx = list(range(sum(1 for d in diag if d != 0), k))
         self.group = FGAbelianGroup(len(self._free_idx), tuple(self._torsion))
 
-    @cached_property
-    def _ksnf(self):
-        return smith_normal_form(IntMatrix(self._kbasis))
-
-    def _kcoords(self, vectors: np.ndarray) -> np.ndarray:
-        """Coordinates in the lattice basis of columns that lie in the lattice."""
-        coords = smith_solve(self._ksnf, vectors)
+    def _coords(self, vectors: np.ndarray) -> np.ndarray:
+        """x with top x = vectors (mod m), column by column."""
+        coords = smith_solve(self._s, vectors, self.ring.modulus)
         if coords is None:
             raise AssertionError("vector is not in the lattice")
         return coords
@@ -829,13 +819,13 @@ class Subquotient:
     def torsion_reps(self) -> list[np.ndarray]:
         if self.ring.is_small_prime_field:
             return list(self._reps.T)
-        return [self._kbasis @ self._uinv[:, j] for j in self._torsion_idx]
+        return [self._top @ self._uinv[:, j] for j in self._torsion_idx]
 
     @property
     def free_reps(self) -> list[np.ndarray]:
         if self.ring.is_small_prime_field:
             return []
-        return [self._kbasis @ self._uinv[:, j] for j in self._free_idx]
+        return [self._top @ self._uinv[:, j] for j in self._free_idx]
 
     def lookup(self, v: np.ndarray) -> tuple[int, ...]:
         """Coordinates of the class of v, a vector in span(top) + m Z^n."""
@@ -844,9 +834,9 @@ class Subquotient:
             if got is None:
                 raise AssertionError("vector is not in the lattice")
             return tuple(int(c) for c in got[0][self._b.shape[1] :])
-        if self._kbasis.shape[1] == 0:
+        if self._top.shape[1] == 0:
             return ()
-        y = self._u @ self._kcoords(ZZ.asarray(v).reshape(-1, 1))[:, 0]
+        y = self._u @ self._coords(ZZ.asarray(v).reshape(-1, 1))[:, 0]
         tors = tuple(int(y[j]) % self._torsion[a] for a, j in enumerate(self._torsion_idx))
         return tors + tuple(int(y[j]) for j in self._free_idx)
 

@@ -12,8 +12,9 @@ Provided here:
   chain d_1 | d_2 | ..., plus the inverse of U,
 * `solve_linear` -- particular solution and kernel generators over Z or
   Z/m, from one Smith form of the matrix itself,
-* `smith_solve` -- the back-substitution through a Smith form, over Z or
-  modulo m, that both `solve_linear` and `complexes.Subquotient` use,
+* `smith_solve` and `smith_kernel` -- the back-substitution through a Smith
+  form and the kernel generators it gives, over Z or modulo m, that
+  `solve_linear`, `complexes.Ring` and `complexes.Subquotient` share,
 * `cokernel` / `FGAbelianGroup` -- finitely generated abelian groups by
   invariant factors.
 """
@@ -131,7 +132,7 @@ class IntMatrix:
         return IntMatrix._wrap(self._a % int(m))
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self._a.flat)
+        return not self._a.any()
 
     def __eq__(self, other) -> bool:
         return (
@@ -364,9 +365,7 @@ def solve_linear(
     Returns (particular solution, kernel generators) or None when no
     solution exists; every solution is particular + an integer combination
     of the generators (mod m).  Both read one Smith form U A V = D, of A
-    reduced into [0, m) mod m, through `smith_solve`.  Over Z the generators
-    are the columns of V past the rank, a basis of ker A; mod m they are the
-    columns k of V times m / gcd(d_k, m), those nonzero mod m.
+    reduced into [0, m) mod m, through `smith_solve` and `smith_kernel`.
     """
     b = _vec(b)
     if a.rows != len(b):
@@ -378,16 +377,11 @@ def solve_linear(
     x = smith_solve(s, b.reshape(-1, 1), m)
     if x is None:
         return None
-    if m is None:
-        x, ker = x[:, 0], [s.v.array[:, j].copy() for j in range(s.rank, a.cols)]
-    else:
-        diag = s.diagonal() + [0] * (a.cols - min(a.shape))  # d_k = 0 past the diagonal
-        gens = (s.v.array[:, k] * (m // math.gcd(d, m)) % m for k, d in enumerate(diag))
-        x, ker = x[:, 0] % m, [g for g in gens if any(g)]
+    x = x[:, 0] % m if m else x[:, 0]
     residual = a.array @ x - b
     if any(residual % m if m else residual):
         raise AssertionError("solver produced a non-solution")
-    return x, ker
+    return x, list(smith_kernel(s, m).T)
 
 
 def smith_solve(s: SmithDecomposition, b: np.ndarray, modulus: int | None = None) -> np.ndarray | None:
@@ -411,6 +405,19 @@ def smith_solve(s: SmithDecomposition, b: np.ndarray, modulus: int | None = None
             if d:
                 z[i, j] = y // g * inv
     return s.v.array @ z
+
+
+def smith_kernel(s: SmithDecomposition, modulus: int | None = None) -> np.ndarray:
+    """Columns generating ker A, for the A whose Smith form is s: over Z the
+    columns of V past the rank, a basis; modulo m, where d_k z_k = 0 asks
+    that m / gcd(d_k, m) divide z_k (d_k = 0 past the diagonal), the columns
+    k of V times m / gcd(d_k, m), those nonzero mod m."""
+    v, m = s.v.array, modulus
+    if m is None:
+        return v[:, s.rank :]
+    diag = s.diagonal() + [0] * (v.shape[1] - min(s.d.shape))
+    gens = v * np.array([m // math.gcd(d, m) for d in diag], dtype=object) % m
+    return gens[:, [k for k in range(len(diag)) if any(gens[:, k])]]
 
 
 @dataclass(frozen=True)

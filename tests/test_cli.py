@@ -185,12 +185,23 @@ def test_unit_lemma_rejects_malformed_matrix_descriptors(capsys, ring):
 
 
 @pytest.mark.parametrize("ring", ["matf:2:2", "matq:2"])
-@pytest.mark.parametrize("eps", ["[1, 2]", "[[1, 0], 2]", "[[1, 0]]", '{"a": 1}', "[[1, 0], [0, x]]"])
+@pytest.mark.parametrize(
+    "eps", ["[1, 2]", "[[1, 0], 2]", "[[1, 0]]", '{"a": 1}', "[[1, 0], [0, x]]", '[["1/0", 0], [0, 1]]']
+)
 def test_unit_lemma_rejects_malformed_matrix_entries(capsys, ring, eps):
     code, out, err = run(capsys, "unit-lemma", "--ring", ring, "--eps", eps)
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("ring", ["matf:2:0", "matq:0", "matq:-1"])
+def test_unit_lemma_rejects_an_empty_matrix_ring(capsys, ring):
+    # k >= 1 for both matrix rings: an empty certificate is no answer
+    code, out, err = run(capsys, "unit-lemma", "--ring", ring, "--eps", "[]")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "k >= 1" in err
 
 
 def test_unit_lemma_bad_ring(capsys):

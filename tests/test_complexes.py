@@ -36,7 +36,7 @@ from homcart.complexes import (
     shift,
     zero_map,
 )
-from homcart.intmat import FGAbelianGroup, IntMatrix
+from homcart.intmat import FGAbelianGroup, IntMatrix, smith_normal_form, solve_linear
 from homcart.suite import fuzz_prop2, lemma2, prop2_replay
 
 from helpers import cmap, cpx, one_term, two_term
@@ -243,6 +243,77 @@ def test_homology_against_sympy_smith_form():
             rk_out, _ = rank_and_factors(c.differential(i))
             rk_in, factors = rank_and_factors(c.differential(i - 1))
             assert group == FGAbelianGroup(c.rank(i) - rk_out - rk_in, tuple(factors)), (i, c)
+
+
+def _record_smith_forms(monkeypatch) -> list:
+    """Every matrix handed to a Smith form from complexes or intmat."""
+    import homcart.complexes as complexes
+    import homcart.intmat as intmat
+
+    seen, real = [], intmat.smith_normal_form
+
+    def recording(a):
+        seen.append(a)
+        return real(a)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", recording)
+    monkeypatch.setattr(complexes, "smith_normal_form", recording)
+    return seen
+
+
+def test_homology_takes_one_smith_form_per_differential(monkeypatch):
+    seen = _record_smith_forms(monkeypatch)
+    rng = random.Random(23)
+    gaps = [cpx({0: 1, 2: 1}), cpx({0: 2, 1: 0, 2: 1}), cone(identity_map(two_term(5)))[0], two_term(9)]
+    for c in [_random_z_complex(rng) for _ in range(20)] + gaps:
+        seen.clear()
+        homology(c)
+        shapes = [c.differential(i).shape for i in c.degrees() if c.rank(i + 1)]
+        assert len(seen) <= len(shapes) and all(a.shape in shapes for a in seen), (c, shapes)
+
+
+@pytest.mark.parametrize("m", [4, 9, 12])
+def test_subquotient_over_zm_takes_two_smith_forms(monkeypatch, m):
+    # one of top itself, then one of the relations in its coordinates: none
+    # of the augmented [top | m 1], whose shape is (n, k + n)
+    seen = _record_smith_forms(monkeypatch)
+    rng = random.Random(m)
+    for _ in range(20):
+        n, k, j = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 2)
+        top = np.array([rng.randrange(m) for _ in range(n * k)], dtype=object).reshape(n, k)
+        b = top @ np.array([rng.randrange(m) for _ in range(k * j)], dtype=object).reshape(k, j)
+        seen.clear()
+        Subquotient(Zmod(m), top, b)
+        assert len(seen) == 2 and seen[0] == IntMatrix(top) and seen[1].rows == k
+
+
+def test_subquotient_over_z_of_a_generating_set():
+    # [2, 4] generates 2Z without being a basis of it: 2Z / 4Z = Z/2
+    q = Subquotient(ZZ, np.array([[2, 4]], dtype=object), np.array([[4]], dtype=object))
+    assert q.group == FGAbelianGroup(0, (2,))
+
+    def look(v):
+        return q.lookup(np.array([v], dtype=object))
+
+    assert look(2) == look(6) != look(4) == (0,)
+
+
+def test_subquotient_over_z_against_solving():
+    # two vectors of span(top) share a class exactly when their difference is in im b
+    rng = random.Random(29)
+    for _ in range(40):
+        n, k, j = rng.randint(1, 3), rng.randint(1, 4), rng.randint(0, 3)
+        top = np.array([rng.randint(-4, 4) for _ in range(n * k)], dtype=object).reshape(n, k)
+        b = top @ np.array([rng.randint(-3, 3) for _ in range(k * j)], dtype=object).reshape(k, j)
+        q = Subquotient(ZZ, top, b)
+        rank = [smith_normal_form(IntMatrix(a)).rank if a.size else 0 for a in (top, b)]
+        assert q.group.free_rank == rank[0] - rank[1]
+        vs = [top @ np.array([rng.randint(-3, 3) for _ in range(k)], dtype=object) for _ in range(6)]
+        vs += [v + b @ np.array([rng.randint(-2, 2) for _ in range(j)], dtype=object) for v in vs[:3]]
+        for u in vs:
+            for v in vs:
+                same = j > 0 and solve_linear(IntMatrix(b), list(u - v)) is not None or not any(u - v)
+                assert (q.lookup(u) == q.lookup(v)) == same
 
 
 def test_hom_group_unit_interval():
@@ -588,7 +659,7 @@ def test_section_splits_random_matrices(m):
         assert got is not None
         s, r = got
         assert r == rank and s.shape == (d.cols, d.rows)
-        assert ring.matrices_equal(d @ IntMatrix(s) @ d, d)
+        assert ring.canon(d @ IntMatrix(s) @ d - d).is_zero()
         split += 1
     assert split >= 30
     # Z/6 is a product of fields: there, as over F_p, every matrix splits

@@ -3,9 +3,10 @@ Smith forms are taken only by `Ring` and `complexes.Subquotient`, the
 squares search walks classes in one generator, whatever the ring, the unit
 lemma's matrices share one field layer, primality is decided in `modp`, and
 the blocks of graded maps are checked in one function of `complexes` and
-read from JSON in one function of `jsonio`, and contractions and modular
-solves have one algorithm for every ring: no Hom-system fallback, no
-recursion."""
+read from JSON in one function of `jsonio`, and contractions, solves,
+kernels and quotients have one algorithm for every ring: no Hom-system
+fallback, no recursion, one kernel formula (`intmat.smith_kernel`), and
+homology read off cokernels, with no kernel basis and no `Subquotient`."""
 
 import ast
 import importlib
@@ -170,3 +171,23 @@ def test_solve_linear_does_not_recurse():
         if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "solve_linear"
     ]
     assert calls == [], f"solve_linear calls itself at lines {calls}"
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Names and attribute names read inside node."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_homology_reads_cokernels_only():
+    names = _names(_function("complexes.py", "homology"))
+    assert "Subquotient" not in names and "kernel" not in names
+
+
+def test_kernels_have_one_formula():
+    ring = next(n for n in ast.walk(_parse("complexes.py")) if isinstance(n, ast.ClassDef) and n.name == "Ring")
+    kernel = next(n for n in ring.body if isinstance(n, ast.FunctionDef) and n.name == "kernel")
+    assert "solve" not in _names(kernel)
+    assert "smith_kernel" in _names(kernel)
+    assert "smith_kernel" in _names(_function("intmat.py", "solve_linear"))
