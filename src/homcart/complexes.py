@@ -268,6 +268,11 @@ class _GradedMap:
     def components(self) -> dict[int, IntMatrix]:
         return dict(self._blocks)
 
+    def blocks_to_json(self) -> dict:
+        """The nonzero blocks, keyed by degree: the one JSON writer of
+        differentials, chain maps and homotopies."""
+        return {str(i): m.to_json() for i, m in self._blocks.items() if not m.is_zero()}
+
 
 class Complex(_GradedMap):
     """Bounded complex of free modules, validated on construction."""

@@ -8,9 +8,11 @@ source and target supplied by context, and a square's witness homotopy is
 {"<i>": matrix}.
 
 Differentials, chain maps and homotopies, maps of degree 1, 0 and -1, are
-read by one block loader and written by one block dumper, which omits zero
-blocks.  The block in degree i of a degree-n map X -> Y has rank_Y(i+n) rows
-of exactly rank_X(i) entries; a zero block may be written out or omitted.
+read by one block loader and written by one block dumper,
+`_GradedMap.blocks_to_json` in `complexes`, which omits zero blocks and
+also writes a yes verdict's witness.  The block in degree i of a degree-n
+map X -> Y has rank_Y(i+n) rows of exactly rank_X(i) entries; a zero block
+may be written out or omitted.
 Loaders re-validate everything they read (shapes, d o d = 0, chain
 conditions, witness equations).
 
@@ -91,11 +93,6 @@ def substitute(node, a: int = 0, b: int = 0):
     return node
 
 
-def _blocks_to_json(blocks: dict[int, IntMatrix]) -> dict:
-    """The nonzero blocks of a graded map, keyed by degree."""
-    return {str(i): m.to_json() for i, m in blocks.items() if not m.is_zero()}
-
-
 def _blocks_from_json(data: dict, source_rank, target_rank, n: int) -> dict[int, IntMatrix]:
     """The blocks X^i -> Y^(i+n) of a degree-n map, each read at the shape
     target_rank(i+n) x source_rank(i)."""
@@ -109,7 +106,7 @@ def complex_to_json(c: Complex) -> dict:
     return {
         "ring": c.ring.to_json(),
         "degrees": {str(i): c.rank(i) for i in c.degrees()},
-        "differentials": _blocks_to_json(c.components()),
+        "differentials": c.blocks_to_json(),
     }
 
 
@@ -124,7 +121,7 @@ def complex_from_json(data: dict) -> Complex:
 
 
 def chain_map_to_json(f: ChainMap) -> dict:
-    return {"components": _blocks_to_json(f.components())}
+    return {"components": f.blocks_to_json()}
 
 
 def chain_map_from_json(data: dict, source: Complex, target: Complex) -> ChainMap:
@@ -187,7 +184,7 @@ def square_to_json(sq: CommutativeSquare) -> dict:
             "b": chain_map_to_json(sq.b),
             "c": chain_map_to_json(sq.c),
         },
-        "witness": _blocks_to_json(sq.witness.components()),
+        "witness": sq.witness.blocks_to_json(),
     }
 
 

@@ -17,12 +17,13 @@ preserves equivalences and homotopies, so no integral witness can exist.
 Unknown reports a search bound.  Searches over Z are not claimed complete;
 over a finite base ring and within enumeration caps they are.
 
-Every finite set of maps the search tries is a base vector plus a box of
-coefficients on representatives, walked by the one generator `_walk`: the
-classes of solutions over Z/m (a `Subquotient` of the solution set by the
-null-homotopic maps, in int64 over small primes), the base-equivalence and
-unit candidates (representatives of `hom_group`), and the bounded integral
-enumeration (raw kernel columns of the constraint system).
+Every finite set of maps the search tries is a set of homotopy classes, read
+off a `Subquotient` the search builds anyway and walked by the one generator
+`_walk`: the base-equivalence candidates and the unit classes u o base, both
+in hom_group(d, t) (composing with base identifies End(t) with Hom(d, t), so
+no second Hom group is built), and the classes of constraint solutions, the
+`Subquotient` of the solution set by the null-homotopic maps, all of them
+over Z/m and a coefficient box of them over Z.
 """
 
 from dataclasses import dataclass, field
@@ -151,9 +152,7 @@ class Verdict:
         if self.reason:
             out["reason"] = self.reason
         if self.witness is not None:
-            out["witness"] = {
-                str(i): m.to_json() for i, m in self.witness.components().items()
-            }
+            out["witness"] = self.witness.blocks_to_json()
         return out
 
 
@@ -296,10 +295,10 @@ def _homology_isomorphic(hd: dict[int, FGAbelianGroup], ht: dict[int, FGAbelianG
     return all(hd.get(i, FGAbelianGroup(0)) == ht.get(i, FGAbelianGroup(0)) for i in set(hd) | set(ht))
 
 
-def _walk(base: np.ndarray, reps, ranges, modulus: int | None = None):
-    """base + sum_j c_j rep_j for each coefficient tuple c of product(*ranges),
-    in that order; reduced mod `modulus` when one is given."""
-    for coeffs in product(*ranges):
+def _walk(base: np.ndarray, reps, ranges, cap: int, modulus: int | None = None):
+    """base + sum_j c_j rep_j for the first `cap` coefficient tuples c of
+    product(*ranges), in that order; reduced mod `modulus` when one is given."""
+    for coeffs in islice(product(*ranges), cap):
         v = base
         for c, rep in zip(coeffs, reps):
             if c:
@@ -307,62 +306,79 @@ def _walk(base: np.ndarray, reps, ranges, modulus: int | None = None):
         yield v % modulus if modulus else v
 
 
-def _decide_over_modular_ring(system, sol, constraints, config, equivalent) -> Verdict:
-    """Walk every class of constraint-satisfying maps modulo null-homotopic
-    ones, the cosets of im D(-1) in the solution set, once each."""
-    m, n = system.ring.modulus, system.n_phi
-    if sol is None:
-        return Verdict(kind="no", modulus=m, exhausted=0, reason="constraints unsatisfiable")
-    x0, kern = sol
-    classes = Subquotient(system.ring, kern[:n], system.hom.D(-1))
-    count = classes.group.torsion_order()
-    if count > config.max_enum:
-        return Verdict(kind="unknown", reason=f"class enumeration needs {count} > cap")
-    ranges = [range(o) for o in classes.group.invariant_factors]
-    for v in _walk(x0[:n], classes.torsion_reps, ranges, m):
-        res = _verify_yes(system.phi_of(v), constraints, equivalent, {"source": "enumeration"})
-        if res is not None:
-            return res
-    return Verdict(
-        kind="no", modulus=m, exhausted=count, reason="all constraint-satisfying classes fail to be equivalences"
-    )
+def _coefficient_order(bound: int, cap: int) -> list[int]:
+    """-bound..bound by increasing absolute value, positive first, cut after
+    absolute value cap // 2: at most cap + 1 entries, and the first cap."""
+    b = min(bound, cap // 2)
+    return [0] + [s for k in range(1, b + 1) for s in (k, -k)]
 
 
-def _coefficient_order(bound: int) -> list[int]:
-    """-bound..bound by increasing absolute value, positive first."""
-    return sorted(range(-bound, bound + 1), key=lambda v: (abs(v), -v))
+def _class_ranges(group: FGAbelianGroup, bound: int, cap: int) -> list:
+    """Coefficients on the free then the torsion representatives of `group`,
+    the free ones within -bound..bound; each cut to what `cap` tuples of
+    their product reach, since `product` copies every range it is given."""
+    return [_coefficient_order(bound, cap)] * group.free_rank + [range(min(o, cap)) for o in group.invariant_factors]
 
 
-def _equivalence_candidates(d: Complex, t: Complex, config, hints, equivalent, hom_dt) -> ChainMap | None:
+def _equivalence_candidates(d: Complex, t: Complex, config, hints, equivalent, hom) -> ChainMap | None:
     """Some homotopy equivalence d -> t over Z, or None within bounds;
-    `hom_dt()` gives hom_group(d, t)."""
+    `hom` is hom_group(d, t)."""
     for phi in hints:
         if phi.source == d and phi.target == t and equivalent(phi) is not None:
             return phi
-    hom = hom_dt()
-    ranges = [_coefficient_order(config.coeff_bound)] * hom.group.free_rank
-    ranges += [range(o) for o in hom.group.invariant_factors]
-    walk = _walk(np.zeros(hom.hom.dim(0), dtype=object), hom.classes.free_reps + hom.classes.torsion_reps, ranges)
-    for v in islice(walk, MAX_CANDIDATES):
+    reps = hom.classes.free_reps + hom.classes.torsion_reps
+    ranges = _class_ranges(hom.group, config.coeff_bound, MAX_CANDIDATES)
+    for v in _walk(np.zeros(hom.hom.dim(0), dtype=object), reps, ranges, MAX_CANDIDATES):
         phi = ChainMap(d, t, hom.hom.unvec(v), check=False)
         if equivalent(phi) is not None:
             return phi
     return None
 
 
-def _unit_candidates(t: Complex) -> list[ChainMap] | None:
-    """All endomorphism classes that can be units, as chain maps; None if
-    the unit group is not finitely enumerable here (free rank >= 2)."""
-    end = hom_group(t, t)
-    g = end.group
+def _unit_classes(base: ChainMap, hom) -> list[ChainMap] | None:
+    """The classes u o base for every endomorphism class u of t that can be
+    a unit, read in hom = hom_group(d, t); None if they are not finitely
+    enumerable here (free rank >= 2).
+
+    Composing with the equivalence base is a group isomorphism
+    End(t) -> Hom(d, t) taking 1 to base and torsion to torsion.  With free
+    rank 1, units reduce to +-1 in End/torsion, whose ring is Z generated by
+    the identity class, so they become +-base plus torsion; with free rank 0
+    every class is tried.
+    """
+    g = hom.group
     if g.free_rank > 1 or (1 + g.free_rank) * g.torsion_order() > MAX_CANDIDATES:
         return None
-    # with free rank 1, units reduce to +-1 in End/torsion, whose ring is Z
-    # generated by the identity class
-    reps = [end.hom.vec(identity_map(t))] * g.free_rank + end.classes.torsion_reps
+    reps = [hom.hom.vec(base)] * g.free_rank + hom.classes.torsion_reps
     ranges = [(1, -1)] * g.free_rank + [range(o) for o in g.invariant_factors]
-    walk = _walk(np.zeros(end.hom.dim(0), dtype=object), reps, ranges)
-    return [ChainMap(t, t, end.hom.unvec(v), check=False) for v in walk]
+    walk = _walk(np.zeros(hom.hom.dim(0), dtype=object), reps, ranges, MAX_CANDIDATES)
+    return [ChainMap(base.source, base.target, hom.hom.unvec(v), check=False) for v in walk]
+
+
+def _walk_solutions(system, sol, constraints, config, equivalent) -> Verdict:
+    """Try each class of constraint-satisfying maps modulo null-homotopic
+    ones, the cosets of im D(-1) in the solution set, once: every class over
+    Z/m, so that exhausting them certifies a no; over Z, where the search is
+    not complete, those with free coefficients in the box, up to a cap."""
+    m, n = system.ring.modulus, system.n_phi
+    x0, kern = sol
+    classes = Subquotient(system.ring, kern[:n], system.hom.D(-1))
+    if m:
+        cap, source = classes.group.torsion_order(), "enumeration"
+        if cap > config.max_enum:
+            return Verdict(kind="unknown", reason=f"class enumeration needs {cap} > cap")
+    else:
+        cap, source = min(config.max_enum, 4096), "integral enumeration"
+    reps = classes.free_reps + classes.torsion_reps
+    for v in _walk(x0[:n], reps, _class_ranges(classes.group, config.coeff_bound, cap), cap, m):
+        res = _verify_yes(system.phi_of(v), constraints, equivalent, {"source": source})
+        if res is not None:
+            return res
+    if m:
+        return Verdict(
+            kind="no", modulus=m, exhausted=cap, reason="all constraint-satisfying classes fail to be equivalences"
+        )
+    return Verdict(kind="unknown", reason="search bounds exhausted without a decision")
 
 
 def find_compatible_equivalence(
@@ -378,36 +394,36 @@ def find_compatible_equivalence(
 
     The hints are tried first, followed by the identity when d == t and no
     hint is already the identity; then the constraint system is solved once.
-    Over a modular base ring every class of solutions is then walked, so the
-    search is complete within the enumeration cap.  Over Z: for each modulus
-    in the schedule (the torsion exponents of the homology of the corners,
-    of d and of t, then config.extra_moduli; each complex's homology is
-    computed once), the finite set of equivalence classes (unit multiples of
-    a base equivalence) is checked against the constraints mod m, yielding a
-    certified refutation when all fail; finally a bounded integral
-    enumeration hunts for a witness.  Unknown is returned when every bound
-    is exhausted without a decision.  Each map is tested for being an
-    equivalence, and hom_group(d, t) is built, at most once per call.
+    Over Z, for each modulus in the schedule (the torsion exponents of the
+    homology of the corners, of d and of t, then config.extra_moduli; each
+    complex's homology is computed once), the finite set of equivalence
+    classes, the unit multiples u o base of a base equivalence, read as
+    classes of hom_group(d, t), is checked against the constraints mod m,
+    yielding a certified refutation when all fail.  Then, over every ring,
+    the classes of constraint solutions are walked: all of them over Z/m,
+    so the search is complete within the enumeration cap, and a bounded
+    box of them over Z.  Unknown is returned when every bound is exhausted
+    without a decision.  Each map is tested for being an equivalence, and
+    hom_group(d, t) is built, at most once per call; no other Hom group is.
     """
     if d.ring != t.ring:
         raise ComplexError("search across different rings")
     if d == t and all(h != identity_map(d) for h in hints):
         hints = tuple(hints) + (identity_map(d),)
-    # one answer per map, and at most one hom_group(d, t), for the whole search
+    # one answer per map for the whole search
     equivalent = cache(lambda phi: is_homotopy_equivalence(phi))
-    hom_dt = cache(lambda: hom_group(d, t))
     for phi in hints:
         v = _verify_yes(phi, constraints, equivalent, {"source": "candidate"})
         if v is not None:
             return v
     system = _ConstraintSystem(d, t, constraints)
     sol = system.solve()
-    if not d.ring.is_integers:
-        return _decide_over_modular_ring(system, sol, constraints, config, equivalent)
     if sol is None:
-        return Verdict(
-            kind="no", modulus=None, exhausted=0, reason="constraints have no chain-level solution over Z"
-        )
+        over_z = d.ring.is_integers
+        reason = "constraints have no chain-level solution over Z" if over_z else "constraints unsatisfiable"
+        return Verdict(kind="no", modulus=d.ring.modulus, exhausted=0, reason=reason)
+    if not d.ring.is_integers:
+        return _walk_solutions(system, sol, constraints, config, equivalent)
 
     homologies = {}
     for c in (*corners, d, t):
@@ -422,10 +438,10 @@ def find_compatible_equivalence(
     moduli = [m for c in (*corners, d, t) for m in _torsion_exponents(homologies[c])]
     schedule = list(dict.fromkeys(moduli + list(config.extra_moduli)))
     if schedule:
-        base = _equivalence_candidates(d, t, config, hints, equivalent, hom_dt)
-        units = _unit_candidates(t) if base is not None else None
-        if base is not None and units is not None:
-            classes = [u.compose(base) for u in units]
+        hom = hom_group(d, t)
+        base = _equivalence_candidates(d, t, config, hints, equivalent, hom)
+        classes = _unit_classes(base, hom) if base is not None else None
+        if classes is not None:
             classes = [phi for phi in classes if equivalent(phi) is not None]
             for m in schedule:
                 if any(
@@ -439,25 +455,7 @@ def find_compatible_equivalence(
                     exhausted=len(classes),
                     reason="no equivalence class satisfies the constraints mod m",
                 )
-
-    # bounded integral enumeration on the constraint solution set: the first
-    # few raw kernel columns, one try per homotopy class
-    x0, kern = sol
-    n = system.n_phi
-    hom = hom_dt()
-    ncols = min(kern.shape[1], 10)
-    walk = _walk(x0[:n], list(kern[:n, :ncols].T), [_coefficient_order(config.coeff_bound)] * ncols)
-    seen_classes = set()
-    for v in islice(walk, min(config.max_enum, 4096)):
-        phi = system.phi_of(v)
-        key = hom.lookup(phi)
-        if key in seen_classes:
-            continue
-        seen_classes.add(key)
-        res = _verify_yes(phi, constraints, equivalent, {"source": "integral enumeration"})
-        if res is not None:
-            return res
-    return Verdict(kind="unknown", reason="search bounds exhausted without a decision")
+    return _walk_solutions(system, sol, constraints, config, equivalent)
 
 
 def is_homotopy_cartesian(square: CommutativeSquare, config: SearchConfig = DEFAULT_CONFIG) -> Verdict:

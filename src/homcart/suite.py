@@ -326,14 +326,13 @@ def fuzz_prop2(
     seed: int,
     max_rank: int = 3,
     n_degrees: int = 4,
-    perturb_probability: float = 0.5,
 ):
     """Deterministic stream of two-row diagrams over F_p.
 
     Row one is the standard triangle on a random f : A -> B; a random
     b : B -> B' induces the second row on b o f; the connecting map is the
-    block completion, optionally perturbed through the connecting morphism
-    and kept only when the third square still commutes up to homotopy
+    block completion, with probability 1/2 perturbed through the connecting
+    morphism and kept only when the third square still commutes up to homotopy
     (rejections are recorded on the trial).  Everything is a pure function
     of (seed, index).
     """
@@ -356,7 +355,7 @@ def fuzz_prop2(
         c = ctilde
         perturbed = False
         attempted = False
-        if rng.random() < perturb_probability:
+        if rng.random() < 0.5:
             attempted = True
             psi0 = random_chain_map(shift(a_obj), row2.z, rng)
             candidate = ctilde + psi0.compose(row1.h)

@@ -7,7 +7,8 @@ For an element e of a representable ring this module finds a such that
   a finite algebra given by structure constants: a = s(e) where e is a root
   of X^m + X^(m+1) s(X); then (e + a e^2)^(m+1) = 0 and the inverse is a
   finite geometric series,
-* residues mod m: a is chosen in {0, 1} prime by prime and lifted,
+* residues mod m: a = 1 modulo the part of m whose primes divide 1 + e and
+  a = 0 modulo the rest, split off with gcds, without factoring m,
 * plain integers have no such a in general; `find_alpha_over_Z` decides the
   two divisibility conditions exactly and returns None otherwise.
 
@@ -22,6 +23,7 @@ searches dispatch; dependence over F_p is solved by `modp.solve`.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 
@@ -397,43 +399,17 @@ def _certificate_from_relation(e) -> UnitCertificate:
     )
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _crt(pairs: list[tuple[int, int]]) -> int:
-    """x with x = r (mod p) for every (r, p), moduli pairwise coprime."""
-    x, mod = 0, 1
-    for r, p in pairs:
-        k = ((r - x) * pow(mod, -1, p)) % p
-        x += mod * k
-        mod *= p
-    return x % mod
-
-
 def _residue_alpha(e: ResidueElement) -> UnitCertificate:
+    """a = 1 modulo the part m1 of m whose primes divide 1 + v, and a = 0
+    modulo the rest m2: then 1 + v + a v^2 is 1 + v + v^2 = 1 mod each prime
+    of m1 (there v = -1) and 1 + v, a unit, mod each prime of m2.  The split
+    m = m1 m2 is found with gcds, without factoring m."""
     m, v = e.modulus, e.value
-    pairs = []
-    for p in _prime_factors(m):
-        choice = None
-        for a in (0, 1):
-            if (1 + v + a * v * v) % p != 0:
-                choice = a
-                break
-        if choice is None:
-            raise AssertionError("one of a in {0,1} must give a unit mod p")
-        pairs.append((choice, p))
-    alpha = _crt(pairs) if pairs else 0
+    m2, g = m, gcd(m, 1 + v)
+    while g > 1:
+        m2 //= g
+        g = gcd(m2, g)
+    alpha = m2 * pow(m2, -1, m // m2) % m
     unit_val = (1 + v + alpha * v * v) % m
     inverse_val = pow(unit_val, -1, m)
     eta = (v + alpha * v * v) % m

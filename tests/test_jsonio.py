@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from homcart.complexes import Zmod, cone_complex, direct_sum, identity_map, shift, zero_map
+from homcart.complexes import ZZ, Complex, Zmod, cone_complex, direct_sum, identity_map, shift, zero_map
 from homcart.jsonio import (
     chain_map_from_json,
     chain_map_to_json,
@@ -15,7 +15,7 @@ from homcart.jsonio import (
     triangle_morphism_to_json,
     triangle_to_json,
 )
-from homcart.squares import square_from_cone
+from homcart.squares import CommutativeSquare, is_homotopy_cartesian, square_from_cone
 from homcart.suite import build_star, lemma2
 from homcart.triangles import standard_triangle, verify_triangle_morphism
 
@@ -80,6 +80,21 @@ def test_square_roundtrip_with_witness():
     back = square_from_json(data)
     assert back.g == sq.g and back.gprime == sq.gprime
     assert back.b == sq.b and back.c == sq.c
+
+
+def test_yes_verdicts_write_their_witness_with_the_one_block_writer():
+    # between contractible corners the zero map is a yes witness: every
+    # block is zero, so none is written
+    empty = Complex(ZZ, {}, {})
+    c_obj, cprime = two_term(1), two_term(1)
+    sq = CommutativeSquare(
+        zero_map(empty, c_obj), zero_map(empty, cprime), zero_map(empty, empty), zero_map(c_obj, cprime)
+    )
+    verdict = is_homotopy_cartesian(sq)
+    assert verdict.is_yes and verdict.witness.components()
+    assert verdict.to_json()["witness"] == {}
+    yes = is_homotopy_cartesian(build_star(2).middle)
+    assert yes.to_json()["witness"] == chain_map_to_json(yes.witness)["components"]
 
 
 def test_identity_morphism_roundtrip():

@@ -1,7 +1,8 @@
 """The linear-algebra backend is chosen in one place, `complexes.Ring`,
 Smith forms are taken only by `Ring` and `complexes.Subquotient`, the
-squares search walks classes in one generator, whatever the ring, the unit
-lemma's matrices share one field layer, primality is decided in `modp`, and
+squares search walks classes in one generator, whatever the ring, and reads
+every class it tries in Hom groups built at one site, the unit lemma's
+matrices share one field layer, primality is decided in `modp`, and
 the blocks of graded maps are checked in one function of `complexes` and
 read from JSON in one function of `jsonio`, and contractions, solves,
 kernels and quotients have one algorithm for every ring: no Hom-system
@@ -68,6 +69,15 @@ def test_squares_walks_classes_in_one_place():
     assert "is_small_prime_field" not in ast.unparse(tree)
 
 
+def test_squares_builds_hom_groups_at_one_site():
+    calls = [
+        node.lineno
+        for node in ast.walk(_parse("squares.py"))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hom_group"
+    ]
+    assert len(calls) == 1, f"hom_group called at lines {calls}"
+
+
 def test_smith_forms_only_in_ring_and_subquotient():
     outside = _uses_outside(_parse("complexes.py"), "smith_normal_form", ("Ring", "Subquotient"))
     assert outside == [], f"smith_normal_form referenced at lines {outside}"
@@ -97,9 +107,6 @@ def test_primality_is_decided_only_in_modp():
             if isinstance(node, ast.FunctionDef) and node.name.replace("_", "") == "isprime"
         ]
         assert tests == [], f"{path.name} defines {tests}"
-    # factoring serves only the residue CRT
-    outside = _uses_outside(_parse("unitlemma.py"), "_prime_factors", ("_residue_alpha",))
-    assert outside == [], f"_prime_factors referenced at lines {outside}"
 
 
 def test_benchmark_traced_names_resolve():

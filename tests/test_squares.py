@@ -1,9 +1,13 @@
+import itertools
 import random
+import time
 
 import pytest
 
 from homcart.complexes import (
     Zmod,
+    cone,
+    hom_group,
     identity_map,
     random_chain_map,
     random_complex,
@@ -15,6 +19,8 @@ from homcart.intmat import IntMatrix
 from homcart.squares import (
     CommutativeSquare,
     PositionMismatch,
+    SearchConfig,
+    _coefficient_order,
     diagonal,
     find_compatible_equivalence,
     fits_vertical_iso,
@@ -278,6 +284,81 @@ def test_hom_group_of_a_pair_is_built_once(monkeypatch):
     verdict = is_homotopy_cartesian(build_star(2).middle)
     assert verdict.is_yes and verdict.details["source"] == "integral enumeration"
     assert seen
+
+
+def test_z_decision_builds_no_hom_group_but_hom_of_cone_and_target(monkeypatch):
+    import homcart.squares as squares
+
+    built = []
+    real = squares.hom_group
+
+    def spy(x, y):
+        built.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(squares, "hom_group", spy)
+    square = build_star(3).middle
+    assert is_homotopy_cartesian(square).is_no
+    assert built == [(cone(diagonal(square).first)[0], square.cprime_obj)]
+
+
+def _unit_multiples_via_end(base):
+    """u o base for every endomorphism class u of t = base.target that can be
+    a unit, listed in End(t) = hom_group(t, t): +-1 plus torsion when End(t)
+    has free rank 1, every class when it is finite."""
+    t = base.target
+    end = hom_group(t, t)
+    assert end.group.free_rank <= 1
+    starts = [identity_map(t), -identity_map(t)] if end.group.free_rank else [zero_map(t, t)]
+    out = []
+    for start in starts:
+        for coeffs in itertools.product(*(range(o) for o in end.group.invariant_factors)):
+            u = start
+            for c, rep in zip(coeffs, end.torsion_reps):
+                u = u + rep.scale(c)
+            out.append(u.compose(base))
+    return out
+
+
+@pytest.mark.parametrize("a", range(3, 9))
+def test_unit_classes_read_in_hom_dt_are_the_unit_multiples_of_the_base(monkeypatch, a):
+    import homcart.squares as squares
+
+    seen = []
+    real = squares._unit_classes
+
+    def spy(base, hom):
+        classes = real(base, hom)
+        seen.append((base, hom, classes))
+        return classes
+
+    monkeypatch.setattr(squares, "_unit_classes", spy)
+    square = build_star(a).middle
+    assert is_homotopy_cartesian(square).is_no
+    assert fits_vertical_iso(square, lemma2(1, a, b=-(a**3)).triangle, lemma2(4, a).triangle).is_no
+    assert len(seen) == 2
+    for base, hom, classes in seen:
+        got = [hom.lookup(phi) for phi in classes]
+        assert len(set(got)) == len(got)
+        assert set(got) == {hom.lookup(phi) for phi in _unit_multiples_via_end(base)}
+
+
+def test_coefficient_order_is_cut_at_the_walk_cap():
+    for cap in (1, 2, 7, 256, 4096):
+        assert len(_coefficient_order(10**12, cap)) <= cap + 1
+        for k in (1, 2, 3):
+            cut = itertools.islice(itertools.product(*[_coefficient_order(5, cap)] * k), cap)
+            full = itertools.islice(itertools.product(*[_coefficient_order(5, 10**6)] * k), cap)
+            assert list(cut) == list(full)
+    assert _coefficient_order(2, 10**6) == [0, 1, -1, 2, -2]
+
+
+def test_a_huge_coefficient_bound_changes_nothing():
+    square = build_star(3).middle
+    start = time.perf_counter()
+    verdict = is_homotopy_cartesian(square, SearchConfig(coeff_bound=10**9))
+    assert time.perf_counter() - start < 5.0
+    assert verdict.to_json() == is_homotopy_cartesian(square).to_json()
 
 
 def test_cartesian_check_builds_each_cone_once(monkeypatch):

@@ -193,7 +193,9 @@ def test_replay_is_trivial_without_perturbation():
     # vanishes and the automorphism is the identity on the nose
     from homcart.complexes import identity_map
 
-    for trial in fuzz_prop2(3, trials=6, seed=5, perturb_probability=0.0):
+    plain = [trial for trial in fuzz_prop2(3, trials=12, seed=5) if not trial.perturbed]
+    assert len(plain) >= 4
+    for trial in plain:
         replay = prop2_replay(trial.morphism)
         assert replay.psi.is_zero()
         assert replay.epsilon.is_zero()

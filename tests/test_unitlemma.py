@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from sympy import factorint
+from sympy.ntheory.modular import crt
 
 from homcart.unitlemma import (
     FiniteAlgebra,
@@ -155,6 +158,27 @@ def test_residue_certificates_random():
         cert = find_alpha(ResidueElement(m, v))
         assert (cert.unit.value * cert.inverse.value) % m == 1
         assert cert.unit.value == (1 + v + cert.coefficient.value * v * v) % m
+
+
+def test_residue_alpha_needs_no_factoring_of_the_modulus():
+    # a 25-digit modulus: trial division would not finish
+    m = 1000000000100000000002379
+    start = time.perf_counter()
+    cert = find_alpha(ResidueElement(m, 5))
+    assert time.perf_counter() - start < 1.0
+    assert (cert.unit.value * cert.inverse.value) % m == 1
+
+
+def test_residue_alpha_is_the_per_prime_choice_on_squarefree_moduli():
+    # a = 1 mod each prime dividing 1 + v, else 0, lifted by the CRT
+    for m in range(2, 401):
+        primes = factorint(m)
+        if any(k > 1 for k in primes.values()):
+            continue
+        for v in range(m):
+            residues = [1 if (1 + v) % p == 0 else 0 for p in primes]
+            want = int(crt(list(primes), residues)[0]) % m
+            assert find_alpha(ResidueElement(m, v)).coefficient.value == want, (m, v)
 
 
 def test_beta_equals_alpha_on_commutative_representations():
