@@ -43,23 +43,26 @@ Z/m, d has a section exactly when each invariant factor d_k of its Smith
 form is a unit modulo m / gcd(d_k, m).
 
 Hom groups and the classes of the squares search are subquotients,
-computed by one routine: `Subquotient(ring, top, b)` is
+computed by one routine for every ring: `Subquotient(ring, top, b)` is
 span(top) / (im b + m Z^n), with representatives and a `lookup` of class
-coordinates.  Over Z and Z/m it takes two Smith forms, of top and of the
-relations in its coordinates; over the small prime fields it works in
-int64, where no Smith form is taken.  `homology` needs no representatives
-and reads each H^i off the Smith forms of d(i-1) and d(i) alone.
+coordinates, read off two decompositions, of top and of the relations in
+its coordinates.  `homology` needs no representatives and reads each H^i
+off the Smith forms of d(i-1) and d(i) alone.
 
 `Ring` is the linear-algebra backend of these vectors and matrices: prime
 fields F_p with p <= 2^20 are solved in int64 by `modp`, and every other
-ring (Z, Z/m, larger primes) by the exact Smith kernel of `intmat`, from
-one Smith form of the matrix asked about.
+ring (Z, Z/m, larger primes) by the exact Smith kernel of `intmat`.  Its
+one decomposition of a matrix, u a v = D diagonal, is `Ring.smith`: the
+Smith form, or `modp.diagonalize` over F_p, where three questions take
+one cheaper rref instead: `solve` of [a | b], `kernel` of a, `section` of
+[d | 1].
 `Ring.asarray` puts a matrix into its backend's form; no other code
 converts between the two.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,14 +106,14 @@ class Ring:
     def is_integers(self) -> bool:
         return self.modulus is None
 
-    @property
+    @cached_property
     def is_prime_field(self) -> bool:
         return self.modulus is not None and modp.is_prime(self.modulus)
 
-    @property
+    @cached_property
     def is_small_prime_field(self) -> bool:
         """F_p with p <= 2^20, the rings solved in int64 by `modp`."""
-        return self.modulus is not None and self.modulus <= modp.P_MAX and modp.is_prime(self.modulus)
+        return self.modulus is not None and self.modulus <= modp.P_MAX and self.is_prime_field
 
     @property
     def dtype(self):
@@ -141,34 +144,39 @@ class Ring:
         x, ker = got
         return x, np.array(ker, dtype=object).reshape(len(ker), n).T
 
+    def smith(self, a) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+        """The one decomposition of a matrix: backend arrays (u, diag, v,
+        uinv) with u a v = D diagonal, D's diagonal `diag` and uinv = u^-1.
+        Over a small prime field from `modp.diagonalize`, D = diag(1, ..., 1,
+        0, ...); otherwise the Smith form over Z of a reduced into [0, m)."""
+        if self.is_small_prime_field:
+            u, v, uinv, r = modp.diagonalize(self.asarray(a), self.modulus)
+            return u, [1] * r + [0] * (min(a.shape) - r), v, uinv
+        s = smith_normal_form(self.canon(IntMatrix(a)))
+        return s.u.array, s.diagonal(), s.v.array, s.uinv.array
+
     def kernel(self, a: np.ndarray) -> np.ndarray:
         """Columns spanning {x : a @ x = 0}: a basis over Z and over a small
-        prime field, a generating set over the other modular rings."""
+        prime field, a generating set over the other modular rings: read off
+        `smith(a)`, or over a small prime field off one rref of a, cheaper."""
         if self.is_small_prime_field:
             return modp.kernel(a, self.modulus)
         if a.shape[0] == 0 or a.shape[1] == 0:
             return np.eye(a.shape[1], dtype=object)
-        return smith_kernel(smith_normal_form(self.canon(IntMatrix(a))), self.modulus)
-
-    def independent_columns(self, base: np.ndarray, cols: np.ndarray) -> list[int]:
-        """Indices of the columns of `cols` outside the span of `base` and of
-        the columns picked before them, over a small prime field: a basis of
-        span(cols) modulo span(base)."""
-        if cols.shape[1] == 0:
-            return []
-        _, pivots = modp.rref(np.hstack([base, cols]), self.modulus)
-        return [j - base.shape[1] for j in pivots if j >= base.shape[1]]
+        _, diag, v, _ = self.smith(a)
+        return smith_kernel(diag, v, self.modulus)
 
     def section(self, d: IntMatrix):
         """(s, r) with d s d = d and r = rank d, s as a backend array, or
         None when d has no section.
 
-        Over F_p, s comes from one rref E [d | 1] = [R | E]: row k of s at
-        the k-th pivot column of R is row k of E, for k < r.  Otherwise
-        s = V T U from the Smith form U d V = D over Z of d itself, with T
+        s = V T U from the decomposition U d V = D of `smith(d)`, with T
         diagonal and D T D = D: over Z, V[:, :r] U[:r, :] when every nonzero
         d_k is 1; over Z/m, t_k = d_k^-1 modulo m / gcd(d_k, m) when every
-        d_k is a unit there, and r counts the d_k nonzero mod m.
+        d_k is a unit there, and r counts the d_k nonzero mod m.  Over a
+        small prime field one rref E [d | 1] = [R | E] is cheaper than the
+        decomposition and gives s directly: row k of s at the k-th pivot
+        column of R is row k of E, for k < r.
         """
         rows, cols = d.shape
         if rows == 0 or cols == 0:
@@ -179,18 +187,18 @@ class Ring:
             s = np.zeros((cols, rows), dtype=np.int64)
             s[pivots[:rank]] = r[:rank, cols:]
             return s, rank
-        snf, m = smith_normal_form(d), self.modulus
-        diag = snf.diagonal()
+        (u, diag, v, _), m = self.smith(d.array), self.modulus
         if m is None:
-            if any(x != 1 for x in diag[: snf.rank]):
+            rank = sum(1 for x in diag if x)
+            if any(x != 1 for x in diag[:rank]):
                 return None
-            return snf.v.array[:, : snf.rank] @ snf.u.array[: snf.rank, :], snf.rank
+            return v[:, :rank] @ u[:rank, :], rank
         mods = [m // math.gcd(x, m) for x in diag]  # d_k must be a unit modulo m / gcd(d_k, m)
         if any(math.gcd(x, q) != 1 for x, q in zip(diag, mods)):
             return None
         t = np.array([pow(x, -1, q) for x, q in zip(diag, mods)], dtype=object)
         k = len(diag)
-        return (snf.v.array[:, :k] * t) @ snf.u.array[:k, :] % m, sum(1 for x in diag if x % m)
+        return (v[:, :k] * t) @ u[:k, :] % m, sum(1 for x in diag if x % m)
 
     def canon(self, m: IntMatrix) -> IntMatrix:
         return m if self.modulus is None else m.reduce_mod(self.modulus)
@@ -782,67 +790,53 @@ class Subquotient:
     along them: two vectors get equal coordinates exactly when they differ
     by an element of im b + m Z^n.
 
-    Over Z and Z/m the quotient is Z^k, the coordinates x of v = top x, by
-    the relations [x(b) | ker top | m 1_k], read off their Smith form: x(b)
-    and ker top come from the Smith form of top (reduced mod m) through
-    `smith_solve` and `smith_kernel`.  Over a small prime field it is
-    computed in int64: the representatives are the columns of top outside
-    the span of b and of the columns picked before them, and `lookup`
-    solves for v along b and them.
+    One algorithm for every ring, from two decompositions (`Ring.smith`):
+    the quotient is Z^k, the coordinates x of v = top x, by m Z^k and the
+    relations R = [x(b) | ker top], read off the decomposition of top by
+    `smith_solve` and `smith_kernel`.  With U R V = D, class coordinate j
+    of v is (U x)_j modulo gcd(d_j, m), over Z modulo d_j and free where
+    d_j = 0 (d_j = 0 past the diagonal); an empty R is not decomposed.
+    Over F_p the representatives are columns of top, as U^-1 is the unit
+    vectors past the rank of R (`modp.diagonalize`).
     """
 
     def __init__(self, ring: Ring, top: np.ndarray, b: np.ndarray):
-        self.ring = ring
-        if ring.is_small_prime_field:
-            self._b, top = ring.asarray(b), ring.asarray(top)
-            self._reps = top[:, ring.independent_columns(self._b, top)]
-            self.group = FGAbelianGroup(0, (ring.modulus,) * self._reps.shape[1])
-            return
-        self._top, m = ZZ.asarray(top), ring.modulus
+        self.ring, m = ring, ring.modulus
+        self._top = ring.asarray(top)
         k = self._top.shape[1]
-        diag, self._u, self._uinv = [], np.eye(k, dtype=object), np.eye(k, dtype=object)
+        diag, self._u, self._uinv = [], np.eye(k, dtype=ring.dtype), np.eye(k, dtype=ring.dtype)
         if k:
-            self._s = smith_normal_form(ring.canon(IntMatrix(self._top)))
-            rels = [self._coords(ZZ.asarray(b)), smith_kernel(self._s, m)]
-            rels = np.hstack(rels + [np.eye(k, dtype=object) * m] if m else rels)
+            self._top_uv = ring.smith(self._top)[:3]  # (u, diag, v)
+            rels = np.hstack([self._coords(ring.asarray(b)), smith_kernel(*self._top_uv[1:], m)])
             if rels.shape[1]:
-                srel = smith_normal_form(IntMatrix(rels))
-                diag, self._u, self._uinv = srel.diagonal(), srel.u.array, srel.uinv.array
-        self._torsion_idx = [j for j, d in enumerate(diag) if d >= 2]
-        self._torsion = [diag[j] for j in self._torsion_idx]
-        self._free_idx = list(range(sum(1 for d in diag if d != 0), k))
+                self._u, diag, _, self._uinv = ring.smith(rels)
+        orders = [math.gcd(d, m) if m else d for d in diag] + [m or 0] * (k - len(diag))
+        self._torsion_idx = [j for j, q in enumerate(orders) if q >= 2]
+        self._torsion = [orders[j] for j in self._torsion_idx]
+        self._free_idx = [j for j, q in enumerate(orders) if q == 0]
         self.group = FGAbelianGroup(len(self._free_idx), tuple(self._torsion))
 
     def _coords(self, vectors: np.ndarray) -> np.ndarray:
         """x with top x = vectors (mod m), column by column."""
-        coords = smith_solve(self._s, vectors, self.ring.modulus)
+        coords = smith_solve(*self._top_uv, vectors, self.ring.modulus)
         if coords is None:
             raise AssertionError("vector is not in the lattice")
         return coords
 
     @property
     def torsion_reps(self) -> list[np.ndarray]:
-        if self.ring.is_small_prime_field:
-            return list(self._reps.T)
         return [self._top @ self._uinv[:, j] for j in self._torsion_idx]
 
     @property
     def free_reps(self) -> list[np.ndarray]:
-        if self.ring.is_small_prime_field:
-            return []
         return [self._top @ self._uinv[:, j] for j in self._free_idx]
 
     def lookup(self, v: np.ndarray) -> tuple[int, ...]:
         """Coordinates of the class of v, a vector in span(top) + m Z^n."""
-        if self.ring.is_small_prime_field:
-            got = self.ring.solve(np.hstack([self._b, self._reps]), self.ring.asarray(v))
-            if got is None:
-                raise AssertionError("vector is not in the lattice")
-            return tuple(int(c) for c in got[0][self._b.shape[1] :])
         if self._top.shape[1] == 0:
             return ()
-        y = self._u @ self._coords(ZZ.asarray(v).reshape(-1, 1))[:, 0]
-        tors = tuple(int(y[j]) % self._torsion[a] for a, j in enumerate(self._torsion_idx))
+        y = self._u @ self._coords(self.ring.asarray(v).reshape(-1, 1))[:, 0]
+        tors = tuple(int(y[j]) % q for j, q in zip(self._torsion_idx, self._torsion))
         return tors + tuple(int(y[j]) for j in self._free_idx)
 
 

@@ -12,9 +12,11 @@ Provided here:
   chain d_1 | d_2 | ..., plus the inverse of U,
 * `solve_linear` -- particular solution and kernel generators over Z or
   Z/m, from one Smith form of the matrix itself,
-* `smith_solve` and `smith_kernel` -- the back-substitution through a Smith
-  form and the kernel generators it gives, over Z or modulo m, that
-  `solve_linear`, `complexes.Ring` and `complexes.Subquotient` share,
+* `smith_solve` and `smith_kernel` -- the back-substitution through a
+  decomposition U A V = D, D diagonal, and the kernel generators it gives,
+  over Z or modulo m, that `solve_linear`, `complexes.Ring` and
+  `complexes.Subquotient` share; they take the arrays (U, diagonal, V), so
+  a decomposition over F_p in int64 (`modp.diagonalize`) stays in int64,
 * `cokernel` / `FGAbelianGroup` -- finitely generated abelian groups by
   invariant factors.
 """
@@ -374,50 +376,51 @@ def solve_linear(
     if m is not None and m < 2:
         raise ValueError("modulus must be at least 2")
     s = smith_normal_form(a if m is None else a.reduce_mod(m))
-    x = smith_solve(s, b.reshape(-1, 1), m)
+    diag, v = s.diagonal(), s.v.array
+    x = smith_solve(s.u.array, diag, v, b.reshape(-1, 1), m)
     if x is None:
         return None
-    x = x[:, 0] % m if m else x[:, 0]
-    residual = a.array @ x - b
+    residual = a.array @ x[:, 0] - b
     if any(residual % m if m else residual):
         raise AssertionError("solver produced a non-solution")
-    return x, list(smith_kernel(s, m).T)
+    return x[:, 0], list(smith_kernel(diag, v, m).T)
 
 
-def smith_solve(s: SmithDecomposition, b: np.ndarray, modulus: int | None = None) -> np.ndarray | None:
+def smith_solve(u: np.ndarray, diag, v: np.ndarray, b: np.ndarray, modulus: int | None = None) -> np.ndarray | None:
     """x with A x = b, column by column, over Z or modulo m, for the matrix
-    A whose Smith form is s; None when some column of b has no solution.
+    A with U A V = D, D having the diagonal `diag`; None when some column of
+    b has no solution.  Modulo m, x is reduced into [0, m) and the arrays
+    keep their dtype.
 
-    y = U b, z = y / D on the diagonal, x = V z.  Modulo m, row k asks
+    y = U b, z = y / D row by row, x = V z.  Modulo m, row k asks
     d_k z_k = y_k (d_k = 0 past the diagonal): with g = gcd(d_k, m) it is
     solvable exactly when g divides y_k, by z_k = (y_k / g) (d_k / g)^-1,
     the inverse taken modulo m / g.
     """
-    diag = s.diagonal()
-    z = np.zeros((s.v.rows, b.shape[1]), dtype=object)
-    for i, row in enumerate((s.u.array @ b).tolist()):
-        d = diag[i] if i < len(diag) else 0
-        g = math.gcd(d, modulus) if modulus else d
-        inv = pow(d // g, -1, modulus // g) if modulus else 1
-        for j, y in enumerate(row):
-            if y % g if g else y:
-                return None
-            if d:
-                z[i, j] = y // g * inv
-    return s.v.array @ z
+    m = modulus
+    y = u @ b % m if m else u @ b
+    z = np.zeros((v.shape[0], b.shape[1]), dtype=y.dtype)
+    for k, row in enumerate(y):
+        d = diag[k] if k < len(diag) else 0
+        g = math.gcd(d, m) if m else d
+        if (row % g if g else row).any():
+            return None
+        if d:
+            z[k] = row // g * pow(d // g, -1, m // g) % m if m else row // g
+    return v @ z % m if m else v @ z
 
 
-def smith_kernel(s: SmithDecomposition, modulus: int | None = None) -> np.ndarray:
-    """Columns generating ker A, for the A whose Smith form is s: over Z the
-    columns of V past the rank, a basis; modulo m, where d_k z_k = 0 asks
-    that m / gcd(d_k, m) divide z_k (d_k = 0 past the diagonal), the columns
-    k of V times m / gcd(d_k, m), those nonzero mod m."""
-    v, m = s.v.array, modulus
-    if m is None:
-        return v[:, s.rank :]
-    diag = s.diagonal() + [0] * (v.shape[1] - min(s.d.shape))
-    gens = v * np.array([m // math.gcd(d, m) for d in diag], dtype=object) % m
-    return gens[:, [k for k in range(len(diag)) if any(gens[:, k])]]
+def smith_kernel(diag, v: np.ndarray, modulus: int | None = None) -> np.ndarray:
+    """Columns generating ker A, for the A with U A V = D, D having the
+    diagonal `diag`: over Z the columns of V past the rank, a basis; modulo
+    m, where d_k z_k = 0 asks that m / gcd(d_k, m) divide z_k (d_k = 0 past
+    the diagonal), the columns k of V times m / gcd(d_k, m), those nonzero
+    mod m."""
+    if modulus is None:
+        return v[:, sum(1 for d in diag if d) :]
+    m, diag = modulus, list(diag) + [0] * (v.shape[1] - len(diag))
+    gens = v * np.array([m // math.gcd(d, m) for d in diag], dtype=v.dtype) % m
+    return gens[:, gens.any(axis=0)]
 
 
 @dataclass(frozen=True)

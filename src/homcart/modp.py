@@ -1,10 +1,11 @@
 """Dense linear algebra over prime fields on int64 arrays, and the one
 primality test, `is_prime`.
 
-Exact throughout: entries live in [0, p) and p is capped at P_MAX, well
-below the int64 overflow threshold.  `complexes.Ring` sends prime fields up
-to P_MAX here; composite moduli and larger primes go through the integer
-Smith kernel instead.
+Exact throughout: entries live in [0, p) and p is capped at P_MAX, so a
+product of n-entry rows and columns, n p^2, stays below 2^63 for n < 2^23.
+`complexes.Ring` sends prime fields up to P_MAX here, and reads its
+decomposition of a matrix over them from `diagonalize`; composite moduli
+and larger primes go through the integer Smith kernel instead.
 """
 
 import numpy as np
@@ -122,46 +123,17 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def diagonalize(a: np.ndarray, p: int):
-    """U A V = diag(1,...,1,0,...) over F_p.
+    """U A V = diag(1, ..., 1, 0, ...) over F_p, read off one rref
+    E [A | 1] = [R | E], with P the pivot columns of R and r = |P| the rank.
 
-    Returns (u, v, vinv, rank).
+    Returns (u, v, uinv, r): u = E; v is the unit vectors at P followed by
+    the kernel basis of R (`kernel_from_rref`); uinv, the inverse of u, is
+    the columns P of A followed by the unit vectors at the pivot columns Q
+    of E's rows past r, since E A_P = [1; 0] and E e_Q = [0; 1].
     """
-    _check_prime_size(p)
-    d = a.astype(np.int64, copy=True) % p
-    nr, nc = d.shape
-    u = np.eye(nr, dtype=np.int64)
-    v = np.eye(nc, dtype=np.int64)
-    vinv = np.eye(nc, dtype=np.int64)
-    t = 0
-    while t < min(nr, nc):
-        sub = d[t:, t:]
-        nz = np.nonzero(sub)
-        if nz[0].size == 0:
-            break
-        i, j = int(nz[0][0]) + t, int(nz[1][0]) + t
-        if i != t:
-            d[[t, i]] = d[[i, t]]
-            u[[t, i]] = u[[i, t]]
-        if j != t:
-            d[:, [t, j]] = d[:, [j, t]]
-            v[:, [t, j]] = v[:, [j, t]]
-            vinv[[t, j]] = vinv[[j, t]]
-        s = inv_mod(d[t, t], p)
-        d[t] = (d[t] * s) % p
-        u[t] = (u[t] * s) % p
-        col = np.nonzero(d[:, t])[0]
-        col = col[col != t]
-        if col.size:
-            factors = d[col, t].copy()
-            d[col] = (d[col] - np.outer(factors, d[t])) % p
-            u[col] = (u[col] - np.outer(factors, u[t])) % p
-        rowz = np.nonzero(d[t, :])[0]
-        rowz = rowz[rowz != t]
-        if rowz.size:
-            factors = d[t, rowz].copy()
-            d[:, rowz] = (d[:, rowz] - np.outer(d[:, t], factors)) % p
-            v[:, rowz] = (v[:, rowz] - np.outer(v[:, t], factors)) % p
-            vinv[t, :] = (vinv[t, :] + factors @ vinv[rowz, :]) % p
-        t += 1
-    return u, v, vinv, t
-
+    nr, nc = a.shape
+    a, eye = a.astype(np.int64) % p, np.eye(nr, dtype=np.int64)
+    e, pivots = rref(np.hstack([a, eye]), p)
+    r = sum(1 for j in pivots if j < nc)
+    v = np.hstack([np.eye(nc, dtype=np.int64)[:, pivots[:r]], kernel_from_rref(e, pivots[:r], nc, p)])
+    return e[:, nc:], v, np.hstack([a[:, pivots[:r]], eye[:, [j - nc for j in pivots[r:]]]]), r

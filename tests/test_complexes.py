@@ -274,7 +274,8 @@ def test_homology_takes_one_smith_form_per_differential(monkeypatch):
 
 @pytest.mark.parametrize("m", [4, 9, 12])
 def test_subquotient_over_zm_takes_two_smith_forms(monkeypatch, m):
-    # one of top itself, then one of the relations in its coordinates: none
+    # one of top itself, then one of the k-row relations in its coordinates
+    # exactly when there are relations (j > 0 or ker top != 0 mod m): none
     # of the augmented [top | m 1], whose shape is (n, k + n)
     seen = _record_smith_forms(monkeypatch)
     rng = random.Random(m)
@@ -282,9 +283,12 @@ def test_subquotient_over_zm_takes_two_smith_forms(monkeypatch, m):
         n, k, j = rng.randint(1, 4), rng.randint(1, 4), rng.randint(0, 2)
         top = np.array([rng.randrange(m) for _ in range(n * k)], dtype=object).reshape(n, k)
         b = top @ np.array([rng.randrange(m) for _ in range(k * j)], dtype=object).reshape(k, j)
+        relations = j > 0 or Zmod(m).kernel(top).shape[1] > 0
         seen.clear()
         Subquotient(Zmod(m), top, b)
-        assert len(seen) == 2 and seen[0] == IntMatrix(top) and seen[1].rows == k
+        assert seen[0] == IntMatrix(top)
+        assert [a.rows for a in seen[1:]] == ([k] if relations else [])
+        assert all(a.shape != (n, k + n) for a in seen)
 
 
 def test_subquotient_over_z_of_a_generating_set():
@@ -476,6 +480,30 @@ def test_hom_complex_vectors_round_trip():
 
 BIG_PRIME = 1048583  # the smallest prime above 2^20, the int64 limit of modp
 SMALL_PRIME = 1048573  # the largest prime below 2^20
+
+
+def test_subquotient_stays_exact_in_int64_at_the_largest_small_prime():
+    # every product of entries below p is reduced before n p^2 could pass 2^63
+    p, rng = SMALL_PRIME, random.Random(29)
+    ring = Zmod(p)
+
+    def rank(a):
+        return len(modp.rref(a, p)[1])
+
+    for _ in range(30):
+        n, k, j = rng.randint(20, 40), rng.randint(4, 12), rng.randint(0, 3)
+        top = np.array([[rng.randrange(p) for _ in range(k)] for _ in range(n)], dtype=np.int64)
+        top[:, -1] = (top[:, 0] * rng.randrange(p) + top[:, 1] * rng.randrange(p)) % p
+        b = top @ np.array([[rng.randrange(p) for _ in range(j)] for _ in range(k)], dtype=np.int64).reshape(k, j) % p
+        q = Subquotient(ring, top, b)
+        assert q.group == FGAbelianGroup(0, (p,) * (rank(top) - rank(b)))
+        reps = q.torsion_reps
+        for i, rep in enumerate(reps):
+            assert q.lookup(rep) == tuple(int(i == t) for t in range(len(reps)))
+        for _ in range(5):
+            v = top @ np.array([rng.randrange(p) for _ in range(k)], dtype=np.int64) % p
+            w = (v + b @ np.array([rng.randrange(p) for _ in range(j)], dtype=np.int64)) % p
+            assert q.lookup(v) == q.lookup(w)
 
 
 @pytest.fixture

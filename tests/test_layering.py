@@ -1,6 +1,7 @@
 """The linear-algebra backend is chosen in one place, `complexes.Ring`,
-Smith forms are taken only by `Ring` and `complexes.Subquotient`, the
-squares search walks classes in one generator, whatever the ring, and reads
+whose `smith` is the one place where `complexes` decomposes a matrix (a
+Smith form, or `modp.diagonalize` over F_p), `complexes.Subquotient` runs
+one algorithm for every ring, with no int64 branch, the squares search walks classes in one generator, whatever the ring, and reads
 every class it tries in Hom groups built at one site, the unit lemma's
 matrices share one field layer, primality is decided in `modp`, and
 the blocks of graded maps are checked in one function of `complexes` and
@@ -88,6 +89,24 @@ def test_smith_forms_only_in_ring_and_subquotient():
             if isinstance(node, (ast.Name, ast.alias))
         ]
         assert "smith_normal_form" not in names, module
+
+
+def test_complexes_decomposes_matrices_only_in_ring_smith():
+    def decomposition(node):
+        return (isinstance(node, ast.Name) and node.id == "smith_normal_form") or (
+            isinstance(node, ast.Attribute) and node.attr == "diagonalize"
+        )
+
+    sites = _functions_around(_parse("complexes.py"), decomposition)
+    assert sites and set(sites) == {"Ring.smith"}, f"matrices decomposed in {sorted(set(sites))}"
+
+
+def test_subquotient_has_one_algorithm_for_every_ring():
+    tree = _parse("complexes.py")
+    subquotient = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "Subquotient")
+    assert not _names(subquotient) & {"is_small_prime_field", "modp", "independent_columns"}
+    ring = next(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == "Ring")
+    assert "independent_columns" not in {n.name for n in ring.body if isinstance(n, ast.FunctionDef)}
 
 
 @pytest.mark.parametrize("name", ["FpMatrix", "QMatrix"])

@@ -99,3 +99,41 @@ def test_large_primes_are_recognised_at_once(p):
     start = time.perf_counter()
     assert Zmod(p).is_prime_field
     assert time.perf_counter() - start < 0.01
+
+
+def _matrices(p, rng, count):
+    """Random matrices over F_p with 0 rows, 0 columns, zero entries and
+    repeated rows among them."""
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (3, 4)):
+        yield np.zeros((rows, cols), dtype=np.int64)
+    for k in range(count):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+        if k % 3 == 0 and rows > 1:
+            a[-1] = a[0]
+        yield a
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 1048573])
+def test_diagonalize_reads_u_v_and_u_inverse_off_one_rref(p):
+    rng = random.Random(p)
+    for a in _matrices(p, rng, 500):
+        rows, cols = a.shape
+        u, v, uinv, r = modp.diagonalize(a, p)
+        d = np.zeros((rows, cols), dtype=np.int64)
+        d[range(r), range(r)] = 1
+        assert np.array_equal(u @ a % p @ v % p, d)
+        assert np.array_equal(u @ uinv % p, np.eye(rows, dtype=np.int64))
+        assert r == len(modp.rref(a, p)[1])
+        assert np.array_equal(v[:, r:], modp.kernel(a, p))
+
+
+def test_a_ring_decides_its_primality_once(monkeypatch):
+    calls, real = [], modp.is_prime
+    monkeypatch.setattr(modp, "is_prime", lambda n: calls.append(n) or real(n))
+    ring = Zmod(3)
+    for _ in range(1000):
+        assert ring.dtype is np.int64
+    assert ring.is_prime_field and ring.is_small_prime_field
+    assert calls == [3]
+    assert ring == Zmod(3) and hash(ring) == hash(Zmod(3))
