@@ -22,7 +22,7 @@ from .jsonio import (
     triangle_from_json,
 )
 from .squares import SearchConfig, is_homotopy_cartesian
-from .suite import fuzz_prop2, report_text, verify_paper
+from .suite import TranscriptionError, fuzz_prop2, report_text, verify_paper
 from .triangles import verify_distinguished_with_witness
 from .unitlemma import (
     FpMatrix,
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.run(args)
-    except (UsageError, ValueError) as e:
+    except (UsageError, ValueError, OSError, TranscriptionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

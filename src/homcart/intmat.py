@@ -5,6 +5,10 @@ object arrays); no floating point anywhere.  The convention throughout is
 target-indexed rows: entry (i, j) is the coefficient sending source basis
 vector j to target basis vector i.
 
+Outside data is read by one integer rule: integers of every kind are kept
+exactly, anything else raises ValueError.  IntMatrix's own results are
+frozen in place, never copied.
+
 Provided here:
 
 * `IntMatrix` -- immutable exact matrix with the usual block/arithmetic ops,
@@ -31,23 +35,29 @@ class DimensionMismatch(ValueError):
     """Shapes of operands do not compose."""
 
 
+def _integer(v) -> int:
+    if type(v) is int:
+        return v
+    if isinstance(v, (int, np.integer, np.bool_)):
+        return int(v)
+    raise ValueError(f"matrix entry {v!r} is not an integer")
+
+
+_integers = np.frompyfunc(_integer, 1, 1)
+
+
 def _to_object_array(entries) -> np.ndarray:
-    if isinstance(entries, np.ndarray):
-        arr = entries.astype(object, copy=True)
-    else:
-        rows = list(entries)
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        arr = np.empty((nrows, ncols), dtype=object)
-        for i, row in enumerate(rows):
-            row = list(row)
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows in matrix data")
-            for j, v in enumerate(row):
-                arr[i, j] = int(v)
-    if arr.ndim != 2:
+    """The integer rule: a fresh 2-d object array of Python ints (bools 0 and
+    1); any other entry, an integral float too, raises ValueError."""
+    if not isinstance(entries, np.ndarray):
+        entries = np.array(entries, dtype=object) if len(entries) else np.empty((0, 0), dtype=object)
+    if entries.ndim != 2:
         raise DimensionMismatch("matrix data must be two-dimensional")
-    return arr
+    if entries.dtype.kind in "iu":
+        return entries.astype(object)
+    if entries.dtype.kind not in "bO":
+        raise ValueError(f"matrix entries must be integers, not {entries.dtype}")
+    return _integers(entries)
 
 
 class IntMatrix:
@@ -62,8 +72,9 @@ class IntMatrix:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "IntMatrix":
+        """Freeze `arr` and own it, uncopied: a new array of Python ints from
+        IntMatrix's own arithmetic, or a view of a read-only one."""
         m = object.__new__(cls)
-        arr = arr.astype(object, copy=True)
         arr.setflags(write=False)
         object.__setattr__(m, "_a", arr)
         return m
@@ -74,10 +85,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        a = np.zeros((n, n), dtype=object)
-        for i in range(n):
-            a[i, i] = 1
-        return cls._wrap(a)
+        return cls._wrap(np.eye(n, dtype=object))
 
     @property
     def array(self) -> np.ndarray:
@@ -262,11 +270,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     lowest (row, col); the diagonal is normalized nonnegative, so D is the
     unique Smith form of A.
     """
-    d = a.array.astype(object, copy=True)
+    d = a.array.copy()
     nr, nc = d.shape
-    u = IntMatrix.identity(nr).array.astype(object, copy=True)
-    uinv = u.copy()
-    v = IntMatrix.identity(nc).array.astype(object, copy=True)
+    u, uinv, v = np.eye(nr, dtype=object), np.eye(nr, dtype=object), np.eye(nc, dtype=object)
 
     def row_op(i, k, q):  # row_i -= q * row_k
         d[i, :] -= q * d[k, :]
@@ -352,13 +358,6 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     )
 
 
-def _vec(values) -> np.ndarray:
-    arr = np.empty(len(values), dtype=object)
-    for i, v in enumerate(values):
-        arr[i] = int(v)
-    return arr
-
-
 def solve_linear(
     a: IntMatrix, b, modulus: int | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]] | None:
@@ -369,7 +368,7 @@ def solve_linear(
     of the generators (mod m).  Both read one Smith form U A V = D, of A
     reduced into [0, m) mod m, through `smith_solve` and `smith_kernel`.
     """
-    b = _vec(b)
+    b = _to_object_array([b])[0]
     if a.rows != len(b):
         raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)}")
     m = None if modulus is None else int(modulus)

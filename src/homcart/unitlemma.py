@@ -28,6 +28,7 @@ from math import gcd
 import numpy as np
 
 from . import modp
+from .intmat import IntMatrix
 
 
 class UnsupportedRepresentation(TypeError):
@@ -96,7 +97,7 @@ class FpMatrix(FieldMatrix):
         self.p = int(p)
         if self.p > modp.P_MAX or not modp.is_prime(self.p):
             raise ValueError(f"matrices over F_p need a prime p <= {modp.P_MAX}, got {self.p}")
-        self.a = np.vectorize(lambda v: int(v) % self.p, otypes=[np.int64])(arr)
+        self.a = (IntMatrix(arr).array % self.p).astype(np.int64)
 
     def _reduce(self, arr):
         return arr % self.p

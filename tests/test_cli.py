@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -338,3 +339,23 @@ def test_square_check_rejects_a_truncated_witness_block(tmp_path, capsys):
     f.write_text(json.dumps(data))
     code, out, err = run(capsys, "square", "check", str(f))
     assert code == 3 and out == "" and err.startswith("error:")
+
+
+def _broken_star(data_dir: Path) -> None:
+    star = json.loads((data_dir / "star.json").read_text(encoding="utf-8"))
+    star["upper"]["h"]["components"]["-1"] = [["1"], ["0"]]
+    (data_dir / "star.json").write_text(json.dumps(star), encoding="utf-8")
+
+
+@pytest.mark.parametrize("dataset", ["missing", "disagreeing"])
+def test_a_bad_dataset_is_an_input_error(tmp_path, monkeypatch, capsys, dataset):
+    # exit 1 would claim a certified no
+    data = tmp_path / "data"
+    if dataset == "disagreeing":
+        shutil.copytree(Path(homcart.__file__).resolve().parent / "data", data)
+        _broken_star(data)
+    monkeypatch.setenv("HOMCART_DATA", str(data))
+    code, out, err = run(capsys, "paper", "verify", "--a-min", "3", "--a-max", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -189,3 +190,100 @@ def test_matrix_json_rows_have_exactly_the_expected_width():
     for data in ([[]], [["1", "2"]]):
         with pytest.raises(ValueError):
             IntMatrix.from_json(data, rows=1, cols=3)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[1.5, 2]],
+        np.array([[0.5, 2.0]]),
+        np.array([[2.0, 4.0]]),
+        [[1, 2.0]],
+        [[1 + 0j]],
+        [["1", 2]],
+        [[Fraction(1, 1)]],
+        np.array([["1"]]),
+        np.array([[1 + 0j]]),
+        np.array([[1, None]], dtype=object),
+    ],
+)
+def test_entries_that_are_not_integers_are_refused(entries):
+    # a float, even an integral one, would otherwise be truncated or kept
+    with pytest.raises(ValueError):
+        IntMatrix(entries)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: smith_normal_form(IntMatrix(np.array([[2.0, 4.0], [6.0, 8.5]]))),  # was diag [0.5, 14.0]
+        lambda: det(IntMatrix(np.array([[2.5, 1.0], [1.0, 1.0]]))),  # was 1.0
+        lambda: cokernel(IntMatrix(np.array([[2.5]]))),  # was Z/2
+        lambda: solve_linear(IntMatrix([[2]]), [4.5]),  # was x = [2]
+        lambda: solve_linear(IntMatrix([[2]]), np.array([4.5])),
+    ],
+    ids=["smith", "det", "cokernel", "solve-list", "solve-array"],
+)
+def test_kernels_refuse_fractional_input(run):
+    with pytest.raises(ValueError):
+        run()
+
+
+def test_integers_of_every_kind_become_python_ints():
+    m = IntMatrix(np.array([[np.int64(3), np.int8(-2), 2**70]], dtype=object))
+    assert m.tolist() == [[3, -2, 2**70]]
+    assert all(type(v) is int for v in m.array.flat)
+    assert all(type(v) is int for v in IntMatrix(np.array([[7, -1]], dtype=np.int64)).array.flat)
+    assert all(type(v) is int for v in IntMatrix([[np.uint8(4), True]]).array.flat)
+    x, _ = solve_linear(IntMatrix([[2]]), [np.int64(4)])
+    assert list(x) == [2] and type(x[0]) is int
+
+
+def test_bools_are_zero_and_one_and_round_trip_through_json():
+    m = IntMatrix(np.array([[True, False]]))
+    assert m.to_json() == [["1", "0"]]
+    assert IntMatrix.from_json(m.to_json()) == m == IntMatrix([[1, 0]])
+
+
+def test_shape_errors_are_dimension_mismatches():
+    for entries in ([[1], [1, 2]], [1, 2], np.array([1, 2]), np.zeros((1, 1, 1), dtype=np.int64)):
+        with pytest.raises(DimensionMismatch):
+            IntMatrix(entries)
+    assert IntMatrix([]).shape == (0, 0) and IntMatrix([[]]).shape == (1, 0)
+
+
+def _results(a, b):
+    """Every way to make an IntMatrix from a (3 columns) and b (3 rows)."""
+    s = smith_normal_form(a)
+    return {
+        "matmul": a @ b, "add": a + a, "sub": a - a, "neg": -a, "scale": a.scale(3),
+        "transpose": a.transpose(), "reduce_mod": a.reduce_mod(5),
+        "hstack": IntMatrix.hstack([a, a]), "vstack": IntMatrix.vstack([a, a]), "block": IntMatrix.block([[a]]),
+        "zeros": IntMatrix.zeros(2, 3), "identity": IntMatrix.identity(3), "from_json": IntMatrix.from_json(a.to_json()),
+        "u": s.u, "d": s.d, "v": s.v, "uinv": s.uinv, "constructor": IntMatrix(a.array),
+    }
+
+
+def test_every_operation_returns_a_read_only_array():
+    a = IntMatrix([[2, 4, 1], [6, 8, 0]])
+    for name, m in _results(a, IntMatrix([[1], [2], [3]])).items():
+        assert not m.array.flags.writeable, name
+        with pytest.raises(ValueError):
+            m.array[0, 0] = 99
+
+
+def test_only_the_transpose_shares_memory_with_its_operand():
+    a = IntMatrix([[2, 4, 1], [6, 8, 0]])
+    shared = {name for name, m in _results(a, IntMatrix([[1], [2], [3]])).items() if np.shares_memory(m.array, a.array)}
+    assert shared == {"transpose"}
+
+
+def test_the_constructor_copies_outside_data():
+    rows = [[1, 2], [3, 4]]
+    arr = np.array(rows, dtype=object)
+    ints = np.array(rows, dtype=np.int64)
+    ms = IntMatrix(rows), IntMatrix(arr), IntMatrix(ints)
+    rows[0][0] = arr[0, 0] = ints[0, 0] = 99
+    rows.append([5, 6])
+    assert all(m.tolist() == [[1, 2], [3, 4]] for m in ms)
+    assert arr.flags.writeable and ints.flags.writeable

@@ -8,7 +8,8 @@ the blocks of graded maps are checked in one function of `complexes` and
 read from JSON in one function of `jsonio`, and contractions, solves,
 kernels and quotients have one algorithm for every ring: no Hom-system
 fallback, no recursion, one kernel formula (`intmat.smith_kernel`), and
-homology read off cokernels, with no kernel basis and no `Subquotient`."""
+homology read off cokernels, with no kernel basis and no `Subquotient`;
+`intmat` copies only outside data and the working array of a Smith form."""
 
 import ast
 import importlib
@@ -217,3 +218,11 @@ def test_kernels_have_one_formula():
     assert "solve" not in _names(kernel)
     assert "smith_kernel" in _names(kernel)
     assert "smith_kernel" in _names(_function("intmat.py", "solve_linear"))
+
+
+def test_intmat_copies_only_outside_data_and_the_smith_working_array():
+    def copy(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("astype", "copy")
+
+    sites = _functions_around(_parse("intmat.py"), copy)
+    assert sites and set(sites) <= {"_to_object_array", "smith_normal_form"}, f"arrays copied in {sorted(set(sites))}"

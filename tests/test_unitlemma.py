@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from sympy import factorint
 from sympy.ntheory.modular import crt
@@ -198,3 +199,18 @@ def test_find_beta_is_right_handed_in_every_representation():
     for e in elements:
         assert find_beta(e).variant == "right"
         assert find_alpha(e).variant == "left"
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[1.5, 2], [0, 7.9]], np.array([[1.0, 2.0], [0.0, 1.0]]), [[Fraction(1), 0], [0, 1]], [["1", 0], [0, 1]], [], [[]]],
+)
+def test_prime_field_matrices_refuse_entries_that_are_not_integers(entries):
+    with pytest.raises(ValueError):
+        FpMatrix(5, entries)
+
+
+def test_prime_field_matrices_reduce_integers_of_every_kind():
+    e = FpMatrix(5, np.array([[np.int64(-1), 2**70], [True, 12]], dtype=object))
+    assert e.a.dtype == np.int64
+    assert e.a.tolist() == [[4, 2**70 % 5], [1, 2]]
