@@ -24,8 +24,16 @@ in hom_group(d, t) (composing with base identifies End(t) with Hom(d, t), so
 no second Hom group is built), and the classes of constraint solutions, the
 `Subquotient` of the solution set by the null-homotopic maps, all of them
 over Z/m and a coefficient box of them over Z.
+
+`is_homotopy_cartesian` computes a verdict once per square value and search
+config: while the square it was first computed for is alive, an equal
+square (equal maps and witness blocks) under an equal config gets the same
+Verdict object, so returned verdicts are shared and never changed.  The
+memo holds its squares weakly and has no other bound.
 """
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import islice, product
@@ -157,9 +165,13 @@ class Verdict:
 
 
 class CommutativeSquare:
-    """Square (g: B->C, g': B'->C', b: B->B', c: C->C') with witness c g ~ g' b."""
+    """Square (g: B->C, g': B'->C', b: B->B', c: C->C') with witness c g ~ g' b.
 
-    __slots__ = ("b_obj", "c_obj", "bprime_obj", "cprime_obj", "g", "gprime", "b", "c", "witness")
+    Two squares are equal when their four maps and their witness blocks are.
+    The hash reads the four corner complexes only: hashing every entry costs
+    more than the equality checks it would save."""
+
+    __slots__ = ("b_obj", "c_obj", "bprime_obj", "cprime_obj", "g", "gprime", "b", "c", "witness", "__weakref__")
 
     def __init__(self, g: ChainMap, gprime: ChainMap, b: ChainMap, c: ChainMap, witness: Homotopy | None = None):
         if b.source != g.source or c.source != g.target:
@@ -187,6 +199,19 @@ class CommutativeSquare:
 
     def __setattr__(self, *a):
         raise AttributeError("CommutativeSquare is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, CommutativeSquare)
+            and self.g == other.g
+            and self.gprime == other.gprime
+            and self.b == other.b
+            and self.c == other.c
+            and self.witness.components() == other.witness.components()
+        )
+
+    def __hash__(self):
+        return hash((self.b_obj, self.c_obj, self.bprime_obj, self.cprime_obj))
 
     @property
     def ring(self):
@@ -402,9 +427,13 @@ def find_compatible_equivalence(
     yielding a certified refutation when all fail.  Then, over every ring,
     the classes of constraint solutions are walked: all of them over Z/m,
     so the search is complete within the enumeration cap, and a bounded
-    box of them over Z.  Unknown is returned when every bound is exhausted
-    without a decision.  Each map is tested for being an equivalence, and
-    hom_group(d, t) is built, at most once per call; no other Hom group is.
+    box of them over Z.  When that box decides nothing over Z but the
+    refutation listed the equivalence classes, each of them is tried over
+    Z: the first that satisfies the constraints gives a yes, and when none
+    does, that exhaustion is a no.  Unknown is returned when every bound is
+    exhausted without a decision.  Each map is tested for being an
+    equivalence, and hom_group(d, t) is built, at most once per call; no
+    other Hom group is.
     """
     if d.ring != t.ring:
         raise ComplexError("search across different rings")
@@ -437,6 +466,7 @@ def find_compatible_equivalence(
     # modular refutation: unit multiples of a base equivalence vs constraints
     moduli = [m for c in (*corners, d, t) for m in _torsion_exponents(homologies[c])]
     schedule = list(dict.fromkeys(moduli + list(config.extra_moduli)))
+    classes = None
     if schedule:
         hom = hom_group(d, t)
         base = _equivalence_candidates(d, t, config, hints, equivalent, hom)
@@ -455,7 +485,25 @@ def find_compatible_equivalence(
                     exhausted=len(classes),
                     reason="no equivalence class satisfies the constraints mod m",
                 )
-    return _walk_solutions(system, sol, constraints, config, equivalent)
+    verdict = _walk_solutions(system, sol, constraints, config, equivalent)
+    if not verdict.is_unknown or classes is None:
+        return verdict
+    # the classes are every equivalence class d -> t: try each over Z
+    for phi in classes:
+        res = _verify_yes(phi, constraints, equivalent, {"source": "unit class"})
+        if res is not None:
+            return res
+    return Verdict(
+        kind="no",
+        modulus=None,
+        exhausted=len(classes),
+        reason="no equivalence class satisfies the constraints over Z",
+    )
+
+
+# square -> {config: verdict}; an entry dies with the square it was stored for
+_verdicts = weakref.WeakKeyDictionary()
+_verdicts_lock = threading.Lock()
 
 
 def is_homotopy_cartesian(square: CommutativeSquare, config: SearchConfig = DEFAULT_CONFIG) -> Verdict:
@@ -466,7 +514,23 @@ def is_homotopy_cartesian(square: CommutativeSquare, config: SearchConfig = DEFA
     iota and searches for an equivalence cone -> C' compatible with the
     second diagonal map; on Yes, the third map of the triangle is the cone
     projection transported through the witness.
+
+    A verdict is computed once per square value and config: while the
+    square it was first computed for is alive, deciding an equal square
+    (same maps, same witness) under the same config returns the same
+    Verdict object.  Returned verdicts are thus shared, and are never
+    changed after they are returned.
     """
+    with _verdicts_lock:
+        known = _verdicts.get(square, {}).get(config)
+    if known is not None:
+        return known
+    verdict = _decide_cartesian(square, config)
+    with _verdicts_lock:
+        return _verdicts.setdefault(square, {}).setdefault(config, verdict)
+
+
+def _decide_cartesian(square: CommutativeSquare, config: SearchConfig) -> Verdict:
     seq = diagonal(square)
     cn, incl, proj = cone(seq.first)
     # the canonical candidate, with candidate o incl = second on the nose: the

@@ -16,7 +16,10 @@ field, deterministically per (seed, index); `prop2_replay` reconstructs the
 correcting automorphism 1 + e + a e^2 on such a diagram and re-verifies its
 defining identities.  There e is a strict chain endomorphism and a = s(e) a
 polynomial in it, found by `unitlemma.find_alpha` on the block-diagonal
-matrix of e.
+matrix of e; e = psi o h' for a preimage psi of c~ - c along the connecting
+map.  When c = c~, psi = 0 needs no solve, and the completion square equals
+the diagram's own square, so `is_homotopy_cartesian` returns the verdict it
+gave that square if the square is still alive.
 """
 
 import json
@@ -42,6 +45,7 @@ from .complexes import (
     random_chain_map,
     random_complex,
     shift,
+    zero_map,
 )
 from .intmat import IntMatrix
 from .jsonio import (
@@ -419,9 +423,9 @@ def prop2_replay(m: TriangleMorphism, config: SearchConfig = DEFAULT_CONFIG) -> 
 
     Requires a diagram with identity first component over a prime field F_p,
     p <= 2^20, rows standard on f and b o f.  Raises when the preimage step
-    fails, which cannot happen for valid inputs.  The unit is invertible on
-    the nose; it corrects c for any a, since e^2 o c and e o g' are
-    null-homotopic.
+    fails, which cannot happen for valid inputs; when c = c~ the preimage is
+    psi = 0 and no system is solved.  The unit is invertible on the nose; it
+    corrects c for any a, since e^2 o c and e o g' are null-homotopic.
     """
     row1, row2 = m.source, m.target
     ring = row1.x.ring
@@ -438,13 +442,16 @@ def prop2_replay(m: TriangleMorphism, config: SearchConfig = DEFAULT_CONFIG) -> 
     if not completion_cartesian.is_yes:
         raise ComplexError("completion candidate square failed the cartesian check")
     diff = ctilde - c
-    system = _ConstraintSystem(
-        shift(row1.x), row2.z, [Constraint(required=diff, precompose=row1.h)]
-    )
-    sol = system.solve()
-    if sol is None:
-        raise ComplexError("no preimage along precomposition with the connecting map")
-    psi = system.phi_of(sol[0])
+    if diff.is_zero():
+        psi = zero_map(shift(row1.x), row2.z)
+    else:
+        system = _ConstraintSystem(
+            shift(row1.x), row2.z, [Constraint(required=diff, precompose=row1.h)]
+        )
+        sol = system.solve()
+        if sol is None:
+            raise ComplexError("no preimage along precomposition with the connecting map")
+        psi = system.phi_of(sol[0])
     eps = psi.compose(row2.h)
     alpha = _alpha_of(eps, ring.modulus)
     unit = identity_map(row2.z) + eps + alpha.compose(eps).compose(eps)

@@ -84,6 +84,13 @@ class FieldMatrix:
         return tuple(self.a.reshape(-1).tolist())
 
 
+def _residues(entries, p: int) -> np.ndarray:
+    """int64 residues mod p of integer entries of any shape, read by
+    `intmat`'s integer rule: anything but an integer raises ValueError."""
+    arr = np.asarray(entries)
+    return (IntMatrix(arr.reshape(1, -1)).array % p).astype(np.int64).reshape(arr.shape)
+
+
 class FpMatrix(FieldMatrix):
     """Square matrix over F_p, p a prime up to `modp.P_MAX`, with int64
     entries in [0, p)."""
@@ -97,7 +104,7 @@ class FpMatrix(FieldMatrix):
         self.p = int(p)
         if self.p > modp.P_MAX or not modp.is_prime(self.p):
             raise ValueError(f"matrices over F_p need a prime p <= {modp.P_MAX}, got {self.p}")
-        self.a = (IntMatrix(arr).array % self.p).astype(np.int64)
+        self.a = _residues(arr, self.p)
 
     def _reduce(self, arr):
         return arr % self.p
@@ -149,12 +156,12 @@ class FiniteAlgebra:
 
     def __init__(self, p: int, table, one_coords):
         self.p = int(p)
-        t = np.asarray(table, dtype=np.int64) % self.p
+        t = _residues(table, self.p)
         if t.ndim != 3 or t.shape[0] != t.shape[1] or t.shape[1] != t.shape[2]:
             raise ValueError("structure constants must form an n x n x n table")
         self.dim = t.shape[0]
         self.table = t
-        one = np.asarray(one_coords, dtype=np.int64) % self.p
+        one = _residues(one_coords, self.p)
         if one.shape != (self.dim,):
             raise ValueError("identity coordinates have wrong length")
         self.one_coords = one
@@ -175,7 +182,7 @@ class FiniteAlgebra:
         return FiniteAlgebra(self.p, np.swapaxes(self.table, 0, 1), self.one_coords)
 
     def element(self, coords) -> "AlgebraElement":
-        return AlgebraElement(self, np.asarray(coords, dtype=np.int64) % self.p)
+        return AlgebraElement(self, coords)
 
 
 class AlgebraElement:
@@ -183,7 +190,7 @@ class AlgebraElement:
 
     def __init__(self, algebra: FiniteAlgebra, coords):
         self.algebra = algebra
-        self.coords = np.asarray(coords, dtype=np.int64) % algebra.p
+        self.coords = _residues(coords, algebra.p)
 
     def _wrap(self, coords):
         return AlgebraElement(self.algebra, coords)

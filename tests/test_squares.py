@@ -5,9 +5,11 @@ import time
 import pytest
 
 from homcart.complexes import (
+    Homotopy,
     Zmod,
     cone,
     hom_group,
+    homotopic,
     identity_map,
     random_chain_map,
     random_complex,
@@ -18,6 +20,7 @@ from homcart.complexes import (
 from homcart.intmat import IntMatrix
 from homcart.squares import (
     CommutativeSquare,
+    Constraint,
     PositionMismatch,
     SearchConfig,
     _coefficient_order,
@@ -399,3 +402,172 @@ def test_rotation_comparison_builds_each_cone_once(monkeypatch):
     t = lemma2(2, 3).triangle
     assert rotation_comparison(t).is_yes
     assert t.g in built
+
+
+# a Z square whose solution box holds no equivalence: Hom(cone, C') is
+# Z + Z/2 with 4 unit classes, 2 of which satisfy the constraint over Z
+Z_UNIT_CLASS_SQUARE = {
+    "corners": {
+        "B": {"ring": "Z", "degrees": {"2": 2}, "differentials": {}},
+        "C": {
+            "ring": "Z",
+            "degrees": {"-1": 2, "0": 3, "1": 2, "2": 2},
+            "differentials": {
+                "-1": [["0", "2"], ["1", "-1"], ["-1", "2"]],
+                "0": [["-1", "2", "2"], ["2", "-4", "-4"]],
+                "1": [["-2", "-1"], ["-4", "-2"]],
+            },
+        },
+        "B_prime": {
+            "ring": "Z",
+            "degrees": {"1": 1, "2": 3, "3": 2},
+            "differentials": {"1": [["2"], ["0"], ["-1"]], "2": [["-1", "-1", "-2"], ["1", "-1", "2"]]},
+        },
+        "C_prime": {
+            "ring": "Z",
+            "degrees": {"-1": 2, "0": 3, "1": 3, "2": 3, "3": 2},
+            "differentials": {
+                "-1": [["0", "2"], ["1", "-1"], ["-1", "2"]],
+                "0": [["0", "0", "0"], ["-1", "2", "2"], ["2", "-4", "-4"]],
+                "1": [["2", "0", "0"], ["0", "0", "0"], ["-1", "0", "0"]],
+                "2": [["-1", "-1", "-2"], ["1", "-1", "2"]],
+            },
+        },
+    },
+    "maps": {
+        "g": {"components": {"2": [["1", "0"], ["0", "1"]]}},
+        "g_prime": {
+            "components": {
+                "1": [["1"], ["0"], ["0"]],
+                "2": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                "3": [["1", "0"], ["0", "1"]],
+            }
+        },
+        "b": {"components": {}},
+        "c": {
+            "components": {
+                "-1": [["-3", "10"], ["-3", "8"]],
+                "0": [["0", "4", "10"], ["1", "0", "0"], ["1", "-2", "1"]],
+                "1": [["0", "0"], ["0", "2"], ["12", "2"]],
+            }
+        },
+    },
+    "witness": {},
+}
+
+
+def test_z_search_tries_the_unit_classes_when_its_box_decides_nothing():
+    from homcart.complexes import is_homotopy_equivalence
+    from homcart.jsonio import square_from_json
+
+    square = square_from_json(Z_UNIT_CLASS_SQUARE)
+    verdict = is_homotopy_cartesian(square)
+    assert verdict.is_yes and verdict.details["source"] == "unit class"
+    seq = diagonal(square)
+    _, incl, _ = cone(seq.first)
+    assert is_homotopy_equivalence(verdict.witness) is not None
+    diff = verdict.witness.compose(incl) - seq.second
+    assert homotopic(diff, zero_map(diff.source, diff.target)) is not None
+    assert is_homotopy_cartesian(square, SearchConfig(coeff_bound=20)).is_yes
+
+
+def test_z_search_refutes_when_no_unit_class_satisfies_the_constraints():
+    # phi ~ 3 on Z: the units +-1 pass mod 2 but not over Z
+    z = one_term()
+    con = Constraint(required=cmap(z, z, {0: [[3]]}))
+    verdict = find_compatible_equivalence(z, z, [con], SearchConfig(extra_moduli=(2,)))
+    assert verdict.is_no and verdict.modulus is None and verdict.exhausted == 2
+    assert "over Z" in verdict.reason
+
+
+def _fuzz_square(index=0):
+    from homcart.suite import fuzz_prop2
+
+    return next(itertools.islice(fuzz_prop2(3, trials=index + 1, seed=5), index, None)).square
+
+
+def _witness_variants():
+    """Two squares with the same maps B = C = B' = Z[0] -> C' = Z[-1] and the
+    witnesses 0 and 1, both valid since every differential is zero."""
+    z, zl = one_term(), one_term(degree=-1)
+    g, c = identity_map(z), zero_map(z, zl)
+    plain = CommutativeSquare(g, c, g, c)
+    other = CommutativeSquare(g, c, g, c, witness=Homotopy(c, c, {0: IntMatrix([[1]])}))
+    return plain, other
+
+
+def test_equal_squares_compare_and_hash_equal():
+    first, second = _fuzz_square(), _fuzz_square()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != _fuzz_square(1)
+    plain, other = _witness_variants()
+    assert plain != other and hash(plain) == hash(other)
+
+
+def test_an_equal_square_gets_the_same_verdict_without_a_search(monkeypatch):
+    import homcart.squares as squares
+
+    first = _fuzz_square()
+    verdict = is_homotopy_cartesian(first)
+    assert verdict.is_yes and "third_map" in verdict.details
+
+    def unsearched(*args, **kwargs):
+        raise AssertionError("an equal square was searched again")
+
+    monkeypatch.setattr(squares, "find_compatible_equivalence", unsearched)
+    assert is_homotopy_cartesian(_fuzz_square()) is verdict
+
+
+def test_another_witness_or_config_is_decided_afresh(monkeypatch):
+    import homcart.squares as squares
+
+    calls = []
+    real = squares.find_compatible_equivalence
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(squares, "find_compatible_equivalence", counting)
+    plain, other = _witness_variants()
+    verdicts = [is_homotopy_cartesian(plain), is_homotopy_cartesian(other)]
+    verdicts.append(is_homotopy_cartesian(plain, SearchConfig(coeff_bound=3)))
+    assert len(calls) == 3
+    assert len({id(v) for v in verdicts}) == 3
+    assert is_homotopy_cartesian(plain) is verdicts[0]
+    assert len(calls) == 3
+
+
+def test_the_memo_dies_with_its_squares():
+    import gc
+
+    import homcart.squares as squares
+
+    gc.collect()
+    before = len(squares._verdicts)
+    first, second = _fuzz_square(), _fuzz_square()
+    is_homotopy_cartesian(first)
+    is_homotopy_cartesian(second)
+    is_homotopy_cartesian(first, SearchConfig(coeff_bound=3))
+    assert len(squares._verdicts) == before + 1
+    del first, second
+    gc.collect()
+    assert len(squares._verdicts) == before
+
+
+def test_one_square_decided_from_many_threads_gets_one_verdict():
+    import json
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    square = _fuzz_square(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            verdicts = list(pool.map(lambda _: is_homotopy_cartesian(square), range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len({id(v) for v in verdicts}) == 1
+    assert len({json.dumps(v.to_json(), sort_keys=True) for v in verdicts}) == 1

@@ -151,6 +151,22 @@ def test_finite_algebra_rejects_bad_identity():
         FiniteAlgebra(p, table, [0, 1])
 
 
+def test_finite_algebra_reads_integers_only():
+    # F_5[x]/(x^2); a float entry is refused, never truncated
+    table = [
+        [[1, 0], [0, 1]],
+        [[0, 1], [0, 0]],
+    ]
+    with pytest.raises(ValueError):
+        FiniteAlgebra(5, [[[1.5, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
+    with pytest.raises(ValueError):
+        FiniteAlgebra(5, table, [1.2, 0])
+    alg = FiniteAlgebra(5, table, [1, 0])
+    with pytest.raises(ValueError):
+        alg.element([0.5, 1.9])
+    assert alg.element([6, -1]).vec() == (1, 4)
+
+
 def test_residue_certificates_random():
     rng = random.Random(77)
     for _ in range(100):
