@@ -330,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fz = sub.add_parser("fuzz", help="randomized conjecture checking")
     fz_sub = fz.add_subparsers(dest="subcommand", required=True)
-    fp = fz_sub.add_parser("prop2", help="random two-row diagrams over a prime field; expect all-yes")
-    fp.add_argument("--field", type=int, default=2)
+    fp = fz_sub.add_parser("prop2", help="random two-row diagrams over Z/m; expect all-yes")
+    fp.add_argument("--field", type=int, default=2, help="modulus m >= 2 of the coefficient ring Z/m")
     fp.add_argument("--trials", type=int, default=100)
     fp.add_argument("--seed", type=int, default=42)
     fp.add_argument("--max-rank", type=int, default=3)

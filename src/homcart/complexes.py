@@ -902,7 +902,7 @@ def reduce_mod(obj, m: int):
 
 
 # ---------------------------------------------------------------------------
-# prime-field generators and the endomorphism algebra
+# random generators over Z/m and the endomorphism algebra over F_p
 
 
 def _random_combo(basis: np.ndarray, rng, p: int) -> np.ndarray:
@@ -910,19 +910,15 @@ def _random_combo(basis: np.ndarray, rng, p: int) -> np.ndarray:
     return (basis @ coeffs) % p
 
 
-def _require_prime_field(ring: Ring, what: str):
-    if not ring.is_prime_field:
-        raise ComplexError(f"{what} requires a prime field")
-
-
 def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int) -> Complex:
-    """Random bounded complex over a prime field in degrees 0..n_degrees-1;
-    d^2 = 0 by construction.
+    """Random bounded complex over Z/m in degrees 0..n_degrees-1; d^2 = 0
+    by construction.
 
-    Each differential is drawn uniformly from the solution space of
+    Each differential is drawn uniformly from the solutions of
     d(i) @ d(i-1) = 0 given the previously drawn one.
     """
-    _require_prime_field(ring, "random_complex")
+    if ring.is_integers:
+        raise ComplexError("random_complex needs a finite coefficient ring")
     p = ring.modulus
     ranks = {}
     for i in range(n_degrees):
@@ -948,9 +944,10 @@ def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int) -> Complex:
 
 
 def random_chain_map(x: Complex, y: Complex, rng) -> ChainMap:
-    """Uniformly random chain map x -> y over a prime field: a random
-    combination of columns spanning Z^0 = ker D(0)."""
-    _require_prime_field(x.ring, "random_chain_map")
+    """Uniformly random chain map x -> y over Z/m: a random combination of
+    columns spanning Z^0 = ker D(0)."""
+    if x.ring.is_integers:
+        raise ComplexError("random_chain_map needs a finite coefficient ring")
     hom = HomComplex(x, y)
     v = _random_combo(x.ring.kernel(hom.D(0)), rng, x.ring.modulus)
     return ChainMap(x, y, hom.unvec(v))
@@ -964,7 +961,8 @@ def end_structure_mod_p(c: Complex):
     to_coords maps any endomorphism chain map to its class coordinates:
     the representatives and `lookup` of `hom_group(c, c)`.
     """
-    _require_prime_field(c.ring, "end_structure_mod_p")
+    if not c.ring.is_prime_field:
+        raise ComplexError("end_structure_mod_p requires a prime field")
     end = hom_group(c, c)
     reps = end.reps()
     table = [[end.lookup(a.compose(b)) for b in reps] for a in reps]

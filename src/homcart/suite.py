@@ -11,14 +11,14 @@ certifications, the diagram construction with its commuting squares, the
 homotopy-cartesian decision on the middle square (expected refutation mod
 a^2 for a >= 3), and the vertical comparison decision against the inserted
 triangles (same expectation), plus the implication between the two
-refutations.  `fuzz_prop2` generates random two-row diagrams over a prime
-field, deterministically per (seed, index); `prop2_replay` reconstructs the
+refutations.  `fuzz_prop2` generates random two-row diagrams over Z/m,
+m >= 2, deterministically per (seed, index); `prop2_replay` reconstructs the
 correcting automorphism 1 + e + a e^2 on such a diagram and re-verifies its
 defining identities.  There e is a strict chain endomorphism and a = s(e) a
-polynomial in it, found by `unitlemma.find_alpha` on the block-diagonal
-matrix of e; e = psi o h' for a preimage psi of c~ - c along the connecting
-map.  When c = c~, psi = 0 needs no solve, and the completion square equals
-the diagram's own square, so `is_homotopy_cartesian` returns the verdict it
+polynomial in it from one `Ring.solve` (none when e is nilpotent); e =
+psi o h' for a preimage psi of c~ - c along the connecting map.  When
+c = c~, psi = 0 needs no solve, and the completion square equals the
+diagram's own square, so `is_homotopy_cartesian` returns the verdict it
 gave that square if the square is still alive.
 """
 
@@ -72,7 +72,6 @@ from .triangles import (
     verify_distinguished_with_witness,
     verify_triangle_morphism,
 )
-from .unitlemma import FpMatrix, find_alpha
 
 
 class TranscriptionError(RuntimeError):
@@ -306,7 +305,7 @@ def report_text(report: PaperReport) -> str:
 
 
 # ---------------------------------------------------------------------------
-# deterministic fuzzing of two-row diagrams over a prime field
+# deterministic fuzzing of two-row diagrams over Z/m
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,7 @@ def fuzz_prop2(
     max_rank: int = 3,
     n_degrees: int = 4,
 ):
-    """Deterministic stream of two-row diagrams over F_p.
+    """Deterministic stream of two-row diagrams over Z/p, any modulus p >= 2.
 
     Row one is the standard triangle on a random f : A -> B; a random
     b : B -> B' induces the second row on b o f; the connecting map is the
@@ -341,8 +340,6 @@ def fuzz_prop2(
     of (seed, index).
     """
     ring = Zmod(p)
-    if not ring.is_prime_field:
-        raise ValueError("fuzzing requires a prime field")
     if max_rank < 1 or n_degrees < 1:
         raise ValueError("fuzzing needs max_rank and n_degrees of at least 1")
     for index in range(trials):
@@ -353,14 +350,10 @@ def fuzz_prop2(
         f = random_chain_map(a_obj, b_obj, rng)
         row1 = standard_triangle(f)
         b = random_chain_map(b_obj, bp_obj, rng)
-        fprime = b.compose(f)
-        row2 = standard_triangle(fprime)
+        row2 = standard_triangle(b.compose(f))
         ctilde = _functorial_completion(row1, row2, b)
-        c = ctilde
-        perturbed = False
-        attempted = False
-        if rng.random() < 0.5:
-            attempted = True
+        c, perturbed, attempted = ctilde, False, rng.random() < 0.5
+        if attempted:
             psi0 = random_chain_map(shift(a_obj), row2.z, rng)
             candidate = ctilde + psi0.compose(row1.h)
             if homotopic(row2.h.compose(candidate), row1.h) is not None:
@@ -400,37 +393,45 @@ class Prop2Replay:
     equivalence: Homotopy          # contraction witnessing the automorphism
 
 
-def _alpha_of(eps: ChainMap, p: int) -> ChainMap:
-    """a = s(e) with 1 + e + a e^2 invertible, for a strict endomorphism e.
+def _alpha_of(eps: ChainMap) -> ChainMap:
+    """a = s(e), a chain map, with e + a e^2 nilpotent, for a strict
+    endomorphism e over Z/m of total rank n, its powers taken degreewise.
 
-    Computed on the block-diagonal matrix of e, one block per degree; a is a
-    polynomial in that matrix, so its diagonal blocks form a chain map.
-    """
-    z = eps.source
-    blocks, n = {}, 0
-    for i in z.degrees():
-        blocks[i] = slice(n, n + z.rank(i))
-        n += z.rank(i)
-    big = np.zeros((n, n), dtype=object)
-    for i, b in blocks.items():
-        big[b, b] = eps.component(i).array
-    alpha = find_alpha(FpMatrix(p, big)).coefficient.a
-    return ChainMap(z, z, {i: IntMatrix(alpha[b, b]) for i, b in blocks.items()})
+    e^N, N >= n (bit length of m - 1) >= n Omega(m), is past the Fitting
+    index: e is invertible on im e^N, where -e^-1 is a polynomial in e of
+    degree < n (Cayley-Hamilton).  So sum_j c_j e^(N+1+j) = -e^N has a
+    solution c, and a = sum_j c_j e^j gives (e + a e^2)^N = e^N (1 + a e)^N
+    = 0; a = 0 when e^N = 0."""
+    z, ring = eps.source, eps.source.ring
+    m, n = ring.modulus, z.total_rank()
+    e = [ring.asarray(eps.component(i)) for i in z.degrees()]
+    top, power = e, 1
+    while power < n * (m.bit_length() - 1):  # reduced after every product: below n m^2
+        top, power = [t @ t % m for t in top], 2 * power
+    alpha = [np.zeros_like(x) for x in e]
+    if any(t.any() for t in top):
+        powers = [top]
+        for _ in range(n):
+            powers.append([p @ x % m for p, x in zip(powers[-1], e)])
+        flat = [np.concatenate([p.reshape(-1) for p in pw]) for pw in powers]
+        for cj in reversed(ring.solve(np.stack(flat[1:], axis=1), -flat[0] % m)[0]):
+            alpha = [(a @ x + cj * np.eye(len(x), dtype=x.dtype)) % m for a, x in zip(alpha, e)]
+    return ChainMap(z, z, dict(zip(z.degrees(), map(IntMatrix, alpha))))
 
 
 def prop2_replay(m: TriangleMorphism, config: SearchConfig = DEFAULT_CONFIG) -> Prop2Replay:
     """Rebuild the unit 1 + e + a e^2 correcting c to the verified completion.
 
-    Requires a diagram with identity first component over a prime field F_p,
-    p <= 2^20, rows standard on f and b o f.  Raises when the preimage step
-    fails, which cannot happen for valid inputs; when c = c~ the preimage is
-    psi = 0 and no system is solved.  The unit is invertible on the nose; it
+    Requires a diagram with identity first component over Z/m, m >= 2, rows
+    standard on f and b o f.  Raises when the preimage step fails, which
+    cannot happen for valid inputs; when c = c~ the preimage is psi = 0 and
+    no system is solved.  The unit is invertible on the nose; it
     corrects c for any a, since e^2 o c and e o g' are null-homotopic.
     """
     row1, row2 = m.source, m.target
     ring = row1.x.ring
-    if not ring.is_small_prime_field:
-        raise ComplexError("the replay works over a prime field F_p with p <= 2^20")
+    if ring.is_integers:
+        raise ComplexError("the replay needs a finite coefficient ring")
     if m.p != identity_map(row1.x):
         raise ComplexError("the replay expects an identity on the first corner")
     b, c = m.q, m.r
@@ -453,7 +454,7 @@ def prop2_replay(m: TriangleMorphism, config: SearchConfig = DEFAULT_CONFIG) -> 
             raise ComplexError("no preimage along precomposition with the connecting map")
         psi = system.phi_of(sol[0])
     eps = psi.compose(row2.h)
-    alpha = _alpha_of(eps, ring.modulus)
+    alpha = _alpha_of(eps)
     unit = identity_map(row2.z) + eps + alpha.compose(eps).compose(eps)
     id_c = homotopic(unit.compose(c), ctilde)
     id_gp = homotopic(unit.compose(row2.g), row2.g)

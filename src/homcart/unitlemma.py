@@ -110,7 +110,7 @@ class FpMatrix(FieldMatrix):
         return arr % self.p
 
     def _scalar(self, c):
-        return int(c) % self.p
+        return _residues(c, self.p)
 
     def one(self):
         return self._wrap(np.eye(self.n, dtype=np.int64))
@@ -202,7 +202,7 @@ class AlgebraElement:
         return self._wrap(self.coords + other.coords)
 
     def scale(self, c):
-        return self._wrap(self.coords * (int(c) % self.algebra.p))
+        return self._wrap(self.coords * _residues(c, self.algebra.p))
 
     def one(self):
         return self._wrap(self.algebra.one_coords)

@@ -254,18 +254,15 @@ def test_bad_config_is_usage_error(tmp_path, capsys):
     assert out == "" and "nonnegative" in err
 
 
-def test_fuzz_rejects_non_prime_field(capsys):
-    code, _, err = run(capsys, "fuzz", "prop2", "--field", "4", "--trials", "2")
-    assert code == 3
-    assert "prime" in err
-
-
-def test_fuzz_reports_an_undecided_primality_as_an_error(capsys):
-    from homcart.modp import PSI_13
-
-    code, out, err = run(capsys, "fuzz", "prop2", "--field", str(PSI_13), "--trials", "1")
-    assert code == 3
-    assert out == "" and err.startswith("error:") and "not decided" in err
+def test_fuzz_runs_over_z_mod_m_and_refuses_moduli_below_two(capsys):
+    code, out, _ = run(capsys, "fuzz", "prop2", "--field", "4", "--trials", "3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["yes"] == 3 and payload["no"] == payload["unknown"] == 0
+    for m in ("1", "0"):
+        code, out, err = run(capsys, "fuzz", "prop2", "--field", m, "--trials", "2")
+        assert code == 3
+        assert out == "" and err.startswith("error:") and "at least 2" in err
 
 
 @pytest.mark.parametrize("flag", ["--max-rank", "--degrees"])

@@ -546,6 +546,21 @@ def test_random_complex_and_chain_map_are_valid():
         assert f.source == x and f.target == y
 
 
+@pytest.mark.parametrize("m", [4, 9, 12])
+def test_random_generators_run_over_z_mod_m_and_refuse_z(m):
+    rng = random.Random(m)
+    for _ in range(10):
+        x = random_complex(Zmod(m), rng, n_degrees=4, max_rank=3)
+        y = random_complex(Zmod(m), rng, n_degrees=4, max_rank=3)
+        f = random_chain_map(x, y, rng)  # constructors validate
+        assert f.source == x and f.target == y
+    with pytest.raises(ComplexError, match="finite coefficient ring"):
+        random_complex(ZZ, rng, n_degrees=2, max_rank=2)
+    z = Complex(ZZ, {0: 1}, {})
+    with pytest.raises(ComplexError, match="finite coefficient ring"):
+        random_chain_map(z, z, rng)
+
+
 def _check_end_algebra(c, p):
     """Identity and associativity of the structure table; returns its dimension."""
     table, ident, reps, to_coords = end_structure_mod_p(c)
@@ -698,13 +713,13 @@ def test_section_splits_random_matrices(m):
 
 def _degreewise_invertible_maps():
     """Identity maps over Z, F_2 and F_3, the replayed units 1 + e + a e^2
-    over F_2 and F_3, and the lemma2 witnesses over Z that are invertible in
-    every degree."""
+    over F_2, F_3, Z/4 and Z/9, and the lemma2 witnesses over Z that are
+    invertible in every degree."""
     maps = []
     for ring in (ZZ, Zmod(2), Zmod(3)):
         maps += [identity_map(c) for c in _corpus_complexes(ring)]
-    for p in (2, 3):
-        maps += [prop2_replay(t.morphism).automorphism for t in fuzz_prop2(p, trials=6, seed=5)]
+    for m in (2, 3, 4, 9):
+        maps += [prop2_replay(t.morphism).automorphism for t in fuzz_prop2(m, trials=6, seed=5)]
     maps += [lemma2(k, a, b).witness for k in (1, 3) for a, b in ((3, -3), (0, 1), (-2, 4))]
     maps.append(lemma2(4, 0, 1).witness)
     return maps

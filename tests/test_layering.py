@@ -9,7 +9,10 @@ read from JSON in one function of `jsonio`, and contractions, solves,
 kernels and quotients have one algorithm for every ring: no Hom-system
 fallback, no recursion, one kernel formula (`intmat.smith_kernel`), and
 homology read off cokernels, with no kernel basis and no `Subquotient`;
-`intmat` copies only outside data and the working array of a Smith form."""
+`intmat` copies only outside data and the working array of a Smith form;
+the Prop. 2 replay takes its linear algebra from `Ring` alone, with no
+`unitlemma` import, and neither it nor the random generators ask whether
+the ring is a prime field."""
 
 import ast
 import importlib
@@ -226,3 +229,17 @@ def test_intmat_copies_only_outside_data_and_the_smith_working_array():
 
     sites = _functions_around(_parse("intmat.py"), copy)
     assert sites and set(sites) <= {"_to_object_array", "smith_normal_form"}, f"arrays copied in {sorted(set(sites))}"
+
+
+def test_the_replay_and_the_generators_ask_no_primality_question():
+    tree = _parse("suite.py")
+    imports = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+    } | {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert not any(module and module.endswith("unitlemma") for module in imports)
+    assert not _names(tree) & {"is_prime_field", "is_small_prime_field"}
+    for name in ("random_complex", "random_chain_map"):
+        checks = {n for n in _names(_function("complexes.py", name)) if "prime" in n}
+        assert not checks, f"{name} names {sorted(checks)}"

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from homcart.complexes import ComplexError, Zmod, identity_map, is_homotopy_equivalence
+from homcart.complexes import ChainMap, ComplexError, Ring, Zmod, identity_map, is_homotopy_equivalence
 from homcart.intmat import IntMatrix
 from homcart.jsonio import poly_eval
 from homcart.squares import is_homotopy_cartesian
 from homcart.suite import (
+    _alpha_of,
     _functorial_completion,
     build_star,
     fuzz_prop2,
@@ -18,7 +19,7 @@ from homcart.suite import (
 )
 from homcart.triangles import standard_triangle, verify_triangle_morphism
 
-from helpers import identity_morphism, one_term
+from helpers import cmap, cpx, identity_morphism, one_term
 
 
 def test_poly_eval():
@@ -207,11 +208,74 @@ def test_replay_is_trivial_without_perturbation(monkeypatch):
         assert replay.automorphism == identity_map(trial.morphism.target.z)
 
 
-@pytest.mark.parametrize("m", [4, 1048583], ids=["Z4", "prime-above-2^20"])
-def test_replay_refuses_rings_outside_the_int64_prime_fields(m):
+@pytest.mark.parametrize("m", [4, 9, 1048583], ids=["Z4", "Z9", "prime-above-2^20"])
+def test_replay_runs_over_every_finite_ring(m):
     t = standard_triangle(identity_map(one_term(ring=Zmod(m))))
-    with pytest.raises(ComplexError, match="prime field"):
+    replay = prop2_replay(identity_morphism(t))
+    assert replay.completion_cartesian.is_yes
+    assert replay.automorphism == identity_map(t.z)
+
+
+def test_replay_refuses_the_integers():
+    t = standard_triangle(identity_map(one_term()))
+    with pytest.raises(ComplexError, match="finite coefficient ring"):
         prop2_replay(identity_morphism(t))
+
+
+def _power(f: ChainMap, k: int) -> ChainMap:
+    out = identity_map(f.source)
+    for _ in range(k):
+        out = out.compose(f)
+    return out
+
+
+# (m, seed): each stream has a perturbed trial whose epsilon is not nilpotent
+ALPHA_STREAMS = [(2, 1), (3, 2), (4, 1), (9, 3), (12, 1), (1048573, 3)]
+
+
+@pytest.mark.parametrize("m, seed", ALPHA_STREAMS, ids=[f"Z{m}" for m, _ in ALPHA_STREAMS])
+def test_alpha_makes_the_correction_nilpotent_on_the_nose(m, seed):
+    solved = 0
+    for trial in fuzz_prop2(m, trials=10, seed=seed):
+        if not trial.perturbed:
+            continue
+        eps = prop2_replay(trial.morphism).epsilon
+        alpha = _alpha_of(eps)
+        assert alpha.compose(eps) == eps.compose(alpha)
+        eta = eps + alpha.compose(eps).compose(eps)
+        assert _power(eta, eps.source.total_rank() * (m.bit_length() - 1)).is_zero()
+        solved += not alpha.is_zero()
+    assert solved
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 9, 12, 1048573])
+def test_alpha_of_a_nilpotent_epsilon_is_zero_without_a_solve(m, monkeypatch):
+    import random
+
+    def refuse(*args):
+        raise AssertionError("a nilpotent epsilon reached Ring.solve")
+
+    monkeypatch.setattr(Ring, "solve", refuse)
+    rng = random.Random(m)
+    z = cpx({0: 3, 1: 2}, ring=Zmod(m))
+    upper = [[0, rng.randrange(1, m), rng.randrange(m)], [0, 0, rng.randrange(m)], [0, 0, 0]]
+    nilpotent = [{0: upper}]
+    k = {4: 2, 9: 3, 12: 6}.get(m)  # rad(m) * k = 0 modulo m: k times anything is nilpotent
+    if k:
+        nilpotent.append({i: [[k * rng.randrange(1, m // k)] * z.rank(i)] * z.rank(i) for i in z.degrees()})
+    for blocks in nilpotent:
+        eps = cmap(z, z, blocks)
+        assert not eps.is_zero() and _alpha_of(eps).is_zero()
+
+
+@pytest.mark.parametrize("m", [4, 9, 12])
+def test_fuzzing_over_z_mod_m_decides_yes_and_replays(m):
+    for trial in fuzz_prop2(m, 12, seed=42):
+        assert verify_triangle_morphism(trial.morphism).ok
+        verdict = is_homotopy_cartesian(trial.square)
+        assert verdict.is_yes and verdict.witness is not None and verdict.equivalence is not None
+        replay = prop2_replay(trial.morphism)
+        assert replay.completion_cartesian.is_yes
 
 
 def test_verify_paper_reuses_its_own_triangles(monkeypatch):

@@ -230,3 +230,18 @@ def test_prime_field_matrices_reduce_integers_of_every_kind():
     e = FpMatrix(5, np.array([[np.int64(-1), 2**70], [True, 12]], dtype=object))
     assert e.a.dtype == np.int64
     assert e.a.tolist() == [[4, 2**70 % 5], [1, 2]]
+
+
+def test_scalars_are_read_by_the_integer_rule():
+    alg = FiniteAlgebra(5, [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
+    one = FpMatrix(5, [[1, 0], [0, 1]])
+    for c in (2.7, np.float64(3.0)):
+        with pytest.raises(ValueError):
+            one.scale(c)
+    with pytest.raises(ValueError):
+        alg.element([1, 1]).scale(1.5)
+    assert one.scale(np.int64(3)) == FpMatrix(5, [[3, 0], [0, 3]])
+    assert one.scale(True) == one
+    assert one.scale(-(2**70)) == one.scale(-(2**70) % 5)
+    assert alg.element([1, 1]).scale(np.uint8(7)).vec() == (2, 2)
+    assert alg.element([1, 1]).scale(False).vec() == (0, 0)
