@@ -12,6 +12,10 @@ Over a modular ring all entries are kept canonical in [0, m); equality of
 matrices is therefore plain equality.  Homology is computed over Z only;
 residue-ring questions are answered by lifting and modular solving.
 
+`Complex` checks d(i+1) d(i) = 0 on construction unless built with
+check=False, as `shift`, `direct_sum` and `cone_complex` build theirs:
+the equation follows from their inputs' own, already checked.
+
 Every linear question about maps is asked of the Hom complex (Weibel, An
 Introduction to Homological Algebra, 2.7): Hom(X, Y)^n is the product over i
 of Hom(X^i, Y^(i+n)), with differential D(n) phi = d_Y phi - (-1)^n phi d_X.
@@ -58,6 +62,14 @@ one cheaper rref instead: `solve` of [a | b], `kernel` of a, `section` of
 [d | 1].
 `Ring.asarray` puts a matrix into its backend's form; no other code
 converts between the two.
+
+`Ring` also builds every block of a differential, chain map or homotopy
+(`matrix`, `zeros`, `identity`, `canon`): over the small prime fields an
+`intmat.ResidueMatrix`, int64 in [0, p), whose arithmetic reduces once per
+operation; over Z and the other Z/m an `IntMatrix` of Python ints.  So an
+F_p block stays int64 from generator to verdict: `Ring.canon` returns a
+block the ring built as it is, and `Ring.asarray` returns its array,
+read-only, with no conversion.
 """
 
 import math
@@ -71,6 +83,7 @@ from .intmat import (
     DimensionMismatch,
     FGAbelianGroup,
     IntMatrix,
+    ResidueMatrix,
     cokernel,
     det,
     smith_kernel,
@@ -122,7 +135,10 @@ class Ring:
 
     def asarray(self, a) -> np.ndarray:
         """An integer matrix or vector in backend form: int64 reduced mod p
-        on a small prime field, exact Python ints otherwise."""
+        on a small prime field, exact Python ints otherwise.  The array of a
+        block this ring built is returned as it is, read-only."""
+        if isinstance(a, ResidueMatrix) and a.p == self.modulus:
+            return a.array
         a = np.asarray(a.array if isinstance(a, IntMatrix) else a)
         if self.is_small_prime_field:
             return (a % self.modulus).astype(np.int64)
@@ -152,7 +168,7 @@ class Ring:
         if self.is_small_prime_field:
             u, v, uinv, r = modp.diagonalize(self.asarray(a), self.modulus)
             return u, [1] * r + [0] * (min(a.shape) - r), v, uinv
-        s = smith_normal_form(self.canon(IntMatrix(a)))
+        s = smith_normal_form(IntMatrix(a), self.modulus)
         return s.u.array, s.diagonal(), s.v.array, s.uinv.array
 
     def kernel(self, a: np.ndarray) -> np.ndarray:
@@ -201,7 +217,28 @@ class Ring:
         return (v[:, :k] * t) @ u[:k, :] % m, sum(1 for x in diag if x % m)
 
     def canon(self, m: IntMatrix) -> IntMatrix:
+        """m as a block of this ring, reduced into [0, modulus); on a small
+        prime field a block the ring built is returned as it is."""
+        if self.is_small_prime_field:
+            return m if isinstance(m, ResidueMatrix) and m.p == self.modulus else ResidueMatrix(m.array, self.modulus)
         return m if self.modulus is None else m.reduce_mod(self.modulus)
+
+    def matrix(self, a) -> IntMatrix:
+        """The block of this ring with the entries of a: a backend array, or
+        any integer matrix data."""
+        if self.is_small_prime_field:
+            return ResidueMatrix(a, self.modulus)
+        return self.canon(IntMatrix(a))
+
+    def zeros(self, rows: int, cols: int) -> IntMatrix:
+        if self.is_small_prime_field:
+            return ResidueMatrix.zeros(rows, cols, self.modulus)
+        return IntMatrix.zeros(rows, cols)
+
+    def identity(self, n: int) -> IntMatrix:
+        if self.is_small_prime_field:
+            return ResidueMatrix.identity(n, self.modulus)
+        return IntMatrix.identity(n)
 
     def __str__(self):
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
@@ -251,15 +288,15 @@ class _GradedMap:
         given none.  A block of the wrong shape, or a nonzero block outside
         the layout, raises ComplexError at its degree."""
         x, y, n = self._ends()
-        canon, blocks = x.ring.canon, {}
+        ring, blocks = x.ring, {}
         for i, r, c, _ in _layout(x, y, n):
             m = given.get(i)
             if m is None:
-                blocks[i] = IntMatrix.zeros(r, c)
+                blocks[i] = ring.zeros(r, c)
             elif m.shape != (r, c):
                 raise ComplexError(f"{what} at degree {i} has shape {m.shape}, expected {(r, c)}", degree=i)
             else:
-                blocks[i] = canon(m)
+                blocks[i] = ring.canon(m)
         for i, m in given.items():
             if i not in blocks and not m.is_zero():
                 raise ComplexError(f"nonzero {what} at degree {i} maps to or from rank 0", degree=int(i))
@@ -271,7 +308,7 @@ class _GradedMap:
         if got is not None:
             return got
         x, y, n = self._ends()
-        return IntMatrix.zeros(y.rank(i + n), x.rank(i))
+        return x.ring.zeros(y.rank(i + n), x.rank(i))
 
     def components(self) -> dict[int, IntMatrix]:
         return dict(self._blocks)
@@ -283,11 +320,12 @@ class _GradedMap:
 
 
 class Complex(_GradedMap):
-    """Bounded complex of free modules, validated on construction."""
+    """Bounded complex of free modules, validated on construction; with
+    check=False, d(i+1) d(i) = 0 is taken as known, not recomputed."""
 
     __slots__ = ("ring", "_ranks")
 
-    def __init__(self, ring: Ring, ranks: dict[int, int], differentials: dict[int, IntMatrix]):
+    def __init__(self, ring: Ring, ranks: dict[int, int], differentials: dict[int, IntMatrix], check: bool = True):
         clean_ranks = dict(sorted((int(i), int(r)) for i, r in ranks.items() if int(r) != 0))
         if any(r < 0 for r in clean_ranks.values()):
             raise ComplexError("negative rank")
@@ -295,7 +333,7 @@ class Complex(_GradedMap):
         object.__setattr__(self, "_ranks", clean_ranks)
         self._set_blocks(differentials, "differential")
         for i, d in self._blocks.items():
-            if i + 1 in self._blocks and not ring.canon(self._blocks[i + 1] @ d).is_zero():
+            if check and i + 1 in self._blocks and not ring.canon(self._blocks[i + 1] @ d).is_zero():
                 raise ComplexError(f"differentials do not compose to zero at degree {i}", degree=i)
 
     def _ends(self):
@@ -421,7 +459,7 @@ class ChainMap(_GradedMap):
 
 
 def identity_map(c: Complex) -> ChainMap:
-    return ChainMap(c, c, {i: IntMatrix.identity(c.rank(i)) for i in c.degrees()}, check=False)
+    return ChainMap(c, c, {i: c.ring.identity(c.rank(i)) for i in c.degrees()}, check=False)
 
 
 def zero_map(x: Complex, y: Complex) -> ChainMap:
@@ -472,24 +510,25 @@ class Homotopy(_GradedMap):
 def shift(c: Complex) -> Complex:
     """c[1]: rank(i) = rank_c(i+1) and differential(i) = -d_c(i+1)."""
     ranks = {i - 1: r for i, r in c._ranks.items()}
-    return Complex(c.ring, ranks, {i - 1: -d for i, d in c._blocks.items()})
+    return Complex(c.ring, ranks, {i - 1: -d for i, d in c._blocks.items()}, check=False)
 
 
 def direct_sum(x: Complex, y: Complex) -> Complex:
     if x.ring != y.ring:
         raise ComplexError("direct sum over different rings")
     ranks = {i: x.rank(i) + y.rank(i) for i in {*x.degrees(), *y.degrees()}}
+    zeros = x.ring.zeros
     diffs = {
         i: IntMatrix.block(
             [
-                [x.differential(i), IntMatrix.zeros(x.rank(i + 1), y.rank(i))],
-                [IntMatrix.zeros(y.rank(i + 1), x.rank(i)), y.differential(i)],
+                [x.differential(i), zeros(x.rank(i + 1), y.rank(i))],
+                [zeros(y.rank(i + 1), x.rank(i)), y.differential(i)],
             ]
         )
         for i in ranks
         if i + 1 in ranks
     }
-    return Complex(x.ring, ranks, diffs)
+    return Complex(x.ring, ranks, diffs, check=False)
 
 
 def cone_complex(f: ChainMap) -> Complex:
@@ -501,13 +540,13 @@ def cone_complex(f: ChainMap) -> Complex:
         i: IntMatrix.block(
             [
                 [y.differential(i), f.component(i + 1)],
-                [IntMatrix.zeros(x.rank(i + 2), y.rank(i)), -x.differential(i + 1)],
+                [x.ring.zeros(x.rank(i + 2), y.rank(i)), -x.differential(i + 1)],
             ]
         )
         for i in ranks
         if i + 1 in ranks
     }
-    return Complex(x.ring, ranks, diffs)
+    return Complex(x.ring, ranks, diffs, check=False)
 
 
 def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
@@ -516,20 +555,17 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
     Returns (`cone_complex(f)`, inclusion of Y, projection to X[1]).  The
     composite projection o inclusion is zero on the nose.
     """
-    x, y = f.source, f.target
+    x, y, ring = f.source, f.target, f.source.ring
     cn = cone_complex(f)
     incl = ChainMap(
         y, cn,
-        {
-            i: IntMatrix.vstack([IntMatrix.identity(y.rank(i)), IntMatrix.zeros(x.rank(i + 1), y.rank(i))])
-            for i in y.degrees()
-        },
+        {i: IntMatrix.vstack([ring.identity(y.rank(i)), ring.zeros(x.rank(i + 1), y.rank(i))]) for i in y.degrees()},
         check=False,
     )
     proj = ChainMap(
         cn, shift(x),
         {
-            i: IntMatrix.hstack([IntMatrix.zeros(x.rank(i + 1), y.rank(i)), IntMatrix.identity(x.rank(i + 1))])
+            i: IntMatrix.hstack([ring.zeros(x.rank(i + 1), y.rank(i)), ring.identity(x.rank(i + 1))])
             for i in cn.degrees()
             if x.rank(i + 1) > 0
         },
@@ -562,11 +598,8 @@ def cone_homotopy(incl: ChainMap, f: ChainMap) -> Homotopy:
     It holds on the nose, by the cone's differential, so it is built
     unchecked; `cone_map` and `Homotopy` re-check it wherever it is used.
     """
-    x, y = f.source, f.target
-    comps = {
-        i: IntMatrix.vstack([IntMatrix.zeros(y.rank(i - 1), x.rank(i)), IntMatrix.identity(x.rank(i))])
-        for i in x.degrees()
-    }
+    x, y, ring = f.source, f.target, f.source.ring
+    comps = {i: IntMatrix.vstack([ring.zeros(y.rank(i - 1), x.rank(i)), ring.identity(x.rank(i))]) for i in x.degrees()}
     return Homotopy(incl.compose(f), zero_map(x, incl.target), comps, check=False)
 
 
@@ -596,6 +629,14 @@ def _size(layout) -> int:
     return sum(r * c for _, r, c, _ in layout)
 
 
+def _put_kron(block: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """block[...] = np.kron(a, b), written through a 4-d view of block, a
+    slice of a C-contiguous array: entry (i k + j, l m + n) is a[i, l] b[j, n],
+    for b of shape k x m."""
+    (ar, ac), (br, bc) = a.shape, b.shape
+    block.reshape(ar, br, ac, bc)[...] = a[:, None, :, None] * b[None, :, None, :]
+
+
 class HomComplex:
     """Hom(x, y) with the layout and differential of the module docstring.
 
@@ -622,8 +663,8 @@ class HomComplex:
         return np.concatenate(parts) if parts else np.zeros(0, dtype=self.ring.dtype)
 
     def unvec(self, v, n: int = 0) -> dict[int, IntMatrix]:
-        """Components of the degree-n map with vector v."""
-        return {i: IntMatrix(np.asarray(v[off : off + r * c]).reshape(r, c)) for i, r, c, off in self.layout(n)}
+        """Components of the degree-n map with vector v, as blocks of the ring."""
+        return {i: self.ring.matrix(np.asarray(v[off : off + r * c]).reshape(r, c)) for i, r, c, off in self.layout(n)}
 
     def D(self, n: int) -> np.ndarray:
         """Matrix of phi |-> d_y phi - (-1)^n phi d_x from Hom^n to Hom^(n+1)."""
@@ -635,10 +676,10 @@ class HomComplex:
             rows = slice(row, row + r * c)
             if i in pos:
                 sr, sc, off = pos[i]
-                out[rows, off : off + sr * sc] = np.kron(self._dy[i + n], np.eye(c, dtype=dt))
+                _put_kron(out[rows, off : off + sr * sc], self._dy[i + n], np.eye(c, dtype=dt))
             if i + 1 in pos:
                 sr, sc, off = pos[i + 1]
-                out[rows, off : off + sr * sc] = sign * np.kron(np.eye(r, dtype=dt), self._dx[i].T)
+                _put_kron(out[rows, off : off + sr * sc], np.eye(r, dtype=dt), sign * self._dx[i].T)
         return out
 
     def compose_matrix(self, pre: "ChainMap | None", post: "ChainMap | None") -> np.ndarray:
@@ -654,7 +695,7 @@ class HomComplex:
                 sr, sc, off = pos[i]
                 left = ring.asarray(post.component(i)) if post is not None else np.eye(r, dtype=ring.dtype)
                 right = ring.asarray(pre.component(i)) if pre is not None else np.eye(c, dtype=ring.dtype)
-                out[row : row + r * c, off : off + sr * sc] = np.kron(left, right.T)
+                _put_kron(out[row : row + r * c, off : off + sr * sc], left, right.T)
         return out
 
 
@@ -701,7 +742,7 @@ def is_contractible(c: Complex) -> Homotopy | None:
     comps = {}
     for i, _, _, _ in _layout(c, c, -1):
         kerproj = ring.asarray(np.eye(c.rank(i), dtype=ring.dtype) - sections[i] @ ring.asarray(c.differential(i)))
-        comps[i] = IntMatrix(sections[i - 1] @ kerproj)
+        comps[i] = ring.matrix(sections[i - 1] @ kerproj)
     try:
         return Homotopy(identity_map(c), zero_map(c, c), comps)
     except ComplexError:
@@ -710,16 +751,27 @@ def is_contractible(c: Complex) -> Homotopy | None:
         return None
 
 
-def _inverse_components(f: ChainMap) -> dict[int, IntMatrix] | None:
-    """The inverses of the components of f when every component is square
-    and invertible; None otherwise.  No section is taken unless every
-    determinant is a unit: gcd 1 with the modulus, or with 0 over Z."""
+def _inverse_components(f: ChainMap) -> dict[int, np.ndarray] | None:
+    """The inverses of the components of f, as backend arrays, when every
+    component is square and invertible; None otherwise.
+
+    A section of full rank (`Ring.section`) is the inverse over Z and the
+    small prime fields.  Over the other Z/m it need not be (2 over Z/6 has
+    the section 2), so there every determinant must first be a unit mod m.
+    """
     x, y, ring = f.source, f.target, f.source.ring
     if x.degrees() != y.degrees() or any(x.rank(i) != y.rank(i) for i in x.degrees()):
         return None
-    if any(math.gcd(det(f.component(i)), ring.modulus or 0) != 1 for i in x.degrees()):
+    by_rank = ring.is_integers or ring.is_small_prime_field
+    if not by_rank and any(math.gcd(det(f.component(i)), ring.modulus) != 1 for i in x.degrees()):
         return None
-    return {i: IntMatrix(ring.section(f.component(i))[0]) for i in x.degrees()}
+    inverses = {}
+    for i in x.degrees():
+        got = ring.section(f.component(i))
+        if got is None or got[1] != x.rank(i):
+            return None
+        inverses[i] = got[0]
+    return inverses
 
 
 def is_homotopy_equivalence(f: ChainMap) -> Homotopy | None:
@@ -731,16 +783,16 @@ def is_homotopy_equivalence(f: ChainMap) -> Homotopy | None:
     cone is contracted by `is_contractible`.  Either way the contraction is
     checked on construction.
     """
-    cn = cone_complex(f)
+    cn, ring = cone_complex(f), f.source.ring
     inverses = _inverse_components(f)
     if inverses is None:
         return is_contractible(cn)
     comps = {}
     for i, inv in inverses.items():
         if cn.rank(i - 1):
-            h = np.zeros((cn.rank(i - 1), cn.rank(i)), dtype=object)
-            h[f.target.rank(i - 1) :, : inv.cols] = inv.array
-            comps[i] = IntMatrix(h)
+            h = np.zeros((cn.rank(i - 1), cn.rank(i)), dtype=ring.dtype)
+            h[f.target.rank(i - 1) :, : inv.shape[1]] = inv
+            comps[i] = ring.matrix(h)
     return Homotopy(identity_map(cn), zero_map(cn, cn), comps)
 
 
@@ -753,7 +805,7 @@ def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
     """
     x, y = f.source, f.target
     # the block of cone^i -> cone^(i-1) from Y^i to X^i
-    comps = {i: IntMatrix(contraction.component(i).array[y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
+    comps = {i: x.ring.matrix(contraction.component(i).array[y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
     return ChainMap(y, x, comps)
 
 
@@ -936,9 +988,10 @@ def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int) -> Complex:
             mat = ring.asarray([[rng.randrange(p) for _ in range(rs)] for _ in range(rt)])
         else:
             # unknown X (rt x rs) with X @ prev = 0; vec is row-major
-            basis = ring.kernel(np.kron(np.eye(rt, dtype=ring.dtype), prev.T))
-            mat = _random_combo(basis, rng, p).reshape(rt, rs)
-        diffs[i] = IntMatrix(mat)
+            system = np.zeros((rt * prev.shape[1], rt * rs), dtype=ring.dtype)
+            _put_kron(system, np.eye(rt, dtype=ring.dtype), prev.T)
+            mat = _random_combo(ring.kernel(system), rng, p).reshape(rt, rs)
+        diffs[i] = ring.matrix(mat)
         prev = mat
     return Complex(ring, ranks, diffs)
 

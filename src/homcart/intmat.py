@@ -7,13 +7,17 @@ vector j to target basis vector i.
 
 Outside data is read by one integer rule: integers of every kind are kept
 exactly, anything else raises ValueError.  IntMatrix's own results are
-frozen in place, never copied.
+frozen in place, never copied; each is made by `_new` of its left operand,
+so the arithmetic of a `ResidueMatrix` stays a `ResidueMatrix`.
 
 Provided here:
 
 * `IntMatrix` -- immutable exact matrix with the usual block/arithmetic ops,
+* `ResidueMatrix` -- the same interface over a prime field F_p with
+  p <= 2^20: int64 entries in [0, p), reduced once per operation,
 * `smith_normal_form` -- U A V = D with unimodular U, V and divisibility
-  chain d_1 | d_2 | ..., plus the inverse of U,
+  chain d_1 | d_2 | ..., plus the inverse of U; given a modulus m, every
+  operation is reduced mod m, so nothing grows past m,
 * `solve_linear` -- particular solution and kernel generators over Z or
   Z/m, from one Smith form of the matrix itself,
 * `smith_solve` and `smith_kernel` -- the back-substitution through a
@@ -79,13 +83,22 @@ class IntMatrix:
         object.__setattr__(m, "_a", arr)
         return m
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._wrap(np.zeros((rows, cols), dtype=object))
+    def _new(self, arr: np.ndarray) -> "IntMatrix":
+        """A matrix of self's kind owning `arr`, a fresh result of arithmetic
+        on self."""
+        return IntMatrix._wrap(arr)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls._wrap(np.eye(n, dtype=object))
+    def _like(self, arr: np.ndarray) -> "IntMatrix":
+        """`_new` for an `arr` whose entries are self's own, moved about."""
+        return IntMatrix._wrap(arr)
+
+    @staticmethod
+    def zeros(rows: int, cols: int) -> "IntMatrix":
+        return IntMatrix._wrap(np.zeros((rows, cols), dtype=object))
+
+    @staticmethod
+    def identity(n: int) -> "IntMatrix":
+        return IntMatrix._wrap(np.eye(n, dtype=object))
 
     @property
     def array(self) -> np.ndarray:
@@ -105,7 +118,7 @@ class IntMatrix:
         return self._a.shape
 
     def entry(self, i: int, j: int) -> int:
-        return self._a[i, j]
+        return int(self._a[i, j])
 
     def tolist(self) -> list[list[int]]:
         return [[int(v) for v in row] for row in self._a]
@@ -116,33 +129,33 @@ class IntMatrix:
                 f"cannot compose {self.shape} with {other.shape}"
             )
         if self.cols == 0:
-            return IntMatrix.zeros(self.rows, other.cols)
-        return IntMatrix._wrap(self._a @ other._a)
+            return self._new(np.zeros((self.rows, other.cols), dtype=self._a.dtype))
+        return self._new(self._a @ other._a)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in addition")
-        return IntMatrix._wrap(self._a + other._a)
+        return self._new(self._a + other._a)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in subtraction")
-        return IntMatrix._wrap(self._a - other._a)
+        return self._new(self._a - other._a)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._wrap(-self._a)
+        return self._new(-self._a)
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix._wrap(self._a * int(k))
+        return self._new(self._a * _integer(k))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._wrap(self._a.T)
+        return self._like(self._a.T)
 
     def reduce_mod(self, m: int) -> "IntMatrix":
         return IntMatrix._wrap(self._a % int(m))
 
     def is_zero(self) -> bool:
-        return not self._a.any()
+        return not np.count_nonzero(self._a)
 
     def __eq__(self, other) -> bool:
         return (
@@ -152,22 +165,24 @@ class IntMatrix:
         )
 
     def __hash__(self):
-        return hash((self.shape, tuple(self._a.flat)))
+        return hash((self.shape, tuple(self._a.ravel().tolist())))
 
     def __repr__(self):
         return f"IntMatrix({self.tolist()!r})"
 
     @staticmethod
     def hstack(blocks: list["IntMatrix"]) -> "IntMatrix":
+        """The blocks side by side, of the first block's kind."""
         if not blocks:
             raise DimensionMismatch("hstack of no blocks")
-        return IntMatrix._wrap(np.hstack([b._a for b in blocks]))
+        return blocks[0]._like(np.concatenate([b._a for b in blocks], axis=1))
 
     @staticmethod
     def vstack(blocks: list["IntMatrix"]) -> "IntMatrix":
+        """The blocks one above the other, of the first block's kind."""
         if not blocks:
             raise DimensionMismatch("vstack of no blocks")
-        return IntMatrix._wrap(np.vstack([b._a for b in blocks]))
+        return blocks[0]._like(np.concatenate([b._a for b in blocks]))
 
     @staticmethod
     def block(grid: list[list["IntMatrix"]]) -> "IntMatrix":
@@ -187,6 +202,65 @@ class IntMatrix:
         if cols is not None and m.cols != cols:
             raise ValueError(f"expected {cols} cols, got {m.cols}")
         return m
+
+
+class ResidueMatrix(IntMatrix):
+    """A matrix over F_p, p <= 2^20 (`modp.P_MAX`): IntMatrix's interface on
+    an int64 array with entries in [0, p).  Every operation reduces its
+    result mod p once; a product of n-entry rows and columns stays below
+    n p^2 < 2^63.  It equals, and hashes like, the IntMatrix of its entries.
+    """
+
+    __slots__ = ("p",)
+
+    def __init__(self, entries, p: int):
+        """The entries mod p: an int64 array as it is, other data by the
+        integer rule."""
+        if not (isinstance(entries, np.ndarray) and entries.dtype == np.int64 and entries.ndim == 2):
+            entries = _to_object_array(entries)
+        a = entries % p
+        if a.dtype != np.int64:
+            a = a.astype(np.int64)
+        a.setflags(write=False)
+        self._a, self.p = a, p
+
+    @staticmethod
+    def _residues(arr: np.ndarray, p: int) -> "ResidueMatrix":
+        """Own `arr`, int64 with entries in [0, p), uncopied and unreduced."""
+        m = object.__new__(ResidueMatrix)
+        arr.setflags(write=False)
+        m._a, m.p = arr, p
+        return m
+
+    @staticmethod
+    def zeros(rows: int, cols: int, p: int) -> "ResidueMatrix":
+        return ResidueMatrix._residues(np.zeros((rows, cols), dtype=np.int64), p)
+
+    @staticmethod
+    def identity(n: int, p: int) -> "ResidueMatrix":
+        return ResidueMatrix._residues(np.eye(n, dtype=np.int64), p)
+
+    def _new(self, arr: np.ndarray) -> "ResidueMatrix":
+        return ResidueMatrix(arr, self.p)
+
+    def _like(self, arr: np.ndarray) -> "ResidueMatrix":
+        return ResidueMatrix._residues(arr, self.p) if arr.dtype == np.int64 else self._new(arr)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ResidueMatrix):
+            return self._a.shape == other._a.shape and self._a.tobytes() == other._a.tobytes()
+        return super().__eq__(other)
+
+    __hash__ = IntMatrix.__hash__
+
+    def scale(self, k: int) -> "ResidueMatrix":
+        return self._new(self._a * (_integer(k) % self.p))
+
+    def reduce_mod(self, m: int) -> IntMatrix:
+        return IntMatrix(self._a % int(m))
+
+    def __repr__(self):
+        return f"ResidueMatrix({self.tolist()!r}, p={self.p})"
 
 
 def det(a: IntMatrix) -> int:
@@ -263,14 +337,21 @@ def _min_pivot(m: np.ndarray, t: int):
     return best_pos
 
 
-def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
+def smith_normal_form(a: IntMatrix, modulus: int | None = None) -> SmithDecomposition:
     """Smith normal form with transformation witnesses.
 
     Pivoting picks the minimal-absolute-value nonzero entry, tie-broken by
     lowest (row, col); the diagonal is normalized nonnegative, so D is the
     unique Smith form of A.
+
+    Given a modulus m, A is reduced into [0, m) and so is every row or column
+    that an operation changes, in the working matrix, U, U^-1 and V: then
+    U A V = D, U U^-1 = 1 hold mod m, and gcd(d_k, m) divides every later
+    d_j, whose invariants mod m are all that is read.
     """
-    d = a.array.copy()
+    m, d = modulus, a.array.astype(object)
+    if m:
+        d %= m
     nr, nc = d.shape
     u, uinv, v = np.eye(nr, dtype=object), np.eye(nr, dtype=object), np.eye(nc, dtype=object)
 
@@ -278,10 +359,17 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         d[i, :] -= q * d[k, :]
         u[i, :] -= q * u[k, :]
         uinv[:, k] += q * uinv[:, i]
+        if m:
+            d[i, :] %= m
+            u[i, :] %= m
+            uinv[:, k] %= m
 
     def col_op(j, k, q):  # col_j -= q * col_k
         d[:, j] -= q * d[:, k]
         v[:, j] -= q * v[:, k]
+        if m:
+            d[:, j] %= m
+            v[:, j] %= m
 
     def row_swap(i, k):
         if i != k:
@@ -365,8 +453,8 @@ def solve_linear(
 
     Returns (particular solution, kernel generators) or None when no
     solution exists; every solution is particular + an integer combination
-    of the generators (mod m).  Both read one Smith form U A V = D, of A
-    reduced into [0, m) mod m, through `smith_solve` and `smith_kernel`.
+    of the generators (mod m).  Both read one Smith form U A V = D, taken
+    mod m when m is given, through `smith_solve` and `smith_kernel`.
     """
     b = _to_object_array([b])[0]
     if a.rows != len(b):
@@ -374,7 +462,7 @@ def solve_linear(
     m = None if modulus is None else int(modulus)
     if m is not None and m < 2:
         raise ValueError("modulus must be at least 2")
-    s = smith_normal_form(a if m is None else a.reduce_mod(m))
+    s = smith_normal_form(a, m)
     diag, v = s.diagonal(), s.v.array
     x = smith_solve(s.u.array, diag, v, b.reshape(-1, 1), m)
     if x is None:

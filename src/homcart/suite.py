@@ -47,7 +47,6 @@ from .complexes import (
     shift,
     zero_map,
 )
-from .intmat import IntMatrix
 from .jsonio import (
     chain_map_from_json,
     substitute,
@@ -416,7 +415,7 @@ def _alpha_of(eps: ChainMap) -> ChainMap:
         flat = [np.concatenate([p.reshape(-1) for p in pw]) for pw in powers]
         for cj in reversed(ring.solve(np.stack(flat[1:], axis=1), -flat[0] % m)[0]):
             alpha = [(a @ x + cj * np.eye(len(x), dtype=x.dtype)) % m for a, x in zip(alpha, e)]
-    return ChainMap(z, z, dict(zip(z.degrees(), map(IntMatrix, alpha))))
+    return ChainMap(z, z, dict(zip(z.degrees(), map(ring.matrix, alpha))))
 
 
 def prop2_replay(m: TriangleMorphism, config: SearchConfig = DEFAULT_CONFIG) -> Prop2Replay:

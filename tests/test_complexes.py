@@ -36,8 +36,8 @@ from homcart.complexes import (
     shift,
     zero_map,
 )
-from homcart.intmat import FGAbelianGroup, IntMatrix, smith_normal_form, solve_linear
-from homcart.suite import fuzz_prop2, lemma2, prop2_replay
+from homcart.intmat import FGAbelianGroup, IntMatrix, ResidueMatrix, smith_normal_form, solve_linear
+from homcart.suite import build_star, fuzz_prop2, lemma2, prop2_replay
 
 from helpers import cmap, cpx, one_term, two_term
 from oracles import (
@@ -252,9 +252,9 @@ def _record_smith_forms(monkeypatch) -> list:
 
     seen, real = [], intmat.smith_normal_form
 
-    def recording(a):
+    def recording(a, modulus=None):
         seen.append(a)
-        return real(a)
+        return real(a, modulus)
 
     monkeypatch.setattr(intmat, "smith_normal_form", recording)
     monkeypatch.setattr(complexes, "smith_normal_form", recording)
@@ -838,7 +838,7 @@ def test_z9_contractions_solve_no_hom_system_and_a_solve_takes_one_smith_form(mo
 
     shapes = []
     real = intmat.smith_normal_form
-    monkeypatch.setattr(intmat, "smith_normal_form", lambda a: shapes.append(a.shape) or real(a))
+    monkeypatch.setattr(intmat, "smith_normal_form", lambda a, modulus=None: shapes.append(a.shape) or real(a, modulus))
     for rows, b in (([[3, 6], [0, 9]], [3, 0]), ([[2, 4, 8]], [5]), ([[9], [3]], [1, 2]), ([[], []], [0, 9])):
         a = IntMatrix(rows)
         shapes.clear()
@@ -989,3 +989,108 @@ def test_blocks_of_the_wrong_shape_or_outside_the_layout_raise_at_their_degree(r
             for i in set(span) - {i for i, _, _, _ in layout}:
                 _raises_at(lambda: build({**valid, i: IntMatrix([[1]])}), i)
                 assert block(i).is_zero() and block(i).shape == (tgt.rank(i + n), src.rank(i))
+
+
+# ---------------------------------------------------------------------------
+# blocks built by the ring, and complexes built without a d o d check
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573])
+def test_small_prime_fields_build_residue_blocks_and_read_them_back_unconverted(p):
+    ring = Zmod(p)
+    m = ring.matrix([[p + 1, -1], [2 * p, 5]])
+    assert isinstance(m, ResidueMatrix) and m.array.dtype == np.int64
+    assert m == IntMatrix([[1, p - 1], [0, 5 % p]])
+    assert ring.canon(m) is m and ring.asarray(m) is m.array
+    c = cpx({0: 2, 1: 2}, {0: [[1, 0], [0, 0]]}, ring=ring)
+    f = identity_map(c)
+    cn, incl, proj = cone(f)
+    built = [c.differential(0), c.differential(5), f.component(0), ring.zeros(2, 3), ring.identity(2)]
+    built += [*cn.components().values(), *incl.components().values(), *proj.components().values()]
+    built += [*direct_sum(c, c).components().values(), *cone_homotopy(incl, f).components().values()]
+    built += [*is_homotopy_equivalence(f).components().values(), *is_contractible(cn).components().values()]
+    assert all(isinstance(b, ResidueMatrix) and b.p == p for b in built)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(1048583)], ids=["Z", "Z4", "prime-above-2^20"])
+def test_other_rings_keep_exact_blocks(ring):
+    c = cpx({0: 1, 1: 1}, {0: [[2]]}, ring=ring)
+    cn = cone_complex(identity_map(c))
+    for b in [c.differential(0), ring.zeros(1, 2), ring.identity(2), ring.matrix([[7]]), *cn.components().values()]:
+        assert type(b) is IntMatrix and b.array.dtype == object
+
+
+def test_smith_over_z12_keeps_every_transform_entry_reduced():
+    rng, ring = random.Random(12), Zmod(12)
+    for _ in range(40):
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        a = np.array([[rng.randrange(-50, 50) for _ in range(c)] for _ in range(r)], dtype=object)
+        u, diag, v, uinv = ring.smith(a)
+        assert all(0 <= x < 12 for t in (u, v, uinv) for x in t.flat)
+        d = np.zeros((r, c), dtype=object)
+        d[range(len(diag)), range(len(diag))] = diag
+        assert not ((u @ a @ v - d) % 12).any()
+        assert not ((u @ uinv - np.eye(r, dtype=object)) % 12).any()
+        orders = [math.gcd(x, 12) for x in diag]
+        assert all(y % x == 0 for x, y in zip(orders, orders[1:]))
+
+
+def test_inverses_read_off_sections_over_z_and_fp_and_determinants_elsewhere(monkeypatch):
+    import homcart.complexes as complexes
+
+    dets, real = [], complexes.det
+    monkeypatch.setattr(complexes, "det", lambda a: dets.append(a.shape) or real(a))
+    inverse = complexes._inverse_components
+    z, plane = one_term(), cpx({0: 2})
+    assert inverse(cmap(z, z, {0: [[2]]})) is None
+    assert inverse(cmap(plane, plane, {0: [[1, 2], [0, 1]]}))[0].tolist() == [[1, -2], [0, 1]]
+    f3, plane3 = one_term(ring=Zmod(3)), cpx({0: 2}, ring=Zmod(3))
+    assert inverse(cmap(f3, f3, {0: [[2]]}))[0].tolist() == [[2]]
+    assert inverse(cmap(plane3, plane3, {0: [[1, 2], [2, 1]]})) is None
+    assert dets == []
+    # over Z/6 the section 2 of 2 has full rank, and 2 is still no unit
+    z6 = one_term(ring=Zmod(6))
+    assert Zmod(6).section(IntMatrix([[2]]))[1] == 1
+    assert inverse(cmap(z6, z6, {0: [[2]]})) is None
+    assert inverse(cmap(z6, z6, {0: [[5]]}))[0].tolist() == [[5]]
+    assert dets == [(1, 1), (1, 1)]
+
+
+def _squares_to_zero(c: Complex) -> bool:
+    """d(i+1) d(i) = 0 in every degree, from the entries, not by `Complex`."""
+    m = c.ring.modulus
+    for i in c.degrees():
+        prod = c.differential(i + 1).array.astype(object) @ c.differential(i).array.astype(object)
+        if (prod % m if m else prod).any():
+            return False
+    return True
+
+
+def _structural_inputs() -> list[tuple[Complex, Complex, ChainMap]]:
+    """(x, y, f : x -> y): random complexes and chain maps over F_2, F_3 and
+    Z/4, and the maps of the star diagram's rows over Z."""
+    rng, out = random.Random(83), []
+    for ring in (Zmod(2), Zmod(3), Zmod(4)):
+        for _ in range(15):
+            x, y = random_complex(ring, rng, 4, 3), random_complex(ring, rng, 4, 3)
+            out.append((x, y, random_chain_map(x, y, rng)))
+    for a in (2, 3, 5):
+        star = build_star(a)
+        out += [(f.source, f.target, f) for row in (star.upper, star.lower) for f in row.maps()]
+    return out
+
+
+def test_shift_direct_sum_and_cones_square_to_zero_without_a_check():
+    for x, y, f in _structural_inputs():
+        for c in (shift(x), shift(shift(y)), direct_sum(x, y), direct_sum(y, shift(x)), cone_complex(f)):
+            assert _squares_to_zero(c), c
+        assert _squares_to_zero(shift(cone_complex(f))) and _squares_to_zero(direct_sum(cone_complex(f), x))
+
+
+def test_unchecked_complexes_skip_only_the_d_squared_check():
+    diffs = {0: IntMatrix([[1]]), 1: IntMatrix([[1]])}
+    with pytest.raises(ComplexError):
+        Complex(ZZ, {0: 1, 1: 1, 2: 1}, diffs)
+    assert not _squares_to_zero(Complex(ZZ, {0: 1, 1: 1, 2: 1}, diffs, check=False))
+    with pytest.raises(ComplexError):  # block shapes are still checked
+        Complex(ZZ, {0: 1, 1: 2}, {0: IntMatrix([[1]])}, check=False)

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homcart.intmat import (
     DimensionMismatch,
     FGAbelianGroup,
     IntMatrix,
+    ResidueMatrix,
     cokernel,
     det,
     smith_normal_form,
@@ -287,3 +290,80 @@ def test_the_constructor_copies_outside_data():
     rows.append([5, 6])
     assert all(m.tolist() == [[1, 2], [3, 4]] for m in ms)
     assert arr.flags.writeable and ints.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# residue matrices over the small prime fields
+
+
+def _exact(entries, p: int) -> IntMatrix:
+    return IntMatrix(entries).reduce_mod(p)
+
+
+def _is_residue_block(m, p: int) -> bool:
+    a = m.array
+    return isinstance(m, ResidueMatrix) and a.dtype == np.int64 and (a.size == 0 or (a.min() >= 0 and a.max() < p))
+
+
+@settings(database=None, deadline=None, max_examples=40)
+@given(
+    p=st.sampled_from([2, 3, 1048573]),
+    shape=st.tuples(st.integers(0, 40), st.integers(0, 40), st.integers(0, 40)),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-(10**30), 10**30),
+)
+def test_residue_arithmetic_is_exact_arithmetic_reduced_mod_p(p, shape, seed, k):
+    rng = random.Random(seed)
+    rows, mid, cols = shape
+
+    def entries(r, c):
+        # exact integers of every size, big ones included, reduced on entry
+        flat = [rng.choice([rng.randint(-3 * p, 3 * p), rng.randint(-(10**25), 10**25)]) for _ in range(r * c)]
+        return np.array(flat, dtype=object).reshape(r, c)
+
+    a, b, c = entries(rows, mid), entries(rows, mid), entries(mid, cols)
+    ra, rb, rc = (ResidueMatrix(x, p) for x in (a, b, c))
+    ea, eb, ec = (_exact(x, p) for x in (a, b, c))
+    results = {
+        "@": (ra @ rc, (ea @ ec).reduce_mod(p)),
+        "+": (ra + rb, (ea + eb).reduce_mod(p)),
+        "-": (ra - rb, (ea - eb).reduce_mod(p)),
+        "neg": (-ra, (-ea).reduce_mod(p)),
+        "scale": (ra.scale(k), ea.scale(k).reduce_mod(p)),
+        "transpose": (ra.transpose(), ea.transpose()),
+        "hstack": (IntMatrix.hstack([ra, rb]), IntMatrix.hstack([ea, eb])),
+        "vstack": (IntMatrix.vstack([ra, ra]), IntMatrix.vstack([ea, ea])),
+    }
+    for name, (got, want) in results.items():
+        assert _is_residue_block(got, p), name
+        assert got == want and want == got, name
+        assert hash(got) == hash(want) and got.tolist() == want.tolist() and got.to_json() == want.to_json(), name
+    shifted = ResidueMatrix(a + p * np.array([rng.randint(-5, 5) for _ in range(a.size)], dtype=object).reshape(a.shape), p)
+    assert shifted == ra and hash(shifted) == hash(ra)
+    assert (ra == rb) == (ea == eb) and (ra.is_zero() == ea.is_zero())
+    if rows and mid:
+        i, j = rng.randrange(rows), rng.randrange(mid)
+        assert ra.entry(i, j) == ea.entry(i, j) and type(ra.entry(i, j)) is int
+        bumped = a.copy()
+        bumped[i, j] += 1
+        assert ResidueMatrix(bumped, p) != ra
+
+
+def test_residue_matrices_read_data_by_the_integer_rule():
+    with pytest.raises(ValueError):
+        ResidueMatrix([[1.0, 2]], 3)
+    with pytest.raises(DimensionMismatch):
+        ResidueMatrix(np.zeros(3, dtype=np.int64), 3)
+    with pytest.raises(DimensionMismatch):
+        ResidueMatrix([[1, 2]], 3) @ ResidueMatrix([[1, 2]], 3)
+    assert ResidueMatrix(np.array([[-1, 7]], dtype=np.int64), 5).tolist() == [[4, 2]]
+
+
+@pytest.mark.parametrize(
+    "m, tripled", [(IntMatrix([[1, 2]]), [[3, 6]]), (ResidueMatrix([[1, 2]], 5), [[3, 1]])], ids=["exact", "residue"]
+)
+def test_matrix_scalars_are_read_by_the_integer_rule(m, tripled):
+    for k in (2.7, np.float64(3.0), "2"):
+        with pytest.raises(ValueError):
+            m.scale(k)
+    assert m.scale(np.int64(3)).tolist() == tripled

@@ -9,10 +9,12 @@ read from JSON in one function of `jsonio`, and contractions, solves,
 kernels and quotients have one algorithm for every ring: no Hom-system
 fallback, no recursion, one kernel formula (`intmat.smith_kernel`), and
 homology read off cokernels, with no kernel basis and no `Subquotient`;
-`intmat` copies only outside data and the working array of a Smith form;
-the Prop. 2 replay takes its linear algebra from `Ring` alone, with no
-`unitlemma` import, and neither it nor the random generators ask whether
-the ring is a prime field."""
+`intmat` copies only outside data, the working array of a Smith form and
+the entries a `ResidueMatrix` reads into int64; the Prop. 2 replay takes
+its linear algebra from `Ring` alone, with no `unitlemma` import, and
+neither it nor the random generators ask whether the ring is a prime
+field; residue blocks are built only inside `Ring`, and `complexes`
+assembles Hom matrices without `np.kron`."""
 
 import ast
 import importlib
@@ -228,7 +230,8 @@ def test_intmat_copies_only_outside_data_and_the_smith_working_array():
         return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("astype", "copy")
 
     sites = _functions_around(_parse("intmat.py"), copy)
-    assert sites and set(sites) <= {"_to_object_array", "smith_normal_form"}, f"arrays copied in {sorted(set(sites))}"
+    allowed = {"_to_object_array", "smith_normal_form", "ResidueMatrix.__init__"}
+    assert sites and set(sites) <= allowed, f"arrays copied in {sorted(set(sites))}"
 
 
 def test_the_replay_and_the_generators_ask_no_primality_question():
@@ -243,3 +246,14 @@ def test_the_replay_and_the_generators_ask_no_primality_question():
     for name in ("random_complex", "random_chain_map"):
         checks = {n for n in _names(_function("complexes.py", name)) if "prime" in n}
         assert not checks, f"{name} names {sorted(checks)}"
+
+
+def test_complexes_assembles_hom_matrices_without_kron():
+    hits = [n.lineno for n in ast.walk(_parse("complexes.py")) if isinstance(n, ast.Attribute) and n.attr == "kron"]
+    assert hits == [], f"np.kron at lines {hits}"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "intmat.py"))
+def test_residue_blocks_are_built_only_inside_ring(module):
+    outside = _uses_outside(_parse(module), "ResidueMatrix", ("Ring",))
+    assert outside == [], f"ResidueMatrix named outside Ring at lines {outside}"

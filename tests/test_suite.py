@@ -1,9 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from homcart.complexes import ChainMap, ComplexError, Ring, Zmod, identity_map, is_homotopy_equivalence
-from homcart.intmat import IntMatrix
+from homcart.complexes import ChainMap, ComplexError, Homotopy, Ring, Zmod, identity_map, is_homotopy_equivalence
+from homcart.intmat import IntMatrix, ResidueMatrix
 from homcart.jsonio import poly_eval
 from homcart.squares import is_homotopy_cartesian
 from homcart.suite import (
@@ -312,3 +313,55 @@ def test_functorial_completion_is_the_block_map_b_0_0_1(p):
         completion = _functorial_completion(row1, row2, b)
         assert completion.source == row1.z and completion.target == row2.z
         assert completion.components() == {i: m.reduce_mod(p) for i, m in blocks.items()}
+
+
+def _blocks(obj) -> list:
+    """The blocks of a complex, chain map or homotopy, and of its ends."""
+    if isinstance(obj, Homotopy):
+        return [*obj.components().values(), *_blocks(obj.lhs), *_blocks(obj.rhs)]
+    if isinstance(obj, ChainMap):
+        return [*obj.components().values(), *_blocks(obj.source), *_blocks(obj.target)]
+    return list(obj.components().values())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fuzzed_maps_and_their_replays_keep_residue_blocks(p):
+    for seed in (0, 1):
+        for trial in fuzz_prop2(p, trials=5, seed=seed):
+            m, sq = trial.morphism, trial.square
+            verdict = is_homotopy_cartesian(sq)
+            replay = prop2_replay(m)
+            maps = [m.p, m.q, m.r, sq.witness, verdict.witness, verdict.equivalence, *verdict.constraint_witnesses]
+            maps += [f for row in (m.source, m.target) for f in row.maps()]
+            maps += [
+                replay.completion, replay.psi, replay.epsilon, replay.alpha, replay.automorphism,
+                replay.identity_on_c, replay.identity_on_gprime, replay.equivalence,
+            ]
+            for block in (b for f in maps for b in _blocks(f)):
+                assert isinstance(block, ResidueMatrix) and block.p == p, type(block)
+                a = block.array
+                assert a.dtype == np.int64 and (a.size == 0 or (a.min() >= 0 and a.max() < p))
+
+
+def test_reduced_smith_forms_decide_a_z12_square_and_a_large_prime_replay(monkeypatch):
+    # a Subquotient over Z/12 and a constraint solve modulo a prime above
+    # 2^20: unless reduced mod m, their Smith transforms reach thousands of digits
+    from homcart import complexes, intmat
+
+    largest, real = [], intmat.smith_normal_form
+
+    def recording(a, modulus=None):
+        s = real(a, modulus)
+        largest.append((modulus, max((abs(x) for t in (s.u, s.v, s.uinv) for x in t.array.flat), default=0)))
+        return s
+
+    monkeypatch.setattr(intmat, "smith_normal_form", recording)
+    monkeypatch.setattr(complexes, "smith_normal_form", recording)
+    trial = list(fuzz_prop2(12, trials=20, seed=42))[17]
+    assert is_homotopy_cartesian(trial.square).is_yes
+    trial = list(fuzz_prop2(1048583, trials=2, seed=42))[1]
+    assert trial.perturbed
+    replay = prop2_replay(trial.morphism)
+    assert replay.completion_cartesian.is_yes and not replay.psi.is_zero()
+    assert {m for m, _ in largest} == {12, 1048583}
+    assert all(x < m for m, x in largest)
