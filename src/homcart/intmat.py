@@ -315,17 +315,17 @@ class SmithDecomposition:
         return sum(1 for x in self.diagonal() if x != 0)
 
 
-def _min_pivot(m: np.ndarray, t: int):
-    """Position of the minimal-absolute-value nonzero entry of m[t:, t:].
+def _min_pivot(d: list[list[int]], t: int):
+    """Position of the minimal-absolute-value nonzero entry of d[t:][t:].
 
     Ties break to the lowest (row, col) pair, which keeps the whole reduction
     deterministic.
     """
     best = None
     best_pos = None
-    for i in range(t, m.shape[0]):
-        row = m[i]
-        for j in range(t, m.shape[1]):
+    for i in range(t, len(d)):
+        row = d[i]
+        for j in range(t, len(row)):
             v = row[j]
             if v != 0:
                 a = -v if v < 0 else v
@@ -335,6 +335,22 @@ def _min_pivot(m: np.ndarray, t: int):
                     if a == 1:
                         return best_pos
     return best_pos
+
+
+def _sub_multiple(x: list[int], y: list[int], q: int, m: int | None) -> list[int]:
+    """x - q y entrywise, reduced into [0, m) when a modulus m is given."""
+    if m:
+        return [(s - q * r) % m for s, r in zip(x, y)]
+    return [s - q * r for s, r in zip(x, y)]
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _object_array(rows, shape: tuple[int, int]) -> np.ndarray:
+    """The rows as a fresh object array of the given shape, empty ones too."""
+    return np.array(rows, dtype=object).reshape(shape)
 
 
 def smith_normal_form(a: IntMatrix, modulus: int | None = None) -> SmithDecomposition:
@@ -348,44 +364,42 @@ def smith_normal_form(a: IntMatrix, modulus: int | None = None) -> SmithDecompos
     that an operation changes, in the working matrix, U, U^-1 and V: then
     U A V = D, U U^-1 = 1 hold mod m, and gcd(d_k, m) divides every later
     d_j, whose invariants mod m are all that is read.
+
+    The reduction runs on Python lists of rows, as `det` does; U^-1 and V,
+    which only ever change by columns, are kept as lists of their columns.
     """
-    m, d = modulus, a.array.astype(object)
+    m, (nr, nc) = modulus, a.shape
+    d = a.array.tolist()
     if m:
-        d %= m
-    nr, nc = d.shape
-    u, uinv, v = np.eye(nr, dtype=object), np.eye(nr, dtype=object), np.eye(nc, dtype=object)
+        d = [[x % m for x in row] for row in d]
+    u, uinv_t, v_t = _identity_rows(nr), _identity_rows(nr), _identity_rows(nc)
 
     def row_op(i, k, q):  # row_i -= q * row_k
-        d[i, :] -= q * d[k, :]
-        u[i, :] -= q * u[k, :]
-        uinv[:, k] += q * uinv[:, i]
-        if m:
-            d[i, :] %= m
-            u[i, :] %= m
-            uinv[:, k] %= m
+        d[i] = _sub_multiple(d[i], d[k], q, m)
+        u[i] = _sub_multiple(u[i], u[k], q, m)
+        uinv_t[k] = _sub_multiple(uinv_t[k], uinv_t[i], -q, m)
 
     def col_op(j, k, q):  # col_j -= q * col_k
-        d[:, j] -= q * d[:, k]
-        v[:, j] -= q * v[:, k]
-        if m:
-            d[:, j] %= m
-            v[:, j] %= m
+        for row in d:
+            row[j] = (row[j] - q * row[k]) % m if m else row[j] - q * row[k]
+        v_t[j] = _sub_multiple(v_t[j], v_t[k], q, m)
 
     def row_swap(i, k):
         if i != k:
-            d[[i, k], :] = d[[k, i], :]
-            u[[i, k], :] = u[[k, i], :]
-            uinv[:, [i, k]] = uinv[:, [k, i]]
+            d[i], d[k] = d[k], d[i]
+            u[i], u[k] = u[k], u[i]
+            uinv_t[i], uinv_t[k] = uinv_t[k], uinv_t[i]
 
     def col_swap(j, k):
         if j != k:
-            d[:, [j, k]] = d[:, [k, j]]
-            v[:, [j, k]] = v[:, [k, j]]
+            for row in d:
+                row[j], row[k] = row[k], row[j]
+            v_t[j], v_t[k] = v_t[k], v_t[j]
 
     def row_negate(i):
-        d[i, :] = -d[i, :]
-        u[i, :] = -u[i, :]
-        uinv[:, i] = -uinv[:, i]
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+        uinv_t[i] = [-x for x in uinv_t[i]]
 
     t = 0
     limit = min(nr, nc)
@@ -399,50 +413,51 @@ def smith_normal_form(a: IntMatrix, modulus: int | None = None) -> SmithDecompos
         while dirty:
             dirty = False
             for i in range(nr):
-                if i != t and d[i, t] != 0:
-                    q = d[i, t] // d[t, t]
+                if i != t and d[i][t] != 0:
+                    q = d[i][t] // d[t][t]
                     row_op(i, t, q)
-            if any(d[i, t] != 0 for i in range(nr) if i != t):
+            if any(d[i][t] != 0 for i in range(nr) if i != t):
                 pos = _min_pivot(d, t)
                 row_swap(pos[0], t)
                 col_swap(pos[1], t)
                 dirty = True
                 continue
+            top = d[t]
             for j in range(nc):
-                if j != t and d[t, j] != 0:
-                    q = d[t, j] // d[t, t]
+                if j != t and top[j] != 0:
+                    q = top[j] // top[t]
                     col_op(j, t, q)
-            if any(d[t, j] != 0 for j in range(nc) if j != t):
+            if any(top[j] != 0 for j in range(nc) if j != t):
                 pos = _min_pivot(d, t)
                 row_swap(pos[0], t)
                 col_swap(pos[1], t)
                 dirty = True
                 continue
             # fold in any entry the pivot does not divide yet
-            piv = d[t, t]
+            piv = top[t]
             fixed = False
             for i in range(t + 1, nr):
                 for j in range(t + 1, nc):
-                    if d[i, j] % piv != 0:
+                    if d[i][j] % piv != 0:
                         row_op(t, i, -1)  # row_t += row_i
                         dirty = True
                         fixed = True
                         break
                 if fixed:
                     break
-        if d[t, t] < 0:
+        if d[t][t] < 0:
             row_negate(t)
         t += 1
 
     for i in range(limit):
-        if d[i, i] < 0:
+        if d[i][i] < 0:
             row_negate(i)
 
     return SmithDecomposition(
-        u=IntMatrix._wrap(u),
-        d=IntMatrix._wrap(d),
-        v=IntMatrix._wrap(v),
-        uinv=IntMatrix._wrap(uinv),
+        u=IntMatrix._wrap(_object_array(u, (nr, nr))),
+        d=IntMatrix._wrap(_object_array(d, (nr, nc))),
+        v=IntMatrix._wrap(_object_array(list(zip(*v_t)), (nc, nc))),
+        uinv=IntMatrix._wrap(_object_array(list(zip(*uinv_t)), (nr, nr))),
     )
 
 

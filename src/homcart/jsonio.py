@@ -21,6 +21,7 @@ Dataset templates may carry polynomial entries in the parameters a and b
 """
 
 import re
+from functools import lru_cache
 
 from .complexes import ChainMap, Complex, Homotopy, Ring
 from .intmat import IntMatrix
@@ -34,31 +35,40 @@ def poly_eval(expr: str, a: int = 0, b: int = 0) -> int:
     """Evaluate an integer polynomial expression in a and b.
 
     Accepts sums of signed monomials like "-a^3", "1+a", "2", "b", "a^2".
+    Each expression is parsed once (`_terms`) and evaluated per (a, b).
     """
-    s = str(expr).replace(" ", "")
+    total = 0
+    for coeff, symbol, power in _terms(str(expr)):
+        total += coeff * (a if symbol == "a" else b) ** power if symbol else coeff
+    return total
+
+
+@lru_cache(maxsize=256)
+def _terms(expr: str) -> tuple[tuple[int, str | None, int], ...]:
+    """The signed monomials of `expr` as (coefficient, symbol or None, power)."""
+    s = expr.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial entry")
-    total = 0
+    terms = []
     pos = 0
     sign = 1
     if s[0] in "+-":
         sign = -1 if s[0] == "-" else 1
         pos = 1
     term = ""
-    values = {"a": a, "b": b}
 
     def flush(t, sgn):
-        nonlocal total
         m = _MONOMIAL.match(t)
         if not m or (m.group(1) is None and m.group(2) is None):
             raise ValueError(f"cannot parse polynomial entry {expr!r}")
         coeff = int(m.group(1)) if m.group(1) is not None else 1
         if m.group(2) is not None:
             power = int(m.group(3)) if m.group(3) is not None else 1
-            coeff *= values[m.group(2)] ** power
         elif m.group(3) is not None:
             raise ValueError(f"exponent without symbol in {expr!r}")
-        total += sgn * coeff
+        else:
+            power = 0
+        terms.append((sgn * coeff, m.group(2), power))
 
     while pos < len(s):
         ch = s[pos]
@@ -70,7 +80,7 @@ def poly_eval(expr: str, a: int = 0, b: int = 0) -> int:
             term += ch
         pos += 1
     flush(term, sign)
-    return total
+    return tuple(terms)
 
 
 _VERBATIM_KEYS = {"ring", "name", "degree_note", "parameters"}

@@ -168,8 +168,9 @@ class CommutativeSquare:
     """Square (g: B->C, g': B'->C', b: B->B', c: C->C') with witness c g ~ g' b.
 
     Two squares are equal when their four maps and their witness blocks are.
-    The hash reads the four corner complexes only: hashing every entry costs
-    more than the equality checks it would save."""
+    The hash reads the four corner complexes and the entries of c, so live
+    squares of one shape but another c fall into different buckets of the
+    verdict memo; the witness and the other maps are left to equality."""
 
     __slots__ = ("b_obj", "c_obj", "bprime_obj", "cprime_obj", "g", "gprime", "b", "c", "witness", "__weakref__")
 
@@ -211,7 +212,7 @@ class CommutativeSquare:
         )
 
     def __hash__(self):
-        return hash((self.b_obj, self.c_obj, self.bprime_obj, self.cprime_obj))
+        return hash((self.b_obj, self.bprime_obj, self.c))
 
     @property
     def ring(self):

@@ -1,10 +1,12 @@
 """Built-in verification datasets and the end-to-end pipeline.
 
 The four parameterized triangle templates and the two-row comparison diagram
-are checked-in JSON files (see `homcart/data/`); loaders re-validate all
-differentials, chain conditions, and witness equations, and the diagram rows
-are recomputed by rotation and compared entry-exactly against the stored
-transcription, so any drift fails loudly.
+are checked-in JSON files (see `homcart/data/`).  Each file is read on every
+call and parsed once per content, so an edited file is parsed again; every
+call re-validates all differentials, chain conditions, and witness equations
+of the instance it builds, and the diagram rows are recomputed by rotation
+and compared entry-exactly against the stored transcription, so any drift
+fails loudly.
 
 `verify_paper` runs, for one parameter value a: the four triangle
 certifications, the diagram construction with its commuting squares, the
@@ -83,17 +85,27 @@ FORMAT_VERSION = 1
 _ENV_DATA = "HOMCART_DATA"
 
 
+_PACKAGE_DATA = Path(__file__).resolve().parent / "data"
+
+
 def data_dir() -> Path:
     override = os.environ.get(_ENV_DATA)
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "data"
+    return Path(override) if override else _PACKAGE_DATA
+
+
+# path -> (bytes, parse): one parse per template content
+_templates: dict[Path, tuple[bytes, dict]] = {}
 
 
 def _load_template(name: str) -> dict:
+    """The parsed template, read afresh and parsed again only when its bytes
+    changed.  The dict is shared between calls: callers never mutate it."""
     path = data_dir() / name
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    raw = path.read_bytes()
+    known = _templates.get(path)
+    if known is None or known[0] != raw:
+        known = _templates[path] = (raw, json.loads(raw.decode("utf-8")))
+    return known[1]
 
 
 @dataclass(frozen=True)
@@ -168,7 +180,9 @@ def _star_from(a: int, template2: Triangle, template1: Triangle) -> StarDiagram:
     c_mid = chain_map_from_json(mid["c"], upper.z, lower.z)
     if b_mid != q or g_mid != upper.g or gp_mid != lower.g or c_mid != r:
         raise TranscriptionError("stored middle square disagrees with the diagram")
-    middle = CommutativeSquare(g_mid, gp_mid, b_mid, c_mid)
+    # this is the morphism's second square: reuse its witness, verified when
+    # built; the constructor checks that it joins c o g and g' o b
+    middle = CommutativeSquare(g_mid, gp_mid, b_mid, c_mid, witness=check.square_witnesses[1])
     # the diagram displays each square at the two degrees of its upper
     # object: six degreewise faces in total, each either strictly commuting
     # or corrected by the square's homotopy witness

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -66,6 +69,86 @@ def test_snf_random_invariants():
             for j in range(s.d.cols):
                 if i != j:
                     assert s.d.entry(i, j) == 0
+
+
+def _smith_corpus():
+    """300 seeded matrices up to 6 x 6, with moduli None, 4, 6, 9, 12, 49 in
+    turn, of mixed entry sizes and densities."""
+    rng = random.Random(19_2026)
+    for k in range(300):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        bound = rng.choice([1, 3, 30, 10**6])
+        density = rng.choice([0.3, 0.7, 1.0])
+        entries = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        yield (IntMatrix(entries) if rows else IntMatrix.zeros(0, cols)), (None, 4, 6, 9, 12, 49)[k % 6]
+
+
+def test_smith_outputs_match_the_pinned_digest():
+    # U, D, V and U^-1, shapes included, exactly as the reduction on numpy
+    # object arrays gave them: the pivot rule and the order of operations
+    # are part of the contract
+    out = [
+        [[list(x.shape), x.tolist()] for x in (s.u, s.d, s.v, s.uinv)]
+        for s in (smith_normal_form(a, m) for a, m in _smith_corpus())
+    ]
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "4545bea6b958bc5dc8c65b5a57ae2466f206813547f970e901fa46b588eb6290"
+
+
+@st.composite
+def _small_matrices(draw, max_dim=5, bound=60):
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    entries = draw(st.lists(st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return IntMatrix(entries) if rows else IntMatrix.zeros(0, cols)
+
+
+_SMITH_MODULI = st.sampled_from([None, 2, 4, 6, 9, 12, 49])
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(a=_small_matrices(), m=_SMITH_MODULI)
+def test_smith_transforms_are_inverse_and_diagonalize(a, m):
+    s = smith_normal_form(a, m)
+
+    def same(x, y):
+        return (x - y).reduce_mod(m).is_zero() if m else x == y
+
+    assert same(s.u @ a @ s.v, s.d)
+    assert same(s.u @ s.uinv, IntMatrix.identity(a.rows))
+    assert all(s.d.entry(i, j) == 0 for i in range(a.rows) for j in range(a.cols) if i != j)
+    if m:
+        assert all(0 <= v < m for x in (s.u, s.d, s.v, s.uinv) for row in x.tolist() for v in row)
+        assert math.gcd(det(s.v), m) == 1
+    else:
+        assert abs(det(s.v)) == 1
+
+
+@settings(database=None, deadline=None, max_examples=150)
+@given(a=_small_matrices(), m=_SMITH_MODULI)
+def test_smith_diagonal_is_a_divisibility_chain(a, m):
+    diag = smith_normal_form(a, m).diagonal()
+    for k, dk in enumerate(diag):
+        assert dk >= 0
+        # over Z, d_k | d_j with the zeros last; mod m, gcd(d_k, m) | d_j
+        g = math.gcd(dk, m) if m else dk
+        assert all(dj % g == 0 if g else dj == 0 for dj in diag[k + 1 :]), diag
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(a=_small_matrices())
+def test_smith_diagonal_over_z_is_sympys(a):
+    from sympy import Matrix
+    from sympy import ZZ as SYMPY_ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    want = []
+    if 0 not in a.shape:
+        d = sympy_snf(Matrix(a.tolist()), domain=SYMPY_ZZ)
+        want = [abs(int(d[j, j])) for j in range(min(a.shape))]
+    assert smith_normal_form(a).diagonal() == want
 
 
 def test_solve_trivial():

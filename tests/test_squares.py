@@ -556,6 +556,30 @@ def test_the_memo_dies_with_its_squares():
     assert len(squares._verdicts) == before
 
 
+def test_a_memo_hit_among_many_live_squares_of_one_shape_compares_few(monkeypatch):
+    # 200 live squares Z[0] -> Z[0] differing only in b = c = (k): the hash
+    # reads c, so a lookup compares its own entry, not the whole bucket
+    z = one_term()
+
+    def square(k):
+        unit = cmap(z, z, {0: [[1]]})
+        return CommutativeSquare(unit, unit, cmap(z, z, {0: [[k]]}), cmap(z, z, {0: [[k]]}))
+
+    live = [square(k) for k in range(2, 202)]
+    verdicts = [is_homotopy_cartesian(sq) for sq in live]
+    calls = []
+    real = CommutativeSquare.__eq__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(CommutativeSquare, "__eq__", counting)
+    for k, verdict in zip(range(2, 202), verdicts):
+        assert is_homotopy_cartesian(square(k)) is verdict
+    assert len(calls) <= 2 * len(live)
+
+
 def test_one_square_decided_from_many_threads_gets_one_verdict():
     import json
     import sys

@@ -174,6 +174,36 @@ def test_transcription_error_on_tampered_data(tmp_path, monkeypatch):
         build_star(3)
 
 
+def test_templates_are_parsed_once_per_content_and_checked_on_every_call(tmp_path, monkeypatch):
+    import shutil
+    from homcart import suite
+    from homcart.suite import TranscriptionError
+
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    shutil.copytree(suite.data_dir(), good)
+    shutil.copytree(suite.data_dir(), bad)
+    monkeypatch.setenv("HOMCART_DATA", str(bad))
+    assert verify_paper(3).all_ok
+    # a chain map still, but no longer the diagram's third vertical map
+    starfile = bad / "star.json"
+    star = json.loads(starfile.read_text())
+    star["middle_square"]["c"]["components"]["-1"] = [["1-a"]]
+    starfile.write_text(json.dumps(star))
+    with pytest.raises(TranscriptionError):
+        verify_paper(3)
+    monkeypatch.setenv("HOMCART_DATA", str(good))
+    assert verify_paper(3).all_ok
+    monkeypatch.setenv("HOMCART_DATA", str(bad))
+    with pytest.raises(TranscriptionError):
+        build_star(3)
+    # instantiating a template leaves its shared parse as the file reads
+    monkeypatch.delenv("HOMCART_DATA")
+    first, second = lemma2(1, 5, -5), lemma2(1, 5, -5)
+    assert first.triangle == second.triangle and first.witness == second.witness
+    raw = json.loads((suite.data_dir() / "lemma2-1.json").read_text(encoding="utf-8"))
+    assert suite._load_template("lemma2-1.json") == raw
+
+
 def test_star_morphism_with_shifted_c_fails():
     # adding the unit scalar to the third vertical component must break at
     # least one square of the diagram (the component is pinned mod a^2)
