@@ -4,17 +4,22 @@ Grading is cohomological: the differential in degree i maps degree i to
 degree i+1 and is stored as a matrix of shape rank(i+1) x rank(i).  A chain
 map f : X -> Y has components f_i of shape rank_Y(i) x rank_X(i) satisfying
 d_Y(i) f_i = f_{i+1} d_X(i).  A homotopy h between parallel maps f and g has
-components h_i : X^i -> Y^(i-1) with f_i - g_i = d_Y(i-1) h_i + h_{i+1} d_X(i);
-the witness equation is checked on construction.  The shift X[1] has
-rank(i) = rank_X(i+1) and differential -d_X(i+1).
+components h_i : X^i -> Y^(i-1) with f_i - g_i = d_Y(i-1) h_i + h_{i+1} d_X(i).
+The shift X[1] has rank(i) = rank_X(i+1) and differential -d_X(i+1).
 
 Over a modular ring all entries are kept canonical in [0, m); equality of
 matrices is therefore plain equality.  Homology is computed over Z only;
 residue-ring questions are answered by lifting and modular solving.
 
-`Complex` checks d(i+1) d(i) = 0 on construction unless built with
-check=False, as `shift`, `direct_sum` and `cone_complex` build theirs:
-the equation follows from their inputs' own, already checked.
+`Complex`, `ChainMap` and `Homotopy` check their defining equations on
+construction unless built with check=False, as `shift`, `direct_sum` and
+`cone_complex` build theirs: the equations follow from their inputs' own.
+In the Hom complex below these are D(0) f = 0, D(-1) h = f - g, and for a
+differential d(i+1) d(i) = 0 (not D(1) d = 2 d d).  One walk,
+`_GradedMap._first_violation`, checks all three: block by block of
+`_layout(X, Y, n + 1)`, by increasing degree, it computes the residual
+(`_residual`) once on backend arrays, reduces it once mod m, and returns
+the first degree where it is nonzero, the degree `ComplexError` reports.
 
 Every linear question about maps is asked of the Hom complex (Weibel, An
 Introduction to Homological Algebra, 2.7): Hom(X, Y)^n is the product over i
@@ -85,7 +90,6 @@ from .intmat import (
     IntMatrix,
     ResidueMatrix,
     cokernel,
-    det,
     smith_kernel,
     smith_normal_form,
     smith_solve,
@@ -216,6 +220,11 @@ class Ring:
         k = len(diag)
         return (v[:, :k] * t) @ u[:k, :] % m, sum(1 for x in diag if x % m)
 
+    def is_zero(self, a) -> bool:
+        """Whether a backend array (or 0) is zero in the ring: reduced once
+        mod m."""
+        return not np.count_nonzero(a % self.modulus if self.modulus else a)
+
     def canon(self, m: IntMatrix) -> IntMatrix:
         """m as a block of this ring, reduced into [0, modulus); on a small
         prime field a block the ring built is returned as it is."""
@@ -276,7 +285,8 @@ def _layout(x: "Complex", y: "Complex", n: int) -> list[tuple[int, int, int, int
 
 class _GradedMap:
     """A degree-n map x -> y, kept as one block X^i -> Y^(i+n), reduced by the
-    ring, for each entry of `_layout(x, y, n)`; `_ends` gives (x, y, n)."""
+    ring, for each entry of `_layout(x, y, n)`; `_ends` gives (x, y, n) and
+    `_residual(i)` block i of its defining equation."""
 
     __slots__ = ("_blocks",)
 
@@ -301,6 +311,25 @@ class _GradedMap:
             if i not in blocks and not m.is_zero():
                 raise ComplexError(f"nonzero {what} at degree {i} maps to or from rank 0", degree=int(i))
         object.__setattr__(self, "_blocks", blocks)
+
+    def _residual(self, i: int):
+        """Block i of D(n) phi, X^i -> Y^(i+n+1), as a backend array:
+        d_Y(i+n) phi_i - (-1)^n phi_(i+1) d_X(i), each term present where
+        phi has its block, and 0 where neither is."""
+        x, y, n = self._ends()
+        a, phi, out = x.ring.asarray, self._blocks, 0
+        if i in phi:
+            out = a(y._blocks[i + n]) @ a(phi[i])
+        if i + 1 in phi:
+            right = a(phi[i + 1]) @ a(x._blocks[i])
+            out = out + right if n % 2 else out - right
+        return out
+
+    def _first_violation(self) -> int | None:
+        """The least i of `_layout(x, y, n + 1)` where `_residual(i)` is
+        nonzero in the ring: where the defining equation fails."""
+        x, y, n = self._ends()
+        return next((i for i, _, _, _ in _layout(x, y, n + 1) if not x.ring.is_zero(self._residual(i))), None)
 
     def component(self, i: int) -> IntMatrix:
         """The block X^i -> Y^(i+n); zero outside the layout."""
@@ -332,12 +361,16 @@ class Complex(_GradedMap):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_ranks", clean_ranks)
         self._set_blocks(differentials, "differential")
-        for i, d in self._blocks.items():
-            if check and i + 1 in self._blocks and not ring.canon(self._blocks[i + 1] @ d).is_zero():
-                raise ComplexError(f"differentials do not compose to zero at degree {i}", degree=i)
+        if check and (bad := self._first_violation()) is not None:
+            raise ComplexError(f"differentials do not compose to zero at degree {bad}", degree=bad)
 
     def _ends(self):
         return self, self, 1
+
+    def _residual(self, i: int):
+        """d(i+1) d(i), X^i -> X^(i+2)."""
+        d, a = self._blocks, self.ring.asarray
+        return a(d[i + 1]) @ a(d[i]) if i in d else 0
 
     differential = _GradedMap.component
 
@@ -380,24 +413,11 @@ class ChainMap(_GradedMap):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         self._set_blocks(components, "component")
-        if check:
-            bad = self.first_chain_violation()
-            if bad is not None:
-                raise ComplexError(f"chain condition fails at degree {bad}", degree=bad)
+        if check and (bad := self._first_violation()) is not None:
+            raise ComplexError(f"chain condition fails at degree {bad}", degree=bad)
 
     def _ends(self):
         return self.source, self.target, 0
-
-    def first_chain_violation(self) -> int | None:
-        ring = self.source.ring
-        for i in sorted(set(self.source.degrees()) | set(self.target.degrees())):
-            if self.source.rank(i) == 0 or self.target.rank(i + 1) == 0:
-                continue
-            lhs = self.target.differential(i) @ self.component(i)
-            rhs = self.component(i + 1) @ self.source.differential(i)
-            if not ring.canon(lhs - rhs).is_zero():
-                return i
-        return None
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (apply `other` first)."""
@@ -480,28 +500,16 @@ class Homotopy(_GradedMap):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         self._set_blocks(components, "homotopy component")
-        if check:
-            bad = self._first_violation()
-            if bad is not None:
-                raise ComplexError(f"homotopy witness equation fails at degree {bad}", degree=bad)
+        if check and (bad := self._first_violation()) is not None:
+            raise ComplexError(f"homotopy witness equation fails at degree {bad}", degree=bad)
 
     def _ends(self):
         return self.lhs.source, self.lhs.target, -1
 
-    def _first_violation(self) -> int | None:
-        x, y = self.lhs.source, self.lhs.target
-        ring = x.ring
-        for i in sorted(set(x.degrees()) | set(y.degrees())):
-            if x.rank(i) == 0 or y.rank(i) == 0:
-                continue
-            rest = self.lhs.component(i) - self.rhs.component(i)
-            if y.rank(i - 1) > 0:
-                rest = rest - y.differential(i - 1) @ self.component(i)
-            if x.rank(i + 1) > 0:
-                rest = rest - self.component(i + 1) @ x.differential(i)
-            if not ring.canon(rest).is_zero():
-                return i
-        return None
+    def _residual(self, i: int):
+        """Block i of D(-1) h - (f - g)."""
+        a = self.lhs.source.ring.asarray
+        return super()._residual(i) - (a(self.lhs._blocks[i]) - a(self.rhs._blocks[i]))
 
     def __repr__(self):
         return f"Homotopy({self.lhs!r} ~ {self.rhs!r})"
@@ -734,7 +742,7 @@ def is_contractible(c: Complex) -> Homotopy | None:
     ring = c.ring
     by_rank = ring.is_integers or ring.is_small_prime_field
     sections, ranks = {}, {}
-    for i in range(degs[0], degs[-1] + 1):
+    for i in degs:
         got = ring.section(c.differential(i))
         if got is None or (by_rank and ranks.get(i - 1, 0) + got[1] != c.rank(i)):
             return None
@@ -755,20 +763,18 @@ def _inverse_components(f: ChainMap) -> dict[int, np.ndarray] | None:
     """The inverses of the components of f, as backend arrays, when every
     component is square and invertible; None otherwise.
 
-    A section of full rank (`Ring.section`) is the inverse over Z and the
-    small prime fields.  Over the other Z/m it need not be (2 over Z/6 has
-    the section 2), so there every determinant must first be a unit mod m.
+    One rule for every ring: a square f_i is invertible exactly when it has
+    a section s (`Ring.section`) with f_i s = 1, and then s = f_i^-1, as
+    f_i s f_i = f_i.  Full rank alone would not do: over Z/6, 2 has the
+    section 2 of rank 1, and 2 is no unit.
     """
     x, y, ring = f.source, f.target, f.source.ring
     if x.degrees() != y.degrees() or any(x.rank(i) != y.rank(i) for i in x.degrees()):
         return None
-    by_rank = ring.is_integers or ring.is_small_prime_field
-    if not by_rank and any(math.gcd(det(f.component(i)), ring.modulus) != 1 for i in x.degrees()):
-        return None
     inverses = {}
     for i in x.degrees():
-        got = ring.section(f.component(i))
-        if got is None or got[1] != x.rank(i):
+        a, got = ring.asarray(f.component(i)), ring.section(f.component(i))
+        if got is None or not ring.is_zero(a @ got[0] - np.eye(len(a), dtype=ring.dtype)):
             return None
         inverses[i] = got[0]
     return inverses

@@ -12,9 +12,10 @@ For an element e of a representable ring this module finds a such that
 * plain integers have no such a in general; `find_alpha_over_Z` decides the
   two divisibility conditions exactly and returns None otherwise.
 
-The right-handed variant 1 + e + e^2 b is obtained by running the same
-construction in the opposite representation (transpose for matrices,
-reversed structure constants).  Nothing here assumes a e = e a.
+The right-handed variant 1 + e + e^2 b needs no second construction: a is
+a polynomial in e, so it commutes with e, 1 + e + e^2 a = 1 + e + a e^2,
+and b = a with the same inverse.  Nothing else assumes that elements
+commute.
 
 `FpMatrix` (int64 entries in [0, p)) and `QMatrix` (`Fraction` entries)
 take every field-independent method from `FieldMatrix`, on which the
@@ -70,9 +71,6 @@ class FieldMatrix:
 
     def zero(self):
         return self._wrap(self.a * 0)
-
-    def transpose(self):
-        return self._wrap(self.a.T.copy())
 
     def is_zero(self):
         return not self.a.any()
@@ -177,9 +175,6 @@ class FiniteAlgebra:
 
     def mul_vec(self, x, y):
         return np.einsum("i,j,ijk->k", x % self.p, y % self.p, self.table) % self.p
-
-    def opposite(self) -> "FiniteAlgebra":
-        return FiniteAlgebra(self.p, np.swapaxes(self.table, 0, 1), self.one_coords)
 
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, coords)
@@ -455,29 +450,12 @@ def find_alpha(e) -> UnitCertificate:
     raise UnsupportedRepresentation(f"unsupported representation {type(e).__name__}")
 
 
-def _opposite(e):
-    """(e in the opposite ring, the map from the opposite ring back):
-    the transpose for matrices, the opposite algebra for algebra elements."""
-    if isinstance(e, FieldMatrix):
-        return e.transpose(), lambda x: x.transpose()
-    return e.algebra.opposite().element(e.coords), lambda x: e.algebra.element(x.coords)
-
-
 def find_beta(e) -> UnitCertificate:
-    """b with 1 + e + e^2 b a unit: the construction run in the opposite ring.
-
-    Residues commute, so there b is the `find_alpha` coefficient; every
-    other representation is refused as `find_alpha` refuses it.
+    """b with 1 + e + e^2 b a unit: the `find_alpha` certificate, as its
+    coefficient a commutes with e (module docstring).  Representations are
+    refused as `find_alpha` refuses them.
     """
-    if not isinstance(e, (FieldMatrix, AlgebraElement)):
-        return replace(find_alpha(e), variant="right")
-    e_op, back = _opposite(e)
-    cert = _certificate_from_relation(e_op)
-    beta, inverse = back(cert.coefficient), back(cert.inverse)
-    unit = e.one().add(e).add(e.mul(e).mul(beta))
-    if not _verify_unit(unit, inverse):
-        raise AssertionError("opposite-ring certificate failed to verify")
-    return replace(cert, variant="right", coefficient=beta, unit=unit, inverse=inverse)
+    return replace(find_alpha(e), variant="right")
 
 
 def find_alpha_over_Z(e: int) -> int | None:

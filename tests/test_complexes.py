@@ -11,6 +11,7 @@ from homcart.complexes import (
     ComplexError,
     HomComplex,
     Homotopy,
+    Ring,
     Subquotient,
     ZZ,
     Zmod,
@@ -937,7 +938,12 @@ def _raises_at(build, degree):
     assert err.value.degree == degree
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(9), Zmod(3)], ids=["Z", "Z9", "F3"])
+_EQUATION_RINGS = pytest.mark.parametrize(
+    "ring", [ZZ, Zmod(9), Zmod(4), Zmod(3), Zmod(2)], ids=["Z", "Z9", "Z4", "F3", "F2"]
+)
+
+
+@_EQUATION_RINGS
 def test_chain_maps_raise_exactly_where_d0_of_their_vector_is_nonzero(ring):
     maps, rng = _graded_cases(ring)
     raised = 0
@@ -951,7 +957,7 @@ def test_chain_maps_raise_exactly_where_d0_of_their_vector_is_nonzero(ring):
     assert raised
 
 
-@pytest.mark.parametrize("ring", [ZZ, Zmod(9), Zmod(3)], ids=["Z", "Z9", "F3"])
+@_EQUATION_RINGS
 def test_homotopies_raise_exactly_where_their_witness_equation_fails(ring):
     maps, rng = _graded_cases(ring)
     raised = 0
@@ -964,6 +970,18 @@ def test_homotopies_raise_exactly_where_their_witness_equation_fails(ring):
             miss = dm1 @ _vector(lay, comps) - ZZ.asarray(hom.vec(f)) + ZZ.asarray(hom.vec(g))
             bad = _first_nonzero_block(hom.layout(0), miss, ring.modulus)
             _raises_at(lambda: Homotopy(f, g, comps), bad)
+            raised += bad is not None
+    assert raised
+
+
+@_EQUATION_RINGS
+def test_complexes_raise_exactly_where_a_product_of_differentials_is_nonzero(ring):
+    maps, rng = _graded_cases(ring)
+    raised = 0
+    for c in [c for f in maps for c in (f.source, f.target, cone_complex(f))]:
+        for diffs in (c.components(), _perturbed(c.components(), HomComplex(c, c).layout(1), rng)):
+            bad = _first_nonzero_square(Complex(ring, c._ranks, diffs, check=False))
+            _raises_at(lambda: Complex(ring, c._ranks, diffs), bad)
             raised += bad is not None
     assert raised
 
@@ -1035,11 +1053,9 @@ def test_smith_over_z12_keeps_every_transform_entry_reduced():
         assert all(y % x == 0 for x, y in zip(orders, orders[1:]))
 
 
-def test_inverses_read_off_sections_over_z_and_fp_and_determinants_elsewhere(monkeypatch):
+def test_inverses_read_off_sections_over_z_and_fp_and_determinants_elsewhere():
     import homcart.complexes as complexes
 
-    dets, real = [], complexes.det
-    monkeypatch.setattr(complexes, "det", lambda a: dets.append(a.shape) or real(a))
     inverse = complexes._inverse_components
     z, plane = one_term(), cpx({0: 2})
     assert inverse(cmap(z, z, {0: [[2]]})) is None
@@ -1047,23 +1063,26 @@ def test_inverses_read_off_sections_over_z_and_fp_and_determinants_elsewhere(mon
     f3, plane3 = one_term(ring=Zmod(3)), cpx({0: 2}, ring=Zmod(3))
     assert inverse(cmap(f3, f3, {0: [[2]]}))[0].tolist() == [[2]]
     assert inverse(cmap(plane3, plane3, {0: [[1, 2], [2, 1]]})) is None
-    assert dets == []
     # over Z/6 the section 2 of 2 has full rank, and 2 is still no unit
     z6 = one_term(ring=Zmod(6))
     assert Zmod(6).section(IntMatrix([[2]]))[1] == 1
     assert inverse(cmap(z6, z6, {0: [[2]]})) is None
     assert inverse(cmap(z6, z6, {0: [[5]]}))[0].tolist() == [[5]]
-    assert dets == [(1, 1), (1, 1)]
 
 
-def _squares_to_zero(c: Complex) -> bool:
-    """d(i+1) d(i) = 0 in every degree, from the entries, not by `Complex`."""
+def _first_nonzero_square(c: Complex) -> int | None:
+    """The least degree i with d(i+1) d(i) nonzero, from the entries, not by
+    `Complex`; None when every square is zero."""
     m = c.ring.modulus
     for i in c.degrees():
         prod = c.differential(i + 1).array.astype(object) @ c.differential(i).array.astype(object)
         if (prod % m if m else prod).any():
-            return False
-    return True
+            return i
+    return None
+
+
+def _squares_to_zero(c: Complex) -> bool:
+    return _first_nonzero_square(c) is None
 
 
 def _structural_inputs() -> list[tuple[Complex, Complex, ChainMap]]:
@@ -1085,6 +1104,14 @@ def test_shift_direct_sum_and_cones_square_to_zero_without_a_check():
         for c in (shift(x), shift(shift(y)), direct_sum(x, y), direct_sum(y, shift(x)), cone_complex(f)):
             assert _squares_to_zero(c), c
         assert _squares_to_zero(shift(cone_complex(f))) and _squares_to_zero(direct_sum(cone_complex(f), x))
+
+
+def test_contractions_visit_only_the_degrees_of_the_complex(monkeypatch):
+    n, shapes, real = 10**6, [], Ring.section
+    monkeypatch.setattr(Ring, "section", lambda self, d: shapes.append(d.shape) or real(self, d))
+    h = is_contractible(cpx({0: 1, 1: 1, n: 1, n + 1: 1}, {0: [[1]], n: [[1]]}))
+    assert h is not None and h.component(1).tolist() == [[1]] and h.component(n + 1).tolist() == [[1]]
+    assert len(shapes) == 4
 
 
 def test_unchecked_complexes_skip_only_the_d_squared_check():

@@ -4,8 +4,9 @@ Smith form, or `modp.diagonalize` over F_p), `complexes.Subquotient` runs
 one algorithm for every ring, with no int64 branch, the squares search walks classes in one generator, whatever the ring, and reads
 every class it tries in Hom groups built at one site, the unit lemma's
 matrices share one field layer, primality is decided in `modp`, and
-the blocks of graded maps are checked in one function of `complexes` and
-read from JSON in one function of `jsonio`, and contractions, solves,
+the blocks of graded maps are checked in one function of `complexes`, and
+their defining equations in one walk, and read from JSON in one function
+of `jsonio`, and contractions, solves,
 kernels and quotients have one algorithm for every ring: no Hom-system
 fallback, no recursion, one kernel formula (`intmat.smith_kernel`), and
 homology read off cokernels, with no kernel basis and no `Subquotient`;
@@ -172,6 +173,38 @@ def test_block_shapes_are_checked_in_one_function():
 
     sites = _functions_around(_parse("complexes.py"), shape_error)
     assert len(set(sites)) == 1, f"block shapes checked in {sorted(set(sites))}"
+
+
+def test_defining_equations_are_checked_in_one_function():
+    """A walk that finds a violated equation multiplies blocks (`@`, or
+    `_residual`) in a loop over degrees and leaves it with the failing one."""
+
+    def multiplies(node):
+        return any(
+            isinstance(n, ast.MatMult) or (isinstance(n, ast.Attribute) and n.attr == "_residual")
+            for n in ast.walk(node)
+        )
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def leaves_with_degree(loop, targets):
+        return any(
+            (isinstance(n, ast.Return) and isinstance(n.value, ast.Name) and n.value.id in targets)
+            or (isinstance(n, ast.Raise) and any(k.arg == "degree" for k in getattr(n.exc, "keywords", ())))
+            for n in ast.walk(loop)
+        )
+
+    def walk(node):
+        if isinstance(node, ast.For):
+            return multiplies(node) and leaves_with_degree(node, names(node.target))
+        if isinstance(node, ast.GeneratorExp):
+            targets = set().union(*(names(g.target) for g in node.generators))
+            return getattr(node.elt, "id", None) in targets and any(multiplies(c) for g in node.generators for c in g.ifs)
+        return False
+
+    sites = _functions_around(_parse("complexes.py"), walk)
+    assert sites == ["_GradedMap._first_violation"], f"defining equations checked in {sites}"
 
 
 def test_blocks_are_read_from_json_in_one_function():

@@ -8,6 +8,7 @@ from sympy import factorint
 from sympy.ntheory.modular import crt
 
 from homcart.unitlemma import (
+    AlgebraElement,
     FiniteAlgebra,
     FpMatrix,
     QMatrix,
@@ -245,3 +246,48 @@ def test_scalars_are_read_by_the_integer_rule():
     assert one.scale(-(2**70)) == one.scale(-(2**70) % 5)
     assert alg.element([1, 1]).scale(np.uint8(7)).vec() == (2, 2)
     assert alg.element([1, 1]).scale(False).vec() == (0, 0)
+
+
+def _in_the_opposite_ring(e):
+    """(coefficient, inverse, relation) of a right certificate for e built by
+    `find_alpha` in the opposite ring and read back: the transpose of a
+    matrix, the reversed structure constants of an algebra."""
+    if isinstance(e, AlgebraElement):
+        alg = e.algebra
+        op = FiniteAlgebra(alg.p, np.swapaxes(alg.table, 0, 1), alg.one_coords)
+        cert, back = find_alpha(op.element(e.coords)), lambda x: alg.element(x.coords)
+    elif isinstance(e, FpMatrix):
+        cert, back = find_alpha(FpMatrix(e.p, e.a.T)), lambda x: FpMatrix(x.p, x.a.T)
+    else:
+        cert, back = find_alpha(QMatrix(e.a.T.tolist())), lambda x: QMatrix(x.a.T.tolist())
+    return back(cert.coefficient), back(cert.inverse), cert.relation
+
+
+def _matrix_algebra(p: int) -> FiniteAlgebra:
+    """M_2(F_p) by structure constants on E11, E12, E21, E22: not commutative."""
+    table = np.zeros((4, 4, 4), dtype=np.int64)
+    for i, j, k, l in np.ndindex(2, 2, 2, 2):
+        if j == k:
+            table[2 * i + j, 2 * k + l, 2 * i + l] = 1
+    return FiniteAlgebra(p, table, [1, 0, 0, 1])
+
+
+def test_beta_is_alpha_and_the_opposite_ring_certificate():
+    rng = random.Random(2026)
+    elements = []
+    for _ in range(150):
+        p, k = rng.choice([2, 3, 5, 7, 65537]), rng.randint(1, 4)
+        elements.append(FpMatrix(p, [[rng.randrange(p) for _ in range(k)] for _ in range(k)]))
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        elements.append(QMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)] for _ in range(k)]))
+    for p in (2, 3, 5, 7):
+        alg = _matrix_algebra(p)
+        elements += [alg.element([rng.randrange(p) for _ in range(4)]) for _ in range(20)]
+    for e in elements:
+        alpha, beta = find_alpha(e), find_beta(e)
+        assert (beta.coefficient, beta.unit, beta.inverse, beta.relation) == (
+            alpha.coefficient, alpha.unit, alpha.inverse, alpha.relation,
+        ), e
+        assert beta.unit == e.one().add(e).add(e.mul(e).mul(beta.coefficient))
+        assert (beta.coefficient, beta.inverse, beta.relation) == _in_the_opposite_ring(e), e
