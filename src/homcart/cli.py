@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 
 from .complexes import cone_complex, homology
+from .intmat import FGAbelianGroup
 from .jsonio import (
     chain_map_from_json,
     complex_from_json,
@@ -143,8 +144,11 @@ def cmd_complex_homology(args) -> int:
         groups = homology(c)
     except Exception as e:
         raise UsageError(f"invalid complex data: {e}") from e
-    payload = {str(i): g.to_json() for i, g in sorted(groups.items())}
-    text = "\n".join(f"H^{i} = {g}" for i, g in sorted(groups.items()))
+    # every degree of the span, H^i = 0 included
+    span = range(min(groups), max(groups) + 1) if groups else ()
+    groups = [(i, groups.get(i, FGAbelianGroup(0))) for i in span]
+    payload = {str(i): g.to_json() for i, g in groups}
+    text = "\n".join(f"H^{i} = {g}" for i, g in groups)
     _emit(args, payload, text if text else "zero complex")
     return EXIT_YES
 

@@ -822,15 +822,13 @@ def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
 def homology(c: Complex) -> dict[int, FGAbelianGroup]:
     """H^i = ker d(i) / im d(i-1) by invariant factors, over Z only, from one
     Smith form per differential: H^i has the torsion of coker d(i-1), and
-    its free rank less rank d(i)."""
+    its free rank less rank d(i).  Keyed by the degrees of c: H^i = 0
+    wherever c has rank 0."""
     if not c.ring.is_integers:
         raise ComplexError("homology is computed over the integers; reduce or lift explicitly")
-    degs = c.degrees()
-    if not degs:
-        return {}
     cok = {i: cokernel(d) for i, d in c.components().items()}
     out = {}
-    for i in range(degs[0], degs[-1] + 1):
+    for i in c.degrees():
         q = cok.get(i - 1, FGAbelianGroup(c.rank(i)))
         rank = c.rank(i + 1) - cok[i].free_rank if i in cok else 0
         out[i] = FGAbelianGroup(q.free_rank - rank, q.invariant_factors)

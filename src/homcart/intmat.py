@@ -445,13 +445,10 @@ def smith_normal_form(a: IntMatrix, modulus: int | None = None) -> SmithDecompos
                         break
                 if fixed:
                     break
+        # later steps touch only rows and columns past t, so this sign stays
         if d[t][t] < 0:
             row_negate(t)
         t += 1
-
-    for i in range(limit):
-        if d[i][i] < 0:
-            row_negate(i)
 
     return SmithDecomposition(
         u=IntMatrix._wrap(_object_array(u, (nr, nr))),

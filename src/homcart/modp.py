@@ -46,10 +46,6 @@ def is_prime(n: int) -> bool:
     raise ValueError(f"primality of {n} is not decided")
 
 
-def inv_mod(a: int, p: int) -> int:
-    return pow(int(a) % p, p - 2, p)
-
-
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (R, pivot column list)."""
     _check_prime_size(p)
@@ -66,7 +62,7 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         pr = row + int(hits[0])
         if pr != row:
             r[[row, pr]] = r[[pr, row]]
-        r[row] = (r[row] * inv_mod(r[row, col], p)) % p
+        r[row] = (r[row] * pow(int(r[row, col]), -1, p)) % p
         others = np.nonzero(r[:, col])[0]
         others = others[others != row]
         if others.size:

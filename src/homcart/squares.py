@@ -164,42 +164,44 @@ class Verdict:
         return out
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class CommutativeSquare:
     """Square (g: B->C, g': B'->C', b: B->B', c: C->C') with witness c g ~ g' b.
 
-    Two squares are equal when their four maps and their witness blocks are.
-    The hash reads the four corner complexes and the entries of c, so live
-    squares of one shape but another c fall into different buckets of the
-    verdict memo; the witness and the other maps are left to equality."""
+    The corners and the ring are read off the maps.  A given witness is
+    re-checked against this square's c o g and g' o b; none given, one is
+    solved for.  Two squares are equal when their four maps and their
+    witness blocks are.  The hash reads the four corner complexes and the
+    entries of c, so live squares of one shape but another c fall into
+    different buckets of the verdict memo; the witness and the other maps
+    are left to equality."""
 
-    __slots__ = ("b_obj", "c_obj", "bprime_obj", "cprime_obj", "g", "gprime", "b", "c", "witness", "__weakref__")
+    g: ChainMap
+    gprime: ChainMap
+    b: ChainMap
+    c: ChainMap
+    witness: Homotopy | None = None
 
-    def __init__(self, g: ChainMap, gprime: ChainMap, b: ChainMap, c: ChainMap, witness: Homotopy | None = None):
+    b_obj = property(lambda self: self.g.source)
+    c_obj = property(lambda self: self.g.target)
+    bprime_obj = property(lambda self: self.gprime.source)
+    cprime_obj = property(lambda self: self.gprime.target)
+    ring = property(lambda self: self.g.source.ring)
+
+    def __post_init__(self):
+        g, gprime, b, c, witness = self.g, self.gprime, self.b, self.c, self.witness
         if b.source != g.source or c.source != g.target:
             raise ComplexError("vertical maps do not match the top row")
         if gprime.source != b.target or gprime.target != c.target:
             raise ComplexError("bottom row does not match the vertical maps")
-        lhs = c.compose(g)
-        rhs = gprime.compose(b)
+        lhs, rhs = c.compose(g), gprime.compose(b)
         if witness is None:
             witness = homotopic(lhs, rhs)
             if witness is None:
                 raise NotCommutative("c o g is not homotopic to g' o b")
-        else:
-            if witness.lhs != lhs or witness.rhs != rhs:
-                witness = Homotopy(lhs, rhs, witness.components())
-        object.__setattr__(self, "b_obj", g.source)
-        object.__setattr__(self, "c_obj", g.target)
-        object.__setattr__(self, "bprime_obj", gprime.source)
-        object.__setattr__(self, "cprime_obj", gprime.target)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "gprime", gprime)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        elif witness.lhs != lhs or witness.rhs != rhs:
+            witness = Homotopy(lhs, rhs, witness.components())
         object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CommutativeSquare is immutable")
 
     def __eq__(self, other) -> bool:
         return (
@@ -213,10 +215,6 @@ class CommutativeSquare:
 
     def __hash__(self):
         return hash((self.b_obj, self.bprime_obj, self.c))
-
-    @property
-    def ring(self):
-        return self.b_obj.ring
 
 
 @dataclass(frozen=True)

@@ -185,17 +185,12 @@ def _star_from(a: int, template2: Triangle, template1: Triangle) -> StarDiagram:
     middle = CommutativeSquare(g_mid, gp_mid, b_mid, c_mid, witness=check.square_witnesses[1])
     # the diagram displays each square at the two degrees of its upper
     # object: six degreewise faces in total, each either strictly commuting
-    # or corrected by the square's homotopy witness
-    strict = {}
-    for name, lhs, rhs in (
-        ("first", q.compose(upper.f), lower.f.compose(p)),
-        ("second", r.compose(upper.g), lower.g.compose(q)),
-        ("third", p.shift().compose(upper.h), lower.h.compose(r)),
-    ):
-        strict[name] = {
-            str(i): bool(lhs.component(i) == rhs.component(i))
-            for i in lhs.source.degrees()
-        }
+    # or corrected by the square's homotopy witness, which joins the two
+    # composites of its square
+    strict = {
+        name: {str(i): bool(w.lhs.component(i) == w.rhs.component(i)) for i in w.lhs.source.degrees()}
+        for name, w in zip(("first", "second", "third"), check.square_witnesses)
+    }
     return StarDiagram(
         a=a,
         upper=upper,

@@ -1,9 +1,11 @@
 """Candidate triangles, rotation, and verification of distinguishedness.
 
-A triangle is its three maps (X --f--> Y --g--> Z --h--> X[1]), checked to
-compose; nothing is solved on construction, so a Triangle is a *candidate*,
-not a certificate.  Distinguishedness is certified either by being a
-standard cone triangle, by an explicit comparison witness u : cone(f) -> Z
+A triangle is a frozen record of its three maps (X --f--> Y --g--> Z --h-->
+X[1]), checked to compose, with its objects read off them; a
+`TriangleMorphism` is one of its two triangles and three components.
+Nothing is solved on construction, so a Triangle is a *candidate*, not a
+certificate.  Distinguishedness is certified either by being a standard
+cone triangle, by an explicit comparison witness u : cone(f) -> Z
 (`verify_distinguished_with_witness`), or by rotation from a certified
 triangle (`rotation_witness` produces the rotated witness, which is then
 checked, never assumed).
@@ -29,42 +31,30 @@ from .complexes import (
 )
 
 
+@dataclass(frozen=True)
 class Triangle:
-    """Composable triple (f, g, h): the triangle is its three maps, and
-    nothing is solved at construction."""
+    """Composable triple (f, g, h): the triangle is its three maps, its
+    objects are read off them, and nothing is solved at construction.  Two
+    triangles are equal when their maps are."""
 
-    __slots__ = ("x", "y", "z", "f", "g", "h")
+    f: ChainMap
+    g: ChainMap
+    h: ChainMap
 
-    def __init__(self, f: ChainMap, g: ChainMap, h: ChainMap):
-        if g.source != f.target:
+    x = property(lambda self: self.f.source)
+    y = property(lambda self: self.f.target)
+    z = property(lambda self: self.g.target)
+
+    def __post_init__(self):
+        if self.g.source != self.f.target:
             raise ComplexError("g does not start where f ends")
-        if h.source != g.target:
+        if self.h.source != self.g.target:
             raise ComplexError("h does not start where g ends")
-        if h.target != shift(f.source):
+        if self.h.target != shift(self.f.source):
             raise ComplexError("h does not end at the shift of the source")
-        object.__setattr__(self, "x", f.source)
-        object.__setattr__(self, "y", f.target)
-        object.__setattr__(self, "z", g.target)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Triangle is immutable")
 
     def maps(self) -> tuple[ChainMap, ChainMap, ChainMap]:
         return (self.f, self.g, self.h)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Triangle)
-            and self.f == other.f
-            and self.g == other.g
-            and self.h == other.h
-        )
-
-    def __hash__(self):
-        return hash((self.f, self.g, self.h))
 
     def __repr__(self):
         return f"Triangle({self.x!r} -> {self.y!r} -> {self.z!r})"
@@ -138,30 +128,29 @@ def rotation_witness(t: Triangle) -> ChainMap:
     return cone_map(cone_complex(t.g), t.h, theta)
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class TriangleMorphism:
-    """Componentwise map (p, q, r) between candidate triangles.
+    """Componentwise map (p, q, r) between candidate triangles, equal only
+    to itself.
 
     Construction validates shapes only; `verify_triangle_morphism` produces
     (or refuses) the three commuting homotopies.
     """
 
-    __slots__ = ("source", "target", "p", "q", "r")
+    source: Triangle
+    target: Triangle
+    p: ChainMap
+    q: ChainMap
+    r: ChainMap
 
-    def __init__(self, source: Triangle, target: Triangle, p: ChainMap, q: ChainMap, r: ChainMap):
-        if p.source != source.x or p.target != target.x:
+    def __post_init__(self):
+        s, t = self.source, self.target
+        if self.p.source != s.x or self.p.target != t.x:
             raise ComplexError("first component has wrong endpoints")
-        if q.source != source.y or q.target != target.y:
+        if self.q.source != s.y or self.q.target != t.y:
             raise ComplexError("second component has wrong endpoints")
-        if r.source != source.z or r.target != target.z:
+        if self.r.source != s.z or self.r.target != t.z:
             raise ComplexError("third component has wrong endpoints")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
-
-    def __setattr__(self, *a):
-        raise AttributeError("TriangleMorphism is immutable")
 
 
 @dataclass(frozen=True)

@@ -19,17 +19,19 @@ commute.
 
 `FpMatrix` (int64 entries in [0, p)) and `QMatrix` (`Fraction` entries)
 take every field-independent method from `FieldMatrix`, on which the
-searches dispatch; dependence over F_p is solved by `modp.solve`.
+searches dispatch.  The minimal polynomial comes from linear dependence
+among powers of e: over F_p one `modp.solve`, over Q one integer Smith form
+(`intmat.smith_normal_form`) of the powers with their denominators cleared.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
 from . import modp
-from .intmat import IntMatrix
+from .intmat import IntMatrix, smith_normal_form, smith_solve
 
 
 class UnsupportedRepresentation(TypeError):
@@ -240,38 +242,25 @@ class ResidueElement:
 
 
 def _solve_dependence(columns, target, p: int | None):
-    """Coefficients c with sum c_j columns_j = target over F_p or Q, or None."""
-    ncols = len(columns)
-    dim = len(target)
-    if ncols == 0:
-        return [] if all(v == 0 for v in target) else None
+    """Coefficients c with sum c_j columns_j = target over F_p or Q, or None.
+
+    Over Q, with denominators cleared, c = V D^-1 U target from one Smith
+    form U A V = D of the columns: `smith_solve` of the target times the
+    last invariant factor, which every d_k divides.  The columns 1, e, ...,
+    e^(k-1) are independent until the first relation, so c is unique.
+    """
     if p is not None:
         # vec() over F_p is canonical, so it fits int64
         got = modp.solve(np.array(columns, dtype=np.int64).T, np.array(target, dtype=np.int64), p)
         return None if got is None else [int(v) for v in got[0]]
-    rows = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(dim)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, dim) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(dim):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, dim):
-        if rows[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for ri, c in enumerate(piv_cols):
-        sol[c] = rows[ri][ncols]
-    return sol
+    scale = lcm(*(Fraction(v).denominator for col in (*columns, target) for v in col))
+    a = np.array([[int(v * scale) for v in col] for col in columns], dtype=object).T
+    s = smith_normal_form(IntMatrix(a))
+    diag = s.diagonal()
+    top = max(diag, default=0) or 1
+    b = np.array([int(v * scale * top) for v in target], dtype=object).reshape(-1, 1)
+    x = smith_solve(s.u.array, diag, s.v.array, b)
+    return None if x is None else [Fraction(int(v), top) for v in x[:, 0]]
 
 
 @dataclass(frozen=True)
@@ -329,20 +318,12 @@ def polynomial_relation(e) -> PolynomialRelation:
         nxt = powers[-1].mul(e)
         coeffs = _solve_dependence([pw.vec() for pw in powers], nxt.vec(), p)
         if coeffs is not None:
-            k = len(powers)
-            # minimal polynomial X^k - sum coeffs_j X^j
-            if p is not None:
-                poly = [(-int(c)) % p for c in coeffs] + [1]
-            else:
-                poly = [-Fraction(c) for c in coeffs] + [Fraction(1)]
-            m = next(i for i, c in enumerate(poly) if c != 0)
+            # minimal polynomial X^k - sum c_j X^j, scaled so that its lowest
+            # nonzero coefficient, at X^m, is 1
+            poly = [-c for c in coeffs] + [1]
+            m = next(i for i, c in enumerate(poly) if c)
             lead = poly[m]
-            if p is not None:
-                inv = modp.inv_mod(int(lead), p)
-                norm = [(int(c) * inv) % p for c in poly]
-            else:
-                norm = [c / lead for c in poly]
-            s = tuple(norm[m + 1 :])
+            s = tuple(c * pow(lead, -1, p) % p if p else c / lead for c in poly[m + 1 :])
             rel = PolynomialRelation(m=m, s_coeffs=s)
             if not rel.evaluate(e).is_zero():
                 raise AssertionError("computed relation does not annihilate the element")

@@ -91,6 +91,33 @@ def test_complex_homology_rejects_a_fractional_rank(tmp_path, capsys):
     assert "1.9" in err
 
 
+_GAPPED_HOMOLOGY = {0: 1, 1: 0, 2: 0, 3: 2}
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("text", "H^0 = Z\nH^1 = 0\nH^2 = 0\nH^3 = Z^2\n"),
+        (
+            "json",
+            json.dumps(
+                {str(i): {"free_rank": r, "invariant_factors": []} for i, r in _GAPPED_HOMOLOGY.items()},
+                sort_keys=True,
+                indent=2,
+            )
+            + "\n",
+        ),
+    ],
+)
+def test_complex_homology_lists_every_degree_of_a_gapped_span(tmp_path, capsys, fmt, expected):
+    # the complex has rank only in degrees 0 and 3; H^1 and H^2 are still printed
+    f = tmp_path / "gap.json"
+    f.write_text(json.dumps({"ring": "Z", "degrees": {"0": 1, "3": 2}}))
+    code, out, _ = run(capsys, "complex", "homology", str(f), "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
 def test_triangle_verify(tmp_path, capsys):
     inst = lemma2(2, a=3)
     f = tmp_path / "tri.json"
@@ -111,6 +138,21 @@ def test_unit_lemma_integers_no_solution(capsys):
     code, out, _ = run(capsys, "unit-lemma", "--ring", "z", "--eps", "3")
     assert code == 1
     assert "no solution" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "eps, text, payload",
+    [
+        ("2", "alpha = -1; 1 + e + alpha e^2 = -1\n", {"alpha": -1, "unit": -1}),
+        ("-1", "alpha = 1; 1 + e + alpha e^2 = 1\n", {"alpha": 1, "unit": 1}),
+    ],
+    ids=["eps=2", "eps=-1"],
+)
+def test_unit_lemma_over_z_success_is_pinned(capsys, eps, text, payload, fmt):
+    code, out, _ = run(capsys, "unit-lemma", "--ring", "z", "--eps", eps, "--format", fmt)
+    assert code == 0
+    assert out == (text if fmt == "text" else json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def test_unit_lemma_residue(capsys):

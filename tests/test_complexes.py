@@ -205,6 +205,12 @@ def test_homology_examples():
     assert all(g == FGAbelianGroup(0) for g in homology(cn).values())
 
 
+def test_homology_is_keyed_by_the_degrees_of_the_complex():
+    # H^i = 0 wherever the rank is 0, so no degree of the gap is listed
+    gapped = cpx({0: 1, 10**6: 2})
+    assert homology(gapped) == {0: FGAbelianGroup(1), 10**6: FGAbelianGroup(2)}
+
+
 def test_homology_rejects_modular():
     c = one_term(ring=Zmod(4))
     with pytest.raises(ComplexError):

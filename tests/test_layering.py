@@ -15,7 +15,9 @@ the entries a `ResidueMatrix` reads into int64; the Prop. 2 replay takes
 its linear algebra from `Ring` alone, with no `unitlemma` import, and
 neither it nor the random generators ask whether the ring is a prime
 field; residue blocks are built only inside `Ring`, and `complexes`
-assembles Hom matrices without `np.kron`."""
+assembles Hom matrices without `np.kron`; the unit lemma solves rational
+dependence on the Smith kernel, modular inverses come from `pow`, and
+triangles and squares are frozen records of their maps."""
 
 import ast
 import importlib
@@ -290,3 +292,43 @@ def test_complexes_assembles_hom_matrices_without_kron():
 def test_residue_blocks_are_built_only_inside_ring(module):
     outside = _uses_outside(_parse(module), "ResidueMatrix", ("Ring",))
     assert outside == [], f"ResidueMatrix named outside Ring at lines {outside}"
+
+
+def test_rational_dependence_runs_no_elimination_of_its_own():
+    solve = _function("unitlemma.py", "_solve_dependence")
+    loops = [n.lineno for n in ast.walk(solve) if isinstance(n, (ast.For, ast.While))]
+    assert loops == [], f"_solve_dependence loops at lines {loops}"
+    assert {"smith_normal_form", "smith_solve", "solve"} <= _names(solve)
+
+
+def test_modular_inverses_come_from_pow():
+    for path in sorted(SRC.glob("*.py")):
+        assert "inv_mod" not in _names(_parse(path.name)), path.name
+        assert "inv_mod" not in {n.name for n in ast.walk(_parse(path.name)) if isinstance(n, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize(
+    "module, classes, setattr_calls",
+    [("triangles.py", ("Triangle", "TriangleMorphism"), 0), ("squares.py", ("CommutativeSquare",), 1)],
+)
+def test_triangles_and_squares_are_frozen_records(module, classes, setattr_calls):
+    tree = _parse(module)
+    guards = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "__setattr__"]
+    assert guards == [], f"{module} defines __setattr__ at lines {guards}"
+    calls = [
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and n.attr == "__setattr__" and getattr(n.value, "id", None) == "object"
+    ]
+    assert len(calls) == setattr_calls, f"object.__setattr__ at lines {calls}"
+    records = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name in classes]
+    assert len(records) == len(classes)
+    for cls in records:
+        frozen = [
+            kw
+            for d in cls.decorator_list
+            if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+            for kw in d.keywords
+            if kw.arg == "frozen" and getattr(kw.value, "value", None) is True
+        ]
+        assert frozen, f"{cls.name} is not a frozen dataclass"

@@ -5,6 +5,8 @@ import time
 import pytest
 
 from homcart.complexes import (
+    ZZ,
+    ComplexError,
     Homotopy,
     Zmod,
     cone,
@@ -32,7 +34,7 @@ from homcart.squares import (
     rotation_comparison,
     square_from_cone,
 )
-from homcart.suite import build_star, lemma2
+from homcart.suite import build_star, fuzz_prop2, lemma2
 from homcart.triangles import Triangle, standard_triangle
 
 from helpers import cmap, cpx, one_term, two_term
@@ -595,3 +597,62 @@ def test_one_square_decided_from_many_threads_gets_one_verdict():
         sys.setswitchinterval(interval)
     assert len({id(v) for v in verdicts}) == 1
     assert len({json.dumps(v.to_json(), sort_keys=True) for v in verdicts}) == 1
+
+
+@pytest.mark.parametrize(
+    "ring, expected",
+    [
+        (ZZ, (None, 0, "constraints have no chain-level solution over Z")),
+        (Zmod(4), (4, 0, "constraints unsatisfiable")),
+        (Zmod(3), (3, 0, "constraints unsatisfiable")),
+    ],
+    ids=["Z", "Z/4", "F_3"],
+)
+def test_unsatisfiable_constraints_are_refuted_before_any_walk(ring, expected):
+    # phi o 0 ~ 1 has no solution: on a one-term complex Hom^-1 is 0
+    d = one_term(ring)
+    verdict = find_compatible_equivalence(d, d, [Constraint(required=identity_map(d), precompose=zero_map(d, d))])
+    assert verdict.is_no
+    assert (verdict.modulus, verdict.exhausted, verdict.reason) == expected
+
+
+def test_the_enumeration_cap_yields_unknown_and_the_default_decides():
+    trial = next(itertools.islice(fuzz_prop2(2, 200, 42), 2, None))
+    assert trial.index == 2
+    capped = is_homotopy_cartesian(trial.square, SearchConfig(max_enum=1))
+    assert capped.is_unknown and capped.reason == "class enumeration needs 2 > cap"
+    assert is_homotopy_cartesian(trial.square).is_yes
+
+
+def test_a_borrowed_witness_is_checked_against_the_squares_own_maps():
+    # X = [Z --1--> Z] is contractible: c g = 1 and g' b = 0 are homotopic
+    x = two_term(1)
+    one, zero = identity_map(x), zero_map(x, x)
+    contraction = {1: IntMatrix([[1]])}
+    with pytest.raises(ComplexError):
+        CommutativeSquare(one, zero, one, one, witness=CommutativeSquare(one, one, one, one).witness)
+    # a homotopy 2 ~ 1 has the components of 1 ~ 0: rebound to this square's maps
+    square = CommutativeSquare(one, zero, one, one, witness=Homotopy(one + one, one, contraction))
+    assert square.witness.lhs == one and square.witness.rhs == zero
+    assert square.witness.components() == contraction
+
+
+def test_squares_are_immutable():
+    square = middle_square(3)
+    for name in ("g", "witness", "b_obj", "ring"):
+        with pytest.raises(AttributeError):
+            setattr(square, name, getattr(square, name))
+
+
+def test_a_square_spanning_a_million_degrees_is_decided_from_its_degrees():
+    # corners Z in degrees 0 and 10^6 only: nothing may step through the span
+    x = cpx({0: 1, 10**6: 1})
+
+    def scalar(k):
+        return cmap(x, x, {0: [[k]], 10**6: [[k]]})
+
+    start = time.perf_counter()
+    verdict = is_homotopy_cartesian(CommutativeSquare(scalar(1), scalar(2), scalar(1), scalar(2)))
+    elapsed = time.perf_counter() - start
+    assert verdict.to_json() == {"verdict": "unknown", "reason": "search bounds exhausted without a decision"}
+    assert elapsed < 0.5, f"decided in {elapsed:.2f} s"

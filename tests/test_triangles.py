@@ -147,6 +147,23 @@ def test_triangle_shape_validation():
         Triangle(t.f, t.g, t.g)
 
 
+def test_triangles_compare_by_their_maps_and_morphisms_by_identity():
+    t = standard_triangle(cmap(two_term(5), one_term(), {0: [[1]]}))
+    same = Triangle(*t.maps())
+    assert same is not t and same == t and hash(same) == hash(t)
+    assert (same.x, same.y, same.z) == (t.f.source, t.f.target, t.g.target)
+    m = identity_morphism(t)
+    assert m == m and m != identity_morphism(t)
+
+
+def test_triangles_and_their_morphisms_are_immutable():
+    t = standard_triangle(cmap(two_term(5), one_term(), {0: [[1]]}))
+    m = identity_morphism(t)
+    for obj, name in ((t, "f"), (t, "x"), (m, "p"), (m, "source")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+
+
 def test_rotation_witness_over_prime_field():
     rng = random.Random(31)
     ring = Zmod(3)

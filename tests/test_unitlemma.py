@@ -127,6 +127,37 @@ def test_rational_matrix_certificate():
     assert cert.unit.mul(cert.inverse) == e.one()
 
 
+def test_rational_dependence_agrees_with_sympy():
+    from sympy import Matrix, Rational
+
+    from homcart.unitlemma import _solve_dependence
+
+    rng = random.Random(21)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        dim, k = rng.randint(1, 5), rng.randint(1, 4)
+        cols = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(dim)] for _ in range(k)]
+        a = Matrix([[Rational(c.numerator, c.denominator) for c in col] for col in cols]).T
+        if a.rank() < k:
+            continue  # the columns of a minimal-polynomial search are independent
+        if rng.random() < 0.5:
+            target = [sum(rng.randint(-3, 3) * col[i] for col in cols) for i in range(dim)]
+        else:
+            target = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(dim)]
+        b = Matrix([Rational(t.numerator, t.denominator) for t in target])
+        got = _solve_dependence(cols, target, None)
+        consistent = a.rank() == a.row_join(b).rank()
+        seen[consistent] += 1
+        if not consistent:
+            assert got is None
+            continue
+        sol, _ = a.gauss_jordan_solve(b)
+        assert got == [Fraction(int(v.p), int(v.q)) for v in sol]
+        assert all(type(v) is Fraction for v in got)
+    assert min(seen.values()) >= 20
+    assert _solve_dependence([()], (), None) == [0]
+
+
 def test_finite_algebra_roundtrip():
     # F_p[x]/(x^2): basis (1, x)
     p = 5
