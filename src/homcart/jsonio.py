@@ -17,7 +17,12 @@ Loaders re-validate everything they read (shapes, d o d = 0, chain
 conditions, witness equations).
 
 Dataset templates may carry polynomial entries in the parameters a and b
-("-a^3", "1+a", ...); `substitute` evaluates them to integers.
+("-a^3", "1+a", ...), each parsed once (`_terms`).  `substitute` evaluates
+a template to a JSON document of decimal integers for the loaders above:
+the JSON path, which tests use as the per-instance oracle of `suite`'s
+compiled templates.  Those read the same terms into integer coefficient
+arrays, evaluate them without decimal strings, and build their instances
+unchecked, since their identities are proved once per content.
 """
 
 import re

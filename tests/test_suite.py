@@ -3,11 +3,23 @@ import json
 import numpy as np
 import pytest
 
-from homcart.complexes import ChainMap, ComplexError, Homotopy, Ring, Zmod, identity_map, is_homotopy_equivalence
+from homcart.complexes import (
+    ChainMap,
+    ComplexError,
+    Homotopy,
+    Ring,
+    Zmod,
+    cone,
+    cone_complex,
+    identity_map,
+    is_homotopy_equivalence,
+    zero_map,
+)
 from homcart.intmat import IntMatrix, ResidueMatrix
-from homcart.jsonio import poly_eval
+from homcart.jsonio import chain_map_from_json, poly_eval, substitute, triangle_from_json
 from homcart.squares import is_homotopy_cartesian
 from homcart.suite import (
+    Lemma2Instance,
     _alpha_of,
     _functorial_completion,
     build_star,
@@ -18,7 +30,7 @@ from homcart.suite import (
     report_text,
     verify_paper,
 )
-from homcart.triangles import standard_triangle, verify_triangle_morphism
+from homcart.triangles import TriangleMorphism, rotate, standard_triangle, verify_triangle_morphism
 
 from helpers import cmap, cpx, identity_morphism, one_term
 
@@ -174,7 +186,7 @@ def test_transcription_error_on_tampered_data(tmp_path, monkeypatch):
         build_star(3)
 
 
-def test_templates_are_parsed_once_per_content_and_checked_on_every_call(tmp_path, monkeypatch):
+def test_templates_are_compiled_and_proved_once_per_content(tmp_path, monkeypatch):
     import shutil
     from homcart import suite
     from homcart.suite import TranscriptionError
@@ -202,6 +214,9 @@ def test_templates_are_parsed_once_per_content_and_checked_on_every_call(tmp_pat
     assert first.triangle == second.triangle and first.witness == second.witness
     raw = json.loads((suite.data_dir() / "lemma2-1.json").read_text(encoding="utf-8"))
     assert suite._load_template("lemma2-1.json") == raw
+    # and compiles it once: the same compiled template serves every call
+    assert suite._lemma2_template(1) is suite._lemma2_template(1)
+    assert suite._star_template() is suite._star_template()
 
 
 def test_star_morphism_with_shifted_c_fails():
@@ -395,3 +410,246 @@ def test_reduced_smith_forms_decide_a_z12_square_and_a_large_prime_replay(monkey
     assert replay.completion_cartesian.is_yes and not replay.psi.is_zero()
     assert {m for m, _ in largest} == {12, 1048583}
     assert all(x < m for m, x in largest)
+
+
+# ---------------------------------------------------------------------------
+# compiled templates: every report pinned, the JSON path as the oracle
+
+
+PINNED_A = list(range(-4, 31)) + [31, 97, 1000, 4096, 65537, 10**6]
+
+
+def test_every_paper_report_is_pinned():
+    # text and JSON of every report over a range that includes the yes
+    # verdicts at -2..2, whose witnesses come from the per-a morphism solve
+    import hashlib
+
+    out = [[a, r.to_json(), report_text(r)] for a in PINNED_A for r in [verify_paper(a)]]
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == "43ae8fdf79fcf25a3281c88da7e7a929ef15b51e288a7da25a59360eef906f8a"
+
+
+def _json_instance(raw: dict, k: int, a: int, b: int) -> Lemma2Instance:
+    """Template k at (a, b) on the JSON path: `substitute`, then the
+    checking loaders."""
+    tri = triangle_from_json(substitute(raw["triangle"], a=a, b=b))
+    witness = chain_map_from_json(substitute(raw["witness"], a=a, b=b), cone_complex(tri.f), tri.z)
+    return Lemma2Instance(index=k, a=a, b=b, triangle=tri, witness=witness)
+
+
+def _stored_homotopies(raw: dict, inst: Lemma2Instance) -> tuple[Homotopy, Homotopy, Homotopy]:
+    """The three stored homotopies at the instance's (a, b), each checked."""
+    stored = substitute(raw["homotopies"], a=inst.a, b=inst.b)
+    blocks = [
+        {int(i): IntMatrix.from_json(m) for i, m in stored[key].items()}
+        for key in ("equivalence", "second_map_witness", "third_map_witness")
+    ]
+    tri, u = inst.triangle, inst.witness
+    _, incl, proj = cone(tri.f)
+    cu = cone_complex(u)
+    return (
+        Homotopy(identity_map(cu), zero_map(cu, cu), blocks[0]),
+        Homotopy(tri.g, u.compose(incl), blocks[1]),
+        Homotopy(proj, tri.h.compose(u), blocks[2]),
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_compiled_templates_match_the_json_path_and_verify(k):
+    from homcart import suite
+
+    raw = suite._load_template(f"lemma2-{k}.json")
+    for a in (0, 1, -1, 2, -2, 3, 7, 10**6):
+        for b in (0, 1, -1, -a, -(a**3)):
+            inst = lemma2(k, a, b)
+            assert inst == _json_instance(raw, k, a, b), (k, a, b)
+            assert lemma2_verify(inst).ok, (k, a, b)
+            _stored_homotopies(raw, inst)
+
+
+def _entry_paths(node, path=()):
+    """The path of every polynomial entry of a template, matrix by matrix."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key != "parameters":
+                yield from _entry_paths(value, path + (key,))
+    elif isinstance(node, list) and node and all(isinstance(row, list) for row in node):
+        for i, row in enumerate(node):
+            for j in range(len(row)):
+                yield path + (i, j)
+
+
+def _plus_one(raw: dict, path) -> dict:
+    """raw with the entry at path raised by 1 on its constant term."""
+    out = json.loads(json.dumps(raw))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = f"{node[path[-1]]}+1"
+    return out
+
+
+def _lemma2_oracle_rejects(raw: dict, k: int, path, a: int) -> bool:
+    """Whether the JSON path refuses template k at a: a loader raises,
+    `lemma2_verify` fails, or, for a stored homotopy, its check fails."""
+    for b in ((-a, -(a**3)) if k == 1 else (0,)):
+        try:
+            inst = _json_instance(raw, k, a, b)
+            if path[0] == "homotopies":
+                _stored_homotopies(raw, inst)
+            elif not lemma2_verify(inst).ok:
+                return True
+        except Exception:
+            return True
+    return False
+
+
+def _star_oracle_rejects(star: dict, template1: dict, template2: dict, a: int) -> bool:
+    """Whether `build_star` on the JSON path refuses the diagram at a: rows
+    compared with the rotated templates, the squares decided, the middle
+    square compared with the diagram."""
+    try:
+        data = substitute(star, a=a)
+        upper, lower = triangle_from_json(data["upper"]), triangle_from_json(data["lower"])
+        t2 = triangle_from_json(substitute(template2["triangle"], a=a))
+        t1 = triangle_from_json(substitute(template1["triangle"], a=a, b=-a))
+        if upper != rotate(t2) or lower != rotate(rotate(t1)):
+            return True
+        ends = {"p": (upper.x, lower.x), "q": (upper.y, lower.y), "r": (upper.z, lower.z)}
+        p, q, r = (chain_map_from_json(data["vertical"][key], *ends[key]) for key in "pqr")
+        if not verify_triangle_morphism(TriangleMorphism(upper, lower, p, q, r)).ok:
+            return True
+        mid = data["middle_square"]
+        return (
+            chain_map_from_json(mid["b"], upper.y, lower.y) != q
+            or chain_map_from_json(mid["g"], upper.y, upper.z) != upper.g
+            or chain_map_from_json(mid["g_prime"], lower.y, lower.z) != lower.g
+            or chain_map_from_json(mid["c"], upper.z, lower.z) != r
+        )
+    except Exception:
+        return True
+
+
+@pytest.mark.parametrize("name", ["lemma2-1.json", "lemma2-2.json", "lemma2-3.json", "lemma2-4.json", "star.json"])
+def test_the_load_time_proof_is_as_strict_as_the_per_instance_checks(name, tmp_path, monkeypatch, capsys):
+    # every entry, the stored homotopies too, raised by 1 in turn: whenever
+    # the JSON path refuses the edit at some a in -3..12, loading the
+    # template refuses it, and a paper run that meets it exits 3 silently
+    import shutil
+    from homcart import suite
+    from homcart.cli import main
+    from homcart.suite import TranscriptionError
+
+    data = tmp_path / "data"
+    shutil.copytree(suite.data_dir(), data)
+    raw = json.loads((data / name).read_text(encoding="utf-8"))
+    templates = {k: json.loads((data / f"lemma2-{k}.json").read_text(encoding="utf-8")) for k in (1, 2)}
+    monkeypatch.setenv("HOMCART_DATA", str(data))
+    if name == "star.json":
+        rejects = lambda template, path, a: _star_oracle_rejects(template, templates[1], templates[2], a)
+        load = suite._star_template
+    else:
+        k = int(name[len("lemma2-")])
+        rejects = lambda template, path, a: _lemma2_oracle_rejects(template, k, path, a)
+        load = lambda: suite._lemma2_template(k).proved()
+    assert not any(rejects(raw, path, a) for path in (("triangle",), ("homotopies",)) for a in range(-3, 13))
+    refused = 0
+    for path in _entry_paths(raw):
+        mutated = _plus_one(raw, path)
+        at_3 = rejects(mutated, path, 3)
+        if not (at_3 or any(rejects(mutated, path, a) for a in range(-3, 13) if a != 3)):
+            continue
+        refused += 1
+        (data / name).write_text(json.dumps(mutated), encoding="utf-8")
+        with pytest.raises(TranscriptionError, match=f"{name}: .* degree <="):
+            load()
+        if at_3:
+            assert main(["paper", "verify", "--a-min", "3", "--a-max", "3"]) == 3, path
+            assert capsys.readouterr().out == ""
+    assert refused
+    (data / name).write_text(json.dumps(raw), encoding="utf-8")
+    assert verify_paper(3).all_ok
+
+
+def _spy(monkeypatch, names: tuple[str, ...]) -> dict[str, int]:
+    """Count calls of each named function through every binding of it in
+    every homcart module."""
+    import sys
+
+    counts = dict.fromkeys(names, 0)
+    modules = [m for n, m in list(sys.modules.items()) if n == "homcart" or n.startswith("homcart.")]
+    for name in names:
+        real = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for m in modules:
+            if getattr(m, name, None) is real:
+                monkeypatch.setattr(m, name, counting)
+    return counts
+
+
+def test_a_verify_paper_op_keeps_only_the_decisions(monkeypatch):
+    # the templates' identities are proved at load: per a only the morphism
+    # check and the two decisions are left, and no lemma2 cone is built twice
+    verify_paper(7)
+    counts = _spy(
+        monkeypatch,
+        ("substitute", "verify_distinguished_with_witness", "homotopic", "is_homotopy_equivalence", "cone_complex"),
+    )
+    assert verify_paper(7).all_ok
+    assert counts["substitute"] == 0
+    assert counts["verify_distinguished_with_witness"] == 0
+    assert counts["homotopic"] <= 11
+    assert counts["is_homotopy_equivalence"] <= 6
+    assert counts["cone_complex"] <= 17
+
+
+def test_instances_of_proved_templates_are_built_unchecked(monkeypatch):
+    from homcart.complexes import _GradedMap
+
+    for k in (1, 2, 3, 4):
+        lemma2(k, 7, -7)
+    walks = []
+    real = _GradedMap._first_violation
+    monkeypatch.setattr(_GradedMap, "_first_violation", lambda self: walks.append(self) or real(self))
+    for k in (1, 2, 3, 4):
+        lemma2(k, 7, -7)
+    assert walks == []
+
+
+def test_parameters_are_read_by_the_integer_rule():
+    big = 3_000_000
+    report = verify_paper(np.int64(big))
+    assert type(report.a) is int and report.to_json() == verify_paper(big).to_json()
+    assert report.all_ok and report.claim1.modulus == big * big
+    assert lemma2(1, np.int64(5), np.int64(-125)) == lemma2(1, 5, -125)
+    assert build_star(np.int32(4)).middle == build_star(4).middle
+    for bad in (3.0, "3"):
+        with pytest.raises(ValueError, match="parameter a"):
+            verify_paper(bad)
+        with pytest.raises(ValueError, match="parameter a"):
+            build_star(bad)
+        with pytest.raises(ValueError, match="parameter b"):
+            lemma2(1, 3, bad)
+
+
+def test_the_proof_grid_comes_from_the_compiled_coefficients():
+    from homcart import suite
+    from homcart.suite import TranscriptionError
+
+    assert [suite._lemma2_template(k).poly.degrees for k in (1, 2, 3, 4)] == [(2, 1), (3,), (3,), (2,)]
+    assert suite._star_template().poly.degrees == (3,)
+    raw = json.loads(json.dumps(suite._load_template("lemma2-4.json")))
+    # a power whose coefficients cancel raises no degree
+    raw["triangle"]["g"]["components"]["0"] = [["1-a+a^5-a^5"]]
+    assert suite._Lemma2Template("lemma2-4.json", raw).proved().poly.degrees == (2,)
+    # h = 1 - a + a^2 keeps degree 2, and the triangle stays distinguished
+    # at a = 0, 1, 2: d + 1 points would not see the edit, but the grid has
+    # 2d + 1, and the triangle fails at a = 3
+    raw["triangle"]["h"]["components"]["-1"] = [["1-a+a^2"]]
+    assert [lemma2_verify(_json_instance(raw, 4, a, 0)).ok for a in range(4)] == [True, True, True, False]
+    with pytest.raises(TranscriptionError, match=r"lemma2-4.json: proj ~ h o u fails at a = 3 .* degree <= 4 in a"):
+        suite._Lemma2Template("lemma2-4.json", raw).proved()
