@@ -2,12 +2,13 @@
 
 The four parameterized triangle templates and the two-row comparison diagram
 are checked-in JSON files (see `homcart/data/`).  Each file is read on every
-call and compiled once per content, so an edited file is compiled again:
-every entry becomes integer coefficients of a^j b^k (`_Polynomials`),
-evaluated by Horner to Python ints.  On first use, every identity of a
-compiled template is proved over Z[a, b]: d o d = 0, the chain conditions,
-the three stored homotopies that certify each triangle distinguished
-through its witness (a contraction of the witness's cone, g ~ u o incl and
+call and parsed and compiled once per content, through one cache, so an
+edited file is compiled again: every entry becomes integer coefficients of
+a^j b^k (`_Polynomials`), evaluated by Horner to Python ints.  On first
+use, every identity of a compiled template is proved over Z[a, b], in one
+grid loop (`_Polynomials.prove`): d o d = 0, the chain conditions, the
+three stored homotopies that certify each triangle distinguished through
+its witness (a contraction of the witness's cone, g ~ u o incl and
 proj ~ h o u), and the diagram's rows against the rotated templates and its
 middle square against its maps.  Each residual is a sum of products of at
 most two entries, so of degree <= 2d in a variable of degree d, and is zero
@@ -16,12 +17,14 @@ checking constructors test it.  A template that fails raises
 `TranscriptionError`; the instances of one that passed are built
 unchecked.
 
-`verify_paper` runs, for one parameter value a: the five triangle
-instances, distinguished by the proof, the diagram with its three squares
-decided (`verify_triangle_morphism`), the homotopy-cartesian decision on
-the middle square (expected refutation mod a^2 for a >= 3), and the
-vertical comparison decision against the inserted triangles (same
-expectation), plus the implication between the two refutations.
+`verify_paper` runs, for one parameter value a: the proofs of the four
+triangle templates, which make each of the five reported instances
+distinguished, the diagram with its three squares decided
+(`verify_triangle_morphism`), the homotopy-cartesian decision on the middle
+square (expected refutation mod a^2 for a >= 3), and the vertical
+comparison decision against template 1 at b = -a^3 and template 4, the
+only two triangles it builds (same expectation), plus the implication
+between the two refutations.
 `fuzz_prop2` generates random two-row diagrams over Z/m, m >= 2,
 deterministically per (seed, index); `prop2_replay` reconstructs the
 correcting automorphism 1 + e + a e^2 on such a diagram and re-verifies its
@@ -103,35 +106,20 @@ def data_dir() -> Path:
     return Path(override) if override else _PACKAGE_DATA
 
 
-# path -> (bytes, parse): one parse per template content
-_templates: dict[Path, tuple[bytes, dict]] = {}
-
-
-def _load_template(name: str) -> dict:
-    """The parsed template, read afresh and parsed again only when its bytes
-    changed.  The dict is shared between calls: callers never mutate it."""
-    path = data_dir() / name
-    raw = path.read_bytes()
-    known = _templates.get(path)
-    if known is None or known[0] != raw:
-        known = _templates[path] = (raw, json.loads(raw.decode("utf-8")))
-    return known[1]
-
-
-# path -> ((parse, *templates it was compiled against), compiled template)
-_compiled: dict[Path, tuple[tuple, object]] = {}
+# path -> (bytes, templates it was compiled against, compiled template)
+_compiled: dict[Path, tuple[bytes, tuple, object]] = {}
 
 
 def _compiled_template(name: str, build, *against):
-    """`build(name, parse, *against)`, once per parse of `name` and so once
-    per content: an edited file, or an edited template it is built against,
-    is compiled again."""
-    key = (_load_template(name), *against)
+    """`build(name, parse, *against)`, once per content: the file is read
+    on every call, and an edited file, or an edited template it is built
+    against, is parsed and compiled again."""
     path = data_dir() / name
+    raw = path.read_bytes()
     known = _compiled.get(path)
-    if known is None or any(x is not y for x, y in zip(known[0], key)):
-        known = _compiled[path] = (key, build(name, *key))
-    return known[1]
+    if known is None or known[0] != raw or any(x is not y for x, y in zip(known[1], against)):
+        known = _compiled[path] = (raw, against, build(name, json.loads(raw.decode("utf-8")), *against))
+    return known[2]
 
 
 def _parameter(name: str, value) -> int:
@@ -224,10 +212,23 @@ class _Polynomials:
         for point in itertools.product(*(range(2 * d + 1) for d in degrees)):
             yield dict(zip(self.variables, point))
 
-    def refuted(self, identity: str, point: dict, degrees, why) -> "TranscriptionError":
-        at = ", ".join(f"{v} = {x}" for v, x in point.items())
-        bound = ", ".join(f"{2 * d} in {v}" for v, d in zip(self.variables, degrees))
-        return TranscriptionError(f"{self.name}: {identity} fails at {at} ({why}); its residual has degree <= {bound}")
+    def prove(self, degrees: tuple[int, ...], identities):
+        """Prove on `grid(degrees)` every identity that `identities(**point)`
+        yields as a (name, check) pair, each check run before the next pair
+        is drawn: check() raises ValueError, or returns False, where its
+        identity fails, and the first failure raises `TranscriptionError`."""
+        for point in self.grid(degrees):
+            for identity, check in identities(**point):
+                try:
+                    why = "the two sides differ" if check() is False else None
+                except ValueError as e:
+                    why = e
+                if why is not None:
+                    at = ", ".join(f"{v} = {x}" for v, x in point.items())
+                    bound = ", ".join(f"{2 * d} in {v}" for v, d in zip(self.variables, degrees))
+                    raise TranscriptionError(
+                        f"{self.name}: {identity} fails at {at} ({why}); its residual has degree <= {bound}"
+                    )
 
 
 def _graded(values: np.ndarray, slots: dict) -> dict[int, IntMatrix]:
@@ -272,32 +273,30 @@ class _Lemma2Template:
         tri = _triangle_at(values, self.triangle, check)
         return tri, ChainMap(cone_complex(tri.f), tri.z, _graded(values, self.witness), check=check)
 
+    def triangle_at(self, a: int, b: int = 0) -> Triangle:
+        """The triangle alone at (a, b), unchecked."""
+        return _triangle_at(self.poly.at(a, b), self.triangle, False)
+
     def proved(self) -> "_Lemma2Template":
         """The template, its identities proved once: each residual is a sum
         of products of at most two entries, so of degree <= 2d in a
         variable of degree d, and vanishes in Z[a, b] when it vanishes on
         `grid`, where the checking constructors test it."""
-        if self._proved:
-            return self
-        poly = self.poly
-        for point in poly.grid(poly.degrees):
-            values = poly.at(**point)
-            identity = "d o d = 0 or a chain condition"
-            try:
-                tri, u = self.instance(values, check=True)
-                _, incl, proj = cone(tri.f)
-                equivalence, second, third = (_graded(values, s) for s in self.homotopies)
-                identity = "the contraction of cone(u)"
-                cu = cone_complex(u)
-                Homotopy(identity_map(cu), zero_map(cu, cu), equivalence)
-                identity = "g ~ u o incl"
-                Homotopy(tri.g, u.compose(incl), second)
-                identity = "proj ~ h o u"
-                Homotopy(proj, tri.h.compose(u), third)
-            except ValueError as e:
-                raise poly.refuted(identity, point, poly.degrees, e) from None
-        self._proved = True
+        if not self._proved:
+            self.poly.prove(self.poly.degrees, self._identities)
+            self._proved = True
         return self
+
+    def _identities(self, a: int, b: int = 0):
+        values = self.poly.at(a, b)
+        yield "d o d = 0 or a chain condition", lambda: self.instance(values, check=True)
+        tri, u = self.instance(values)
+        _, incl, proj = cone(tri.f)
+        cu = cone_complex(u)
+        equivalence, second, third = (_graded(values, s) for s in self.homotopies)
+        yield "the contraction of cone(u)", lambda: Homotopy(identity_map(cu), zero_map(cu, cu), equivalence)
+        yield "g ~ u o incl", lambda: Homotopy(tri.g, u.compose(incl), second)
+        yield "proj ~ h o u", lambda: Homotopy(proj, tri.h.compose(u), third)
 
 
 class _StarTemplate:
@@ -317,7 +316,9 @@ class _StarTemplate:
         self.vertical = tuple(poly.blocks(vertical[k].get("components", {})) for k in "pqr")
         self.middle = tuple(poly.blocks(middle[k].get("components", {})) for k in ("b", "g", "g_prime", "c"))
         poly.freeze()
-        self._prove(template1, template2)
+        # a template at (a, -a) has degree <= its degree in a plus that in b
+        degrees = (max(*poly.degrees, sum(template1.poly.degrees), sum(template2.poly.degrees)),)
+        poly.prove(degrees, lambda a: self._identities(a, template1, template2))
 
     def rows(self, values, check: bool = False) -> tuple[Triangle, Triangle, ChainMap, ChainMap, ChainMap]:
         upper, lower = _triangle_at(values, self.upper, check), _triangle_at(values, self.lower, check)
@@ -327,41 +328,33 @@ class _StarTemplate:
         )
         return upper, lower, p, q, r
 
-    def _prove(self, template1: _Lemma2Template, template2: _Lemma2Template):
-        poly = self.poly
-        # a template at (a, -a) has degree <= its degree in a plus that in b
-        degrees = (max(*poly.degrees, sum(template1.poly.degrees), sum(template2.poly.degrees)),)
-        for point in poly.grid(degrees):
-            a = point["a"]
-            values = poly.at(a)
-            identity = "d o d = 0 or a chain condition"
-            try:
-                upper, lower, _, q, r = self.rows(values, check=True)
-                middle = tuple(
-                    ChainMap(s, t, _graded(values, slots))
-                    for (s, t), slots in zip(
-                        ((upper.y, lower.y), (upper.y, upper.z), (lower.y, lower.z), (upper.z, lower.z)), self.middle
-                    )
-                )
-            except ValueError as e:
-                raise poly.refuted(identity, point, degrees, e) from None
-            t2 = _triangle_at(template2.poly.at(a), template2.triangle, False)
-            t1 = _triangle_at(template1.poly.at(a, -a), template1.triangle, False)
-            for identity, holds in (
-                ("upper row = rotate(template 2)", upper == rotate(t2)),
-                ("lower row = rotate(rotate(template 1 at b = -a))", lower == rotate(rotate(t1))),
-                ("the middle square's transcription", middle == (q, upper.g, lower.g, r)),
-            ):
-                if not holds:
-                    raise poly.refuted(identity, point, degrees, "the two sides differ")
+    def _identities(self, a: int, template1: _Lemma2Template, template2: _Lemma2Template):
+        values = self.poly.at(a)
+
+        def maps(check: bool = False):
+            upper, lower, _, q, r = self.rows(values, check)
+            ends = ((upper.y, lower.y), (upper.y, upper.z), (lower.y, lower.z), (upper.z, lower.z))
+            middle = tuple(ChainMap(s, t, _graded(values, m), check=check) for (s, t), m in zip(ends, self.middle))
+            return upper, lower, q, r, middle
+
+        yield "d o d = 0 or a chain condition", lambda: maps(check=True)
+        upper, lower, q, r, middle = maps()
+        yield "upper row = rotate(template 2)", lambda: upper == rotate(template2.triangle_at(a))
+        yield (
+            "lower row = rotate(rotate(template 1 at b = -a))",
+            lambda: lower == rotate(rotate(template1.triangle_at(a, -a))),
+        )
+        yield "the middle square's transcription", lambda: middle == (q, upper.g, lower.g, r)
 
 
 def _lemma2_template(k: int) -> _Lemma2Template:
     return _compiled_template(f"lemma2-{k}.json", _Lemma2Template)
 
 
-def _star_template() -> _StarTemplate:
-    return _compiled_template("star.json", _StarTemplate, _lemma2_template(1), _lemma2_template(2))
+def _star_template(*templates: _Lemma2Template) -> _StarTemplate:
+    """The star compiled against templates 1 and 2: those given, or those
+    their files hold now."""
+    return _compiled_template("star.json", _StarTemplate, *(templates or map(_lemma2_template, (1, 2))))
 
 
 @dataclass(frozen=True)
@@ -377,9 +370,9 @@ def lemma2(k: int, a: int, b: int = 0) -> Lemma2Instance:
     """Instantiate stored triangle template k in {1, 2, 3, 4} at (a, b),
     unchecked: its identities were proved for every (a, b) when the
     template was first used."""
+    k, a, b = _parameter("k", k), _parameter("a", a), _parameter("b", b)
     if k not in (1, 2, 3, 4):
         raise ValueError("template index must be 1, 2, 3 or 4")
-    a, b = _parameter("a", a), _parameter("b", b)
     template = _lemma2_template(k).proved()
     tri, witness = template.instance(template.poly.at(a, b))
     return Lemma2Instance(index=k, a=a, b=b, triangle=tri, witness=witness)
@@ -410,8 +403,10 @@ class StarDiagram:
 def build_star(a: int) -> StarDiagram:
     """The star diagram at a, its rows and maps built unchecked from the
     proved template; only its three squares are decided here."""
-    a = _parameter("a", a)
-    template = _star_template()
+    return _star(_parameter("a", a), _star_template())
+
+
+def _star(a: int, template: _StarTemplate) -> StarDiagram:
     upper, lower, p, q, r = template.rows(template.poly.at(a))
     morphism = TriangleMorphism(upper, lower, p, q, r)
     check = verify_triangle_morphism(morphism)
@@ -446,7 +441,6 @@ class PaperReport:
     a: int
     claimed: bool
     lemma2_results: tuple
-    star_ok: bool
     strict_squares: dict
     claim1: Verdict
     claim2: Verdict
@@ -464,7 +458,7 @@ class PaperReport:
             ],
             "diagram": {
                 "rotation_equal": True,
-                "squares_commute": self.star_ok,
+                "squares_commute": True,
                 "strict_squares": self.strict_squares,
             },
             "middle_square_cartesian": self.claim1.to_json(),
@@ -480,58 +474,34 @@ def verify_paper(a: int, config: SearchConfig = DEFAULT_CONFIG) -> PaperReport:
     a^2; for smaller a the verdicts are recorded without expectations.
     """
     a = _parameter("a", a)
-    instances = [
-        lemma2(1, a, b=-a),
-        lemma2(1, a, b=-(a ** 3)),
-        lemma2(2, a),
-        lemma2(3, a),
-        lemma2(4, a),
-    ]
-    # lemma2 proved each template's stored homotopies for every (a, b):
-    # every instance is distinguished
-    lemma2_results = tuple((inst.index, inst.a, inst.b, True) for inst in instances)
-    star = build_star(a)
-    star_ok = all(w is not None for w in star.square_witnesses)
+    # every instance of a proved template is distinguished: of the five
+    # reported, only the two that the vertical comparison reads are built
+    template1, template2, _, template4 = (_lemma2_template(k).proved() for k in (1, 2, 3, 4))
+    lemma2_results = tuple((k, a, b, True) for k, b in ((1, -a), (1, -(a**3)), (2, 0), (3, 0), (4, 0)))
+    star = _star(a, _star_template(template1, template2))
     claim1 = is_homotopy_cartesian(star.middle, config)
-    claim2 = fits_vertical_iso(star.middle, instances[1].triangle, instances[4].triangle, config)
+    claim2 = fits_vertical_iso(star.middle, template1.triangle_at(a, -(a**3)), template4.triangle_at(a), config)
     implication_ok = (not claim2.is_no) or claim1.is_no
     claimed = a >= 3
-    expected = (
-        all(ok for (_, _, _, ok) in lemma2_results)
-        and star_ok
-        and implication_ok
-    )
-    if claimed:
-        expected = (
-            expected
-            and claim1.is_no
-            and claim1.modulus == a * a
-            and claim2.is_no
-            and claim2.modulus == a * a
-        )
+    refuted = all(claim.is_no and claim.modulus == a * a for claim in (claim1, claim2))
     return PaperReport(
         a=a,
         claimed=claimed,
         lemma2_results=lemma2_results,
-        star_ok=star_ok,
         strict_squares=star.strict_squares,
         claim1=claim1,
         claim2=claim2,
         implication_ok=implication_ok,
-        all_ok=expected,
+        all_ok=implication_ok and (refuted or not claimed),
     )
 
 
 def report_text(report: PaperReport) -> str:
     """Human-readable rendering, ordered triangles -> diagram -> decisions."""
     lines = [f"parameter a = {report.a}"]
-    for (k, a, b, ok) in report.lemma2_results:
-        tag = "ok" if ok else "FAILED"
-        lines.append(f"  triangle template {k} at (a={a}, b={b}): {tag}")
-    lines.append(
-        "  diagram: rotation equality exact; squares "
-        + ("commute" if report.star_ok else "FAIL")
-    )
+    for (k, a, b, _) in report.lemma2_results:
+        lines.append(f"  triangle template {k} at (a={a}, b={b}): ok")
+    lines.append("  diagram: rotation equality exact; squares commute")
     c1 = report.claim1
     lines.append(
         f"  middle square homotopy-cartesian: {c1.kind}"

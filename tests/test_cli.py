@@ -66,6 +66,19 @@ def test_square_check_yes_and_no(tmp_path, capsys):
     assert payload["modulus"] == 9
 
 
+def test_square_check_refuses_a_square_that_does_not_commute(tmp_path, capsys):
+    z = one_term()
+    one, zero = cmap(z, z, {0: [[1]]}), cmap(z, z, {0: [[0]]})
+    f = tmp_path / "noncommuting.json"
+    corners = dict.fromkeys(("B", "C", "B_prime", "C_prime"), complex_to_json(z))
+    maps = {"g": chain_map_to_json(one), "g_prime": chain_map_to_json(one), "b": chain_map_to_json(one)}
+    f.write_text(json.dumps({"corners": corners, "maps": {**maps, "c": chain_map_to_json(zero)}}))
+    code, out, err = run(capsys, "square", "check", str(f))
+    assert code == 3
+    assert out == ""
+    assert err == "error: invalid square data: c o g is not homotopic to g' o b\n"
+
+
 def test_square_check_truncated_json(tmp_path, capsys):
     f = tmp_path / "trunc.json"
     f.write_text('{"corners": {')

@@ -16,8 +16,10 @@ its linear algebra from `Ring` alone, with no `unitlemma` import, and
 neither it nor the random generators ask whether the ring is a prime
 field; residue blocks are built only inside `Ring`, and `complexes`
 assembles Hom matrices without `np.kron`; the unit lemma solves rational
-dependence on the Smith kernel, modular inverses come from `pow`, and
-triangles and squares are frozen records of their maps."""
+dependence on the Smith kernel, modular inverses come from `pow`,
+triangles and squares are frozen records of their maps, and the paper's
+template files are read at one site and their identities proved in one
+loop."""
 
 import ast
 import importlib
@@ -332,3 +334,18 @@ def test_triangles_and_squares_are_frozen_records(module, classes, setattr_calls
             if kw.arg == "frozen" and getattr(kw.value, "value", None) is True
         ]
         assert frozen, f"{cls.name} is not a frozen dataclass"
+
+
+def test_template_identities_are_proved_in_one_loop():
+    def calls(node, attr):
+        return isinstance(node, ast.Call) and attr in (getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+    def iterates_grid(node):
+        loops = [node.iter] if isinstance(node, ast.For) else [g.iter for g in getattr(node, "generators", ())]
+        return any(calls(it, "grid") for it in loops)
+
+    tree = _parse("suite.py")
+    loops = _functions_around(tree, iterates_grid)
+    assert len(loops) == 1, f"grid iterated in {loops}"
+    reads = _functions_around(tree, lambda node: calls(node, "read_bytes"))
+    assert len(reads) == 1, f"data files read in {reads}"

@@ -23,6 +23,7 @@ from homcart.intmat import IntMatrix
 from homcart.squares import (
     CommutativeSquare,
     Constraint,
+    NotCommutative,
     PositionMismatch,
     SearchConfig,
     _coefficient_order,
@@ -78,6 +79,14 @@ def test_diagonal_blocks_of_middle_square():
     assert seq.first.component(-1) == IntMatrix([[1], [3]])
     assert seq.first.component(0) == IntMatrix([[0, 1], [-1, 0]])
     assert seq.second.component(-1) == IntMatrix([[3, -4]])
+
+
+def test_a_square_that_does_not_commute_is_refused():
+    # Z corners of rank 1: c o g = 0 and g' o b = 1 are not homotopic
+    z = one_term()
+    one, zero = cmap(z, z, {0: [[1]]}), cmap(z, z, {0: [[0]]})
+    with pytest.raises(NotCommutative, match="c o g is not homotopic to g' o b"):
+        CommutativeSquare(one, one, one, zero)
 
 
 def test_diagonal_identity_square():

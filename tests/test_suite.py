@@ -208,13 +208,10 @@ def test_templates_are_compiled_and_proved_once_per_content(tmp_path, monkeypatc
     monkeypatch.setenv("HOMCART_DATA", str(bad))
     with pytest.raises(TranscriptionError):
         build_star(3)
-    # instantiating a template leaves its shared parse as the file reads
+    # a template is compiled once: the same compiled template serves every call
     monkeypatch.delenv("HOMCART_DATA")
     first, second = lemma2(1, 5, -5), lemma2(1, 5, -5)
     assert first.triangle == second.triangle and first.witness == second.witness
-    raw = json.loads((suite.data_dir() / "lemma2-1.json").read_text(encoding="utf-8"))
-    assert suite._load_template("lemma2-1.json") == raw
-    # and compiles it once: the same compiled template serves every call
     assert suite._lemma2_template(1) is suite._lemma2_template(1)
     assert suite._star_template() is suite._star_template()
 
@@ -325,19 +322,28 @@ def test_fuzzing_over_z_mod_m_decides_yes_and_replays(m):
 
 
 def test_verify_paper_reuses_its_own_triangles(monkeypatch):
-    # five instances; the star diagram's rows are rotations of two of them
+    # five triangles reported, backed by their templates' proofs; the star
+    # comes from its own template, and only the two triangles that the
+    # vertical comparison reads are built
     import homcart.suite as suite
 
-    calls = []
-    real = suite.lemma2
+    verify_paper(3)
+    calls, built = [], []
+    real_lemma2, real_triangle_at = suite.lemma2, suite._Lemma2Template.triangle_at
 
-    def counting(*args, **kwargs):
+    def lemma2(*args, **kwargs):
         calls.append(args)
-        return real(*args, **kwargs)
+        return real_lemma2(*args, **kwargs)
 
-    monkeypatch.setattr(suite, "lemma2", counting)
+    def triangle_at(self, *point):
+        built.append((self.poly.name, *point))
+        return real_triangle_at(self, *point)
+
+    monkeypatch.setattr(suite, "lemma2", lemma2)
+    monkeypatch.setattr(suite._Lemma2Template, "triangle_at", triangle_at)
     assert verify_paper(3).all_ok
-    assert len(calls) == 5
+    assert calls == []
+    assert sorted(built) == [("lemma2-1.json", 3, -27), ("lemma2-4.json", 3)]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -458,7 +464,7 @@ def _stored_homotopies(raw: dict, inst: Lemma2Instance) -> tuple[Homotopy, Homot
 def test_compiled_templates_match_the_json_path_and_verify(k):
     from homcart import suite
 
-    raw = suite._load_template(f"lemma2-{k}.json")
+    raw = json.loads((suite.data_dir() / f"lemma2-{k}.json").read_text(encoding="utf-8"))
     for a in (0, 1, -1, 2, -2, 3, 7, 10**6):
         for b in (0, 1, -1, -a, -(a**3)):
             inst = lemma2(k, a, b)
@@ -604,7 +610,25 @@ def test_a_verify_paper_op_keeps_only_the_decisions(monkeypatch):
     assert counts["verify_distinguished_with_witness"] == 0
     assert counts["homotopic"] <= 11
     assert counts["is_homotopy_equivalence"] <= 6
-    assert counts["cone_complex"] <= 17
+    assert counts["cone_complex"] <= 7
+
+
+def test_a_warm_verify_paper_op_reads_each_data_file_once(monkeypatch):
+    from pathlib import Path
+
+    from homcart import suite
+
+    verify_paper(7)
+    reads, real = [], Path.read_bytes
+
+    def read_bytes(self):
+        reads.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    assert verify_paper(7).all_ok
+    assert sorted(reads) == sorted(p.name for p in suite.data_dir().glob("*.json"))
+    assert len(reads) == 5
 
 
 def test_instances_of_proved_templates_are_built_unchecked(monkeypatch):
@@ -634,6 +658,13 @@ def test_parameters_are_read_by_the_integer_rule():
             build_star(bad)
         with pytest.raises(ValueError, match="parameter b"):
             lemma2(1, 3, bad)
+    # the template index follows the same rule
+    for bad in (1.0, "1"):
+        with pytest.raises(ValueError, match="parameter k"):
+            lemma2(bad, 3)
+    inst = lemma2(np.int64(2), 3)
+    assert type(inst.index) is int and inst == lemma2(2, 3)
+    assert lemma2(True, 3) == lemma2(1, 3)
 
 
 def test_the_proof_grid_comes_from_the_compiled_coefficients():
@@ -642,7 +673,7 @@ def test_the_proof_grid_comes_from_the_compiled_coefficients():
 
     assert [suite._lemma2_template(k).poly.degrees for k in (1, 2, 3, 4)] == [(2, 1), (3,), (3,), (2,)]
     assert suite._star_template().poly.degrees == (3,)
-    raw = json.loads(json.dumps(suite._load_template("lemma2-4.json")))
+    raw = json.loads((suite.data_dir() / "lemma2-4.json").read_text(encoding="utf-8"))
     # a power whose coefficients cancel raises no degree
     raw["triangle"]["g"]["components"]["0"] = [["1-a+a^5-a^5"]]
     assert suite._Lemma2Template("lemma2-4.json", raw).proved().poly.degrees == (2,)
