@@ -17,12 +17,12 @@ Loaders re-validate everything they read (shapes, d o d = 0, chain
 conditions, witness equations).
 
 Dataset templates may carry polynomial entries in the parameters a and b
-("-a^3", "1+a", ...), each parsed once (`_terms`).  `substitute` evaluates
-a template to a JSON document of decimal integers for the loaders above:
-the JSON path, which tests use as the per-instance oracle of `suite`'s
-compiled templates.  Those read the same terms into integer coefficient
-arrays, evaluate them without decimal strings, and build their instances
-unchecked, since their identities are proved once per content.
+("-a^3", "1+a", ...), each split once at its signs (`_terms`).  `substitute`
+evaluates a template to a JSON document of decimal integers for the loaders
+above: the JSON path, which tests use as the per-instance oracle of
+`suite`'s compiled templates.  Those read the same terms into integer
+coefficient arrays, evaluate them with numpy's `polyval`, and build their
+instances unchecked, since their identities are proved once per content.
 """
 
 import re
@@ -55,36 +55,14 @@ def _terms(expr: str) -> tuple[tuple[int, str | None, int], ...]:
     if not s:
         raise ValueError("empty polynomial entry")
     terms = []
-    pos = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        pos = 1
-    term = ""
-
-    def flush(t, sgn):
-        m = _MONOMIAL.match(t)
-        if not m or (m.group(1) is None and m.group(2) is None):
+    for sign, term in re.findall(r"([+-])([^+-]*)", s if s[0] in "+-" else "+" + s):
+        m = _MONOMIAL.match(term)
+        if not m or m.group(1) is None and m.group(2) is None:
             raise ValueError(f"cannot parse polynomial entry {expr!r}")
-        coeff = int(m.group(1)) if m.group(1) is not None else 1
-        if m.group(2) is not None:
-            power = int(m.group(3)) if m.group(3) is not None else 1
-        elif m.group(3) is not None:
+        digits, symbol, power = m.groups()
+        if symbol is None and power is not None:
             raise ValueError(f"exponent without symbol in {expr!r}")
-        else:
-            power = 0
-        terms.append((sgn * coeff, m.group(2), power))
-
-    while pos < len(s):
-        ch = s[pos]
-        if ch in "+-":
-            flush(term, sign)
-            sign = -1 if ch == "-" else 1
-            term = ""
-        else:
-            term += ch
-        pos += 1
-    flush(term, sign)
+        terms.append((int(sign + (digits or "1")), symbol, int(power or 1) if symbol else 0))
     return tuple(terms)
 
 

@@ -4,18 +4,18 @@ The four parameterized triangle templates and the two-row comparison diagram
 are checked-in JSON files (see `homcart/data/`).  Each file is read on every
 call and parsed and compiled once per content, through one cache, so an
 edited file is compiled again: every entry becomes integer coefficients of
-a^j b^k (`_Polynomials`), evaluated by Horner to Python ints.  On first
-use, every identity of a compiled template is proved over Z[a, b], in one
-grid loop (`_Polynomials.prove`): d o d = 0, the chain conditions, the
-three stored homotopies that certify each triangle distinguished through
-its witness (a contraction of the witness's cone, g ~ u o incl and
-proj ~ h o u), and the diagram's rows against the rotated templates and its
-middle square against its maps.  Each residual is a sum of products of at
-most two entries, so of degree <= 2d in a variable of degree d, and is zero
-once it vanishes on a grid of 2d + 1 points per variable, where the
-checking constructors test it.  A template that fails raises
-`TranscriptionError`; the instances of one that passed are built
-unchecked.
+a^j b^k (`_Polynomials`), evaluated with numpy's `polyval` to Python ints.
+On first use, every identity of a compiled template is proved over
+Z[a, b], in one grid loop (`_Polynomials.prove`) that builds each point's
+objects once: d o d = 0, the chain conditions, the three stored homotopies
+that certify each triangle distinguished through its witness (a
+contraction of the witness's cone, g ~ u o incl and proj ~ h o u), and the
+diagram's rows against the rotated templates and its middle square against
+its maps.  Each residual is a sum of products of at most two entries, so of
+degree <= 2d in a variable of degree d, and is zero once it vanishes on a
+grid of 2d + 1 points per variable, where the checking constructors test
+it.  A template that fails raises `TranscriptionError`; the instances of one
+that passed are built unchecked.
 
 `verify_paper` runs, for one parameter value a: the proofs of the four
 triangle templates, which make each of the five reported instances
@@ -44,6 +44,7 @@ from pathlib import Path
 from random import Random
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .complexes import (
     ChainMap,
@@ -113,12 +114,17 @@ _compiled: dict[Path, tuple[bytes, tuple, object]] = {}
 def _compiled_template(name: str, build, *against):
     """`build(name, parse, *against)`, once per content: the file is read
     on every call, and an edited file, or an edited template it is built
-    against, is parsed and compiled again."""
+    against, is parsed and compiled again.  A file without the structure
+    of a template raises `TranscriptionError`."""
     path = data_dir() / name
     raw = path.read_bytes()
     known = _compiled.get(path)
     if known is None or known[0] != raw or any(x is not y for x, y in zip(known[1], against)):
-        known = _compiled[path] = (raw, against, build(name, json.loads(raw.decode("utf-8")), *against))
+        try:
+            compiled = build(name, json.loads(raw.decode("utf-8")), *against)
+        except (KeyError, TypeError, AttributeError) as e:
+            raise TranscriptionError(f"{name}: malformed template ({e!r})") from None
+        known = _compiled[path] = (raw, against, compiled)
     return known[2]
 
 
@@ -138,7 +144,8 @@ class _Polynomials:
     is the sum of coeffs[j, k, e] a^j b^k, one axis per variable in
     `variables` (a template in a alone has no b axis), and `degrees` are
     the largest powers with a nonzero coefficient.  `at(a, b)` evaluates
-    every entry at once by Horner, one variable at a time, to Python ints.
+    every entry at once with numpy's `polyval`, one variable at a time, to
+    Python ints.
     """
 
     def __init__(self, name: str, parsed: dict):
@@ -196,13 +203,10 @@ class _Polynomials:
         self.coeffs = coeffs
 
     def at(self, a: int = 0, b: int = 0) -> np.ndarray:
-        point, acc = {"a": a, "b": b}, self.coeffs
-        for v in reversed(self.variables):
-            out = acc[..., -1, :]
-            for j in range(acc.shape[-2] - 2, -1, -1):
-                out = out * point[v] + acc[..., j, :]
-            acc = out
-        return acc
+        values, point = self.coeffs, {"a": a, "b": b}
+        for v in self.variables:
+            values = polyval(point[v], values)
+        return values
 
     def grid(self, degrees: tuple[int, ...]):
         """The points, 0..2d in each variable of degree d, that decide an
@@ -213,35 +217,34 @@ class _Polynomials:
             yield dict(zip(self.variables, point))
 
     def prove(self, degrees: tuple[int, ...], identities):
-        """Prove on `grid(degrees)` every identity that `identities(**point)`
-        yields as a (name, check) pair, each check run before the next pair
-        is drawn: check() raises ValueError, or returns False, where its
-        identity fails, and the first failure raises `TranscriptionError`."""
+        """Prove on `grid(degrees)` every identity whose name
+        `identities(**point)` yields before checking it: the check raises
+        ValueError where the identity fails, and the first failure raises
+        `TranscriptionError` naming the identity yielded last."""
         for point in self.grid(degrees):
-            for identity, check in identities(**point):
-                try:
-                    why = "the two sides differ" if check() is False else None
-                except ValueError as e:
-                    why = e
-                if why is not None:
-                    at = ", ".join(f"{v} = {x}" for v, x in point.items())
-                    bound = ", ".join(f"{2 * d} in {v}" for v, d in zip(self.variables, degrees))
-                    raise TranscriptionError(
-                        f"{self.name}: {identity} fails at {at} ({why}); its residual has degree <= {bound}"
-                    )
+            identity = None
+            try:
+                for identity in identities(**point):
+                    pass
+            except ValueError as why:
+                at = ", ".join(f"{v} = {x}" for v, x in point.items())
+                bound = ", ".join(f"{2 * d} in {v}" for v, d in zip(self.variables, degrees))
+                raise TranscriptionError(
+                    f"{self.name}: {identity} fails at {at} ({why}); its residual has degree <= {bound}"
+                ) from why
+
+
+def _same(lhs, rhs):
+    if lhs != rhs:
+        raise ValueError("the two sides differ")
 
 
 def _graded(values: np.ndarray, slots: dict) -> dict[int, IntMatrix]:
     return {i: IntMatrix(values[o : o + r * c].reshape(r, c)) for i, (o, r, c) in slots.items()}
 
 
-def _complex_at(values, compiled, check: bool) -> Complex:
-    ranks, slots = compiled
-    return Complex(ZZ, ranks, _graded(values, slots), check=check)
-
-
 def _triangle_at(values, compiled, check: bool) -> Triangle:
-    x, y, z = (_complex_at(values, c, check) for c in compiled[:3])
+    x, y, z = (Complex(ZZ, ranks, _graded(values, slots), check=check) for ranks, slots in compiled[:3])
     f, g, h = compiled[3:]
     return Triangle(
         ChainMap(x, y, _graded(values, f), check=check),
@@ -250,12 +253,24 @@ def _triangle_at(values, compiled, check: bool) -> Triangle:
     )
 
 
-class _Lemma2Template:
+class _Template:
+    """A compiled template whose identities `proved` proves once, on the
+    grid of `degrees`; its instances are then built unchecked."""
+
+    _proved = False
+
+    def proved(self):
+        if not self._proved:
+            self.poly.prove(self.degrees, self._identities)
+            self._proved = True
+        return self
+
+
+class _Lemma2Template(_Template):
     """A triangle template compiled, with its witness u : cone(f) -> z and
     three stored homotopies: a contraction of cone(u), g ~ u o incl and
     proj ~ h o u, the three that `verify_distinguished_with_witness` solves
-    for.  Once `proved`, every instance is a distinguished triangle, and is
-    built unchecked."""
+    for.  Once `proved`, every instance is a distinguished triangle."""
 
     def __init__(self, name: str, parsed: dict):
         self.poly = poly = _Polynomials(name, parsed)
@@ -265,7 +280,7 @@ class _Lemma2Template:
         keys = ("equivalence", "second_map_witness", "third_map_witness")
         self.homotopies = tuple(poly.blocks(stored[k]) for k in keys)
         poly.freeze()
-        self._proved = False
+        self.degrees = poly.degrees
 
     def instance(self, values: np.ndarray, check: bool = False) -> tuple[Triangle, ChainMap]:
         """The triangle and its witness u at the point where `values` were
@@ -277,32 +292,25 @@ class _Lemma2Template:
         """The triangle alone at (a, b), unchecked."""
         return _triangle_at(self.poly.at(a, b), self.triangle, False)
 
-    def proved(self) -> "_Lemma2Template":
-        """The template, its identities proved once: each residual is a sum
-        of products of at most two entries, so of degree <= 2d in a
-        variable of degree d, and vanishes in Z[a, b] when it vanishes on
-        `grid`, where the checking constructors test it."""
-        if not self._proved:
-            self.poly.prove(self.poly.degrees, self._identities)
-            self._proved = True
-        return self
-
     def _identities(self, a: int, b: int = 0):
         values = self.poly.at(a, b)
-        yield "d o d = 0 or a chain condition", lambda: self.instance(values, check=True)
-        tri, u = self.instance(values)
+        yield "d o d = 0 or a chain condition"
+        tri, u = self.instance(values, check=True)
         _, incl, proj = cone(tri.f)
         cu = cone_complex(u)
         equivalence, second, third = (_graded(values, s) for s in self.homotopies)
-        yield "the contraction of cone(u)", lambda: Homotopy(identity_map(cu), zero_map(cu, cu), equivalence)
-        yield "g ~ u o incl", lambda: Homotopy(tri.g, u.compose(incl), second)
-        yield "proj ~ h o u", lambda: Homotopy(proj, tri.h.compose(u), third)
+        yield "the contraction of cone(u)"
+        Homotopy(identity_map(cu), zero_map(cu, cu), equivalence)
+        yield "g ~ u o incl"
+        Homotopy(tri.g, u.compose(incl), second)
+        yield "proj ~ h o u"
+        Homotopy(proj, tri.h.compose(u), third)
 
 
-class _StarTemplate:
+class _StarTemplate(_Template):
     """The star diagram compiled: rows, vertical maps (p, q, r) and the
-    middle square's transcription (b, g, g', c), its identities proved on
-    construction against compiled templates 1 and 2: every differential
+    middle square's transcription (b, g, g', c), its identities proved
+    against compiled templates 1 and 2: every differential
     and chain condition, upper = rotate(template 2), lower =
     rotate(rotate(template 1 at b = -a)), and b = q, g = upper.g,
     g' = lower.g, c = r.  So only its three squares are left to decide."""
@@ -316,9 +324,9 @@ class _StarTemplate:
         self.vertical = tuple(poly.blocks(vertical[k].get("components", {})) for k in "pqr")
         self.middle = tuple(poly.blocks(middle[k].get("components", {})) for k in ("b", "g", "g_prime", "c"))
         poly.freeze()
+        self.templates = template1, template2
         # a template at (a, -a) has degree <= its degree in a plus that in b
-        degrees = (max(*poly.degrees, sum(template1.poly.degrees), sum(template2.poly.degrees)),)
-        poly.prove(degrees, lambda a: self._identities(a, template1, template2))
+        self.degrees = (max(*poly.degrees, sum(template1.poly.degrees), sum(template2.poly.degrees)),)
 
     def rows(self, values, check: bool = False) -> tuple[Triangle, Triangle, ChainMap, ChainMap, ChainMap]:
         upper, lower = _triangle_at(values, self.upper, check), _triangle_at(values, self.lower, check)
@@ -328,23 +336,19 @@ class _StarTemplate:
         )
         return upper, lower, p, q, r
 
-    def _identities(self, a: int, template1: _Lemma2Template, template2: _Lemma2Template):
+    def _identities(self, a: int):
         values = self.poly.at(a)
-
-        def maps(check: bool = False):
-            upper, lower, _, q, r = self.rows(values, check)
-            ends = ((upper.y, lower.y), (upper.y, upper.z), (lower.y, lower.z), (upper.z, lower.z))
-            middle = tuple(ChainMap(s, t, _graded(values, m), check=check) for (s, t), m in zip(ends, self.middle))
-            return upper, lower, q, r, middle
-
-        yield "d o d = 0 or a chain condition", lambda: maps(check=True)
-        upper, lower, q, r, middle = maps()
-        yield "upper row = rotate(template 2)", lambda: upper == rotate(template2.triangle_at(a))
-        yield (
-            "lower row = rotate(rotate(template 1 at b = -a))",
-            lambda: lower == rotate(rotate(template1.triangle_at(a, -a))),
-        )
-        yield "the middle square's transcription", lambda: middle == (q, upper.g, lower.g, r)
+        template1, template2 = self.templates
+        yield "d o d = 0 or a chain condition"
+        upper, lower, _, q, r = self.rows(values, check=True)
+        ends = ((upper.y, lower.y), (upper.y, upper.z), (lower.y, lower.z), (upper.z, lower.z))
+        middle = tuple(ChainMap(s, t, _graded(values, m)) for (s, t), m in zip(ends, self.middle))
+        yield "upper row = rotate(template 2)"
+        _same(upper, rotate(template2.triangle_at(a)))
+        yield "lower row = rotate(rotate(template 1 at b = -a))"
+        _same(lower, rotate(rotate(template1.triangle_at(a, -a))))
+        yield "the middle square's transcription"
+        _same(middle, (q, upper.g, lower.g, r))
 
 
 def _lemma2_template(k: int) -> _Lemma2Template:
@@ -354,7 +358,7 @@ def _lemma2_template(k: int) -> _Lemma2Template:
 def _star_template(*templates: _Lemma2Template) -> _StarTemplate:
     """The star compiled against templates 1 and 2: those given, or those
     their files hold now."""
-    return _compiled_template("star.json", _StarTemplate, *(templates or map(_lemma2_template, (1, 2))))
+    return _compiled_template("star.json", _StarTemplate, *(templates or map(_lemma2_template, (1, 2)))).proved()
 
 
 @dataclass(frozen=True)

@@ -411,3 +411,26 @@ def test_a_bad_dataset_is_an_input_error(tmp_path, monkeypatch, capsys, dataset)
     assert code == 3
     assert out == ""
     assert err.startswith("error:")
+
+
+# a wrong value kind, a missing key, a wrong document type
+_MALFORMED = {
+    "lemma2-3.json": lambda raw: {**raw, "parameters": 5},
+    "lemma2-2.json": lambda raw: {k: v for k, v in raw.items() if k != "homotopies"},
+    "star.json": lambda raw: [1, 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_a_malformed_data_file_is_an_input_error(tmp_path, monkeypatch, capsys, name):
+    # refused where the file's structure is read: exit 1 would claim a
+    # certified no
+    data = tmp_path / "data"
+    shutil.copytree(Path(homcart.__file__).resolve().parent / "data", data)
+    raw = json.loads((data / name).read_text(encoding="utf-8"))
+    (data / name).write_text(json.dumps(_MALFORMED[name](raw)), encoding="utf-8")
+    monkeypatch.setenv("HOMCART_DATA", str(data))
+    code, out, err = run(capsys, "paper", "verify", "--a-min", "3", "--a-max", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {name}")

@@ -1,9 +1,13 @@
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homcart.complexes import ZZ, Complex, Zmod, cone_complex, direct_sum, identity_map, shift, zero_map
 from homcart.jsonio import (
+    _terms,
     chain_map_from_json,
     chain_map_to_json,
     complex_from_json,
@@ -154,3 +158,68 @@ def test_complexes_with_zero_blocks_round_trip(c):
 def test_a_zero_block_written_out_or_omitted_loads_to_one_complex():
     written = {"ring": "Z", "degrees": {"0": 1, "1": 1}, "differentials": {"0": [["0"]]}}
     assert complex_from_json(written) == complex_from_json({"ring": "Z", "degrees": {"0": 1, "1": 1}})
+
+
+_TERM = st.one_of(
+    st.tuples(st.integers(-(10**30), 10**30), st.none(), st.just(0)),
+    st.tuples(st.integers(-(10**30), 10**30), st.sampled_from("ab"), st.integers(0, 12)),
+)
+
+
+@st.composite
+def _rendered(draw):
+    """A list of terms and one of the ways of writing it as an entry."""
+    terms = draw(st.lists(_TERM, min_size=1, max_size=6))
+    entry = ""
+    for i, (c, symbol, power) in enumerate(terms):
+        sign = "-" if c < 0 else ("" if i == 0 and draw(st.booleans()) else "+")
+        digits = "" if symbol and abs(c) == 1 and draw(st.booleans()) else str(abs(c))
+        star = "*" if symbol and digits and draw(st.booleans()) else ""
+        exponent = "" if power == 1 and draw(st.booleans()) else f"^{power}"
+        entry += sign + digits + star + (symbol + exponent if symbol else "")
+    spaced = "".join(ch + " " * draw(st.integers(0, 1)) for ch in entry)
+    return terms, spaced
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(case=_rendered())
+def test_polynomial_entries_parse_back_to_their_terms(case):
+    terms, entry = case
+    assert _terms(entry) == tuple(terms)
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(entry=st.text(alphabet="0123456789ab+-*^ \n٣", max_size=12))
+def test_any_other_entry_parses_or_raises_value_error(entry):
+    try:
+        terms = _terms(entry)
+    except ValueError:
+        return
+    assert terms and all(type(c) is int and symbol in (None, "a", "b") and power >= 0 for c, symbol, power in terms)
+
+
+@pytest.mark.parametrize(
+    "entry, expected",
+    [
+        ("2*", ((2, None, 0),)),
+        ("*a", ((1, "a", 1),)),
+        (" 3 a ^ 2 ", ((3, "a", 2),)),
+        ("-0", ((0, None, 0),)),
+        ("a^0", ((1, "a", 0),)),
+        ("٣a", ((3, "a", 1),)),
+        ("1+-a", "cannot parse polynomial entry '1+-a'"),
+        ("a^", "cannot parse polynomial entry 'a^'"),
+        ("^2", "cannot parse polynomial entry '^2'"),
+        ("ab", "cannot parse polynomial entry 'ab'"),
+        ("+", "cannot parse polynomial entry '+'"),
+        ("3^2", "exponent without symbol in '3^2'"),
+        ("", "empty polynomial entry"),
+    ],
+)
+def test_polynomial_entry_quirks(entry, expected):
+    # edge cases of the entry syntax, pinned exactly
+    if isinstance(expected, tuple):
+        assert _terms(entry) == expected
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            _terms(entry)

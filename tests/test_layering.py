@@ -349,3 +349,6 @@ def test_template_identities_are_proved_in_one_loop():
     assert len(loops) == 1, f"grid iterated in {loops}"
     reads = _functions_around(tree, lambda node: calls(node, "read_bytes"))
     assert len(reads) == 1, f"data files read in {reads}"
+    # each identity is checked inline, on the objects built once per point
+    lambdas = [f for f in _functions_around(tree, lambda node: isinstance(node, ast.Lambda)) if "_identities" in f]
+    assert lambdas == [], f"lambdas in {lambdas}"

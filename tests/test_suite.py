@@ -684,3 +684,42 @@ def test_the_proof_grid_comes_from_the_compiled_coefficients():
     assert [lemma2_verify(_json_instance(raw, 4, a, 0)).ok for a in range(4)] == [True, True, True, False]
     with pytest.raises(TranscriptionError, match=r"lemma2-4.json: proj ~ h o u fails at a = 3 .* degree <= 4 in a"):
         suite._Lemma2Template("lemma2-4.json", raw).proved()
+
+
+@pytest.mark.parametrize("name", ["lemma2-1.json", "lemma2-2.json", "lemma2-3.json", "lemma2-4.json", "star.json"])
+def test_compiled_entries_are_exact_python_ints(name, monkeypatch):
+    # the compiled evaluation agrees with the JSON path's poly_eval entry by
+    # entry, past int64, and hands out Python ints
+    from homcart import suite
+
+    raw = json.loads((suite.data_dir() / name).read_text(encoding="utf-8"))
+    templates = [suite._lemma2_template(k) for k in (1, 2)]
+    entries, real = [], suite._terms
+    monkeypatch.setattr(suite, "_terms", lambda entry: entries.append(entry) or real(entry))
+    if name == "star.json":
+        poly = suite._StarTemplate(name, raw, *templates).poly
+    else:
+        poly = suite._Lemma2Template(name, raw).poly
+    for a, b in ((2**70, -(2**210)), (-7, 3)):
+        values = poly.at(a, b)
+        assert list(values) == [poly_eval(entry, a, b) for entry in entries]
+        assert all(type(v) is int for v in values)
+
+
+def test_each_grid_point_is_built_once(tmp_path, monkeypatch):
+    # a fresh proof builds each point's objects once, checked
+    import shutil
+
+    from homcart import suite
+
+    shutil.copytree(suite.data_dir(), tmp_path / "data")
+    monkeypatch.setenv("HOMCART_DATA", str(tmp_path / "data"))
+    counts = _spy(monkeypatch, ("_triangle_at",))
+    suite._lemma2_template(1).proved()
+    # one triangle per point of the 5 x 3 grid of degrees (2, 1)
+    assert counts["_triangle_at"] == 15
+    counts["_triangle_at"] = 0
+    suite._star_template()
+    # per point of the 7-point grid: the two rows and the two templates
+    # they are compared with
+    assert counts["_triangle_at"] == 28
