@@ -33,7 +33,7 @@ from .intmat import IntMatrix
 from .squares import CommutativeSquare
 from .triangles import Triangle, TriangleMorphism
 
-_MONOMIAL = re.compile(r"^(\d+)?\*?([ab])?(?:\^(\d+))?$")
+_MONOMIAL = re.compile(r"(\d+)?\*?([ab])?(?:\^(\d+))?")
 
 
 def poly_eval(expr: str, a: int = 0, b: int = 0) -> int:
@@ -56,7 +56,7 @@ def _terms(expr: str) -> tuple[tuple[int, str | None, int], ...]:
         raise ValueError("empty polynomial entry")
     terms = []
     for sign, term in re.findall(r"([+-])([^+-]*)", s if s[0] in "+-" else "+" + s):
-        m = _MONOMIAL.match(term)
+        m = _MONOMIAL.fullmatch(term)
         if not m or m.group(1) is None and m.group(2) is None:
             raise ValueError(f"cannot parse polynomial entry {expr!r}")
         digits, symbol, power = m.groups()

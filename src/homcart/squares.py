@@ -9,8 +9,8 @@ search `find_compatible_equivalence`, and `fits_vertical_iso` decides the
 vertical comparison of two given triangles with the same engine.
 
 Verdicts are three-valued.  Yes carries a fully re-verified witness.
-NoCertified(m) is a refutation certificate: the finite set of candidate
-equivalence classes (all unit multiples of a base equivalence, the
+NoCertified(m) is a refutation certificate: the finite set of equivalence
+classes d -> t (+-g plus torsion when Hom(d, t) has free rank 1, the
 generalization of a sign choice when the endomorphism ring is Z) was
 exhausted and none satisfies the compatibility constraints mod m; reduction
 preserves equivalences and homotopies, so no integral witness can exist.
@@ -19,11 +19,11 @@ over a finite base ring and within enumeration caps they are.
 
 Every finite set of maps the search tries is a set of homotopy classes, read
 off a `Subquotient` the search builds anyway and walked by the one generator
-`_walk`: the base-equivalence candidates and the unit classes u o base, both
-in hom_group(d, t) (composing with base identifies End(t) with Hom(d, t), so
-no second Hom group is built), and the classes of constraint solutions, the
-`Subquotient` of the solution set by the null-homotopic maps, all of them
-over Z/m and a coefficient box of them over Z.
+`_walk`: the unit classes, listed straight off hom_group(d, t) (composing
+with an equivalence identifies End(t) with Hom(d, t), so no second Hom group
+is built), and the classes of constraint solutions, the `Subquotient` of the
+solution set by the null-homotopic maps, all of them over Z/m and a
+coefficient box of them over Z.
 
 `is_homotopy_cartesian` computes a verdict once per square value and search
 config: while the square it was first computed for is alive, an equal
@@ -99,7 +99,7 @@ class SearchConfig:
 
 DEFAULT_CONFIG = SearchConfig()
 
-# cap on the refutation candidate set: base equivalences tried, unit classes
+# cap on the unit classes listed for the refutation
 MAX_CANDIDATES = 256
 
 
@@ -344,39 +344,24 @@ def _class_ranges(group: FGAbelianGroup, bound: int, cap: int) -> list:
     return [_coefficient_order(bound, cap)] * group.free_rank + [range(min(o, cap)) for o in group.invariant_factors]
 
 
-def _equivalence_candidates(d: Complex, t: Complex, config, hints, equivalent, hom) -> ChainMap | None:
-    """Some homotopy equivalence d -> t over Z, or None within bounds;
-    `hom` is hom_group(d, t)."""
-    for phi in hints:
-        if phi.source == d and phi.target == t and equivalent(phi) is not None:
-            return phi
-    reps = hom.classes.free_reps + hom.classes.torsion_reps
-    ranges = _class_ranges(hom.group, config.coeff_bound, MAX_CANDIDATES)
-    for v in _walk(np.zeros(hom.hom.dim(0), dtype=object), reps, ranges, MAX_CANDIDATES):
-        phi = ChainMap(d, t, hom.hom.unvec(v), check=False)
-        if equivalent(phi) is not None:
-            return phi
-    return None
+def _unit_classes(d: Complex, t: Complex, hom) -> list[ChainMap] | None:
+    """Every class of hom = hom_group(d, t) that can be a homotopy
+    equivalence: +-g plus torsion at free rank 1, g the free generator, and
+    every class at free rank 0; None if they are not finitely enumerable
+    here (free rank >= 2).
 
-
-def _unit_classes(base: ChainMap, hom) -> list[ChainMap] | None:
-    """The classes u o base for every endomorphism class u of t that can be
-    a unit, read in hom = hom_group(d, t); None if they are not finitely
-    enumerable here (free rank >= 2).
-
-    Composing with the equivalence base is a group isomorphism
-    End(t) -> Hom(d, t) taking 1 to base and torsion to torsion.  With free
-    rank 1, units reduce to +-1 in End/torsion, whose ring is Z generated by
-    the identity class, so they become +-base plus torsion; with free rank 0
-    every class is tried.
+    Composing with an equivalence e is a group isomorphism End(t) -> Hom(d, t)
+    taking 1 to e.  The torsion of End(t) is an ideal whose quotient, at free
+    rank 1, is Z generated by 1, so the units are +-1 plus torsion, the
+    equivalences are +-e plus torsion, and e = +-g modulo torsion.
     """
     g = hom.group
     if g.free_rank > 1 or (1 + g.free_rank) * g.torsion_order() > MAX_CANDIDATES:
         return None
-    reps = [hom.hom.vec(base)] * g.free_rank + hom.classes.torsion_reps
+    reps = hom.classes.free_reps + hom.classes.torsion_reps
     ranges = [(1, -1)] * g.free_rank + [range(o) for o in g.invariant_factors]
     walk = _walk(np.zeros(hom.hom.dim(0), dtype=object), reps, ranges, MAX_CANDIDATES)
-    return [ChainMap(base.source, base.target, hom.hom.unvec(v), check=False) for v in walk]
+    return [ChainMap(d, t, hom.hom.unvec(v), check=False) for v in walk]
 
 
 def _walk_solutions(system, sol, constraints, config, equivalent) -> Verdict:
@@ -421,12 +406,13 @@ def find_compatible_equivalence(
     Over Z, for each modulus in the schedule (the torsion exponents of the
     homology of the corners, of d and of t, then config.extra_moduli; each
     complex's homology is computed once), the finite set of equivalence
-    classes, the unit multiples u o base of a base equivalence, read as
-    classes of hom_group(d, t), is checked against the constraints mod m,
-    yielding a certified refutation when all fail.  Then, over every ring,
-    the classes of constraint solutions are walked: all of them over Z/m,
-    so the search is complete within the enumeration cap, and a bounded
-    box of them over Z.  When that box decides nothing over Z but the
+    classes, the listed classes of hom_group(d, t) that are equivalences
+    (`_unit_classes`), is checked against the constraints mod m, yielding a
+    certified refutation when all fail; when none is listed, or none listed
+    is an equivalence, this step is skipped.  Then, over every ring, the
+    classes of constraint solutions are walked: all of them over Z/m, so
+    the search is complete within the enumeration cap, and a bounded box
+    of them over Z.  When that box decides nothing over Z but the
     refutation listed the equivalence classes, each of them is tried over
     Z: the first that satisfies the constraints gives a yes, and when none
     does, that exhaustion is a no.  Unknown is returned when every bound is
@@ -462,28 +448,21 @@ def find_compatible_equivalence(
             kind="no", modulus=None, exhausted=0, reason="homology obstruction: no equivalence exists at all"
         )
 
-    # modular refutation: unit multiples of a base equivalence vs constraints
+    # modular refutation: the equivalence classes d -> t vs constraints
     moduli = [m for c in (*corners, d, t) for m in _torsion_exponents(homologies[c])]
     schedule = list(dict.fromkeys(moduli + list(config.extra_moduli)))
-    classes = None
-    if schedule:
-        hom = hom_group(d, t)
-        base = _equivalence_candidates(d, t, config, hints, equivalent, hom)
-        classes = _unit_classes(base, hom) if base is not None else None
-        if classes is not None:
-            classes = [phi for phi in classes if equivalent(phi) is not None]
-            for m in schedule:
-                if any(
-                    all(_constraint_holds(phi, con, modulus=m) for con in constraints)
-                    for phi in classes
-                ):
-                    continue
-                return Verdict(
-                    kind="no",
-                    modulus=m,
-                    exhausted=len(classes),
-                    reason="no equivalence class satisfies the constraints mod m",
-                )
+    classes = _unit_classes(d, t, hom_group(d, t)) if schedule else None
+    # when no listed class is an equivalence, nothing is refuted
+    classes = [phi for phi in classes or () if equivalent(phi) is not None] or None
+    for m in schedule if classes else ():
+        if any(all(_constraint_holds(phi, con, modulus=m) for con in constraints) for phi in classes):
+            continue
+        return Verdict(
+            kind="no",
+            modulus=m,
+            exhausted=len(classes),
+            reason="no equivalence class satisfies the constraints mod m",
+        )
     verdict = _walk_solutions(system, sol, constraints, config, equivalent)
     if not verdict.is_unknown or classes is None:
         return verdict

@@ -150,9 +150,10 @@ class _Polynomials:
 
     def __init__(self, name: str, parsed: dict):
         self.name = name
-        self.variables = tuple(parsed.get("parameters", ("a", "b")))
-        if not set(self.variables) <= {"a", "b"} or len(set(self.variables)) != len(self.variables):
-            raise TranscriptionError(f"{name}: parameters must be among a and b, not {self.variables}")
+        variables = parsed.get("parameters", ["a", "b"])
+        if not isinstance(variables, list) or not set(variables) <= {"a", "b"} or len(set(variables)) != len(variables):
+            raise TranscriptionError(f"{name}: parameters must be a list of distinct a and b, not {variables!r}")
+        self.variables = tuple(variables)
         self._entries: list = []
 
     def matrix(self, data) -> tuple[int, int, int]:

@@ -413,9 +413,10 @@ def test_a_bad_dataset_is_an_input_error(tmp_path, monkeypatch, capsys, dataset)
     assert err.startswith("error:")
 
 
-# a wrong value kind, a missing key, a wrong document type
+# a wrong value kind, a string for a list, a missing key, a wrong document type
 _MALFORMED = {
     "lemma2-3.json": lambda raw: {**raw, "parameters": 5},
+    "lemma2-4.json": lambda raw: {**raw, "parameters": "ab"},
     "lemma2-2.json": lambda raw: {k: v for k, v in raw.items() if k != "homotopies"},
     "star.json": lambda raw: [1, 2],
 }

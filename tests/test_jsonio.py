@@ -208,6 +208,8 @@ def test_any_other_entry_parses_or_raises_value_error(entry):
         ("a^0", ((1, "a", 0),)),
         ("٣a", ((3, "a", 1),)),
         ("1+-a", "cannot parse polynomial entry '1+-a'"),
+        ("2\n", "cannot parse polynomial entry '2\\n'"),
+        ("1\n+a", "cannot parse polynomial entry '1\\n+a'"),
         ("a^", "cannot parse polynomial entry 'a^'"),
         ("^2", "cannot parse polynomial entry '^2'"),
         ("ab", "cannot parse polynomial entry 'ab'"),

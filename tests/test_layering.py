@@ -1,9 +1,11 @@
 """The linear-algebra backend is chosen in one place, `complexes.Ring`,
 whose `smith` is the one place where `complexes` decomposes a matrix (a
 Smith form, or `modp.diagonalize` over F_p), `complexes.Subquotient` runs
-one algorithm for every ring, with no int64 branch, the squares search walks classes in one generator, whatever the ring, and reads
-every class it tries in Hom groups built at one site, the unit lemma's
-matrices share one field layer, primality is decided in `modp`, and
+one algorithm for every ring, with no int64 branch, the squares search walks
+classes in one generator, whatever the ring, called once for the unit
+classes and once for the constraint solutions, and reads every class it
+tries in Hom groups built at one site, the unit lemma's matrices share one
+field layer, primality is decided in `modp`, and
 the blocks of graded maps are checked in one function of `complexes`, and
 their defining equations in one walk, and read from JSON in one function
 of `jsonio`, and contractions, solves,
@@ -79,6 +81,14 @@ def test_squares_walks_classes_in_one_place():
     outside = _uses_outside(tree, "product", ("_walk",))
     assert outside == [], f"product referenced outside _walk at lines {outside}"
     assert "is_small_prime_field" not in ast.unparse(tree)
+
+
+def test_squares_walks_classes_from_two_sites():
+    def walks(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_walk"
+
+    sites = _functions_around(_parse("squares.py"), walks)
+    assert sorted(sites) == ["_unit_classes", "_walk_solutions"], f"_walk called in {sites}"
 
 
 def test_squares_builds_hom_groups_at_one_site():

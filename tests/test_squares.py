@@ -13,6 +13,7 @@ from homcart.complexes import (
     hom_group,
     homotopic,
     identity_map,
+    is_homotopy_equivalence,
     random_chain_map,
     random_complex,
     reduce_mod,
@@ -334,24 +335,36 @@ def _unit_multiples_via_end(base):
     return out
 
 
-@pytest.mark.parametrize("a", range(3, 9))
+def _z_unit_class_square():
+    from homcart.jsonio import square_from_json
+
+    return square_from_json(Z_UNIT_CLASS_SQUARE)
+
+
+@pytest.mark.parametrize("a", [*range(3, 9), "z-unit-class"])
 def test_unit_classes_read_in_hom_dt_are_the_unit_multiples_of_the_base(monkeypatch, a):
     import homcart.squares as squares
 
     seen = []
     real = squares._unit_classes
 
-    def spy(base, hom):
-        classes = real(base, hom)
-        seen.append((base, hom, classes))
+    def spy(d, t, hom):
+        classes = real(d, t, hom)
+        seen.append((d, t, hom, classes))
         return classes
 
     monkeypatch.setattr(squares, "_unit_classes", spy)
-    square = build_star(a).middle
-    assert is_homotopy_cartesian(square).is_no
-    assert fits_vertical_iso(square, lemma2(1, a, b=-(a**3)).triangle, lemma2(4, a).triangle).is_no
-    assert len(seen) == 2
-    for base, hom, classes in seen:
+    if a == "z-unit-class":
+        assert is_homotopy_cartesian(_z_unit_class_square()).is_yes
+        assert len(seen) == 1
+    else:
+        square = build_star(a).middle
+        assert is_homotopy_cartesian(square).is_no
+        assert fits_vertical_iso(square, lemma2(1, a, b=-(a**3)).triangle, lemma2(4, a).triangle).is_no
+        assert len(seen) == 2
+    for d, t, hom, classes in seen:
+        assert (hom.x, hom.y) == (d, t)
+        base = next(phi for phi in classes if is_homotopy_equivalence(phi) is not None)
         got = [hom.lookup(phi) for phi in classes]
         assert len(set(got)) == len(got)
         assert set(got) == {hom.lookup(phi) for phi in _unit_multiples_via_end(base)}
@@ -468,10 +481,7 @@ Z_UNIT_CLASS_SQUARE = {
 
 
 def test_z_search_tries_the_unit_classes_when_its_box_decides_nothing():
-    from homcart.complexes import is_homotopy_equivalence
-    from homcart.jsonio import square_from_json
-
-    square = square_from_json(Z_UNIT_CLASS_SQUARE)
+    square = _z_unit_class_square()
     verdict = is_homotopy_cartesian(square)
     assert verdict.is_yes and verdict.details["source"] == "unit class"
     seq = diagonal(square)
@@ -489,6 +499,55 @@ def test_z_search_refutes_when_no_unit_class_satisfies_the_constraints():
     verdict = find_compatible_equivalence(z, z, [con], SearchConfig(extra_moduli=(2,)))
     assert verdict.is_no and verdict.modulus is None and verdict.exhausted == 2
     assert "over Z" in verdict.reason
+
+
+# a Z square whose Hom(cone, C') is Z^2 + Z/2, so no unit class is listed,
+# with torsion in the homology of B and C': the coefficient box decides yes
+Z_FREE_RANK_2_SQUARE = {
+    "corners": {
+        "B": {"ring": "Z", "degrees": {"2": 1, "3": 1}, "differentials": {"2": [["2"]]}},
+        "C": {"ring": "Z", "degrees": {"0": 1}, "differentials": {}},
+        "B_prime": {"ring": "Z", "degrees": {"3": 1}, "differentials": {}},
+        "C_prime": {
+            "ring": "Z",
+            "degrees": {"0": 1, "1": 2, "2": 2, "3": 1},
+            "differentials": {"1": [["-2", "0"], ["-4", "1"]]},
+        },
+    },
+    "maps": {
+        "g": {"components": {}},
+        "g_prime": {"components": {"3": [["1"]]}},
+        "b": {"components": {}},
+        "c": {"components": {"0": [["1"]]}},
+    },
+    "witness": {},
+}
+
+
+def test_z_search_at_free_rank_2_tests_only_the_hint_and_the_box(monkeypatch):
+    import homcart.squares as squares
+    from homcart.jsonio import square_from_json
+
+    tested = []
+    real = squares.is_homotopy_equivalence
+
+    def spy(f):
+        tested.append(f)
+        return real(f)
+
+    monkeypatch.setattr(squares, "is_homotopy_equivalence", spy)
+    square = square_from_json(Z_FREE_RANK_2_SQUARE)
+    hom = hom_group(cone(diagonal(square).first)[0], square.cprime_obj)
+    assert (hom.group.free_rank, hom.group.invariant_factors) == (2, (2,))
+    verdict = is_homotopy_cartesian(square)
+    assert verdict.details["source"] == "integral enumeration"
+    assert verdict.to_json() == {
+        "verdict": "yes",
+        "witness": {"0": [["-1"]], "1": [["-1"], ["-4"]], "2": [["-1"], ["0"]], "3": [["1"]]},
+    }
+    # the cone-map hint and the first class of the box; no class of
+    # Hom(cone, C') is tried for a base equivalence
+    assert len(tested) == 2
 
 
 def _fuzz_square(index=0):
