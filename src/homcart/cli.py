@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from .complexes import cone_complex, homology
-from .intmat import FGAbelianGroup
+from .intmat import FGAbelianGroup, decimal_integer
 from .jsonio import (
     chain_map_from_json,
     complex_from_json,
@@ -53,9 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config_from(args) -> SearchConfig:
-    moduli = []
-    for tok in (args.moduli or "").replace(",", " ").split():
-        moduli.append(int(tok))
+    moduli = [decimal_integer(tok) for tok in (args.moduli or "").replace(",", " ").split()]
     kwargs = {}
     if args.max_enum is not None:
         kwargs["max_enum"] = args.max_enum
@@ -70,8 +68,8 @@ def _add_format_flag(p: argparse.ArgumentParser):
 
 def _add_config_flags(p: argparse.ArgumentParser):
     """The search bounds of `SearchConfig`, for the subcommands that search."""
-    p.add_argument("--max-enum", type=int, default=None, help="cap on coset/class enumerations")
-    p.add_argument("--coeff-bound", type=int, default=None, help="coefficient bound for integral searches")
+    p.add_argument("--max-enum", type=decimal_integer, default=None, help="cap on coset/class enumerations")
+    p.add_argument("--coeff-bound", type=decimal_integer, default=None, help="coefficient bound for integral searches")
     p.add_argument("--moduli", default="", help="extra refutation moduli, comma or space separated")
     _add_format_flag(p)
 
@@ -176,9 +174,9 @@ def cmd_unit_lemma(args) -> int:
 
     if desc == "z":
         try:
-            eps = int(args.eps)
+            eps = decimal_integer(args.eps)
         except ValueError as e:
-            raise UsageError("--eps must be an integer for ring z") from e
+            raise UsageError(f"--eps must be an integer for ring z: {e}") from e
         alpha = find_alpha_over_Z(eps)
         if alpha is None:
             _emit(args, {"solution": None}, "no solution")
@@ -192,8 +190,8 @@ def cmd_unit_lemma(args) -> int:
         return EXIT_YES
     if desc.startswith("zmod:"):
         try:
-            m = int(desc.split(":", 1)[1])
-            eps = ResidueElement(m, int(args.eps))
+            m = decimal_integer(desc.split(":", 1)[1])
+            eps = ResidueElement(m, decimal_integer(args.eps))
         except ValueError as e:
             raise UsageError(f"bad residue ring descriptor or element: {e}") from e
         cert = find_alpha(eps) if variant == "alpha" else find_beta(eps)
@@ -212,7 +210,7 @@ def cmd_unit_lemma(args) -> int:
     if desc.startswith(("matf:", "matq:")):
         rational = desc.startswith("matq:")
         try:
-            params = [int(v) for v in desc.split(":")[1:]]
+            params = [decimal_integer(v) for v in desc.split(":")[1:]]
             if len(params) != (1 if rational else 2) or params[-1] < 1:
                 raise ValueError(f"expected {'matq:k' if rational else 'matf:p:k'} with k >= 1")
             rows = json.loads(args.eps)
@@ -221,7 +219,7 @@ def cmd_unit_lemma(args) -> int:
             if rational:
                 eps = QMatrix([[Fraction(str(v)) for v in row] for row in rows])
             else:
-                eps = FpMatrix(params[0], [[int(str(v), 10) for v in row] for row in rows])
+                eps = FpMatrix(params[0], [[decimal_integer(v) for v in row] for row in rows])
         except (ValueError, TypeError, ZeroDivisionError) as e:
             raise UsageError(f"bad matrix element: {e}") from e
         cert = find_alpha(eps) if variant == "alpha" else find_beta(eps)
@@ -298,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     paper = sub.add_parser("paper", help="built-in dataset pipeline")
     paper_sub = paper.add_subparsers(dest="subcommand", required=True)
     pv = paper_sub.add_parser("verify", help="run the full verification for a parameter range")
-    pv.add_argument("--a-min", type=int, default=3)
-    pv.add_argument("--a-max", type=int, default=12)
+    pv.add_argument("--a-min", type=decimal_integer, default=3)
+    pv.add_argument("--a-max", type=decimal_integer, default=12)
     pv.add_argument("--allow-unclaimed", action="store_true", help="permit a < 3 (verdicts recorded, not asserted)")
     _add_config_flags(pv)
     pv.set_defaults(run=cmd_paper_verify)
@@ -335,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     fz = sub.add_parser("fuzz", help="randomized conjecture checking")
     fz_sub = fz.add_subparsers(dest="subcommand", required=True)
     fp = fz_sub.add_parser("prop2", help="random two-row diagrams over Z/m; expect all-yes")
-    fp.add_argument("--field", type=int, default=2, help="modulus m >= 2 of the coefficient ring Z/m")
-    fp.add_argument("--trials", type=int, default=100)
-    fp.add_argument("--seed", type=int, default=42)
-    fp.add_argument("--max-rank", type=int, default=3)
-    fp.add_argument("--degrees", type=int, default=4)
+    fp.add_argument("--field", type=decimal_integer, default=2, help="modulus m >= 2 of the coefficient ring Z/m")
+    fp.add_argument("--trials", type=decimal_integer, default=100)
+    fp.add_argument("--seed", type=decimal_integer, default=42)
+    fp.add_argument("--max-rank", type=decimal_integer, default=3)
+    fp.add_argument("--degrees", type=decimal_integer, default=4)
     _add_config_flags(fp)
     fp.set_defaults(run=cmd_fuzz_prop2)
 

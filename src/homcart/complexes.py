@@ -90,10 +90,10 @@ from .intmat import (
     IntMatrix,
     ResidueMatrix,
     cokernel,
+    decimal_integer,
     smith_kernel,
     smith_normal_form,
     smith_solve,
-    solve_linear,
 )
 
 
@@ -150,19 +150,17 @@ class Ring:
 
     def solve(self, a: np.ndarray, b: np.ndarray):
         """(x, kernel) with a @ x = b and columns of kernel spanning ker a,
-        or None when there is no solution."""
+        or None when there is no solution: read off `smith(a)` by
+        `smith_solve` and `smith_kernel`, or over F_p off one rref."""
         if self.is_small_prime_field:
             return modp.solve(a, b, self.modulus)
-        n = a.shape[1]
-        if n == 0:
-            if np.count_nonzero(b):
-                return None
-            return np.zeros(0, dtype=object), np.zeros((0, 0), dtype=object)
-        got = solve_linear(IntMatrix(a), list(b), modulus=self.modulus)
-        if got is None:
+        (u, diag, v, _), m, b = self.smith(a), self.modulus, self.asarray(b)
+        x = smith_solve(u, diag, v, b.reshape(-1, 1), m)
+        if x is None:
             return None
-        x, ker = got
-        return x, np.array(ker, dtype=object).reshape(len(ker), n).T
+        if not self.is_zero(a @ x[:, 0] - b):
+            raise AssertionError("solver produced a non-solution")
+        return x[:, 0], smith_kernel(diag, v, m)
 
     def smith(self, a) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
         """The one decomposition of a matrix: backend arrays (u, diag, v,
@@ -181,8 +179,6 @@ class Ring:
         `smith(a)`, or over a small prime field off one rref of a, cheaper."""
         if self.is_small_prime_field:
             return modp.kernel(a, self.modulus)
-        if a.shape[0] == 0 or a.shape[1] == 0:
-            return np.eye(a.shape[1], dtype=object)
         _, diag, v, _ = self.smith(a)
         return smith_kernel(diag, v, self.modulus)
 
@@ -260,7 +256,7 @@ class Ring:
         if data == "Z":
             return cls(None)
         if isinstance(data, dict) and "mod" in data:
-            return cls(int(str(data["mod"]), 10))
+            return cls(decimal_integer(data["mod"]))
         raise ValueError(f"unrecognized ring descriptor: {data!r}")
 
 
@@ -736,13 +732,10 @@ def is_contractible(c: Complex) -> Homotopy | None:
     rank d(i) = rank(i), and a failed contraction check raises; over the
     other Z/m that check decides exactness, and a failure returns None.
     """
-    degs = c.degrees()
-    if not degs:
-        return Homotopy(identity_map(c), zero_map(c, c), {}, check=False)
     ring = c.ring
     by_rank = ring.is_integers or ring.is_small_prime_field
     sections, ranks = {}, {}
-    for i in degs:
+    for i in c.degrees():
         got = ring.section(c.differential(i))
         if got is None or (by_rank and ranks.get(i - 1, 0) + got[1] != c.rank(i)):
             return None

@@ -6,9 +6,11 @@ target-indexed rows: entry (i, j) is the coefficient sending source basis
 vector j to target basis vector i.
 
 Outside data is read by one integer rule: integers of every kind are kept
-exactly, anything else raises ValueError.  IntMatrix's own results are
-frozen in place, never copied; each is made by `_new` of its left operand,
-so the arithmetic of a `ResidueMatrix` stays a `ResidueMatrix`.
+exactly, anything else raises ValueError.  Text is read by one stricter
+rule, `decimal_integer`: a JSON integer or ASCII digits with an optional
+sign.  IntMatrix's own results are frozen in place, never copied; each is
+made by `_new` of its left operand, so the arithmetic of a `ResidueMatrix`
+stays a `ResidueMatrix`.
 
 Provided here:
 
@@ -19,7 +21,7 @@ Provided here:
   chain d_1 | d_2 | ..., plus the inverse of U; given a modulus m, every
   operation is reduced mod m, so nothing grows past m,
 * `solve_linear` -- particular solution and kernel generators over Z or
-  Z/m, from one Smith form of the matrix itself,
+  Z/m, from one Smith form of the matrix itself: the tests' reference,
 * `smith_solve` and `smith_kernel` -- the back-substitution through a
   decomposition U A V = D, D diagonal, and the kernel generators it gives,
   over Z or modulo m, that `solve_linear`, `complexes.Ring` and
@@ -30,6 +32,7 @@ Provided here:
 """
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,14 @@ def _integer(v) -> int:
 
 
 _integers = np.frompyfunc(_integer, 1, 1)
+
+
+def decimal_integer(v) -> int:
+    """A JSON integer, or a string [+-]?[0-9]+ of ASCII digits, as an int;
+    anything else (a bool, underscores, spaces, other digits) is refused."""
+    if type(v) is int or isinstance(v, str) and re.fullmatch("[+-]?[0-9]+", v):
+        return int(v)
+    raise ValueError(f"{v!r} is not a decimal integer")
 
 
 def _to_object_array(entries) -> np.ndarray:
@@ -196,7 +207,7 @@ class IntMatrix:
     def from_json(cls, data, rows: int | None = None, cols: int | None = None) -> "IntMatrix":
         if not isinstance(data, list) or any(not isinstance(r, list) for r in data):
             raise ValueError("matrix JSON must be an array of arrays")
-        m = cls([[int(str(v), 10) for v in row] for row in data]) if data else cls.zeros(0, cols or 0)
+        m = cls([[decimal_integer(v) for v in row] for row in data]) if data else cls.zeros(0, cols or 0)
         if rows is not None and m.rows != rows:
             raise ValueError(f"expected {rows} rows, got {m.rows}")
         if cols is not None and m.cols != cols:

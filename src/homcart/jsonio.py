@@ -28,8 +28,8 @@ instances unchecked, since their identities are proved once per content.
 import re
 from functools import lru_cache
 
-from .complexes import ChainMap, Complex, Homotopy, Ring
-from .intmat import IntMatrix
+from .complexes import ChainMap, Complex, Homotopy, Ring, shift
+from .intmat import IntMatrix, decimal_integer
 from .squares import CommutativeSquare
 from .triangles import Triangle, TriangleMorphism
 
@@ -89,10 +89,8 @@ def substitute(node, a: int = 0, b: int = 0):
 def _blocks_from_json(data: dict, source_rank, target_rank, n: int) -> dict[int, IntMatrix]:
     """The blocks X^i -> Y^(i+n) of a degree-n map, each read at the shape
     target_rank(i+n) x source_rank(i)."""
-    return {
-        int(i): IntMatrix.from_json(mat, rows=target_rank(int(i) + n), cols=source_rank(int(i)))
-        for i, mat in data.items()
-    }
+    degrees = {decimal_integer(i): mat for i, mat in data.items()}
+    return {i: IntMatrix.from_json(mat, rows=target_rank(i + n), cols=source_rank(i)) for i, mat in degrees.items()}
 
 
 def complex_to_json(c: Complex) -> dict:
@@ -105,7 +103,7 @@ def complex_to_json(c: Complex) -> dict:
 
 def complex_from_json(data: dict) -> Complex:
     ring = Ring.from_json(data.get("ring", "Z"))
-    degrees = {int(i): int(str(r), 10) for i, r in data.get("degrees", {}).items()}
+    degrees = {decimal_integer(i): decimal_integer(r) for i, r in data.get("degrees", {}).items()}
 
     def rank(i: int) -> int:
         return degrees.get(i, 0)
@@ -136,8 +134,6 @@ def triangle_from_json(data: dict) -> Triangle:
     x = complex_from_json(data["x"])
     y = complex_from_json(data["y"])
     z = complex_from_json(data["z"])
-    from .complexes import shift
-
     f = chain_map_from_json(data["f"], x, y)
     g = chain_map_from_json(data["g"], y, z)
     h = chain_map_from_json(data["h"], z, shift(x))

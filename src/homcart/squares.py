@@ -14,6 +14,8 @@ classes d -> t (+-g plus torsion when Hom(d, t) has free rank 1, the
 generalization of a sign choice when the endomorphism ring is Z) was
 exhausted and none satisfies the compatibility constraints mod m; reduction
 preserves equivalences and homotopies, so no integral witness can exist.
+Each class is tested mod m on the one `_ConstraintSystem` the search has
+built, by one solve for its homotopies over Z/m; no chain map is reduced.
 Unknown reports a search bound.  Searches over Z are not claimed complete;
 over a finite base ring and within enumeration caps they are.
 
@@ -47,6 +49,7 @@ from .complexes import (
     HomComplex,
     Homotopy,
     Subquotient,
+    Zmod,
     cone,
     cone_homotopy,
     cone_map,
@@ -255,8 +258,6 @@ class _ConstraintSystem:
     def __init__(self, d: Complex, t: Complex, constraints: list[Constraint]):
         self.d, self.t = d, t
         self.ring = d.ring
-        if t.ring != d.ring:
-            raise ComplexError("search across different rings")
         for con in constraints:
             w, v = con.source(d), con.target(t)
             if con.required.source != w or con.required.target != v:
@@ -277,17 +278,16 @@ class _ConstraintSystem:
             row, col = rows.stop, col + h.dim(-1)
         self.a, self.b = a, np.concatenate(rhs)
 
-    def solve(self):
-        """(particular, kernel columns) in raw coordinates, or None."""
-        return self.ring.solve(self.a, self.b)
-
     def phi_of(self, x) -> ChainMap:
         return ChainMap(self.d, self.t, self.hom.unvec(x[: self.n_phi]))
 
-
-def _constraint_holds(phi: ChainMap, con: Constraint, modulus: int) -> bool:
-    diff = reduce_mod(con.apply(phi) - con.required, modulus)
-    return homotopic(diff, zero_map(diff.source, diff.target)) is not None
+    def holds_mod(self, phi: ChainMap, m: int) -> bool:
+        """Whether phi satisfies every constraint mod m: whether the
+        constraint rows, those past the D(0) block, solve for the homotopy
+        columns H against r = b - C vec(phi) over Z/m."""
+        rows, n, ring = self.hom.dim(1), self.n_phi, Zmod(m)
+        r = self.b[rows:] - self.a[rows:, :n] @ self.hom.vec(phi)
+        return ring.solve(ring.asarray(self.a[rows:, n:]), ring.asarray(r)) is not None
 
 
 def _verify_yes(phi, constraints, equivalent, details) -> Verdict | None:
@@ -407,7 +407,8 @@ def find_compatible_equivalence(
     homology of the corners, of d and of t, then config.extra_moduli; each
     complex's homology is computed once), the finite set of equivalence
     classes, the listed classes of hom_group(d, t) that are equivalences
-    (`_unit_classes`), is checked against the constraints mod m, yielding a
+    (`_unit_classes`), is checked against the constraints mod m on the
+    constraint system (`_ConstraintSystem.holds_mod`), yielding a
     certified refutation when all fail; when none is listed, or none listed
     is an equivalence, this step is skipped.  Then, over every ring, the
     classes of constraint solutions are walked: all of them over Z/m, so
@@ -431,7 +432,7 @@ def find_compatible_equivalence(
         if v is not None:
             return v
     system = _ConstraintSystem(d, t, constraints)
-    sol = system.solve()
+    sol = system.ring.solve(system.a, system.b)
     if sol is None:
         over_z = d.ring.is_integers
         reason = "constraints have no chain-level solution over Z" if over_z else "constraints unsatisfiable"
@@ -455,7 +456,7 @@ def find_compatible_equivalence(
     # when no listed class is an equivalence, nothing is refuted
     classes = [phi for phi in classes or () if equivalent(phi) is not None] or None
     for m in schedule if classes else ():
-        if any(all(_constraint_holds(phi, con, modulus=m) for con in constraints) for phi in classes):
+        if any(system.holds_mod(phi, m) for phi in classes):
             continue
         return Verdict(
             kind="no",

@@ -66,7 +66,7 @@ from .complexes import (
     shift,
     zero_map,
 )
-from .intmat import IntMatrix, _integer
+from .intmat import IntMatrix, _integer, decimal_integer
 from .jsonio import _terms
 from .squares import (
     CommutativeSquare,
@@ -172,12 +172,12 @@ class _Polynomials:
         return slot
 
     def blocks(self, data: dict) -> dict:
-        return {int(i): self.matrix(m) for i, m in data.items()}
+        return {decimal_integer(i): self.matrix(m) for i, m in data.items()}
 
     def complex(self, data: dict) -> tuple[dict, dict]:
         if Ring.from_json(data.get("ring", "Z")) != ZZ:
             raise TranscriptionError(f"{self.name}: templates are over Z")
-        ranks = {int(i): int(str(r), 10) for i, r in data.get("degrees", {}).items()}
+        ranks = {decimal_integer(i): decimal_integer(r) for i, r in data.get("degrees", {}).items()}
         return ranks, self.blocks(data.get("differentials", {}))
 
     def triangle(self, data: dict) -> tuple:
@@ -670,7 +670,7 @@ def prop2_replay(m: TriangleMorphism, config: SearchConfig = DEFAULT_CONFIG) -> 
         system = _ConstraintSystem(
             shift(row1.x), row2.z, [Constraint(required=diff, precompose=row1.h)]
         )
-        sol = system.solve()
+        sol = system.ring.solve(system.a, system.b)
         if sol is None:
             raise ComplexError("no preimage along precomposition with the connecting map")
         psi = system.phi_of(sol[0])

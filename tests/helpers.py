@@ -4,6 +4,9 @@ from homcart.complexes import ChainMap, Complex, Ring, ZZ, homotopic, identity_m
 from homcart.intmat import IntMatrix
 from homcart.triangles import Triangle, TriangleMorphism
 
+# strings that int() reads as 10, 3 and 7 but that are no decimal integers
+NOT_DECIMAL = ("1_0", "\u0663", " 7")
+
 
 def cpx(ranks: dict[int, int], diffs: dict[int, list[list[int]]] | None = None, ring: Ring = ZZ) -> Complex:
     mats = {i: IntMatrix(m) for i, m in (diffs or {}).items()}

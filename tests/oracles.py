@@ -9,6 +9,8 @@ from itertools import product
 
 import numpy as np
 
+from homcart.complexes import homotopic, reduce_mod, zero_map
+
 
 def residue_solutions(a_rows, b, m):
     """All solution vectors of A x = b (mod m) by exhaustive residue search.
@@ -138,3 +140,14 @@ def chain_maps_f2(x, y, p=2):
                 break
         if ok:
             yield comps
+
+
+def constraints_hold_mod(phi, constraints, m):
+    """Whether phi satisfies every constraint (post o phi o pre) ~ required
+    mod m, asked the long way: each difference is reduced into Z/m as a
+    chain map, complexes and all, and `homotopic` decides it there."""
+    for con in constraints:
+        diff = reduce_mod(con.apply(phi) - con.required, m)
+        if homotopic(diff, zero_map(diff.source, diff.target)) is None:
+            return False
+    return True

@@ -14,7 +14,7 @@ from homcart.complexes import identity_map
 from homcart.squares import CommutativeSquare, square_from_cone
 from homcart.suite import build_star, lemma2
 
-from helpers import cmap, one_term, two_term
+from helpers import NOT_DECIMAL, cmap, one_term, two_term
 
 
 def run(capsys, *argv):
@@ -435,3 +435,47 @@ def test_a_malformed_data_file_is_an_input_error(tmp_path, monkeypatch, capsys, 
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: {name}")
+
+
+# each integer the command line reads, with {} where the value goes
+_INTEGER_ARGUMENTS = {
+    "zmod modulus": ("unit-lemma", "--ring", "zmod:{}", "--eps", "1"),
+    "zmod eps": ("unit-lemma", "--ring", "zmod:9", "--eps={}"),
+    "z eps": ("unit-lemma", "--ring", "z", "--eps={}"),
+    "matf prime": ("unit-lemma", "--ring", "matf:{}:1", "--eps", '[["1"]]'),
+    "matf size": ("unit-lemma", "--ring", "matf:3:{}", "--eps", '[["1"]]'),
+    "matf entry": ("unit-lemma", "--ring", "matf:3:1", "--eps", '[["{}"]]'),
+    "matq size": ("unit-lemma", "--ring", "matq:{}", "--eps", '[["1"]]'),
+    "--a-min": ("paper", "verify", "--a-min={}", "--a-max=-8"),
+    "--a-max": ("paper", "verify", "--a-min=8", "--a-max={}"),
+    "--trials": ("fuzz", "prop2", "--trials={}"),
+    **{
+        option: ("fuzz", "prop2", "--trials=0", option + "={}")
+        for option in ("--field", "--seed", "--max-rank", "--degrees", "--max-enum", "--coeff-bound")
+    },
+    "--moduli": ("fuzz", "prop2", "--trials=1", "--moduli={}"),
+}
+
+
+@pytest.mark.parametrize("site", _INTEGER_ARGUMENTS)
+def test_command_line_integers_are_decimal(capsys, site):
+    def run_with(value):
+        return run(capsys, *(arg.replace("{}", value) for arg in _INTEGER_ARGUMENTS[site]))
+
+    for bad in NOT_DECIMAL:
+        if site == "--moduli" and bad == " 7":
+            continue  # spaces separate moduli: the list (7,)
+        code, _, err = run_with(bad)
+        assert code == 3 and "decimal" in err, (bad, err)
+    for good in ("7", "-7"):
+        _, _, err = run_with(good)
+        assert "decimal" not in err, (good, err)
+
+
+def test_command_line_integers_are_read_as_signed_decimals(capsys):
+    assert run(capsys, "unit-lemma", "--ring", "zmod:7", "--eps=-7", "--format", "json")[0] == 0
+    code, out, _ = run(capsys, "unit-lemma", "--ring", "matf:3:1", "--eps", "[[7]]", "--format", "json")
+    assert code == 0 and json.loads(out)["unit"] == [["1"]]
+    assert run(capsys, "fuzz", "prop2", "--trials=1", "--moduli= 7", "--seed=-7")[0] == 0
+    code, _, err = run(capsys, "fuzz", "prop2", "--trials=1", "--moduli=-7")
+    assert code == 3 and "moduli must be at least 2" in err

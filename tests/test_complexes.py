@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homcart import modp
 from homcart.complexes import (
@@ -37,7 +39,7 @@ from homcart.complexes import (
     shift,
     zero_map,
 )
-from homcart.intmat import FGAbelianGroup, IntMatrix, ResidueMatrix, smith_normal_form, solve_linear
+from homcart.intmat import FGAbelianGroup, IntMatrix, ResidueMatrix, smith_normal_form, smith_solve, solve_linear
 from homcart.suite import build_star, fuzz_prop2, lemma2, prop2_replay
 
 from helpers import cmap, cpx, one_term, two_term
@@ -647,6 +649,61 @@ def test_section_answers_empty_shapes_without_a_kernel(ring, monkeypatch):
         s, r = ring.section(IntMatrix.zeros(rows, cols))
         assert r == 0
         assert s.shape == (cols, rows)
+
+
+@st.composite
+def _solve_cases(draw):
+    """(ring, a, b) over Z, Z/4, Z/12, Z/2^70 or F_1048583, a prime above
+    2^20 solved by the Smith kernel; 0 x n and n x 0 shapes included, and b
+    in the image of a about half the time."""
+    m = draw(st.sampled_from([None, 4, 12, 2**70, 1048583]))
+    bound = 2**80 if m == 2**70 else 30
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = st.integers(-bound, bound)
+    a = np.array(draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols)), dtype=object).reshape(rows, cols)
+    if draw(st.booleans()):
+        b = a @ np.array(draw(st.lists(entries, min_size=cols, max_size=cols)), dtype=object).reshape(cols)
+    else:
+        b = np.array(draw(st.lists(entries, min_size=rows, max_size=rows)), dtype=object).reshape(rows)
+    return Ring(m), a, b
+
+
+def _spans(gens: np.ndarray, vectors: np.ndarray, m) -> bool:
+    """Whether every column of vectors is a combination of the columns of
+    gens, over Z or mod m, as `solve_linear` decides it."""
+    return all(solve_linear(IntMatrix(gens), list(v), modulus=m) is not None for v in vectors.T)
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(case=_solve_cases())
+@example(case=(ZZ, np.zeros((0, 3), dtype=object), np.zeros(0, dtype=object)))
+@example(case=(Zmod(12), np.zeros((2, 0), dtype=object), np.array([0, 5], dtype=object)))
+@example(case=(Zmod(2**70), np.zeros((2, 0), dtype=object), np.array([0, 2**70], dtype=object)))
+def test_ring_solve_agrees_with_solve_linear(case):
+    ring, a, b = case
+    m = ring.modulus
+    got, want = ring.solve(a, b), solve_linear(IntMatrix(a), list(b), modulus=m)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    x, kernel = got
+    ref = np.array(want[1], dtype=object).reshape(len(want[1]), a.shape[1]).T
+    assert ring.is_zero(a @ x - b)
+    assert kernel.shape[0] == a.shape[1] and ring.is_zero(a @ kernel)
+    assert _spans(ref, kernel, m) and _spans(kernel, ref, m)
+    # a solution that misses b by a nonzero column of a is refused
+    wrong = next((j for j in range(a.shape[1]) if not ring.is_zero(a[:, j])), None)
+    if wrong is not None:
+
+        def off_by_one(*args):
+            y = smith_solve(*args)
+            y[wrong, 0] += 1
+            return y
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("homcart.complexes.smith_solve", off_by_one)
+            with pytest.raises(AssertionError, match="non-solution"):
+                ring.solve(a, b)
 
 
 def _unimodular(n, rng):

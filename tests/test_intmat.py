@@ -17,9 +17,11 @@ from homcart.intmat import (
     cokernel,
     det,
     smith_normal_form,
+    decimal_integer,
     solve_linear,
 )
 
+from helpers import NOT_DECIMAL
 from oracles import coset_members, residue_solutions
 
 
@@ -450,3 +452,17 @@ def test_matrix_scalars_are_read_by_the_integer_rule(m, tripled):
         with pytest.raises(ValueError):
             m.scale(k)
     assert m.scale(np.int64(3)).tolist() == tripled
+
+
+@pytest.mark.parametrize("bad", [*NOT_DECIMAL, True, 7.0, "7.0", "", "+", "7\n", "0x7", None])
+def test_decimal_integers_refuse_anything_but_ascii_digits(bad):
+    with pytest.raises(ValueError, match="not a decimal integer"):
+        decimal_integer(bad)
+
+
+@pytest.mark.parametrize("bad", NOT_DECIMAL)
+def test_matrix_json_entries_are_decimal_integers(bad):
+    with pytest.raises(ValueError, match="not a decimal integer"):
+        IntMatrix.from_json([[bad]])
+    for good in (7, "7", "-7", "+7", str(10**30)):
+        assert IntMatrix.from_json([[good]]) == IntMatrix([[int(good)]])

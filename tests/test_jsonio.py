@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcart.complexes import ZZ, Complex, Zmod, cone_complex, direct_sum, identity_map, shift, zero_map
+from homcart.complexes import ZZ, Complex, ComplexError, Ring, Zmod, cone_complex, direct_sum, identity_map, shift, zero_map
 from homcart.jsonio import (
     _terms,
     chain_map_from_json,
@@ -23,7 +23,7 @@ from homcart.squares import CommutativeSquare, is_homotopy_cartesian, square_fro
 from homcart.suite import build_star, lemma2
 from homcart.triangles import standard_triangle, verify_triangle_morphism
 
-from helpers import cmap, cpx, identity_morphism, one_term, two_term
+from helpers import NOT_DECIMAL, cmap, cpx, identity_morphism, one_term, two_term
 
 
 def test_complex_roundtrip_including_modular():
@@ -44,6 +44,35 @@ def test_complex_roundtrip_including_modular():
 def test_complex_loader_rejects_non_integer_ranks_and_moduli(data):
     with pytest.raises(ValueError):
         complex_from_json(data)
+
+
+_INTEGER_SITES = {
+    "modulus": lambda v: Ring.from_json({"mod": v}),
+    "degree key": lambda v: complex_from_json({"ring": "Z", "degrees": {v: 1}}),
+    "rank": lambda v: complex_from_json({"ring": "Z", "degrees": {"0": v}}),
+    "block key": lambda v: chain_map_from_json({"components": {v: [["1"]]}}, one_term(), one_term()),
+}
+
+
+@pytest.mark.parametrize("site", _INTEGER_SITES)
+@pytest.mark.parametrize("bad", NOT_DECIMAL)
+def test_json_integers_are_decimal(site, bad):
+    with pytest.raises(ValueError, match="not a decimal integer"):
+        _INTEGER_SITES[site](bad)
+
+
+def test_json_integers_may_be_json_numbers_or_signed_strings():
+    assert Ring.from_json({"mod": 7}) == Ring.from_json({"mod": "7"}) == Zmod(7)
+    with pytest.raises(ValueError, match="at least 2"):
+        Ring.from_json({"mod": "-7"})
+    for v in (7, "7"):
+        assert complex_from_json({"ring": "Z", "degrees": {"0": v}}).rank(0) == 7
+    with pytest.raises(ComplexError, match="negative rank"):
+        complex_from_json({"ring": "Z", "degrees": {"0": "-7"}})
+    for v in (7, "7", "-7"):
+        c = one_term(degree=int(v))
+        assert complex_from_json({"ring": "Z", "degrees": {v: 1}}) == c
+        assert chain_map_from_json({"components": {v: [["1"]]}}, c, c) == identity_map(c)
 
 
 def test_chain_map_roundtrip():

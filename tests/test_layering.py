@@ -19,9 +19,11 @@ neither it nor the random generators ask whether the ring is a prime
 field; residue blocks are built only inside `Ring`, and `complexes`
 assembles Hom matrices without `np.kron`; the unit lemma solves rational
 dependence on the Smith kernel, modular inverses come from `pow`,
-triangles and squares are frozen records of their maps, and the paper's
+triangles and squares are frozen records of their maps, the paper's
 template files are read at one site and their identities proved in one
-loop."""
+loop, `complexes` solves through `Ring.smith` and never names
+`solve_linear`, and the squares search reduces no chain map: its
+refutation tests each unit class on the constraint system it has built."""
 
 import ast
 import importlib
@@ -362,3 +364,21 @@ def test_template_identities_are_proved_in_one_loop():
     # each identity is checked inline, on the objects built once per point
     lambdas = [f for f in _functions_around(tree, lambda node: isinstance(node, ast.Lambda)) if "_identities" in f]
     assert lambdas == [], f"lambdas in {lambdas}"
+
+
+def test_complexes_never_names_solve_linear():
+    tree = _parse("complexes.py")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "solve_linear" not in _names(tree) | imported
+
+
+def test_the_search_reduces_no_chain_map():
+    outside = _uses_outside(_parse("squares.py"), "reduce_mod", ("reduce_square",))
+    assert outside == [], f"reduce_mod named outside reduce_square at lines {outside}"
+
+
+def test_the_refutation_loop_asks_the_constraint_system_not_homotopic():
+    search = _function("squares.py", "find_compatible_equivalence")
+    loops = [n for n in ast.walk(search) if isinstance(n, ast.For) and "schedule" in _names(n.iter)]
+    assert len(loops) == 1
+    assert "homotopic" not in _names(loops[0]) and "holds_mod" in _names(loops[0])

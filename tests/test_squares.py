@@ -4,13 +4,16 @@ import time
 
 import pytest
 
+import homcart.squares as squares
 from homcart.complexes import (
     ZZ,
+    Complex,
     ComplexError,
     Homotopy,
     Zmod,
     cone,
     hom_group,
+    homology,
     homotopic,
     identity_map,
     is_homotopy_equivalence,
@@ -21,7 +24,9 @@ from homcart.complexes import (
     zero_map,
 )
 from homcart.intmat import IntMatrix
+from homcart.jsonio import square_from_json
 from homcart.squares import (
+    DEFAULT_CONFIG,
     CommutativeSquare,
     Constraint,
     NotCommutative,
@@ -36,10 +41,11 @@ from homcart.squares import (
     rotation_comparison,
     square_from_cone,
 )
-from homcart.suite import build_star, fuzz_prop2, lemma2
+from homcart.suite import build_star, fuzz_prop2, lemma2, verify_paper
 from homcart.triangles import Triangle, standard_triangle
 
 from helpers import cmap, cpx, one_term, two_term
+from oracles import constraints_hold_mod
 
 
 def middle_square(a: int) -> CommutativeSquare:
@@ -221,24 +227,25 @@ def test_perturbed_cone_square_over_z_is_refuted_or_unknown_never_wrong():
     assert not bad_verdict.is_yes
 
 
-def test_refutation_with_finite_endomorphism_ring():
-    # with an empty initial corner the decision reduces to whether the
-    # diagonal's second map is an equivalence; its class multiplies the top
-    # homology by 3, while homology groups match, so only exhausting the six
-    # units of the Z/9 endomorphism ring can certify the refutation
-    from homcart.complexes import Complex, ZZ
-
+def _finite_end_square() -> CommutativeSquare:
     empty = Complex(ZZ, {}, {})
     bprime = two_term(9)
     c_obj = two_term(1)
     cprime = two_term(9)
-    sq = CommutativeSquare(
+    return CommutativeSquare(
         zero_map(empty, c_obj),
         cmap(bprime, cprime, {0: [[3]], 1: [[3]]}),
         zero_map(empty, bprime),
         zero_map(c_obj, cprime),
     )
-    verdict = is_homotopy_cartesian(sq)
+
+
+def test_refutation_with_finite_endomorphism_ring():
+    # with an empty initial corner the decision reduces to whether the
+    # diagonal's second map is an equivalence; its class multiplies the top
+    # homology by 3, while homology groups match, so only exhausting the six
+    # units of the Z/9 endomorphism ring can certify the refutation
+    verdict = is_homotopy_cartesian(_finite_end_square())
     assert verdict.is_no
     assert verdict.modulus == 9
     assert verdict.exhausted == 6
@@ -724,3 +731,93 @@ def test_a_square_spanning_a_million_degrees_is_decided_from_its_degrees():
     elapsed = time.perf_counter() - start
     assert verdict.to_json() == {"verdict": "unknown", "reason": "search bounds exhausted without a decision"}
     assert elapsed < 0.5, f"decided in {elapsed:.2f} s"
+
+
+def _z_searches(monkeypatch, run) -> list[tuple]:
+    """(d, t, constraints, config, corners) of every search over Z that
+    run() makes through the module attribute."""
+    calls, real = [], squares.find_compatible_equivalence
+
+    def spy(d, t, constraints, config=DEFAULT_CONFIG, hints=(), corners=()):
+        if d.ring.is_integers:
+            calls.append((d, t, constraints, config, corners))
+        return real(d, t, constraints, config, hints, corners)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(squares, "find_compatible_equivalence", spy)
+        run()
+    return calls
+
+
+def _refutation_answers(d, t, constraints, config, corners) -> list[tuple[bool, bool]]:
+    """(the system's answer, the oracle's) for every listed unit class that
+    is an equivalence and every scheduled modulus of one search; the
+    oracle reduces each constraint difference mod m and asks `homotopic`."""
+    tops = [m for c in (*corners, d, t) for m in squares._torsion_exponents(homology(c))]
+    schedule = list(dict.fromkeys(tops + list(config.extra_moduli)))
+    listed = (squares._unit_classes(d, t, hom_group(d, t)) if schedule else None) or ()
+    classes = [phi for phi in listed if is_homotopy_equivalence(phi) is not None]
+    system = squares._ConstraintSystem(d, t, constraints)
+    return [(system.holds_mod(phi, m), constraints_hold_mod(phi, constraints, m)) for m in schedule for phi in classes]
+
+
+def test_the_refutation_on_the_system_agrees_with_the_oracle_on_the_paper(monkeypatch):
+    answers = []
+    for a in [*range(3, 31), 10**6]:
+        searches = _z_searches(monkeypatch, lambda: verify_paper(a))
+        assert len(searches) == 2, a  # the middle square and the vertical comparison
+        for search in searches:
+            answers += _refutation_answers(*search)
+    assert answers and all(got == want for got, want in answers)
+
+
+def _big_entry_squares() -> tuple[CommutativeSquare, CommutativeSquare]:
+    """The cone square of b : [Z --3--> Z] -> Z with b_0 = 3 (2^64 + 1),
+    whose schedule is (3,) and whose constraint system holds b_0, and the
+    same square with g' and c scaled by 0, which no unit class satisfies
+    mod 3: b_0 and 3 vanish there, so the cone inclusion is not
+    null-homotopic."""
+    b_obj = two_term(3)
+    sq = square_from_cone(cmap(b_obj, one_term(), {0: [[3 * (2**64 + 1)]]}), zero_map(b_obj, Complex(ZZ, {}, {})))
+    return sq, CommutativeSquare(sq.g, sq.gprime.scale(0), sq.b, sq.c.scale(0))
+
+
+_Z_FIXTURES = {
+    "middle square": lambda: [is_homotopy_cartesian(middle_square(a)) for a in (3, 4, 5, 7)],
+    "vertical comparison": lambda: [
+        fits_vertical_iso(middle_square(a), vertical_triangle_b(a), vertical_triangle_c(a)) for a in (3, 4, 5, 7)
+    ],
+    "cone square": lambda: is_homotopy_cartesian(
+        square_from_cone(cmap(two_term(3), one_term(), {0: [[2]]}), cmap(two_term(3), one_term(), {0: [[5]]}))
+    ),
+    "perturbed cone square": test_perturbed_cone_square_over_z_is_refuted_or_unknown_never_wrong,
+    "finite endomorphism ring": lambda: is_homotopy_cartesian(_finite_end_square()),
+    "vertical identity": test_vertical_iso_trivial_yes,
+    "unit class square": lambda: is_homotopy_cartesian(_z_unit_class_square()),
+    "free rank 2 square": lambda: is_homotopy_cartesian(square_from_json(Z_FREE_RANK_2_SQUARE)),
+    "phi ~ 3 mod 2": lambda: squares.find_compatible_equivalence(
+        one_term(), one_term(), [Constraint(required=cmap(one_term(), one_term(), {0: [[3]]}))], SearchConfig(extra_moduli=(2,))
+    ),
+    "witness variants": lambda: [is_homotopy_cartesian(sq) for sq in _witness_variants()],
+    "big entries": lambda: [is_homotopy_cartesian(sq) for sq in _big_entry_squares()],
+}
+
+
+@pytest.mark.parametrize("fixture", _Z_FIXTURES)
+def test_the_refutation_on_the_system_agrees_with_the_oracle_on_the_z_fixtures(monkeypatch, fixture):
+    searches = _z_searches(monkeypatch, _Z_FIXTURES[fixture])
+    assert searches
+    for search in searches:
+        for got, want in _refutation_answers(*search):
+            assert got == want
+
+
+def test_the_refutation_reduces_entries_above_int64_before_a_small_prime_solve(monkeypatch):
+    answers = []
+    for search in _z_searches(monkeypatch, lambda: [is_homotopy_cartesian(sq) for sq in _big_entry_squares()]):
+        d, t, constraints, _, corners = search
+        assert 3 in {m for c in (*corners, d, t) for m in squares._torsion_exponents(homology(c))}
+        assert max(abs(v) for v in squares._ConstraintSystem(d, t, constraints).a.flat) > 2**63
+        answers += _refutation_answers(*search)
+    assert {want for _, want in answers} == {True, False}
+    assert all(got == want for got, want in answers)

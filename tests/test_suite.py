@@ -21,6 +21,7 @@ from homcart.squares import is_homotopy_cartesian
 from homcart.suite import (
     Lemma2Instance,
     _alpha_of,
+    _Polynomials,
     _functorial_completion,
     build_star,
     fuzz_prop2,
@@ -32,7 +33,7 @@ from homcart.suite import (
 )
 from homcart.triangles import TriangleMorphism, rotate, standard_triangle, verify_triangle_morphism
 
-from helpers import cmap, cpx, identity_morphism, one_term
+from helpers import NOT_DECIMAL, cmap, cpx, identity_morphism, one_term
 
 
 def test_poly_eval():
@@ -723,3 +724,23 @@ def test_each_grid_point_is_built_once(tmp_path, monkeypatch):
     # per point of the 7-point grid: the two rows and the two templates
     # they are compared with
     assert counts["_triangle_at"] == 28
+
+
+@pytest.mark.parametrize("bad", NOT_DECIMAL)
+def test_template_degrees_and_ranks_are_decimal(bad):
+    template = _Polynomials("t.json", {})
+    for read in (
+        lambda: template.complex({"degrees": {bad: 1}}),
+        lambda: template.complex({"degrees": {"0": bad}}),
+        lambda: template.blocks({bad: [["1"]]}),
+    ):
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            read()
+
+
+def test_template_degrees_and_ranks_may_be_json_numbers_or_signed_strings():
+    template = _Polynomials("t.json", {})
+    for v in (7, "7", "-7"):
+        assert template.complex({"degrees": {v: 1}})[0] == {int(v): 1}
+        assert template.complex({"degrees": {"0": v}})[0] == {0: int(v)}
+        assert list(template.blocks({v: [["1"]]})) == [int(v)]
