@@ -10,6 +10,7 @@ overridden with the HOMCART_DATA environment variable.
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -87,6 +88,16 @@ def _load_json(path: str):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise UsageError(f"cannot read {path}: {e}") from e
+
+
+def _rational(v) -> Fraction:
+    """A `decimal_integer`, or an ASCII string [+-]?[0-9]+/[0-9]+ with a
+    nonzero denominator; anything else, a JSON float too, is refused."""
+    if not isinstance(v, str) or "/" not in v:
+        return Fraction(decimal_integer(v))
+    if not re.fullmatch("[+-]?[0-9]+/[0-9]*[1-9][0-9]*", v):
+        raise ValueError(f"{v!r} is not a fraction of decimal integers with a nonzero denominator")
+    return Fraction(v)
 
 
 def _verdict_exit(verdict) -> int:
@@ -217,7 +228,7 @@ def cmd_unit_lemma(args) -> int:
             if not isinstance(rows, list) or len(rows) != params[-1]:
                 raise ValueError(f"expected a {params[-1]}x{params[-1]} matrix")
             if rational:
-                eps = QMatrix([[Fraction(str(v)) for v in row] for row in rows])
+                eps = QMatrix([[_rational(v) for v in row] for row in rows])
             else:
                 eps = FpMatrix(params[0], [[decimal_integer(v) for v in row] for row in rows])
         except (ValueError, TypeError, ZeroDivisionError) as e:

@@ -33,7 +33,7 @@ from .intmat import IntMatrix, decimal_integer
 from .squares import CommutativeSquare
 from .triangles import Triangle, TriangleMorphism
 
-_MONOMIAL = re.compile(r"(\d+)?\*?([ab])?(?:\^(\d+))?")
+_MONOMIAL = re.compile(r"([0-9]+)?\*?([ab])?(?:\^([0-9]+))?")
 
 
 def poly_eval(expr: str, a: int = 0, b: int = 0) -> int:

@@ -15,7 +15,8 @@ generalization of a sign choice when the endomorphism ring is Z) was
 exhausted and none satisfies the compatibility constraints mod m; reduction
 preserves equivalences and homotopies, so no integral witness can exist.
 Each class is tested mod m on the one `_ConstraintSystem` the search has
-built, by one solve for its homotopies over Z/m; no chain map is reduced.
+built, by a back-substitution through the one Smith form over Z of its
+homotopy block H; no chain map is reduced.
 Unknown reports a search bound.  Searches over Z are not claimed complete;
 over a finite base ring and within enumeration caps they are.
 
@@ -37,7 +38,7 @@ memo holds its squares weakly and has no other bound.
 import threading
 import weakref
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import islice, product
 
 import numpy as np
@@ -49,7 +50,6 @@ from .complexes import (
     HomComplex,
     Homotopy,
     Subquotient,
-    Zmod,
     cone,
     cone_homotopy,
     cone_map,
@@ -65,7 +65,7 @@ from .complexes import (
     shift,
     zero_map,
 )
-from .intmat import FGAbelianGroup
+from .intmat import FGAbelianGroup, smith_solve
 from .triangles import Triangle, rotate
 
 
@@ -281,13 +281,19 @@ class _ConstraintSystem:
     def phi_of(self, x) -> ChainMap:
         return ChainMap(self.d, self.t, self.hom.unvec(x[: self.n_phi]))
 
-    def holds_mod(self, phi: ChainMap, m: int) -> bool:
-        """Whether phi satisfies every constraint mod m: whether the
-        constraint rows, those past the D(0) block, solve for the homotopy
-        columns H against r = b - C vec(phi) over Z/m."""
-        rows, n, ring = self.hom.dim(1), self.n_phi, Zmod(m)
+    @cached_property
+    def _homotopy_smith(self):
+        # H: the constraint rows, those past the D(0) block, at the homotopy columns
+        return self.ring.smith(self.a[self.hom.dim(1) :, self.n_phi :])
+
+    def holds_mod(self, phi: ChainMap, m: int | None = None) -> bool:
+        """Whether phi satisfies every constraint over Z, or mod m: whether
+        H h = r = b - C vec(phi) solves, read off the one Smith form U H V = D
+        over Z, valid mod every m because U and V are unimodular."""
+        rows, n = self.hom.dim(1), self.n_phi
         r = self.b[rows:] - self.a[rows:, :n] @ self.hom.vec(phi)
-        return ring.solve(ring.asarray(self.a[rows:, n:]), ring.asarray(r)) is not None
+        u, diag, v, _ = self._homotopy_smith
+        return smith_solve(u, diag, v, r.reshape(-1, 1), m) is not None
 
 
 def _verify_yes(phi, constraints, equivalent, details) -> Verdict | None:
@@ -409,14 +415,14 @@ def find_compatible_equivalence(
     classes, the listed classes of hom_group(d, t) that are equivalences
     (`_unit_classes`), is checked against the constraints mod m on the
     constraint system (`_ConstraintSystem.holds_mod`), yielding a
-    certified refutation when all fail; when none is listed, or none listed
-    is an equivalence, this step is skipped.  Then, over every ring, the
-    classes of constraint solutions are walked: all of them over Z/m, so
-    the search is complete within the enumeration cap, and a bounded box
-    of them over Z.  When that box decides nothing over Z but the
-    refutation listed the equivalence classes, each of them is tried over
-    Z: the first that satisfies the constraints gives a yes, and when none
-    does, that exhaustion is a no.  Unknown is returned when every bound is
+    certified refutation when all fail; when none is listed, this step is
+    skipped.  Then, over every ring, the classes of constraint solutions
+    are walked: all of them over Z/m, so the search is complete within the
+    enumeration cap, and a bounded box of them over Z.  When that box
+    decides nothing over Z but the refutation listed the equivalence
+    classes, each of them is asked over Z on the same system: the first
+    that satisfies the constraints gives a yes, and when none does, that
+    exhaustion is a no.  Unknown is returned when every bound is
     exhausted without a decision.  Each map is tested for being an
     equivalence, and hom_group(d, t) is built, at most once per call; no
     other Hom group is.
@@ -453,8 +459,13 @@ def find_compatible_equivalence(
     moduli = [m for c in (*corners, d, t) for m in _torsion_exponents(homologies[c])]
     schedule = list(dict.fromkeys(moduli + list(config.extra_moduli)))
     classes = _unit_classes(d, t, hom_group(d, t)) if schedule else None
-    # when no listed class is an equivalence, nothing is refuted
-    classes = [phi for phi in classes or () if equivalent(phi) is not None] or None
+    if classes is not None:
+        classes = [phi for phi in classes if equivalent(phi) is not None]
+        if not classes:
+            raise AssertionError(
+                "no listed class is an equivalence, yet H(d) = H(t): over Z, a hereditary ring, bounded free"
+                " complexes are equivalent when their homologies are, and every class that can be one is listed"
+            )
     for m in schedule if classes else ():
         if any(system.holds_mod(phi, m) for phi in classes):
             continue
@@ -469,8 +480,8 @@ def find_compatible_equivalence(
         return verdict
     # the classes are every equivalence class d -> t: try each over Z
     for phi in classes:
-        res = _verify_yes(phi, constraints, equivalent, {"source": "unit class"})
-        if res is not None:
+        res = system.holds_mod(phi) and _verify_yes(phi, constraints, equivalent, {"source": "unit class"})
+        if res:
             return res
     return Verdict(
         kind="no",

@@ -242,7 +242,10 @@ def test_unit_lemma_rejects_malformed_matrix_descriptors(capsys, ring):
 
 @pytest.mark.parametrize("ring", ["matf:2:2", "matq:2"])
 @pytest.mark.parametrize(
-    "eps", ["[1, 2]", "[[1, 0], 2]", "[[1, 0]]", '{"a": 1}', "[[1, 0], [0, x]]", '[["1/0", 0], [0, 1]]']
+    "eps",
+    ["[1, 2]", "[[1, 0], 2]", "[[1, 0]]", '{"a": 1}', "[[1, 0], [0, x]]", '[["1/0", 0], [0, 1]]']
+    # entries that are no decimal integer or fraction; a JSON float too, as entries are exact
+    + [f"[[{entry}, 0], [0, 1]]" for entry in ('"1_0"', '"\u0663"', '" 7"', '"1/\u0663"', '"0.5"', "0.5")],
 )
 def test_unit_lemma_rejects_malformed_matrix_entries(capsys, ring, eps):
     code, out, err = run(capsys, "unit-lemma", "--ring", ring, "--eps", eps)
@@ -258,6 +261,13 @@ def test_unit_lemma_rejects_an_empty_matrix_ring(capsys, ring):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "k >= 1" in err
+
+
+@pytest.mark.parametrize("entry, value", [("3", "3"), ('"3"', "3"), ('"-1/2"', "-1/2")])
+def test_unit_lemma_reads_matq_entries_as_decimal_integers_or_fractions(capsys, entry, value):
+    code, out, _ = run(capsys, "unit-lemma", "--ring", "matq:2", "--eps", f"[[0, {entry}], [0, 0]]", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["unit"] == [["1", value], ["0", "1"]]
 
 
 def test_unit_lemma_bad_ring(capsys):
@@ -435,6 +445,20 @@ def test_a_malformed_data_file_is_an_input_error(tmp_path, monkeypatch, capsys, 
     assert code == 3
     assert out == ""
     assert err.startswith(f"error: {name}")
+
+
+def test_a_template_entry_with_other_digits_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # U+0662 reads as 2 under \d: the template would load as a^2 and verify
+    data = tmp_path / "data"
+    shutil.copytree(Path(homcart.__file__).resolve().parent / "data", data)
+    text = (data / "lemma2-1.json").read_text(encoding="utf-8")
+    assert '"-a^2"' in text
+    (data / "lemma2-1.json").write_text(text.replace('"-a^2"', '"-a^\u0662"'), encoding="utf-8")
+    monkeypatch.setenv("HOMCART_DATA", str(data))
+    code, out, err = run(capsys, "paper", "verify", "--a-min", "3", "--a-max", "3")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: cannot parse polynomial entry")
 
 
 # each integer the command line reads, with {} where the value goes

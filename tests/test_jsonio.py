@@ -235,7 +235,8 @@ def test_any_other_entry_parses_or_raises_value_error(entry):
         (" 3 a ^ 2 ", ((3, "a", 2),)),
         ("-0", ((0, None, 0),)),
         ("a^0", ((1, "a", 0),)),
-        ("٣a", ((3, "a", 1),)),
+        ("٣a", "cannot parse polynomial entry '٣a'"),
+        ("a^٣", "cannot parse polynomial entry 'a^٣'"),
         ("1+-a", "cannot parse polynomial entry '1+-a'"),
         ("2\n", "cannot parse polynomial entry '2\\n'"),
         ("1\n+a", "cannot parse polynomial entry '1\\n+a'"),

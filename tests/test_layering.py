@@ -382,3 +382,15 @@ def test_the_refutation_loop_asks_the_constraint_system_not_homotopic():
     loops = [n for n in ast.walk(search) if isinstance(n, ast.For) and "schedule" in _names(n.iter)]
     assert len(loops) == 1
     assert "homotopic" not in _names(loops[0]) and "holds_mod" in _names(loops[0])
+
+
+def test_the_search_asks_its_constraint_questions_through_one_decomposition():
+    assert not {"Zmod", "asarray"} & _names(_parse("squares.py"))
+    search = _function("squares.py", "find_compatible_equivalence")
+    loops = [n for n in ast.walk(search) if isinstance(n, ast.For) and ({"schedule", "classes"} & _names(n.iter))]
+    assert len(loops) == 2  # the schedule loop and the class loop after the box
+    for loop in loops:
+        names = _names(loop)
+        assert "holds_mod" in names and not {"solve", "homotopic", "Zmod", "asarray"} & names
+    holds_mod = _function("squares.py", "holds_mod")
+    assert "smith" not in _names(holds_mod)  # it reads the one decomposition, taking none itself

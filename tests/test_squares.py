@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from functools import cached_property
 
 import pytest
 
@@ -44,7 +45,7 @@ from homcart.squares import (
 from homcart.suite import build_star, fuzz_prop2, lemma2, verify_paper
 from homcart.triangles import Triangle, standard_triangle
 
-from helpers import cmap, cpx, one_term, two_term
+from helpers import cmap, cpx, one_term, two_term, z_squares
 from oracles import constraints_hold_mod
 
 
@@ -821,3 +822,49 @@ def test_the_refutation_reduces_entries_above_int64_before_a_small_prime_solve(m
         answers += _refutation_answers(*search)
     assert {want for _, want in answers} == {True, False}
     assert all(got == want for got, want in answers)
+
+
+def _z_answers(d, t, constraints) -> list[tuple[bool, bool]]:
+    """(the system's answer over Z, `homotopic`'s) for every listed unit
+    class of one search that is an equivalence, schedule or none."""
+    listed = squares._unit_classes(d, t, hom_group(d, t)) or ()
+    system = squares._ConstraintSystem(d, t, constraints)
+    return [
+        (system.holds_mod(phi), all(homotopic(con.apply(phi), con.required) is not None for con in constraints))
+        for phi in listed
+        if is_homotopy_equivalence(phi) is not None
+    ]
+
+
+def test_the_constraint_system_agrees_with_the_oracles_on_a_stream_of_z_squares(monkeypatch):
+    config = SearchConfig(max_enum=256)  # the default cap spends seconds in some squares' box
+    stream = [square for seed in (11, 12, 13) for square in z_squares(seed, 50)]
+    searches = _z_searches(monkeypatch, lambda: [is_homotopy_cartesian(square, config) for square in stream])
+    assert len(searches) == len(stream)
+    mod_m = [answer for search in searches for answer in _refutation_answers(*search)]
+    over_z = [answer for d, t, constraints, _, _ in searches for answer in _z_answers(d, t, constraints)]
+    for answers in (mod_m, over_z):
+        assert {want for _, want in answers} == {True, False}
+        assert all(got == want for got, want in answers)
+
+
+def test_each_search_of_the_paper_decomposes_its_homotopy_block_once(monkeypatch):
+    decomposed, real = [], squares._ConstraintSystem._homotopy_smith.func
+    counted = cached_property(lambda system: decomposed.append(system) or real(system))
+    counted.__set_name__(squares._ConstraintSystem, "_homotopy_smith")
+    monkeypatch.setattr(squares._ConstraintSystem, "_homotopy_smith", counted)
+    search = squares.find_compatible_equivalence
+    for a in (3, 12, 10**6):
+        per_search = []
+
+        def spy(*args, **kwargs):
+            before = len(decomposed)
+            verdict = search(*args, **kwargs)
+            per_search.append((verdict.exhausted, len(decomposed) - before))
+            return verdict
+
+        with monkeypatch.context() as patch:
+            patch.setattr(squares, "find_compatible_equivalence", spy)
+            verify_paper(a)
+        # two classes asked on each of the two searches, one decomposition each
+        assert per_search == [(2, 1), (2, 1)], a
