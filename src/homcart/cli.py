@@ -69,7 +69,13 @@ def _add_format_flag(p: argparse.ArgumentParser):
 
 def _add_config_flags(p: argparse.ArgumentParser):
     """The search bounds of `SearchConfig`, for the subcommands that search."""
-    p.add_argument("--max-enum", type=decimal_integer, default=None, help="cap on coset/class enumerations")
+    p.add_argument(
+        "--max-enum",
+        type=decimal_integer,
+        default=None,
+        help="cap on the constraint-solution classes walked over Z/m; the box over Z walks at most min(this, 4096);"
+        " the refutation's unit classes are capped at 256 alone",
+    )
     p.add_argument("--coeff-bound", type=decimal_integer, default=None, help="coefficient bound for integral searches")
     p.add_argument("--moduli", default="", help="extra refutation moduli, comma or space separated")
     _add_format_flag(p)

@@ -12,11 +12,13 @@ Verdicts are three-valued.  Yes carries a fully re-verified witness.
 NoCertified(m) is a refutation certificate: the finite set of equivalence
 classes d -> t (+-g plus torsion when Hom(d, t) has free rank 1, the
 generalization of a sign choice when the endomorphism ring is Z) was
-exhausted and none satisfies the compatibility constraints mod m; reduction
-preserves equivalences and homotopies, so no integral witness can exist.
-Each class is tested mod m on the one `_ConstraintSystem` the search has
-built, by a back-substitution through the one Smith form over Z of its
-homotopy block H; no chain map is reduced.
+exhausted and none satisfies the compatibility constraints mod m, or over Z
+when m is None; reduction preserves equivalences and homotopies, so no
+integral witness can exist.  One loop asks every class mod each scheduled m,
+then over Z, on the one `_ConstraintSystem` the search has built, by a
+back-substitution through the one Smith form over Z of its homotopy block H;
+no chain map is reduced, and of each pair +-phi only phi is tested for being
+an equivalence.
 Unknown reports a search bound.  Searches over Z are not claimed complete;
 over a finite base ring and within enumeration caps they are.
 
@@ -65,7 +67,7 @@ from .complexes import (
     shift,
     zero_map,
 )
-from .intmat import FGAbelianGroup, smith_solve
+from .intmat import FGAbelianGroup, _integer, smith_solve
 from .triangles import Triangle, rotate
 
 
@@ -82,9 +84,12 @@ class SearchConfig:
     """Bounds for the constrained-equivalence search.
 
     coeff_bound (at least 0) limits integer coefficients in the Yes-side
-    enumeration; max_enum caps any class enumeration (overflow yields
-    Unknown, never a wrong verdict); extra_moduli are appended to the
-    refutation schedule.
+    enumeration.  max_enum caps the walk over Z/m of all constraint-solution
+    classes (more yields Unknown, never a wrong verdict); the box over Z
+    walks at most min(max_enum, 4096), and the refutation's unit classes are
+    capped by MAX_CANDIDATES = 256 alone.  extra_moduli are appended to the
+    refutation schedule.  Fields are read by the integer rule (a float
+    raises ValueError); extra_moduli is stored as a tuple of ints.
     """
 
     coeff_bound: int = 2
@@ -92,6 +97,9 @@ class SearchConfig:
     extra_moduli: tuple[int, ...] = ()
 
     def __post_init__(self):
+        # the fields as read, written once at construction, before any is checked
+        ints = {"coeff_bound": _integer(self.coeff_bound), "max_enum": _integer(self.max_enum)}
+        vars(self).update(ints, extra_moduli=tuple(map(_integer, self.extra_moduli)))
         if self.coeff_bound < 0:
             raise ValueError("coefficient bound must be nonnegative")
         if self.max_enum < 1:
@@ -352,9 +360,9 @@ def _class_ranges(group: FGAbelianGroup, bound: int, cap: int) -> list:
 
 def _unit_classes(d: Complex, t: Complex, hom) -> list[ChainMap] | None:
     """Every class of hom = hom_group(d, t) that can be a homotopy
-    equivalence: +-g plus torsion at free rank 1, g the free generator, and
-    every class at free rank 0; None if they are not finitely enumerable
-    here (free rank >= 2).
+    equivalence: at free rank 1, g plus torsion, g the free generator,
+    followed by the negation of each of those maps; every class at free rank
+    0; None if they are not finitely enumerable here (free rank >= 2).
 
     Composing with an equivalence e is a group isomorphism End(t) -> Hom(d, t)
     taking 1 to e.  The torsion of End(t) is an ideal whose quotient, at free
@@ -365,9 +373,10 @@ def _unit_classes(d: Complex, t: Complex, hom) -> list[ChainMap] | None:
     if g.free_rank > 1 or (1 + g.free_rank) * g.torsion_order() > MAX_CANDIDATES:
         return None
     reps = hom.classes.free_reps + hom.classes.torsion_reps
-    ranges = [(1, -1)] * g.free_rank + [range(o) for o in g.invariant_factors]
+    ranges = [(1,)] * g.free_rank + [range(o) for o in g.invariant_factors]
     walk = _walk(np.zeros(hom.hom.dim(0), dtype=object), reps, ranges, MAX_CANDIDATES)
-    return [ChainMap(d, t, hom.hom.unvec(v), check=False) for v in walk]
+    plus = [ChainMap(d, t, hom.hom.unvec(v), check=False) for v in walk]
+    return plus + [-phi for phi in plus] * g.free_rank
 
 
 def _walk_solutions(system, sol, constraints, config, equivalent) -> Verdict:
@@ -409,23 +418,19 @@ def find_compatible_equivalence(
 
     The hints are tried first, followed by the identity when d == t and no
     hint is already the identity; then the constraint system is solved once.
-    Over Z, for each modulus in the schedule (the torsion exponents of the
-    homology of the corners, of d and of t, then config.extra_moduli; each
-    complex's homology is computed once), the finite set of equivalence
-    classes, the listed classes of hom_group(d, t) that are equivalences
-    (`_unit_classes`), is checked against the constraints mod m on the
-    constraint system (`_ConstraintSystem.holds_mod`), yielding a
-    certified refutation when all fail; when none is listed, this step is
-    skipped.  Then, over every ring, the classes of constraint solutions
-    are walked: all of them over Z/m, so the search is complete within the
-    enumeration cap, and a bounded box of them over Z.  When that box
-    decides nothing over Z but the refutation listed the equivalence
-    classes, each of them is asked over Z on the same system: the first
-    that satisfies the constraints gives a yes, and when none does, that
-    exhaustion is a no.  Unknown is returned when every bound is
-    exhausted without a decision.  Each map is tested for being an
-    equivalence, and hom_group(d, t) is built, at most once per call; no
-    other Hom group is.
+    Over Z, one loop asks the listed equivalence classes d -> t
+    (`_unit_classes`; of each pair +-phi only phi is tested for being an
+    equivalence) on the constraint system (`_ConstraintSystem.holds_mod`)
+    mod each modulus of the schedule (the torsion exponents of the homology
+    of the corners, of d and of t, then config.extra_moduli), then over Z;
+    the first place where every class fails gives a certified no.  Then,
+    over every ring, the classes of constraint solutions are walked: all of
+    them over Z/m, so the search is complete within the enumeration cap, and
+    a bounded box of them over Z.  When the box decides nothing over Z but
+    classes are listed, the first that holds over Z is the yes.  Unknown is
+    returned when every bound is exhausted.  Each map is tested for being
+    an equivalence, each complex's homology is computed and hom_group(d, t)
+    is built at most once per call; no other Hom group is.
     """
     if d.ring != t.ring:
         raise ComplexError("search across different rings")
@@ -455,40 +460,34 @@ def find_compatible_equivalence(
             kind="no", modulus=None, exhausted=0, reason="homology obstruction: no equivalence exists at all"
         )
 
-    # modular refutation: the equivalence classes d -> t vs constraints
+    # refutation: the equivalence classes d -> t vs the constraints, mod each m, then over Z
     moduli = [m for c in (*corners, d, t) for m in _torsion_exponents(homologies[c])]
     schedule = list(dict.fromkeys(moduli + list(config.extra_moduli)))
-    classes = _unit_classes(d, t, hom_group(d, t)) if schedule else None
+    hom = hom_group(d, t)
+    classes = _unit_classes(d, t, hom)
     if classes is not None:
-        classes = [phi for phi in classes if equivalent(phi) is not None]
+        # -phi is an equivalence exactly when phi is: test the first map of each +-pair
+        units = [phi for phi in classes[: len(classes) // (1 + hom.group.free_rank)] if equivalent(phi) is not None]
+        classes = units + [-phi for phi in units] * hom.group.free_rank
         if not classes:
             raise AssertionError(
                 "no listed class is an equivalence, yet H(d) = H(t): over Z, a hereditary ring, bounded free"
                 " complexes are equivalent when their homologies are, and every class that can be one is listed"
             )
-    for m in schedule if classes else ():
-        if any(system.holds_mod(phi, m) for phi in classes):
-            continue
-        return Verdict(
-            kind="no",
-            modulus=m,
-            exhausted=len(classes),
-            reason="no equivalence class satisfies the constraints mod m",
-        )
+    for m in (*schedule, None) if classes else ():
+        if not any(system.holds_mod(phi, m) for phi in classes):
+            reason = "no equivalence class satisfies the constraints " + ("over Z" if m is None else "mod m")
+            return Verdict(kind="no", modulus=m, exhausted=len(classes), reason=reason)
+    # a yes of the box holds over Z, so its class is listed: the loop cannot have refuted it
     verdict = _walk_solutions(system, sol, constraints, config, equivalent)
     if not verdict.is_unknown or classes is None:
         return verdict
-    # the classes are every equivalence class d -> t: try each over Z
-    for phi in classes:
-        res = system.holds_mod(phi) and _verify_yes(phi, constraints, equivalent, {"source": "unit class"})
-        if res:
-            return res
-    return Verdict(
-        kind="no",
-        modulus=None,
-        exhausted=len(classes),
-        reason="no equivalence class satisfies the constraints over Z",
-    )
+    # the loop has shown that some listed equivalence class holds over Z
+    phi = next(phi for phi in classes if system.holds_mod(phi))
+    res = _verify_yes(phi, constraints, equivalent, {"source": "unit class"})
+    if res is None:
+        raise AssertionError("an equivalence class that satisfies the constraint system failed its re-verification")
+    return res
 
 
 # square -> {config: verdict}; an entry dies with the square it was stored for

@@ -22,8 +22,9 @@ dependence on the Smith kernel, modular inverses come from `pow`,
 triangles and squares are frozen records of their maps, the paper's
 template files are read at one site and their identities proved in one
 loop, `complexes` solves through `Ring.smith` and never names
-`solve_linear`, and the squares search reduces no chain map: its
-refutation tests each unit class on the constraint system it has built."""
+`solve_linear`, and the squares search reduces no chain map: its one
+refutation loop, over each scheduled modulus and then Z, tests each unit
+class on the constraint system it has built."""
 
 import ast
 import importlib
@@ -388,7 +389,8 @@ def test_the_search_asks_its_constraint_questions_through_one_decomposition():
     assert not {"Zmod", "asarray"} & _names(_parse("squares.py"))
     search = _function("squares.py", "find_compatible_equivalence")
     loops = [n for n in ast.walk(search) if isinstance(n, ast.For) and ({"schedule", "classes"} & _names(n.iter))]
-    assert len(loops) == 2  # the schedule loop and the class loop after the box
+    assert len(loops) == 1  # one refutation loop: each scheduled modulus, then Z
+    assert ast.unparse(loops[0].iter) == "(*schedule, None) if classes else ()"
     for loop in loops:
         names = _names(loop)
         assert "holds_mod" in names and not {"solve", "homotopic", "Zmod", "asarray"} & names

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 from functools import cached_property
@@ -285,10 +287,13 @@ def test_each_map_is_tested_for_equivalence_once(monkeypatch):
     square = build_star(3).middle
     assert is_homotopy_cartesian(square).is_no
     assert seen
+    # the hint and g; -g is an equivalence exactly when g is, so it is not tested
+    assert len(seen) == 2
     seen.clear()
     t_b, t_c = lemma2(1, 3, b=-27).triangle, lemma2(4, 3).triangle
     assert fits_vertical_iso(square, t_b, t_c).is_no
     assert seen
+    assert len(seen) == 1  # g alone: no hint is given
 
 
 def test_hom_group_of_a_pair_is_built_once(monkeypatch):
@@ -507,6 +512,43 @@ def test_z_search_refutes_when_no_unit_class_satisfies_the_constraints():
     verdict = find_compatible_equivalence(z, z, [con], SearchConfig(extra_moduli=(2,)))
     assert verdict.is_no and verdict.modulus is None and verdict.exhausted == 2
     assert "over Z" in verdict.reason
+
+
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG, SearchConfig(extra_moduli=(3,))], ids=["no moduli", "mod 3"])
+def test_a_no_over_z_returns_before_the_box(monkeypatch, config):
+    # phi ~ 2 on Z: the units +-1 are listed with or without a modulus, and
+    # fail over Z, so the coefficient box is never walked
+    walked = []
+    real = squares._walk_solutions
+    monkeypatch.setattr(squares, "_walk_solutions", lambda *args: walked.append(args) or real(*args))
+    x = one_term()
+    verdict = find_compatible_equivalence(x, x, [Constraint(required=identity_map(x).scale(2))], config)
+    assert verdict.to_json() == {
+        "verdict": "no",
+        "exhausted": 2,
+        "reason": "no equivalence class satisfies the constraints over Z",
+    }
+    assert walked == []
+
+
+@pytest.mark.parametrize(
+    "fields, read",
+    [
+        ({"coeff_bound": 2.0}, None),
+        ({"max_enum": 4096.0}, None),
+        ({"extra_moduli": (9.0,)}, None),
+        ({"extra_moduli": [5]}, SearchConfig(extra_moduli=(5,))),
+    ],
+    ids=["float coeff_bound", "float max_enum", "float modulus", "list of moduli"],
+)
+def test_search_config_reads_its_fields_by_the_integer_rule(fields, read):
+    if read is None:
+        with pytest.raises(ValueError):
+            SearchConfig(**fields)
+        return
+    config = SearchConfig(**fields)
+    assert config == read  # a list would differ from the tuple
+    assert is_homotopy_cartesian(build_star(3).middle, config).is_no  # a key of the verdict memo
 
 
 # a Z square whose Hom(cone, C') is Z^2 + Z/2, so no unit class is listed,
@@ -836,11 +878,18 @@ def _z_answers(d, t, constraints) -> list[tuple[bool, bool]]:
     ]
 
 
+STREAM_DIGEST = "53cf0df3f58e40ea3f29737cfcf2a1cd26c5dbcd58dc7966e9bd4ca8768987da"
+
+
 def test_the_constraint_system_agrees_with_the_oracles_on_a_stream_of_z_squares(monkeypatch):
     config = SearchConfig(max_enum=256)  # the default cap spends seconds in some squares' box
     stream = [square for seed in (11, 12, 13) for square in z_squares(seed, 50)]
-    searches = _z_searches(monkeypatch, lambda: [is_homotopy_cartesian(square, config) for square in stream])
+    verdicts = []
+    searches = _z_searches(monkeypatch, lambda: verdicts.extend(is_homotopy_cartesian(sq, config) for sq in stream))
     assert len(searches) == len(stream)
+    # the verdicts, witnesses and sources of the whole stream, pinned
+    pinned = json.dumps([[v.to_json(), v.details.get("source")] for v in verdicts], sort_keys=True)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == STREAM_DIGEST
     mod_m = [answer for search in searches for answer in _refutation_answers(*search)]
     over_z = [answer for d, t, constraints, _, _ in searches for answer in _z_answers(d, t, constraints)]
     for answers in (mod_m, over_z):

@@ -614,6 +614,15 @@ def test_a_verify_paper_op_keeps_only_the_decisions(monkeypatch):
     assert counts["cone_complex"] <= 7
 
 
+@pytest.mark.parametrize("a", [3, 12, 10**6])
+def test_a_verify_paper_op_tests_three_maps_for_equivalence(monkeypatch, a):
+    # the cartesian hint, then g in each of the two searches; never -g
+    verify_paper(a)
+    counts = _spy(monkeypatch, ("is_homotopy_equivalence",))
+    assert verify_paper(a).all_ok
+    assert counts["is_homotopy_equivalence"] == 3
+
+
 def test_a_warm_verify_paper_op_reads_each_data_file_once(monkeypatch):
     from pathlib import Path
 
