@@ -44,12 +44,15 @@ the pair that reads an equivalence off a contraction of its cone,
 `is_homotopy_equivalence` and `homotopy_inverse`: `cone_homotopy` is the
 canonical null-homotopy [0; 1] of incl o f.
 
-Contractions are built from sections, s with d s d = d (`Ring.section`),
-over every ring: an exact complex is contracted by
-h(i+1) = s(i) (1 - s(i+1) d(i+1)), and the cone of a map f that is
-invertible in every degree by [[0, 0], [f_i^-1, 0]] in degree i.  Over
-Z/m, d has a section exactly when each invariant factor d_k of its Smith
-form is a unit modulo m / gcd(d_k, m).
+Contractions are built over every ring from sections, s with d s d = d
+(`Ring.section`), or from inverses (`Ring.inverse`): an exact complex is
+contracted by h(i+1) = s(i) (1 - s(i+1) d(i+1)), and the cone of a map f
+that is invertible in every degree by [[0, 0], [f_i^-1, 0]] in degree i.
+Over Z/m, d has a section exactly when each invariant factor d_k of its
+Smith form is a unit modulo m / gcd(d_k, m).  An inverse needs no Smith
+form: `intmat.inverse` eliminates the rows of [f_i | 1] alone, and over a
+small prime field `Ring.inverse` reads the rref of [f_i | 1] that
+`section` runs.
 
 Hom groups and the classes of the squares search are subquotients,
 computed by one routine for every ring: `Subquotient(ring, top, b)` is
@@ -62,9 +65,9 @@ off the Smith forms of d(i-1) and d(i) alone.
 fields F_p with p <= 2^20 are solved in int64 by `modp`, and every other
 ring (Z, Z/m, larger primes) by the exact Smith kernel of `intmat`.  Its
 one decomposition of a matrix, u a v = D diagonal, is `Ring.smith`: the
-Smith form, or `modp.diagonalize` over F_p, where three questions take
+Smith form, or `modp.diagonalize` over F_p, where four questions take
 one cheaper rref instead: `solve` of [a | b], `kernel` of a, `section` of
-[d | 1].
+[d | 1], `inverse` of [a | 1].
 `Ring.asarray` puts a matrix into its backend's form; no other code
 converts between the two.
 
@@ -83,7 +86,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import modp
+from . import intmat, modp
 from .intmat import (
     DimensionMismatch,
     FGAbelianGroup,
@@ -198,11 +201,7 @@ class Ring:
         if rows == 0 or cols == 0:
             return np.zeros((cols, rows), dtype=self.dtype), 0
         if self.is_small_prime_field:
-            r, pivots = modp.rref(np.hstack([self.asarray(d), np.eye(rows, dtype=np.int64)]), self.modulus)
-            rank = sum(1 for j in pivots if j < cols)
-            s = np.zeros((cols, rows), dtype=np.int64)
-            s[pivots[:rank]] = r[:rank, cols:]
-            return s, rank
+            return self._section_mod_p(d)
         (u, diag, v, _), m = self.smith(d.array), self.modulus
         if m is None:
             rank = sum(1 for x in diag if x)
@@ -215,6 +214,28 @@ class Ring:
         t = np.array([pow(x, -1, q) for x, q in zip(diag, mods)], dtype=object)
         k = len(diag)
         return (v[:, :k] * t) @ u[:k, :] % m, sum(1 for x in diag if x % m)
+
+    def _section_mod_p(self, d: IntMatrix) -> tuple[np.ndarray, int]:
+        """`section` over a small prime field, from one rref of [d | 1]."""
+        rows, cols = d.shape
+        r, pivots = modp.rref(np.hstack([self.asarray(d), np.eye(rows, dtype=np.int64)]), self.modulus)
+        rank = sum(1 for j in pivots if j < cols)
+        s = np.zeros((cols, rows), dtype=np.int64)
+        s[pivots[:rank]] = r[:rank, cols:]
+        return s, rank
+
+    def inverse(self, a: IntMatrix) -> np.ndarray | None:
+        """a^-1 as a backend array for a square block a, or None when a is
+        not invertible.  Over a small prime field the rref of [a | 1] that
+        `section` runs, accepted at rank n; over every other ring
+        `intmat.inverse`, row elimination with no Smith form."""
+        if a.rows != a.cols:
+            raise DimensionMismatch("inverse of a non-square matrix")
+        if self.is_small_prime_field:
+            s, rank = self._section_mod_p(a)
+            return s if rank == a.rows else None
+        inv = intmat.inverse(a, self.modulus)
+        return None if inv is None else inv.array
 
     def is_zero(self, a) -> bool:
         """Whether a backend array (or 0) is zero in the ring: reduced once
@@ -756,20 +777,24 @@ def _inverse_components(f: ChainMap) -> dict[int, np.ndarray] | None:
     """The inverses of the components of f, as backend arrays, when every
     component is square and invertible; None otherwise.
 
-    One rule for every ring: a square f_i is invertible exactly when it has
-    a section s (`Ring.section`) with f_i s = 1, and then s = f_i^-1, as
-    f_i s f_i = f_i.  Full rank alone would not do: over Z/6, 2 has the
-    section 2 of rank 1, and 2 is no unit.
+    Each f_i is inverted by `Ring.inverse`: row elimination on [f_i | 1],
+    which finds f_i^-1 exactly when it exists, with no Smith form.  A
+    section would not do: over Z/6, 2 has the section 2 (2 2 2 = 2), and 2
+    is no unit.  The inverse is checked, f_i f_i^-1 = 1, and a failed check
+    raises, as the kernel is exact.
     """
     x, y, ring = f.source, f.target, f.source.ring
     if x.degrees() != y.degrees() or any(x.rank(i) != y.rank(i) for i in x.degrees()):
         return None
     inverses = {}
     for i in x.degrees():
-        a, got = ring.asarray(f.component(i)), ring.section(f.component(i))
-        if got is None or not ring.is_zero(a @ got[0] - np.eye(len(a), dtype=ring.dtype)):
+        a = f.component(i)
+        inv = ring.inverse(a)
+        if inv is None:
             return None
-        inverses[i] = got[0]
+        if not ring.is_zero(ring.asarray(a) @ inv - np.eye(len(inv), dtype=ring.dtype)):
+            raise AssertionError("inverse kernel produced a non-inverse")
+        inverses[i] = inv
     return inverses
 
 

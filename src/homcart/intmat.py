@@ -20,6 +20,9 @@ Provided here:
 * `smith_normal_form` -- U A V = D with unimodular U, V and divisibility
   chain d_1 | d_2 | ..., plus the inverse of U; given a modulus m, every
   operation is reduced mod m, so nothing grows past m,
+* `inverse` -- the inverse of a square matrix over Z or Z/m, or None, by
+  row elimination on [A | 1] alone: no Smith form, and about n^2 steps on
+  an identity or permutation block,
 * `solve_linear` -- particular solution and kernel generators over Z or
   Z/m, from one Smith form of the matrix itself: the tests' reference,
 * `smith_solve` and `smith_kernel` -- the back-substitution through a
@@ -42,12 +45,13 @@ class DimensionMismatch(ValueError):
     """Shapes of operands do not compose."""
 
 
-def _integer(v) -> int:
+def _integer(v, what: str = "matrix entry") -> int:
+    """v by the integer rule; `what` names v in the error."""
     if type(v) is int:
         return v
     if isinstance(v, (int, np.integer, np.bool_)):
         return int(v)
-    raise ValueError(f"matrix entry {v!r} is not an integer")
+    raise ValueError(f"{what} {v!r} is not an integer")
 
 
 _integers = np.frompyfunc(_integer, 1, 1)
@@ -157,7 +161,7 @@ class IntMatrix:
         return self._new(-self._a)
 
     def scale(self, k: int) -> "IntMatrix":
-        return self._new(self._a * _integer(k))
+        return self._new(self._a * _integer(k, "scale factor"))
 
     def transpose(self) -> "IntMatrix":
         return self._like(self._a.T)
@@ -265,7 +269,7 @@ class ResidueMatrix(IntMatrix):
     __hash__ = IntMatrix.__hash__
 
     def scale(self, k: int) -> "ResidueMatrix":
-        return self._new(self._a * (_integer(k) % self.p))
+        return self._new(self._a * (_integer(k, "scale factor") % self.p))
 
     def reduce_mod(self, m: int) -> IntMatrix:
         return IntMatrix(self._a % int(m))
@@ -467,6 +471,51 @@ def smith_normal_form(a: IntMatrix, modulus: int | None = None) -> SmithDecompos
         v=IntMatrix._wrap(_object_array(list(zip(*v_t)), (nc, nc))),
         uinv=IntMatrix._wrap(_object_array(list(zip(*uinv_t)), (nr, nr))),
     )
+
+
+def inverse(a: IntMatrix, modulus: int | None = None) -> IntMatrix | None:
+    """The inverse of a square matrix over Z, or over Z/m given m, or None
+    when it has none: Gauss-Jordan on the rows of [a | 1] alone, with no
+    column operation (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4).
+
+    In column k, Euclid's row steps bring the live entries of rows k, k+1,
+    ... to their gcd g in one row.  Row operations keep det a up to a unit,
+    so a is invertible exactly when every such g is a unit: +-1 over Z,
+    prime to m over Z/m (otherwise g and m share a factor that divides every
+    live entry of the column, and so det a).  That row, scaled by g^-1, then
+    clears column k of every other row.  Rows with a zero in the column are
+    skipped, so an identity or permutation block costs about n^2.  Modulo m
+    every row an operation changes is reduced into [0, m), as in
+    `smith_normal_form`.
+    """
+    m, n = modulus, a.rows
+    if n != a.cols:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    rows = [row + unit for row, unit in zip(a.array.tolist(), _identity_rows(n))]
+    if m:
+        rows = [[x % m for x in row] for row in rows]
+    for k in range(n):
+        live = [i for i in range(k, n) if rows[i][k]]
+        while len(live) > 1:
+            p = min(live, key=lambda i: abs(rows[i][k]))
+            for i in live:
+                if i != p:
+                    rows[i] = _sub_multiple(rows[i], rows[p], rows[i][k] // rows[p][k], m)
+            live = [i for i in live if rows[i][k]]
+        if not live:
+            return None
+        p, g = live[0], rows[live[0]][k]
+        if (math.gcd(g, m) if m else abs(g)) != 1:
+            return None
+        if g != 1:
+            rows[p] = [x * pow(g, -1, m) % m for x in rows[p]] if m else [-x for x in rows[p]]
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = _sub_multiple(rows[i], top, rows[i][k], m)
+    return IntMatrix._wrap(_object_array([row[n:] for row in rows], (n, n)))
 
 
 def solve_linear(

@@ -98,8 +98,8 @@ class SearchConfig:
 
     def __post_init__(self):
         # the fields as read, written once at construction, before any is checked
-        ints = {"coeff_bound": _integer(self.coeff_bound), "max_enum": _integer(self.max_enum)}
-        vars(self).update(ints, extra_moduli=tuple(map(_integer, self.extra_moduli)))
+        ints = {name: _integer(getattr(self, name), name) for name in ("coeff_bound", "max_enum")}
+        vars(self).update(ints, extra_moduli=tuple(_integer(m, "extra_moduli entry") for m in self.extra_moduli))
         if self.coeff_bound < 0:
             raise ValueError("coefficient bound must be nonnegative")
         if self.max_enum < 1:
@@ -182,10 +182,9 @@ class CommutativeSquare:
     The corners and the ring are read off the maps.  A given witness is
     re-checked against this square's c o g and g' o b; none given, one is
     solved for.  Two squares are equal when their four maps and their
-    witness blocks are.  The hash reads the four corner complexes and the
-    entries of c, so live squares of one shape but another c fall into
-    different buckets of the verdict memo; the witness and the other maps
-    are left to equality."""
+    witness blocks are.  The hash reads the four maps, which equal squares
+    share, so live squares that differ in any map fall into different
+    buckets of the verdict memo; the witness is left to equality."""
 
     g: ChainMap
     gprime: ChainMap
@@ -225,7 +224,7 @@ class CommutativeSquare:
         )
 
     def __hash__(self):
-        return hash((self.b_obj, self.bprime_obj, self.c))
+        return hash((self.g, self.gprime, self.b, self.c))
 
 
 @dataclass(frozen=True)

@@ -128,14 +128,6 @@ def _compiled_template(name: str, build, *against):
     return known[2]
 
 
-def _parameter(name: str, value) -> int:
-    """A parameter read by `intmat`'s integer rule, as a Python int."""
-    try:
-        return _integer(value)
-    except ValueError:
-        raise ValueError(f"parameter {name} = {value!r} is not an integer") from None
-
-
 class _Polynomials:
     """The polynomial entries of one template, compiled once.
 
@@ -375,7 +367,7 @@ def lemma2(k: int, a: int, b: int = 0) -> Lemma2Instance:
     """Instantiate stored triangle template k in {1, 2, 3, 4} at (a, b),
     unchecked: its identities were proved for every (a, b) when the
     template was first used."""
-    k, a, b = _parameter("k", k), _parameter("a", a), _parameter("b", b)
+    k, a, b = _integer(k, "parameter k ="), _integer(a, "parameter a ="), _integer(b, "parameter b =")
     if k not in (1, 2, 3, 4):
         raise ValueError("template index must be 1, 2, 3 or 4")
     template = _lemma2_template(k).proved()
@@ -408,7 +400,7 @@ class StarDiagram:
 def build_star(a: int) -> StarDiagram:
     """The star diagram at a, its rows and maps built unchecked from the
     proved template; only its three squares are decided here."""
-    return _star(_parameter("a", a), _star_template())
+    return _star(_integer(a, "parameter a ="), _star_template())
 
 
 def _star(a: int, template: _StarTemplate) -> StarDiagram:
@@ -478,7 +470,7 @@ def verify_paper(a: int, config: SearchConfig = DEFAULT_CONFIG) -> PaperReport:
     For a >= 3 both decisions are expected to be certified refutations mod
     a^2; for smaller a the verdicts are recorded without expectations.
     """
-    a = _parameter("a", a)
+    a = _integer(a, "parameter a =")
     # every instance of a proved template is distinguished: of the five
     # reported, only the two that the vertical comparison reads are built
     template1, template2, _, template4 = (_lemma2_template(k).proved() for k in (1, 2, 3, 4))

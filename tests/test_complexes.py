@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -804,6 +806,46 @@ def test_degreewise_invertible_maps_take_the_closed_form_contraction(monkeypatch
         g = homotopy_inverse(f, h)
         assert g.compose(f) == identity_map(f.source)
         assert f.compose(g) == identity_map(f.target)
+
+
+def _block_sum(f: ChainMap, k: int) -> ChainMap:
+    """The k-fold direct sum f + ... + f as one block-diagonal chain map."""
+    src, tgt = f.source, f.target
+    for _ in range(k - 1):
+        src, tgt = direct_sum(src, f.source), direct_sum(tgt, f.target)
+    comps = {}
+    for i in src.degrees():
+        if tgt.rank(i):
+            c, zero = f.component(i), IntMatrix.zeros(*f.component(i).shape)
+            comps[i] = IntMatrix.block([[c if r == s else zero for s in range(k)] for r in range(k)])
+    return ChainMap(src, tgt, comps)
+
+
+def test_the_closed_form_contraction_takes_no_smith_form(monkeypatch):
+    import homcart.complexes as complexes
+    import homcart.intmat as intmat
+
+    star = build_star(5)
+    b, g = _block_sum(star.morphism.q, 3), _block_sum(star.upper.g, 3)
+    maps = [*_degreewise_invertible_maps(), identity_map(cone_complex(pair(b, g)))]
+
+    def refuse(*args):
+        raise AssertionError("a degreewise invertible map took a Smith form")
+
+    monkeypatch.setattr(complexes, "smith_normal_form", refuse)
+    monkeypatch.setattr(intmat, "smith_normal_form", refuse)
+    blocks = [is_homotopy_equivalence(f).blocks_to_json() for f in maps]
+    # the contractions as the Smith-form sections gave them: the inverse is unique
+    digest = hashlib.sha256(json.dumps(blocks).encode()).hexdigest()
+    assert digest == "593ea75aaebab5742e76742b49921c1ff155d26b10f13015f6966cd44b0342f9"
+
+
+def test_a_wrong_inverse_raises_rather_than_reading_as_no_equivalence(monkeypatch):
+    import homcart.intmat as intmat
+
+    monkeypatch.setattr(intmat, "inverse", lambda a, m=None: IntMatrix.identity(a.rows).scale(2))
+    with pytest.raises(AssertionError, match="non-inverse"):
+        is_homotopy_equivalence(identity_map(one_term()))
 
 
 def test_equal_rank_maps_that_are_not_invertible_take_the_general_path(monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homcart.complexes import Ring
 from homcart.intmat import (
     DimensionMismatch,
     FGAbelianGroup,
@@ -16,6 +17,7 @@ from homcart.intmat import (
     ResidueMatrix,
     cokernel,
     det,
+    inverse,
     smith_normal_form,
     decimal_integer,
     solve_linear,
@@ -253,6 +255,86 @@ def test_det_agrees_with_sympy():
         assert det(IntMatrix.identity(n)) == 1
 
 
+@st.composite
+def _square_matrices(draw, max_dim=6):
+    """Square matrices of size 0-6: random small entries, mostly singular
+    over Z, or a product of elementary row operations times a random
+    diagonal of small entries, often unimodular or a unit modulo m."""
+    n = draw(st.integers(0, max_dim))
+    if draw(st.booleans()):
+        entries = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+        return IntMatrix(entries) if n else IntMatrix.zeros(0, 0)
+    rows = [[draw(st.sampled_from([1, -1, 1, 5, 7])) * int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, k, q = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(-4, 4))
+        if i != k:
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[k])]
+        else:
+            rows[i], rows[-1 - i] = rows[-1 - i], rows[i]
+    return IntMatrix(rows) if n else IntMatrix.zeros(0, 0)
+
+
+def _is_unit(x: int, m: int | None) -> bool:
+    return abs(x) == 1 if m is None else math.gcd(x, m) == 1
+
+
+def _assert_inverse(a: IntMatrix, s: IntMatrix, m: int | None):
+    one = IntMatrix.identity(a.rows)
+    for product in (a @ s - one, s @ a - one):
+        assert (product.reduce_mod(m) if m else product).is_zero()
+    if m:
+        assert all(0 <= x < m for row in s.tolist() for x in row)
+
+
+@settings(database=None, deadline=None, max_examples=300)
+@given(a=_square_matrices(), m=st.sampled_from([None, 4, 6, 12, 1 << 70, 1048583]))
+def test_inverse_exists_exactly_when_the_determinant_is_a_unit(a, m):
+    s = inverse(a, m)
+    assert (s is not None) == _is_unit(det(a), m)
+    if s is not None:
+        _assert_inverse(a, s, m)
+
+
+@settings(database=None, deadline=None, max_examples=100)
+@given(a=_square_matrices(), p=st.sampled_from([2, 3]))
+def test_ring_inverse_over_small_prime_fields_follows_the_same_rule(a, p):
+    s = Ring(p).inverse(a)
+    assert (s is not None) == _is_unit(det(a), p)
+    if s is not None:
+        assert s.dtype == np.int64
+        _assert_inverse(a, IntMatrix(s), p)
+
+
+def test_inverse_examples():
+    # no column of [[2, 3], [3, 5]] holds a unit, and the gcds of its columns are units
+    a = IntMatrix([[2, 3], [3, 5]])
+    assert inverse(a) == IntMatrix([[5, -3], [-3, 2]])
+    assert inverse(a, 7) == IntMatrix([[5, 4], [4, 2]])
+    assert inverse(IntMatrix([[2, 4], [6, 8]])) is None
+    assert inverse(IntMatrix([[0, 1], [1, 0]])) == IntMatrix([[0, 1], [1, 0]])
+    assert inverse(IntMatrix.zeros(0, 0)) == IntMatrix.zeros(0, 0)
+    # over Z/6, 2 has the section 2 (2 2 2 = 2 mod 6) but no inverse
+    assert inverse(IntMatrix([[2]]), 6) is None
+    assert inverse(IntMatrix([[5]]), 6) == IntMatrix([[5]])
+    big = 3 * (2**64 + 1)
+    u = IntMatrix([[big + 1, big], [1, 1]])
+    assert inverse(u) == IntMatrix([[1, -big], [-1, big + 1]])
+    _assert_inverse(u, inverse(u, 1 << 70), 1 << 70)
+    with pytest.raises(DimensionMismatch):
+        inverse(IntMatrix([[1, 0]]))
+
+
+def test_inverse_takes_no_row_operation_on_an_identity_block(monkeypatch):
+    import homcart.intmat as intmat
+
+    steps = []
+    real = intmat._sub_multiple
+    monkeypatch.setattr(intmat, "_sub_multiple", lambda *args: steps.append(args) or real(*args))
+    assert inverse(IntMatrix.identity(40)) == IntMatrix.identity(40)
+    assert inverse(IntMatrix.identity(40), 12) == IntMatrix.identity(40)
+    assert steps == []
+
+
 def test_fg_group_validation():
     with pytest.raises(ValueError):
         FGAbelianGroup(0, (1,))
@@ -452,6 +534,14 @@ def test_matrix_scalars_are_read_by_the_integer_rule(m, tripled):
         with pytest.raises(ValueError):
             m.scale(k)
     assert m.scale(np.int64(3)).tolist() == tripled
+
+
+def test_integer_rule_errors_name_what_they_read():
+    with pytest.raises(ValueError, match=r"^matrix entry 2\.5 is not an integer$"):
+        IntMatrix([[1, 2.5]])
+    for m in (IntMatrix.identity(2), ResidueMatrix.identity(2, 5)):
+        with pytest.raises(ValueError, match=r"^scale factor 2\.5 is not an integer$"):
+            m.scale(2.5)
 
 
 @pytest.mark.parametrize("bad", [*NOT_DECIMAL, True, 7.0, "7.0", "", "+", "7\n", "0x7", None])

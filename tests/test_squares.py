@@ -543,7 +543,7 @@ def test_a_no_over_z_returns_before_the_box(monkeypatch, config):
 )
 def test_search_config_reads_its_fields_by_the_integer_rule(fields, read):
     if read is None:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(fields))):
             SearchConfig(**fields)
         return
     config = SearchConfig(**fields)
@@ -676,9 +676,19 @@ def test_the_memo_dies_with_its_squares():
     assert len(squares._verdicts) == before
 
 
+def test_squares_from_cones_that_differ_only_in_g_hash_apart():
+    # c, b, g' and the witness of square_from_cone are the same at every a:
+    # only g tells these squares apart, so the hash must read it
+    squares_ = []
+    for a in range(3, 13):
+        star = build_star(a)
+        squares_.append(square_from_cone(star.morphism.q, star.upper.g))
+    assert len({hash(sq) for sq in squares_}) == 10
+
+
 def test_a_memo_hit_among_many_live_squares_of_one_shape_compares_few(monkeypatch):
     # 200 live squares Z[0] -> Z[0] differing only in b = c = (k): the hash
-    # reads c, so a lookup compares its own entry, not the whole bucket
+    # reads the maps, so a lookup compares its own entry, not the whole bucket
     z = one_term()
 
     def square(k):

@@ -654,6 +654,13 @@ def test_instances_of_proved_templates_are_built_unchecked(monkeypatch):
     assert walks == []
 
 
+def test_a_parameter_error_names_the_parameter():
+    with pytest.raises(ValueError, match=r"^parameter a = 3\.0 is not an integer$"):
+        build_star(3.0)
+    with pytest.raises(ValueError, match=r"^parameter k = '1' is not an integer$"):
+        lemma2("1", 3)
+
+
 def test_parameters_are_read_by_the_integer_rule():
     big = 3_000_000
     report = verify_paper(np.int64(big))
