@@ -67,8 +67,10 @@ def _add_format_flag(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "text"), default="text")
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
-    """The search bounds of `SearchConfig`, for the subcommands that search."""
+def _add_config_flags(p: argparse.ArgumentParser, over_z: bool = True):
+    """The search bounds of `SearchConfig`, for the subcommands that search:
+    `--max-enum`, and where the squares may be over Z the two bounds only
+    the search over Z reads."""
     p.add_argument(
         "--max-enum",
         type=decimal_integer,
@@ -76,8 +78,11 @@ def _add_config_flags(p: argparse.ArgumentParser):
         help="cap on the constraint-solution classes walked over Z/m; the box over Z walks at most min(this, 4096);"
         " the refutation's unit classes are capped at 256 alone",
     )
-    p.add_argument("--coeff-bound", type=decimal_integer, default=None, help="coefficient bound for integral searches")
-    p.add_argument("--moduli", default="", help="extra refutation moduli, comma or space separated")
+    if over_z:
+        p.add_argument("--coeff-bound", type=decimal_integer, default=None, help="coefficient bound for integral searches")
+        p.add_argument("--moduli", default="", help="extra refutation moduli, comma or space separated")
+    else:
+        p.set_defaults(coeff_bound=None, moduli="")
     _add_format_flag(p)
 
 
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--seed", type=decimal_integer, default=42)
     fp.add_argument("--max-rank", type=decimal_integer, default=3)
     fp.add_argument("--degrees", type=decimal_integer, default=4)
-    _add_config_flags(fp)
+    _add_config_flags(fp, over_z=False)
     fp.set_defaults(run=cmd_fuzz_prop2)
 
     return parser

@@ -50,9 +50,8 @@ contracted by h(i+1) = s(i) (1 - s(i+1) d(i+1)), and the cone of a map f
 that is invertible in every degree by [[0, 0], [f_i^-1, 0]] in degree i.
 Over Z/m, d has a section exactly when each invariant factor d_k of its
 Smith form is a unit modulo m / gcd(d_k, m).  An inverse needs no Smith
-form: `intmat.inverse` eliminates the rows of [f_i | 1] alone, and over a
-small prime field `Ring.inverse` reads the rref of [f_i | 1] that
-`section` runs.
+form: on every ring `intmat.inverse` eliminates the rows of [f_i | 1]
+alone.
 
 Hom groups and the classes of the squares search are subquotients,
 computed by one routine for every ring: `Subquotient(ring, top, b)` is
@@ -65,9 +64,9 @@ off the Smith forms of d(i-1) and d(i) alone.
 fields F_p with p <= 2^20 are solved in int64 by `modp`, and every other
 ring (Z, Z/m, larger primes) by the exact Smith kernel of `intmat`.  Its
 one decomposition of a matrix, u a v = D diagonal, is `Ring.smith`: the
-Smith form, or `modp.diagonalize` over F_p, where four questions take
-one cheaper rref instead: `solve` of [a | b], `kernel` of a, `section` of
-[d | 1], `inverse` of [a | 1].
+Smith form, or `modp.diagonalize` over F_p, where three questions take
+one cheaper rref instead: `solve` of [a | b], `kernel` of a and `section`
+of [d | 1].
 `Ring.asarray` puts a matrix into its backend's form; no other code
 converts between the two.
 
@@ -201,7 +200,11 @@ class Ring:
         if rows == 0 or cols == 0:
             return np.zeros((cols, rows), dtype=self.dtype), 0
         if self.is_small_prime_field:
-            return self._section_mod_p(d)
+            r, pivots = modp.rref(np.hstack([self.asarray(d), np.eye(rows, dtype=np.int64)]), self.modulus)
+            rank = sum(1 for j in pivots if j < cols)
+            s = np.zeros((cols, rows), dtype=np.int64)
+            s[pivots[:rank]] = r[:rank, cols:]
+            return s, rank
         (u, diag, v, _), m = self.smith(d.array), self.modulus
         if m is None:
             rank = sum(1 for x in diag if x)
@@ -215,27 +218,12 @@ class Ring:
         k = len(diag)
         return (v[:, :k] * t) @ u[:k, :] % m, sum(1 for x in diag if x % m)
 
-    def _section_mod_p(self, d: IntMatrix) -> tuple[np.ndarray, int]:
-        """`section` over a small prime field, from one rref of [d | 1]."""
-        rows, cols = d.shape
-        r, pivots = modp.rref(np.hstack([self.asarray(d), np.eye(rows, dtype=np.int64)]), self.modulus)
-        rank = sum(1 for j in pivots if j < cols)
-        s = np.zeros((cols, rows), dtype=np.int64)
-        s[pivots[:rank]] = r[:rank, cols:]
-        return s, rank
-
     def inverse(self, a: IntMatrix) -> np.ndarray | None:
         """a^-1 as a backend array for a square block a, or None when a is
-        not invertible.  Over a small prime field the rref of [a | 1] that
-        `section` runs, accepted at rank n; over every other ring
-        `intmat.inverse`, row elimination with no Smith form."""
-        if a.rows != a.cols:
-            raise DimensionMismatch("inverse of a non-square matrix")
-        if self.is_small_prime_field:
-            s, rank = self._section_mod_p(a)
-            return s if rank == a.rows else None
+        not invertible: `intmat.inverse`, row elimination with no Smith
+        form, on every ring."""
         inv = intmat.inverse(a, self.modulus)
-        return None if inv is None else inv.array
+        return None if inv is None else self.asarray(inv)
 
     def is_zero(self, a) -> bool:
         """Whether a backend array (or 0) is zero in the ring: reduced once
@@ -244,9 +232,13 @@ class Ring:
 
     def canon(self, m: IntMatrix) -> IntMatrix:
         """m as a block of this ring, reduced into [0, modulus); on a small
-        prime field a block the ring built is returned as it is."""
+        prime field a block the ring built is returned as it is.  On every
+        other ring a `ResidueMatrix`, whose arithmetic reduces mod its p, is
+        first read as the IntMatrix of its entries."""
         if self.is_small_prime_field:
             return m if isinstance(m, ResidueMatrix) and m.p == self.modulus else ResidueMatrix(m.array, self.modulus)
+        if isinstance(m, ResidueMatrix):
+            m = IntMatrix(m.array)
         return m if self.modulus is None else m.reduce_mod(self.modulus)
 
     def matrix(self, a) -> IntMatrix:

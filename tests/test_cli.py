@@ -302,6 +302,16 @@ def test_fuzz_small_run_deterministic(capsys):
     assert json.loads(out1)["yes"] == 5
 
 
+def test_fuzz_exits_2_when_a_trial_stays_unknown(capsys):
+    # trial 2 needs 2 classes, one more than --max-enum allows
+    code, out, _ = run(
+        capsys, "fuzz", "prop2", "--field", "2", "--trials", "3", "--seed", "42", "--max-enum", "1", "--format", "json"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["yes"], payload["no"], payload["unknown"]) == (2, 0, 1)
+
+
 def test_bad_config_is_usage_error(tmp_path, capsys):
     f = tmp_path / "sq.json"
     b_obj = two_term(3)
@@ -362,15 +372,25 @@ def test_parse_errors_exit_3_with_an_error_line(capsys, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+# each subcommand with the search flags it refuses
+_REFUSED_SEARCH_FLAGS = [
+    (["complex", "homology", "cx.json"], ("--max-enum", "--coeff-bound", "--moduli")),
+    (["triangle", "verify", "tri.json"], ("--max-enum", "--coeff-bound", "--moduli")),
+    (["unit-lemma", "--ring", "zmod:9", "--eps", "3"], ("--max-enum", "--coeff-bound", "--moduli")),
+    # its squares are over Z/m: a Subquotient mod m has free rank 0, and the
+    # refutation moduli are scheduled by the search over Z alone
+    (["fuzz", "prop2", "--trials", "1"], ("--coeff-bound", "--moduli")),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, flag",
     [
-        ["complex", "homology", "cx.json"],
-        ["triangle", "verify", "tri.json"],
-        ["unit-lemma", "--ring", "zmod:9", "--eps", "3"],
+        pytest.param(argv, flag, id=f"{flag}-argv{k}")
+        for k, (argv, flags) in enumerate(_REFUSED_SEARCH_FLAGS)
+        for flag in flags
     ],
 )
-@pytest.mark.parametrize("flag", ["--max-enum", "--coeff-bound", "--moduli"])
 def test_search_flags_are_refused_where_no_search_runs(capsys, argv, flag):
     code, out, err = run(capsys, *argv, flag, "3")
     assert code == 3
@@ -475,9 +495,10 @@ _INTEGER_ARGUMENTS = {
     "--trials": ("fuzz", "prop2", "--trials={}"),
     **{
         option: ("fuzz", "prop2", "--trials=0", option + "={}")
-        for option in ("--field", "--seed", "--max-rank", "--degrees", "--max-enum", "--coeff-bound")
+        for option in ("--field", "--seed", "--max-rank", "--degrees", "--max-enum")
     },
-    "--moduli": ("fuzz", "prop2", "--trials=1", "--moduli={}"),
+    "--coeff-bound": ("paper", "verify", "--a-min=3", "--a-max=3", "--coeff-bound={}"),
+    "--moduli": ("paper", "verify", "--a-min=3", "--a-max=3", "--moduli={}"),
 }
 
 
@@ -500,6 +521,7 @@ def test_command_line_integers_are_read_as_signed_decimals(capsys):
     assert run(capsys, "unit-lemma", "--ring", "zmod:7", "--eps=-7", "--format", "json")[0] == 0
     code, out, _ = run(capsys, "unit-lemma", "--ring", "matf:3:1", "--eps", "[[7]]", "--format", "json")
     assert code == 0 and json.loads(out)["unit"] == [["1"]]
-    assert run(capsys, "fuzz", "prop2", "--trials=1", "--moduli= 7", "--seed=-7")[0] == 0
-    code, _, err = run(capsys, "fuzz", "prop2", "--trials=1", "--moduli=-7")
+    assert run(capsys, "fuzz", "prop2", "--trials=1", "--seed=-7")[0] == 0
+    assert run(capsys, "paper", "verify", "--a-min=3", "--a-max=3", "--moduli= 7")[0] == 0
+    code, _, err = run(capsys, "paper", "verify", "--a-min=3", "--a-max=3", "--moduli=-7")
     assert code == 3 and "moduli must be at least 2" in err

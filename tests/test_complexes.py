@@ -848,6 +848,26 @@ def test_a_wrong_inverse_raises_rather_than_reading_as_no_equivalence(monkeypatc
         is_homotopy_equivalence(identity_map(one_term()))
 
 
+def test_inverses_over_small_prime_fields_take_no_rref(monkeypatch):
+    maps = [f for f in _degreewise_invertible_maps() if f.source.ring.modulus in (2, 3)]
+    assert {f.source.ring.modulus for f in maps} == {2, 3}
+
+    def refuse(*args):
+        raise AssertionError("an inverse took an rref")
+
+    monkeypatch.setattr(modp, "rref", refuse)
+    for f in maps:
+        assert is_homotopy_equivalence(f) is not None
+
+
+def test_a_residue_block_in_a_map_over_z_computes_over_z():
+    z = Complex(ZZ, {0: 1}, {})
+    g = ChainMap(z, z, {0: Zmod(3).matrix([[2]])})
+    assert g == ChainMap(z, z, {0: IntMatrix([[2]])})
+    assert type(g.component(0)) is IntMatrix
+    assert g.compose(g).component(0) == IntMatrix([[4]])
+
+
 def test_equal_rank_maps_that_are_not_invertible_take_the_general_path(monkeypatch):
     import homcart.complexes as complexes
 

@@ -24,7 +24,8 @@ template files are read at one site and their identities proved in one
 loop, `complexes` solves through `Ring.smith` and never names
 `solve_linear`, and the squares search reduces no chain map: its one
 refutation loop, over each scheduled modulus and then Z, tests each unit
-class on the constraint system it has built."""
+class on the constraint system it has built, and `Ring.inverse` takes one
+path on every ring, with no F_p branch."""
 
 import ast
 import importlib
@@ -396,3 +397,9 @@ def test_the_search_asks_its_constraint_questions_through_one_decomposition():
         assert "holds_mod" in names and not {"solve", "homotopic", "Zmod", "asarray"} & names
     holds_mod = _function("squares.py", "holds_mod")
     assert "smith" not in _names(holds_mod)  # it reads the one decomposition, taking none itself
+
+
+def test_ring_inverse_has_one_path_for_every_ring():
+    ring = next(n for n in ast.walk(_parse("complexes.py")) if isinstance(n, ast.ClassDef) and n.name == "Ring")
+    inverse = next(n for n in ring.body if isinstance(n, ast.FunctionDef) and n.name == "inverse")
+    assert not {"is_small_prime_field", "modp", "_section_mod_p"} & _names(inverse)

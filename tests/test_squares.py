@@ -10,6 +10,7 @@ import pytest
 import homcart.squares as squares
 from homcart.complexes import (
     ZZ,
+    ChainMap,
     Complex,
     ComplexError,
     Homotopy,
@@ -97,6 +98,15 @@ def test_a_square_that_does_not_commute_is_refused():
     one, zero = cmap(z, z, {0: [[1]]}), cmap(z, z, {0: [[0]]})
     with pytest.raises(NotCommutative, match="c o g is not homotopic to g' o b"):
         CommutativeSquare(one, one, one, zero)
+
+
+def test_a_residue_block_over_z_does_not_make_a_square_commute():
+    # read mod 3, c o g = 2 * 2 would be 1 = g' o b
+    z = Complex(ZZ, {0: 1}, {})
+    g = c = ChainMap(z, z, {0: Zmod(3).matrix([[2]])})
+    one = identity_map(z)
+    with pytest.raises(NotCommutative):
+        CommutativeSquare(g, one, one, c)
 
 
 def test_diagonal_identity_square():
