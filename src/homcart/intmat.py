@@ -67,8 +67,12 @@ def decimal_integer(v) -> int:
 
 def _to_object_array(entries) -> np.ndarray:
     """The integer rule: a fresh 2-d object array of Python ints (bools 0 and
-    1); any other entry, an integral float too, raises ValueError."""
-    if not isinstance(entries, np.ndarray):
+    1); any other entry, an integral float too, raises ValueError.  An
+    `IntMatrix` is read by its entries, a `ResidueMatrix` as its integers in
+    [0, p)."""
+    if isinstance(entries, IntMatrix):
+        entries = entries.array
+    elif not isinstance(entries, np.ndarray):
         entries = np.array(entries, dtype=object) if len(entries) else np.empty((0, 0), dtype=object)
     if entries.ndim != 2:
         raise DimensionMismatch("matrix data must be two-dimensional")

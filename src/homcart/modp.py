@@ -3,6 +3,9 @@ primality test, `is_prime`.
 
 Exact throughout: entries live in [0, p) and p is capped at P_MAX, so a
 product of n-entry rows and columns, n p^2, stays below 2^63 for n < 2^23.
+`rref` eliminates a matrix with at most `_LIST_MAX_NONZERO` nonzero entries
+on rows of Python ints, and a larger one on the int64 array; both return
+the same int64 R, since the reduced row echelon form is unique.
 `complexes.Ring` sends prime fields up to P_MAX here, and reads its
 decomposition of a matrix over them from `diagonalize`; composite moduli
 and larger primes go through the integer Smith kernel instead.
@@ -11,6 +14,11 @@ and larger primes go through the integer Smith kernel instead.
 import numpy as np
 
 P_MAX = 1 << 20
+
+# Above this many nonzero entries `rref` runs on the int64 array: per pivot
+# numpy costs a few array calls whatever the matrix, the row lists a Python
+# step per entry the pivot row changes, and a dense block changes them all.
+_LIST_MAX_NONZERO = 96
 
 
 def _check_prime_size(p: int):
@@ -50,6 +58,45 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form mod p; returns (R, pivot column list)."""
     _check_prime_size(p)
     r = a.astype(np.int64, copy=True) % p
+    if np.count_nonzero(r) <= _LIST_MAX_NONZERO:
+        return _rref_lists(r, p)
+    return _rref_array(r, p)
+
+
+def _rref_lists(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`rref` of r, entries in [0, p), on its rows as lists of Python ints:
+    each pivot row is scaled by a `pow` inverse and subtracted, on its
+    nonzero entries alone, from the rows with a nonzero entry in its column."""
+    nrows, ncols = r.shape
+    rows, pivots = r.tolist(), []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        for pr in range(row, nrows):
+            if rows[pr][col]:
+                break
+        else:
+            continue
+        pivot = rows[pr]
+        rows[pr], rows[row] = rows[row], pivot
+        inv = pow(pivot[col], -1, p)
+        # the pivot row is zero left of col
+        support = [(j, x * inv % p) for j, x in enumerate(pivot[col:], col) if x]
+        for j, x in support:
+            pivot[j] = x
+        for k, target in enumerate(rows):
+            c = target[col]
+            if c and k != row:
+                for j, x in support:
+                    target[j] = (target[j] - c * x) % p
+        pivots.append(col)
+    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), pivots
+
+
+def _rref_array(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """`rref` of r, entries in [0, p), in place on the int64 array: each
+    pivot clears its column with one outer product."""
     nrows, ncols = r.shape
     pivots: list[int] = []
     row = 0

@@ -409,6 +409,21 @@ def test_integers_of_every_kind_become_python_ints():
     assert list(x) == [2] and type(x[0]) is int
 
 
+
+def test_matrices_are_read_by_their_entries():
+    m = IntMatrix([[1, -2**70]])
+    copy = IntMatrix(m)
+    assert copy == m and copy.array is not m.array and all(type(v) is int for v in copy.array.flat)
+    z = Ring(None).matrix(IntMatrix([[2]]))
+    assert type(z) is IntMatrix and z.tolist() == [[2]]
+    # a residue matrix reads as its integers in [0, p)
+    residue = Ring(3).matrix([[-1, 4]])
+    assert IntMatrix(residue).tolist() == [[2, 1]] and all(type(v) is int for v in IntMatrix(residue).array.flat)
+    assert Ring(5).matrix(Ring(3).matrix([[2]])) == ResidueMatrix([[2]], 5)
+    assert type(Ring(4).matrix(residue)) is IntMatrix and Ring(4).matrix(residue).tolist() == [[2, 1]]
+    with pytest.raises(ValueError):
+        Ring(None).matrix(np.array([[1.0]]))
+
 def test_bools_are_zero_and_one_and_round_trip_through_json():
     m = IntMatrix(np.array([[True, False]]))
     assert m.to_json() == [["1", "0"]]

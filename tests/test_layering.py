@@ -25,7 +25,10 @@ loop, `complexes` solves through `Ring.smith` and never names
 `solve_linear`, and the squares search reduces no chain map: its one
 refutation loop, over each scheduled modulus and then Z, tests each unit
 class on the constraint system it has built, and `Ring.inverse` takes one
-path on every ring, with no F_p branch."""
+path on every ring, with no F_p branch; `modp.rref` takes (a, p) alone and
+picks its elimination by a module constant, with no environment read, and
+blocks skip the integer rule (`Ring._wrap`) only where the contractions
+and the homotopy inverse wrap their ring's own arithmetic."""
 
 import ast
 import importlib
@@ -403,3 +406,29 @@ def test_ring_inverse_has_one_path_for_every_ring():
     ring = next(n for n in ast.walk(_parse("complexes.py")) if isinstance(n, ast.ClassDef) and n.name == "Ring")
     inverse = next(n for n in ring.body if isinstance(n, ast.FunctionDef) and n.name == "inverse")
     assert not {"is_small_prime_field", "modp", "_section_mod_p"} & _names(inverse)
+
+
+def test_rref_picks_its_elimination_by_a_constant_not_a_knob():
+    tree, rref = _parse("modp.py"), _function("modp.py", "rref")
+    args = rref.args
+    assert [a.arg for a in args.args] == ["a", "p"]
+    assert not (args.posonlyargs or args.kwonlyargs or args.defaults or args.vararg or args.kwarg)
+    constants = {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    limit = constants.get("_LIST_MAX_NONZERO")
+    assert isinstance(limit, ast.Constant) and type(limit.value) is int
+    assert {"_LIST_MAX_NONZERO", "_rref_lists", "_rref_array"} <= _names(rref)
+    assert not {"os", "environ", "getenv"} & _names(tree)
+
+
+def test_blocks_skip_the_integer_rule_only_in_the_contractions():
+    def wrap(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_wrap"
+
+    sites = _functions_around(_parse("complexes.py"), wrap)
+    assert sorted(sites) == ["Ring._wrap", "homotopy_inverse", "is_contractible", "is_homotopy_equivalence"]

@@ -1,5 +1,7 @@
-"""`modp.solve` against brute force over F_2 and F_3, and `modp.is_prime`
-against sympy, with the numbers it cannot decide refused at once."""
+"""`modp.solve` against brute force over F_2 and F_3, `modp.rref` against
+sympy's row reduction over GF(p), on both of its eliminations, and
+`modp.is_prime` against sympy, with the numbers it cannot decide refused at
+once."""
 
 import random
 import time
@@ -8,6 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from homcart import modp
 from homcart.complexes import Zmod
@@ -137,3 +140,56 @@ def test_a_ring_decides_its_primality_once(monkeypatch):
     assert ring.is_prime_field and ring.is_small_prime_field
     assert calls == [3]
     assert ring == Zmod(3) and hash(ring) == hash(Zmod(3))
+
+
+def _rref_inputs(p, rng):
+    """Matrices over F_p, some entries outside [0, p): empty, 1 x 1, zero and
+    full rank, and sparse and dense ones with nonzero counts on both sides
+    of `modp._LIST_MAX_NONZERO`."""
+    for rows, cols in ((0, 0), (0, 5), (5, 0), (1, 1), (4, 7), (30, 30)):
+        yield np.zeros((rows, cols), dtype=np.int64)
+    yield np.array([[rng.randrange(1, p)]], dtype=np.int64)
+    yield np.array([[-1, p + 2], [2 * p, -p]], dtype=np.int64)
+    for n in (3, 8, 20):
+        # full rank: unit upper triangular, rows then mixed by adding row 0
+        a = np.triu(np.array([[rng.randrange(p) for _ in range(n)] for _ in range(n)], dtype=np.int64), 1)
+        a += np.eye(n, dtype=np.int64)
+        a[1:] += a[0]
+        yield a
+    limit = modp._LIST_MAX_NONZERO
+    for rows, cols, nonzero in ((6, 9, 12), (12, 20, limit), (40, 48, limit + 1), (60, 70, 3 * limit), (15, 40, 20)):
+        a = np.zeros((rows, cols), dtype=np.int64)
+        for k in rng.sample(range(rows * cols), nonzero):
+            a[divmod(k, cols)] = rng.randrange(1, p) + p * rng.randrange(-2, 3)
+        yield a
+    for rows, cols in ((3, 3), (5, 8), (9, 9), (12, 16), (16, 16), (20, 10)):
+        yield np.array([[rng.randrange(-p, 2 * p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+
+
+# 1048573, the largest prime that modp takes
+RREF_PRIMES = [2, 3, 5, sympy.prevprime(modp.P_MAX + 1)]
+
+
+@pytest.mark.parametrize("p", RREF_PRIMES)
+def test_rref_agrees_with_sympy(p):
+    field, counts = sympy.GF(p), set()
+    for a in _rref_inputs(p, random.Random(p)):
+        rows, cols = a.shape
+        expected_r, expected_pivots = DomainMatrix(
+            [[field(int(x)) for x in row] for row in a.tolist()], (rows, cols), field
+        ).rref()
+        r, pivots = modp.rref(a, p)
+        assert r.dtype == np.int64 and r.shape == (rows, cols)
+        assert pivots == list(expected_pivots)
+        assert r.tolist() == [[int(x) % p for x in row] for row in expected_r.to_list()]
+        counts.add(np.count_nonzero(a % p) <= modp._LIST_MAX_NONZERO)
+    assert counts == {True, False}
+
+
+@pytest.mark.parametrize("p", RREF_PRIMES)
+def test_rref_eliminations_on_lists_and_on_the_array_agree(p):
+    for a in _rref_inputs(p, random.Random(100 + p)):
+        r = a % p
+        by_lists, by_array = modp._rref_lists(r.copy(), p), modp._rref_array(r.copy(), p)
+        assert by_lists[0].dtype == by_array[0].dtype == np.int64
+        assert np.array_equal(by_lists[0], by_array[0]) and by_lists[1] == by_array[1]
