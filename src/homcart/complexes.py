@@ -248,14 +248,6 @@ class Ring:
             return ResidueMatrix(a, self.modulus)
         return self.canon(IntMatrix(a))
 
-    def _wrap(self, a: np.ndarray) -> IntMatrix:
-        """The block owning a backend array a that this ring's arithmetic
-        made, uncopied: Python ints are not read again by the integer rule,
-        only reduced mod m over Z/m."""
-        if self.is_small_prime_field:
-            return ResidueMatrix(a, self.modulus)
-        return IntMatrix._wrap(a if self.modulus is None else a % self.modulus)
-
     def zeros(self, rows: int, cols: int) -> IntMatrix:
         if self.is_small_prime_field:
             return ResidueMatrix.zeros(rows, cols, self.modulus)
@@ -764,7 +756,7 @@ def is_contractible(c: Complex) -> Homotopy | None:
     comps = {}
     for i, _, _, _ in _layout(c, c, -1):
         kerproj = ring.asarray(np.eye(c.rank(i), dtype=ring.dtype) - sections[i] @ ring.asarray(c.differential(i)))
-        comps[i] = ring._wrap(sections[i - 1] @ kerproj)
+        comps[i] = ring.matrix(sections[i - 1] @ kerproj)
     try:
         return Homotopy(identity_map(c), zero_map(c, c), comps)
     except ComplexError:
@@ -816,7 +808,7 @@ def is_homotopy_equivalence(f: ChainMap) -> Homotopy | None:
         if cn.rank(i - 1):
             h = np.zeros((cn.rank(i - 1), cn.rank(i)), dtype=ring.dtype)
             h[f.target.rank(i - 1) :, : inv.shape[1]] = inv
-            comps[i] = ring._wrap(h)
+            comps[i] = ring.matrix(h)
     return Homotopy(identity_map(cn), zero_map(cn, cn), comps)
 
 
@@ -829,7 +821,7 @@ def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
     """
     x, y = f.source, f.target
     # the block of cone^i -> cone^(i-1) from Y^i to X^i
-    comps = {i: x.ring._wrap(contraction.component(i).array[y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
+    comps = {i: x.ring.matrix(contraction.component(i).array[y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
     return ChainMap(y, x, comps)
 
 

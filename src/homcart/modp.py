@@ -1,11 +1,11 @@
-"""Dense linear algebra over prime fields on int64 arrays, and the one
+"""Linear algebra over prime fields, returned as int64 arrays, and the one
 primality test, `is_prime`.
 
 Exact throughout: entries live in [0, p) and p is capped at P_MAX, so a
 product of n-entry rows and columns, n p^2, stays below 2^63 for n < 2^23.
-`rref` eliminates a matrix with at most `_LIST_MAX_NONZERO` nonzero entries
-on rows of Python ints, and a larger one on the int64 array; both return
-the same int64 R, since the reduced row echelon form is unique.
+`rref` eliminates on rows of Python ints while its pivots stay cheap there,
+and hands a matrix that fills in to the int64 array; either way R comes
+back as int64, the same R, since the reduced row echelon form is unique.
 `complexes.Ring` sends prime fields up to P_MAX here, and reads its
 decomposition of a matrix over them from `diagonalize`; composite moduli
 and larger primes go through the integer Smith kernel instead.
@@ -15,10 +15,10 @@ import numpy as np
 
 P_MAX = 1 << 20
 
-# Above this many nonzero entries `rref` runs on the int64 array: per pivot
-# numpy costs a few array calls whatever the matrix, the row lists a Python
-# step per entry the pivot row changes, and a dense block changes them all.
-_LIST_MAX_NONZERO = 96
+# The most entries `rref` changes on the row lists per pivot, on average over
+# the pivots so far: there each entry costs a Python step, on the int64 array
+# a pivot costs a few numpy calls whatever the matrix.
+_LIST_MAX_WORK = 192
 
 
 def _check_prime_size(p: int):
@@ -55,52 +55,63 @@ def is_prime(n: int) -> bool:
 
 
 def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod p; returns (R, pivot column list)."""
+    """Reduced row echelon form mod p; returns (R, pivot column list).
+
+    Pivots clear their columns on the rows as lists of Python ints, each
+    subtracted on its nonzero entries alone from the rows with a nonzero
+    entry in its column. Once the entries they change pass `_LIST_MAX_WORK`
+    per pivot, on average, the rest runs on the int64 array, as a dense or
+    filled-in matrix does from its first pivot.
+    """
     _check_prime_size(p)
     r = a.astype(np.int64, copy=True) % p
-    if np.count_nonzero(r) <= _LIST_MAX_NONZERO:
-        return _rref_lists(r, p)
-    return _rref_array(r, p)
-
-
-def _rref_lists(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """`rref` of r, entries in [0, p), on its rows as lists of Python ints:
-    each pivot row is scaled by a `pow` inverse and subtracted, on its
-    nonzero entries alone, from the rows with a nonzero entry in its column."""
     nrows, ncols = r.shape
-    rows, pivots = r.tolist(), []
+    # zero rows stay zero: R is the reduced nonzero rows over them
+    rows, pivots, work = list(filter(any, r.tolist())), [], 0
     for col in range(ncols):
         row = len(pivots)
-        if row == nrows:
+        if row == len(rows):
             break
-        for pr in range(row, nrows):
+        for pr in range(row, len(rows)):
             if rows[pr][col]:
                 break
         else:
             continue
         pivot = rows[pr]
-        rows[pr], rows[row] = rows[row], pivot
         inv = pow(pivot[col], -1, p)
         # the pivot row is zero left of col
         support = [(j, x * inv % p) for j, x in enumerate(pivot[col:], col) if x]
+        targets = [target for target in rows if target[col] and target is not pivot]
+        work += len(support) * len(targets)
+        if work > _LIST_MAX_WORK * (len(pivots) + 1):
+            # no row has changed before the first pivot
+            return _rref_array(_stack(rows, nrows, ncols) if pivots else r, p, col, pivots)
+        rows[pr], rows[row] = rows[row], pivot
         for j, x in support:
             pivot[j] = x
-        for k, target in enumerate(rows):
+        for target in targets:
             c = target[col]
-            if c and k != row:
-                for j, x in support:
-                    target[j] = (target[j] - c * x) % p
+            for j, x in support:
+                target[j] = (target[j] - c * x) % p
         pivots.append(col)
-    return np.array(rows, dtype=np.int64).reshape(nrows, ncols), pivots
+    return _stack(rows, nrows, ncols), pivots
 
 
-def _rref_array(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """`rref` of r, entries in [0, p), in place on the int64 array: each
-    pivot clears its column with one outer product."""
+def _stack(rows: list[list[int]], nrows: int, ncols: int) -> np.ndarray:
+    """The nrows x ncols int64 matrix of rows over zero rows."""
+    r = np.zeros((nrows, ncols), dtype=np.int64)
+    if rows:
+        r[: len(rows)] = rows
+    return r
+
+
+def _rref_array(r: np.ndarray, p: int, start: int, pivots: list[int]) -> tuple[np.ndarray, list[int]]:
+    """`rref` of r, entries in [0, p), in place on the int64 array from
+    column start on, its columns before start already reduced with the given
+    pivots: each pivot clears its column with one outer product."""
     nrows, ncols = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(ncols):
+    for col in range(start, ncols):
+        row = len(pivots)
         if row >= nrows:
             break
         hits = np.nonzero(r[row:, col])[0]
@@ -115,7 +126,6 @@ def _rref_array(r: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if others.size:
             r[others] = (r[others] - np.outer(r[others, col], r[row])) % p
         pivots.append(col)
-        row += 1
     return r, pivots
 
 

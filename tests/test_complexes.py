@@ -860,35 +860,6 @@ def test_inverses_over_small_prime_fields_take_no_rref(monkeypatch):
         assert is_homotopy_equivalence(f) is not None
 
 
-def test_contractions_keep_the_blocks_their_ring_computed(monkeypatch):
-    """The blocks of the contractions that `is_contractible` and
-    `is_homotopy_equivalence` build, and the components of `homotopy_inverse`,
-    come from the ring's own arithmetic: they are wrapped, reduced mod m,
-    and never read again by the integer rule of `Ring.matrix`."""
-    maps = _degreewise_invertible_maps()
-    for ring in (ZZ, Zmod(4), Zmod(3)):
-        x = one_term(ring)
-        # X -> X + [R --1--> R] is an equivalence, not invertible in degree 0
-        maps.append(pair(identity_map(x), zero_map(x, two_term(1, ring=ring))))
-    assert {f.source.ring.modulus for f in maps} == {None, 2, 3, 4, 9}
-    block = np.array([[5, -1, 2**70]], dtype=object)
-    assert ZZ._wrap(block.copy()).tolist() == [[5, -1, 2**70]]
-    assert type(Zmod(4)._wrap(block.copy())) is IntMatrix and Zmod(4)._wrap(block.copy()).tolist() == [[1, 3, 0]]
-    assert Zmod(3)._wrap(np.array([[5, -1]], dtype=np.int64)) == ResidueMatrix([[2, 2]], 3)
-
-    def refuse(self, a):
-        raise AssertionError("a block the ring computed was read by the integer rule")
-
-    inverses = []
-    with monkeypatch.context() as m:
-        m.setattr(Ring, "matrix", refuse)
-        for f in maps:
-            inverses.append(homotopy_inverse(f, is_homotopy_equivalence(f)))
-    for f, g in zip(maps, inverses):
-        assert homotopic(g.compose(f), identity_map(f.source))
-        assert homotopic(f.compose(g), identity_map(f.target))
-
-
 def test_a_residue_block_in_a_map_over_z_computes_over_z():
     z = Complex(ZZ, {0: 1}, {})
     g = ChainMap(z, z, {0: Zmod(3).matrix([[2]])})

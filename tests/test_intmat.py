@@ -409,7 +409,6 @@ def test_integers_of_every_kind_become_python_ints():
     assert list(x) == [2] and type(x[0]) is int
 
 
-
 def test_matrices_are_read_by_their_entries():
     m = IntMatrix([[1, -2**70]])
     copy = IntMatrix(m)
@@ -423,6 +422,7 @@ def test_matrices_are_read_by_their_entries():
     assert type(Ring(4).matrix(residue)) is IntMatrix and Ring(4).matrix(residue).tolist() == [[2, 1]]
     with pytest.raises(ValueError):
         Ring(None).matrix(np.array([[1.0]]))
+
 
 def test_bools_are_zero_and_one_and_round_trip_through_json():
     m = IntMatrix(np.array([[True, False]]))

@@ -26,9 +26,8 @@ loop, `complexes` solves through `Ring.smith` and never names
 refutation loop, over each scheduled modulus and then Z, tests each unit
 class on the constraint system it has built, and `Ring.inverse` takes one
 path on every ring, with no F_p branch; `modp.rref` takes (a, p) alone and
-picks its elimination by a module constant, with no environment read, and
-blocks skip the integer rule (`Ring._wrap`) only where the contractions
-and the homotopy inverse wrap their ring's own arithmetic."""
+bounds its elimination on row lists by a module constant, with no
+environment read."""
 
 import ast
 import importlib
@@ -420,15 +419,7 @@ def test_rref_picks_its_elimination_by_a_constant_not_a_knob():
         for target in node.targets
         if isinstance(target, ast.Name)
     }
-    limit = constants.get("_LIST_MAX_NONZERO")
+    limit = constants.get("_LIST_MAX_WORK")
     assert isinstance(limit, ast.Constant) and type(limit.value) is int
-    assert {"_LIST_MAX_NONZERO", "_rref_lists", "_rref_array"} <= _names(rref)
+    assert "_LIST_MAX_WORK" in _names(rref)
     assert not {"os", "environ", "getenv"} & _names(tree)
-
-
-def test_blocks_skip_the_integer_rule_only_in_the_contractions():
-    def wrap(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_wrap"
-
-    sites = _functions_around(_parse("complexes.py"), wrap)
-    assert sorted(sites) == ["Ring._wrap", "homotopy_inverse", "is_contractible", "is_homotopy_equivalence"]

@@ -4,6 +4,7 @@ sympy's row reduction over GF(p), on both of its eliminations, and
 once."""
 
 import random
+import sys
 import time
 from itertools import product
 
@@ -144,8 +145,9 @@ def test_a_ring_decides_its_primality_once(monkeypatch):
 
 def _rref_inputs(p, rng):
     """Matrices over F_p, some entries outside [0, p): empty, 1 x 1, zero and
-    full rank, and sparse and dense ones with nonzero counts on both sides
-    of `modp._LIST_MAX_NONZERO`."""
+    full rank, sparse ones with zero rows that `rref` eliminates on row
+    lists alone, and dense and filled-in ones that it hands to the array at
+    the first pivot or after some pivots."""
     for rows, cols in ((0, 0), (0, 5), (5, 0), (1, 1), (4, 7), (30, 30)):
         yield np.zeros((rows, cols), dtype=np.int64)
     yield np.array([[rng.randrange(1, p)]], dtype=np.int64)
@@ -156,14 +158,25 @@ def _rref_inputs(p, rng):
         a += np.eye(n, dtype=np.int64)
         a[1:] += a[0]
         yield a
-    limit = modp._LIST_MAX_NONZERO
-    for rows, cols, nonzero in ((6, 9, 12), (12, 20, limit), (40, 48, limit + 1), (60, 70, 3 * limit), (15, 40, 20)):
+    for rows, cols, nonzero in ((6, 9, 12), (12, 20, 96), (40, 48, 97), (60, 70, 288), (15, 40, 20)):
         a = np.zeros((rows, cols), dtype=np.int64)
         for k in rng.sample(range(rows * cols), nonzero):
             a[divmod(k, cols)] = rng.randrange(1, p) + p * rng.randrange(-2, 3)
         yield a
-    for rows, cols in ((3, 3), (5, 8), (9, 9), (12, 16), (16, 16), (20, 10)):
+    for rows, cols in ((3, 3), (5, 8), (9, 9), (12, 16), (16, 16), (20, 10), (48, 48), (24, 64)):
         yield np.array([[rng.randrange(-p, 2 * p) for _ in range(cols)] for _ in range(rows)], dtype=np.int64)
+    for n in (8, 24):
+        # the identity with a dense first row and column: its first pivot
+        # fills every row in
+        a = np.eye(n, dtype=np.int64)
+        a[0] = a[:, 0] = [rng.randrange(1, p) for _ in range(n)]
+        yield a
+    # two pivots that change no other row, then a dense block with a zero row
+    a = np.zeros((42, 42), dtype=np.int64)
+    a[:2, :2] = np.eye(2, dtype=np.int64)
+    a[:, 2:] = [[rng.randrange(p) for _ in range(40)] for _ in range(42)]
+    a[20] = 0
+    yield a
 
 
 # 1048573, the largest prime that modp takes
@@ -171,25 +184,34 @@ RREF_PRIMES = [2, 3, 5, sympy.prevprime(modp.P_MAX + 1)]
 
 
 @pytest.mark.parametrize("p", RREF_PRIMES)
-def test_rref_agrees_with_sympy(p):
-    field, counts = sympy.GF(p), set()
+def test_rref_agrees_with_sympy(p, monkeypatch):
+    field, starts, paths = sympy.GF(p), [], set()
+    array = modp._rref_array
+    monkeypatch.setattr(modp, "_rref_array", lambda r, p, start, pivots: starts.append(start) or array(r, p, start, pivots))
     for a in _rref_inputs(p, random.Random(p)):
         rows, cols = a.shape
         expected_r, expected_pivots = DomainMatrix(
             [[field(int(x)) for x in row] for row in a.tolist()], (rows, cols), field
         ).rref()
+        starts.clear()
         r, pivots = modp.rref(a, p)
         assert r.dtype == np.int64 and r.shape == (rows, cols)
         assert pivots == list(expected_pivots)
         assert r.tolist() == [[int(x) % p for x in row] for row in expected_r.to_list()]
-        counts.add(np.count_nonzero(a % p) <= modp._LIST_MAX_NONZERO)
-    assert counts == {True, False}
+        paths.add("lists" if not starts else "array" if starts == [0] else "both")
+    assert paths == {"lists", "array", "both"}
 
 
 @pytest.mark.parametrize("p", RREF_PRIMES)
-def test_rref_eliminations_on_lists_and_on_the_array_agree(p):
-    for a in _rref_inputs(p, random.Random(100 + p)):
-        r = a % p
-        by_lists, by_array = modp._rref_lists(r.copy(), p), modp._rref_array(r.copy(), p)
-        assert by_lists[0].dtype == by_array[0].dtype == np.int64
-        assert np.array_equal(by_lists[0], by_array[0]) and by_lists[1] == by_array[1]
+def test_rref_on_row_lists_and_on_the_array_agree(p, monkeypatch):
+    """`rref` as it runs, the array elimination from the first column, and
+    the row-list elimination with no limit give the same (R, pivots)."""
+    inputs = list(_rref_inputs(p, random.Random(100 + p)))
+    as_run = [modp.rref(a, p) for a in inputs]
+    by_array = [modp._rref_array(a % p, p, 0, []) for a in inputs]
+    monkeypatch.setattr(modp, "_LIST_MAX_WORK", sys.maxsize)
+    by_lists = [modp.rref(a, p) for a in inputs]
+    for (r, pivots), (r_array, pivots_array), (r_lists, pivots_lists) in zip(as_run, by_array, by_lists):
+        assert r.dtype == r_array.dtype == r_lists.dtype == np.int64
+        assert np.array_equal(r, r_array) and np.array_equal(r, r_lists)
+        assert pivots == pivots_array == pivots_lists
