@@ -11,11 +11,17 @@ Over a modular ring all entries are kept canonical in [0, m); equality of
 matrices is therefore plain equality.  Homology is computed over Z only;
 residue-ring questions are answered by lifting and modular solving.
 
-`Complex`, `ChainMap` and `Homotopy` check their defining equations on
-construction unless built with check=False, as `shift`, `direct_sum` and
-`cone_complex` build theirs: the equations follow from their inputs' own.
-In the Hom complex below these are D(0) f = 0, D(-1) h = f - g, and for a
-differential d(i+1) d(i) = 0 (not D(1) d = 2 d d).  One walk,
+`Complex`, `ChainMap` and `Homotopy` have two entry points.  Outside data
+takes the checked one, the constructor: every block is checked against
+`_layout` and reduced by the ring (`_set_blocks`), and the defining equation
+is checked unless built with check=False.  Blocks that the ring built take
+the trusted one, `_GradedMap._of`, which stores them as they are, keyed by
+`_layout`, with no check: so `compose`, `+`, `-`, `scale` and `shift` of
+chain maps, `identity_map`, `zero_map`, `cone`, `pair`, `copair`, `shift`,
+`direct_sum`, `cone_complex` and `cone_homotopy` build theirs, whose
+equations follow from their inputs' own.  In the Hom complex below the
+defining equations are D(0) f = 0, D(-1) h = f - g, and for a differential
+d(i+1) d(i) = 0 (not D(1) d = 2 d d).  One walk,
 `_GradedMap._first_violation`, checks all three: block by block of
 `_layout(X, Y, n + 1)`, by increasing degree, it computes the residual
 (`_residual`) once on backend arrays, reduces it once mod m, and returns
@@ -71,7 +77,9 @@ of [d | 1].
 converts between the two.
 
 `Ring` also builds every block of a differential, chain map or homotopy
-(`matrix`, `zeros`, `identity`, `canon`): over the small prime fields an
+(`matrix`, `zeros`, `identity`, `canon`): `matrix` reads outside data by
+the integer rule, and `_wrap` owns an array that the ring's own arithmetic
+made, with no such pass.  Over the small prime fields a block is an
 `intmat.ResidueMatrix`, int64 in [0, p), whose arithmetic reduces once per
 operation; over Z and the other Z/m an `IntMatrix` of Python ints.  So an
 F_p block stays int64 from generator to verdict: `Ring.canon` returns a
@@ -242,11 +250,23 @@ class Ring:
         return m if self.modulus is None else m.reduce_mod(self.modulus)
 
     def matrix(self, a) -> IntMatrix:
-        """The block of this ring with the entries of a: a backend array, or
-        any integer matrix data."""
+        """The block of this ring with the entries of a, any integer matrix
+        data, read by the integer rule: for outside data only.  An array that
+        this ring's own arithmetic made is owned by `_wrap` instead."""
         if self.is_small_prime_field:
             return ResidueMatrix(a, self.modulus)
         return self.canon(IntMatrix(a))
+
+    def _wrap(self, a: np.ndarray) -> IntMatrix:
+        """The block of this ring owning a fresh array with the entries of
+        a, a backend array that this ring's arithmetic made, reduced once mod
+        m and not read by the integer rule: int64 in [0, p) on a small prime
+        field, Python ints otherwise."""
+        m = self.modulus
+        if self.is_small_prime_field:
+            return ResidueMatrix._residues((a % m).astype(np.int64, copy=False), m)
+        a = np.asarray(a, dtype=object)
+        return IntMatrix._wrap(a % m if m else a.copy())
 
     def zeros(self, rows: int, cols: int) -> IntMatrix:
         if self.is_small_prime_field:
@@ -320,6 +340,24 @@ class _GradedMap:
             if i not in blocks and not m.is_zero():
                 raise ComplexError(f"nonzero {what} at degree {i} maps to or from rank 0", degree=int(i))
         object.__setattr__(self, "_blocks", blocks)
+
+    @classmethod
+    def _of(cls, first, second, blocks: dict):
+        """The map with ends (first, second), its constructor's first two
+        arguments, owning `blocks`: blocks that the ring built, one for each
+        entry of `_layout` and in its order (a complex's ranks nonzero and by
+        increasing degree).  They are stored with no layout walk, no shape
+        check and no check of the defining equation.  Only over a Z/m kept as
+        `IntMatrix`, whose arithmetic does not reduce, is each block reduced,
+        once, by `Ring.canon`."""
+        self = object.__new__(cls)
+        for name, end in zip(cls.__slots__, (first, second)):
+            object.__setattr__(self, name, end)
+        ring = self._ends()[0].ring
+        if ring.modulus and not ring.is_small_prime_field:
+            blocks = {i: ring.canon(m) for i, m in blocks.items()}
+        object.__setattr__(self, "_blocks", blocks)
+        return self
 
     def _residual(self, i: int):
         """Block i of D(n) phi, X^i -> Y^(i+n+1), as a backend array:
@@ -414,7 +452,7 @@ class Complex(_GradedMap):
 class ChainMap(_GradedMap):
     """Degreewise map between complexes over the same ring."""
 
-    __slots__ = ("source", "target")
+    __slots__ = ("source", "target", "_hash")
 
     def __init__(self, source: Complex, target: Complex, components: dict[int, IntMatrix], check: bool = True):
         if source.ring != target.ring:
@@ -429,41 +467,32 @@ class ChainMap(_GradedMap):
         return self.source, self.target, 0
 
     def compose(self, other: "ChainMap") -> "ChainMap":
-        """self o other (apply `other` first)."""
+        """self o other (apply `other` first); zero in the degrees where
+        the middle complex has rank 0."""
         if other.target != self.source:
             raise DimensionMismatch("chain maps do not compose")
-        comps = {i: self.component(i) @ m for i, m in other._blocks.items() if self.target.rank(i)}
-        return ChainMap(other.source, self.target, comps, check=False)
+        x, y, mid = other.source, self.target, other._blocks
+        return ChainMap._of(
+            x, y, {i: self._blocks[i] @ mid[i] if i in mid else x.ring.zeros(r, c) for i, r, c, _ in _layout(x, y, 0)}
+        )
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         self._require_parallel(other)
-        return ChainMap(
-            self.source, self.target,
-            {i: m + other._blocks[i] for i, m in self._blocks.items()},
-            check=False,
-        )
+        return ChainMap._of(self.source, self.target, {i: m + other._blocks[i] for i, m in self._blocks.items()})
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         self._require_parallel(other)
-        return ChainMap(
-            self.source, self.target,
-            {i: m - other._blocks[i] for i, m in self._blocks.items()},
-            check=False,
-        )
+        return ChainMap._of(self.source, self.target, {i: m - other._blocks[i] for i, m in self._blocks.items()})
 
     def __neg__(self) -> "ChainMap":
-        return ChainMap(self.source, self.target, {i: -m for i, m in self._blocks.items()}, check=False)
+        return ChainMap._of(self.source, self.target, {i: -m for i, m in self._blocks.items()})
 
     def scale(self, k: int) -> "ChainMap":
-        return ChainMap(self.source, self.target, {i: m.scale(k) for i, m in self._blocks.items()}, check=False)
+        return ChainMap._of(self.source, self.target, {i: m.scale(k) for i, m in self._blocks.items()})
 
     def shift(self) -> "ChainMap":
         """f[1] : X[1] -> Y[1], components f[1]_i = f_{i+1}."""
-        return ChainMap(
-            shift(self.source), shift(self.target),
-            {i - 1: m for i, m in self._blocks.items()},
-            check=False,
-        )
+        return ChainMap._of(shift(self.source), shift(self.target), {i - 1: m for i, m in self._blocks.items()})
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self._blocks.values())
@@ -481,18 +510,24 @@ class ChainMap(_GradedMap):
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, tuple(self._blocks.items())))
+        """Computed once, then kept in a slot: the map is immutable."""
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.source, self.target, tuple(self._blocks.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"ChainMap({self.source!r} -> {self.target!r})"
 
 
 def identity_map(c: Complex) -> ChainMap:
-    return ChainMap(c, c, {i: c.ring.identity(c.rank(i)) for i in c.degrees()}, check=False)
+    return ChainMap._of(c, c, {i: c.ring.identity(r) for i, r in c._ranks.items()})
 
 
 def zero_map(x: Complex, y: Complex) -> ChainMap:
-    return ChainMap(x, y, {}, check=False)
+    return ChainMap._of(x, y, {i: x.ring.zeros(r, c) for i, r, c, _ in _layout(x, y, 0)})
 
 
 class Homotopy(_GradedMap):
@@ -527,13 +562,13 @@ class Homotopy(_GradedMap):
 def shift(c: Complex) -> Complex:
     """c[1]: rank(i) = rank_c(i+1) and differential(i) = -d_c(i+1)."""
     ranks = {i - 1: r for i, r in c._ranks.items()}
-    return Complex(c.ring, ranks, {i - 1: -d for i, d in c._blocks.items()}, check=False)
+    return Complex._of(c.ring, ranks, {i - 1: -d for i, d in c._blocks.items()})
 
 
 def direct_sum(x: Complex, y: Complex) -> Complex:
     if x.ring != y.ring:
         raise ComplexError("direct sum over different rings")
-    ranks = {i: x.rank(i) + y.rank(i) for i in {*x.degrees(), *y.degrees()}}
+    ranks = {i: x.rank(i) + y.rank(i) for i in sorted({*x.degrees(), *y.degrees()})}
     zeros = x.ring.zeros
     diffs = {
         i: IntMatrix.block(
@@ -545,14 +580,14 @@ def direct_sum(x: Complex, y: Complex) -> Complex:
         for i in ranks
         if i + 1 in ranks
     }
-    return Complex(x.ring, ranks, diffs, check=False)
+    return Complex._of(x.ring, ranks, diffs)
 
 
 def cone_complex(f: ChainMap) -> Complex:
     """The mapping cone of f : X -> Y as a complex: degree i is
     Y^i + X^(i+1) with differential [[d_Y, f], [0, -d_X]]."""
     x, y = f.source, f.target
-    ranks = {i: y.rank(i) + x.rank(i + 1) for i in {*y.degrees(), *(d - 1 for d in x.degrees())}}
+    ranks = {i: y.rank(i) + x.rank(i + 1) for i in sorted({*y.degrees(), *(d - 1 for d in x.degrees())})}
     diffs = {
         i: IntMatrix.block(
             [
@@ -563,7 +598,7 @@ def cone_complex(f: ChainMap) -> Complex:
         for i in ranks
         if i + 1 in ranks
     }
-    return Complex(x.ring, ranks, diffs, check=False)
+    return Complex._of(x.ring, ranks, diffs)
 
 
 def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
@@ -574,19 +609,17 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
     """
     x, y, ring = f.source, f.target, f.source.ring
     cn = cone_complex(f)
-    incl = ChainMap(
+    incl = ChainMap._of(
         y, cn,
-        {i: IntMatrix.vstack([ring.identity(y.rank(i)), ring.zeros(x.rank(i + 1), y.rank(i))]) for i in y.degrees()},
-        check=False,
+        {i: IntMatrix.vstack([ring.identity(r), ring.zeros(x.rank(i + 1), r)]) for i, r in y._ranks.items()},
     )
-    proj = ChainMap(
+    proj = ChainMap._of(
         cn, shift(x),
         {
             i: IntMatrix.hstack([ring.zeros(x.rank(i + 1), y.rank(i)), ring.identity(x.rank(i + 1))])
             for i in cn.degrees()
             if x.rank(i + 1) > 0
         },
-        check=False,
     )
     return cn, incl, proj
 
@@ -616,8 +649,8 @@ def cone_homotopy(incl: ChainMap, f: ChainMap) -> Homotopy:
     unchecked; `cone_map` and `Homotopy` re-check it wherever it is used.
     """
     x, y, ring = f.source, f.target, f.source.ring
-    comps = {i: IntMatrix.vstack([ring.zeros(y.rank(i - 1), x.rank(i)), ring.identity(x.rank(i))]) for i in x.degrees()}
-    return Homotopy(incl.compose(f), zero_map(x, incl.target), comps, check=False)
+    comps = {i: IntMatrix.vstack([ring.zeros(y.rank(i - 1), r), ring.identity(r)]) for i, r in x._ranks.items()}
+    return Homotopy._of(incl.compose(f), zero_map(x, incl.target), comps)
 
 
 def pair(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -626,7 +659,7 @@ def pair(f: ChainMap, g: ChainMap) -> ChainMap:
         raise ComplexError("paired maps must share their source")
     x, mid = f.source, direct_sum(f.target, g.target)
     comps = {i: IntMatrix.vstack([f.component(i), g.component(i)]) for i in x.degrees() if mid.rank(i)}
-    return ChainMap(x, mid, comps, check=False)
+    return ChainMap._of(x, mid, comps)
 
 
 def copair(f: ChainMap, g: ChainMap) -> ChainMap:
@@ -635,7 +668,7 @@ def copair(f: ChainMap, g: ChainMap) -> ChainMap:
         raise ComplexError("copaired maps must share their target")
     mid, w = direct_sum(f.source, g.source), f.target
     comps = {i: IntMatrix.hstack([f.component(i), g.component(i)]) for i in mid.degrees() if w.rank(i)}
-    return ChainMap(mid, w, comps, check=False)
+    return ChainMap._of(mid, w, comps)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +714,7 @@ class HomComplex:
 
     def unvec(self, v, n: int = 0) -> dict[int, IntMatrix]:
         """Components of the degree-n map with vector v, as blocks of the ring."""
-        return {i: self.ring.matrix(np.asarray(v[off : off + r * c]).reshape(r, c)) for i, r, c, off in self.layout(n)}
+        return {i: self.ring._wrap(np.asarray(v[off : off + r * c]).reshape(r, c)) for i, r, c, off in self.layout(n)}
 
     def D(self, n: int) -> np.ndarray:
         """Matrix of phi |-> d_y phi - (-1)^n phi d_x from Hom^n to Hom^(n+1)."""
@@ -756,7 +789,7 @@ def is_contractible(c: Complex) -> Homotopy | None:
     comps = {}
     for i, _, _, _ in _layout(c, c, -1):
         kerproj = ring.asarray(np.eye(c.rank(i), dtype=ring.dtype) - sections[i] @ ring.asarray(c.differential(i)))
-        comps[i] = ring.matrix(sections[i - 1] @ kerproj)
+        comps[i] = ring._wrap(sections[i - 1] @ kerproj)
     try:
         return Homotopy(identity_map(c), zero_map(c, c), comps)
     except ComplexError:
@@ -808,7 +841,7 @@ def is_homotopy_equivalence(f: ChainMap) -> Homotopy | None:
         if cn.rank(i - 1):
             h = np.zeros((cn.rank(i - 1), cn.rank(i)), dtype=ring.dtype)
             h[f.target.rank(i - 1) :, : inv.shape[1]] = inv
-            comps[i] = ring.matrix(h)
+            comps[i] = ring._wrap(h)
     return Homotopy(identity_map(cn), zero_map(cn, cn), comps)
 
 
@@ -821,7 +854,7 @@ def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
     """
     x, y = f.source, f.target
     # the block of cone^i -> cone^(i-1) from Y^i to X^i
-    comps = {i: x.ring.matrix(contraction.component(i).array[y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
+    comps = {i: x.ring._wrap(contraction.component(i).array[y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
     return ChainMap(y, x, comps)
 
 

@@ -10,7 +10,9 @@ exactly, anything else raises ValueError.  Text is read by one stricter
 rule, `decimal_integer`: a JSON integer or ASCII digits with an optional
 sign.  IntMatrix's own results are frozen in place, never copied; each is
 made by `_new` of its left operand, so the arithmetic of a `ResidueMatrix`
-stays a `ResidueMatrix`.
+stays a `ResidueMatrix`.  Arithmetic and stacking refuse to mix the two
+kinds (`TypeError`): a mixed result would take its left operand's kind, and
+so depend on the order of the operands.
 
 Provided here:
 
@@ -111,6 +113,12 @@ class IntMatrix:
         """`_new` for an `arr` whose entries are self's own, moved about."""
         return IntMatrix._wrap(arr)
 
+    def _same_kind(self, other: "IntMatrix", op: str):
+        """Refuse `op` between an IntMatrix and a ResidueMatrix, either way
+        round."""
+        if type(other) is not type(self):
+            raise TypeError(f"{op} of {type(self).__name__} and {type(other).__name__}")
+
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix._wrap(np.zeros((rows, cols), dtype=object))
@@ -143,6 +151,7 @@ class IntMatrix:
         return [[int(v) for v in row] for row in self._a]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        self._same_kind(other, "product")
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot compose {self.shape} with {other.shape}"
@@ -152,11 +161,13 @@ class IntMatrix:
         return self._new(self._a @ other._a)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        self._same_kind(other, "sum")
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in addition")
         return self._new(self._a + other._a)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
+        self._same_kind(other, "difference")
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in subtraction")
         return self._new(self._a - other._a)
@@ -191,16 +202,20 @@ class IntMatrix:
 
     @staticmethod
     def hstack(blocks: list["IntMatrix"]) -> "IntMatrix":
-        """The blocks side by side, of the first block's kind."""
+        """The blocks side by side, all of one kind."""
         if not blocks:
             raise DimensionMismatch("hstack of no blocks")
+        for b in blocks[1:]:
+            blocks[0]._same_kind(b, "hstack")
         return blocks[0]._like(np.concatenate([b._a for b in blocks], axis=1))
 
     @staticmethod
     def vstack(blocks: list["IntMatrix"]) -> "IntMatrix":
-        """The blocks one above the other, of the first block's kind."""
+        """The blocks one above the other, all of one kind."""
         if not blocks:
             raise DimensionMismatch("vstack of no blocks")
+        for b in blocks[1:]:
+            blocks[0]._same_kind(b, "vstack")
         return blocks[0]._like(np.concatenate([b._a for b in blocks]))
 
     @staticmethod

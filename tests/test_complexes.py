@@ -1030,11 +1030,12 @@ def _random_block(r, c, rng):
 
 
 def _perturbed(blocks, layout, rng):
-    """blocks with a random matrix added to one block of the layout."""
+    """blocks with a random matrix added to one block of the layout, as
+    IntMatrix entries (an F_p block is read by its residues)."""
     out = dict(blocks)
     if layout:
         i, r, c, _ = rng.choice(layout)
-        out[i] = out.get(i, IntMatrix.zeros(r, c)) + _random_block(r, c, rng)
+        out[i] = IntMatrix(out.get(i, IntMatrix.zeros(r, c))) + _random_block(r, c, rng)
     return out
 
 
@@ -1246,3 +1247,106 @@ def test_unchecked_complexes_skip_only_the_d_squared_check():
     assert not _squares_to_zero(Complex(ZZ, {0: 1, 1: 1, 2: 1}, diffs, check=False))
     with pytest.raises(ComplexError):  # block shapes are still checked
         Complex(ZZ, {0: 1, 1: 2}, {0: IntMatrix([[1]])}, check=False)
+
+
+_TRUSTED_RINGS = [ZZ, Zmod(2), Zmod(3), Zmod(4), Zmod(9), Zmod(12)]
+
+
+def _random_complex_over(ring, rng) -> Complex:
+    return _random_z_complex(rng) if ring.is_integers else random_complex(ring, rng, 3, 3)
+
+
+def _random_map(x, y, rng) -> ChainMap:
+    return random_z_chain_map(x, y, rng) if x.ring.is_integers else random_chain_map(x, y, rng)
+
+
+def _assert_ring_made(ring, blocks: dict):
+    """Every block as the ring builds it: int64 in [0, p) on a small prime
+    field, Python ints (in [0, m) over Z/m) otherwise."""
+    for m in blocks.values():
+        a = m.array
+        if ring.is_small_prime_field:
+            assert type(m) is ResidueMatrix and m.p == ring.modulus and a.dtype == np.int64
+            assert ((a >= 0) & (a < ring.modulus)).all()
+        else:
+            assert type(m) is IntMatrix and all(type(v) is int for v in a.flat)
+            assert ring.is_integers or all(0 <= v < ring.modulus for v in a.flat)
+
+
+def _assert_as_if_checked(obj):
+    """obj equals itself rebuilt from its blocks by its checked constructor,
+    with check=True: the same blocks in the same layout order, the same
+    degrees and hash, and so do its ends."""
+    if isinstance(obj, Complex):
+        ring, again = obj.ring, Complex(obj.ring, dict(obj._ranks), obj.components())
+        assert again == obj and again.degrees() == obj.degrees()
+    elif isinstance(obj, ChainMap):
+        ring, again = obj.source.ring, ChainMap(obj.source, obj.target, obj.components())
+        assert again == obj and hash(again) == hash(obj)
+        _assert_as_if_checked(obj.source)
+        _assert_as_if_checked(obj.target)
+    else:
+        ring, again = obj.lhs.source.ring, Homotopy(obj.lhs, obj.rhs, obj.components())
+        _assert_as_if_checked(obj.lhs)
+        _assert_as_if_checked(obj.rhs)
+    assert list(again.components().items()) == list(obj.components().items())
+    _assert_ring_made(ring, obj.components())
+
+
+@settings(database=None, deadline=None, max_examples=60)
+@given(ring=st.sampled_from(_TRUSTED_RINGS), seed=st.integers(0, 2**32), k=st.integers(-(2**70), 2**70))
+def test_ring_made_maps_equal_their_checked_rebuilds(ring, seed, k):
+    rng = random.Random(seed)
+    x, y, z, w = (_random_complex_over(ring, rng) for _ in range(4))
+    f, f2 = _random_map(x, y, rng), _random_map(x, y, rng)
+    g, into, out_of = _random_map(y, z, rng), _random_map(x, z, rng), _random_map(w, y, rng)
+    cn, incl, proj = cone(f)
+    built = [
+        g.compose(f), f.compose(_random_map(w, x, rng)), f + f2, f - f2, -f, f.scale(k), f.shift(),
+        identity_map(x), zero_map(x, y), cn, incl, proj, cone_homotopy(incl, f),
+        pair(f, into), copair(f, out_of), direct_sum(x, y), direct_sum(shift(x), shift(shift(y))), shift(x),
+        cone_complex(f),
+    ]
+    # 1 + d h + h d: an equivalence, not always invertible in every degree
+    hom = HomComplex(x, x)
+    h = ring.asarray(np.array([rng.randint(-2, 2) for _ in range(hom.dim(-1))], dtype=object))
+    e = identity_map(x) + ChainMap(x, x, hom.unvec(hom.D(-1) @ h))
+    contraction = is_homotopy_equivalence(identity_map(x))
+    assert contraction is not None
+    built += [contraction, homotopy_inverse(identity_map(x), contraction)]
+    for candidate in (e, f):
+        contraction = is_homotopy_equivalence(candidate)
+        if contraction is not None:
+            built += [contraction, homotopy_inverse(candidate, contraction)]
+    for obj in built:
+        _assert_as_if_checked(obj)
+    # unvec of an unreduced vector of Python ints, as the squares search
+    # walks them: the blocks the integer rule reads from it, owning their
+    # entries
+    hom = HomComplex(x, y)
+    v = np.asarray(hom.vec(f), dtype=object) + 7 * (ring.modulus or 0)
+    blocks = hom.unvec(v)
+    _assert_ring_made(ring, blocks)
+    assert blocks == {i: ring.matrix(np.asarray(v[o : o + r * c]).reshape(r, c)) for i, r, c, o in hom.layout(0)}
+    v += 1
+    assert blocks == f.components()
+
+
+def test_a_map_hash_is_cached_unchanged_and_shared_by_equal_maps():
+    rng = random.Random(7)
+    for ring in (ZZ, Zmod(3), Zmod(12)):
+        x, y = _random_complex_over(ring, rng), _random_complex_over(ring, rng)
+        f = _random_map(x, y, rng)
+        with pytest.raises(AttributeError):
+            f._hash  # nothing is hashed until asked
+        fresh = hash((f.source, f.target, tuple(f.components().items())))
+        assert hash(f) == fresh and f._hash == fresh and hash(f) == fresh
+        for same in (
+            f.compose(identity_map(x)),
+            identity_map(y).compose(f),
+            f + zero_map(x, y),
+            -(-f),
+            f.scale(1),
+            ChainMap(x, y, f.components()),
+        ):
+            assert same == f and hash(same) == hash(f)

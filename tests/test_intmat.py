@@ -424,6 +424,30 @@ def test_matrices_are_read_by_their_entries():
         Ring(None).matrix(np.array([[1.0]]))
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a @ b,
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: IntMatrix.hstack([a, b]),
+        lambda a, b: IntMatrix.vstack([a, b]),
+    ],
+    ids=["matmul", "add", "sub", "hstack", "vstack"],
+)
+def test_mixed_kind_arithmetic_is_refused_in_either_order(op):
+    # a mixed result would take the left operand's kind: 2^63 exactly one
+    # way round, 2 mod 3 the other
+    plain, residue = IntMatrix([[2**62]]), Ring(3).matrix([[2]])
+    for left, right in ((plain, residue), (residue, plain)):
+        with pytest.raises(TypeError) as err:
+            op(left, right)
+        assert "IntMatrix" in str(err.value) and "ResidueMatrix" in str(err.value)
+    # one kind on both sides is untouched
+    assert op(plain, plain).array.dtype == object
+    assert type(op(residue, residue)) is ResidueMatrix
+
+
 def test_bools_are_zero_and_one_and_round_trip_through_json():
     m = IntMatrix(np.array([[True, False]]))
     assert m.to_json() == [["1", "0"]]

@@ -6,9 +6,11 @@ classes in one generator, whatever the ring, called once for the unit
 classes and once for the constraint solutions, and reads every class it
 tries in Hom groups built at one site, the unit lemma's matrices share one
 field layer, primality is decided in `modp`, and
-the blocks of graded maps are checked in one function of `complexes`, and
-their defining equations in one walk, and read from JSON in one function
-of `jsonio`, and contractions, solves,
+the blocks of graded maps from outside data are checked in one function of
+`complexes`, while the blocks the ring builds enter by a private
+constructor and a private `Ring` wrap that only `complexes` calls, and
+their defining equations are checked in one walk, and read from JSON in one
+function of `jsonio`, and contractions, solves,
 kernels and quotients have one algorithm for every ring: no Hom-system
 fallback, no recursion, one kernel formula (`intmat.smith_kernel`), and
 homology read off cokernels, with no kernel basis and no `Subquotient`;
@@ -193,6 +195,36 @@ def test_block_shapes_are_checked_in_one_function():
 
     sites = _functions_around(_parse("complexes.py"), shape_error)
     assert len(set(sites)) == 1, f"block shapes checked in {sorted(set(sites))}"
+
+
+@pytest.mark.parametrize("module", ["squares.py", "suite.py", "jsonio.py", "cli.py", "triangles.py"])
+def test_ring_made_blocks_enter_only_inside_complexes(module):
+    """No other module names the trusted constructor or the ring's wrap, so
+    outside data cannot skip the checks."""
+    names = _names(_parse(module))
+    assert not {"_of", "_wrap"} & names, module
+
+
+def test_outside_data_keeps_the_checked_path():
+    tree = _parse("complexes.py")
+    classes = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+
+    def method(cls, name):
+        return next(n for n in classes[cls].body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+    for cls in ("Complex", "ChainMap", "Homotopy"):
+        init = _names(method(cls, "__init__"))
+        assert "_set_blocks" in init and "_first_violation" in init and "_of" not in init, cls
+    assert not {"_set_blocks", "_layout", "_first_violation", "matrix", "_wrap"} & _names(method("_GradedMap", "_of"))
+    # the integer rule is skipped only on arrays that ring arithmetic made
+    wraps = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_wrap")
+    assert set(wraps) - {"Ring._wrap"} == {
+        "HomComplex.unvec",
+        "is_contractible",
+        "is_homotopy_equivalence",
+        "homotopy_inverse",
+    }, wraps
+    assert "_wrap" not in _names(method("Ring", "matrix"))
 
 
 def test_defining_equations_are_checked_in_one_function():

@@ -686,6 +686,22 @@ def test_the_memo_dies_with_its_squares():
     assert len(squares._verdicts) == before
 
 
+def test_an_equal_square_built_by_other_paths_hits_the_verdict_memo():
+    for square in (_fuzz_square(1), square_from_cone(build_star(4).morphism.q, build_star(4).upper.g)):
+        verdict = is_homotopy_cartesian(square)
+        before = len(squares._verdicts)
+        again = CommutativeSquare(
+            square.g.compose(identity_map(square.b_obj)),
+            identity_map(square.cprime_obj).compose(square.gprime),
+            -(-square.b),
+            square.c + zero_map(square.c_obj, square.cprime_obj),
+            witness=square.witness,
+        )
+        assert again == square and hash(again) == hash(square)
+        assert is_homotopy_cartesian(again) is verdict
+        assert len(squares._verdicts) == before
+
+
 def test_squares_from_cones_that_differ_only_in_g_hash_apart():
     # c, b, g' and the witness of square_from_cone are the same at every a:
     # only g tells these squares apart, so the hash must read it

@@ -355,7 +355,7 @@ def test_functorial_completion_is_the_block_map_b_0_0_1(p):
         blocks = {
             i: IntMatrix.block(
                 [
-                    [b.component(i), IntMatrix.zeros(bp_obj.rank(i), a_obj.rank(i + 1))],
+                    [IntMatrix(b.component(i)), IntMatrix.zeros(bp_obj.rank(i), a_obj.rank(i + 1))],
                     [IntMatrix.zeros(a_obj.rank(i + 1), b_obj.rank(i)), IntMatrix.identity(a_obj.rank(i + 1))],
                 ]
             )
