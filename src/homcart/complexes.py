@@ -14,7 +14,8 @@ residue-ring questions are answered by lifting and modular solving.
 `Complex`, `ChainMap` and `Homotopy` have two entry points.  Outside data
 takes the checked one, the constructor: every block is checked against
 `_layout` and reduced by the ring (`_set_blocks`), and the defining equation
-is checked unless built with check=False.  Blocks that the ring built take
+is checked; only `Complex` and `ChainMap` take check=False, for instances of
+templates whose identities are proved.  Blocks that the ring built take
 the trusted one, `_GradedMap._of`, which stores them as they are, keyed by
 `_layout`, with no check: so `compose`, `+`, `-`, `scale` and `shift` of
 chain maps, `identity_map`, `zero_map`, `cone`, `pair`, `copair`, `shift`,
@@ -76,15 +77,16 @@ of [d | 1].
 `Ring.asarray` puts a matrix into its backend's form; no other code
 converts between the two.
 
-`Ring` also builds every block of a differential, chain map or homotopy
-(`matrix`, `zeros`, `identity`, `canon`): `matrix` reads outside data by
-the integer rule, and `_wrap` owns an array that the ring's own arithmetic
-made, with no such pass.  Over the small prime fields a block is an
-`intmat.ResidueMatrix`, int64 in [0, p), whose arithmetic reduces once per
-operation; over Z and the other Z/m an `IntMatrix` of Python ints.  So an
-F_p block stays int64 from generator to verdict: `Ring.canon` returns a
-block the ring built as it is, and `Ring.asarray` returns its array,
-read-only, with no conversion.
+`Ring` also builds every block of a differential, chain map or homotopy:
+an `intmat.ResidueMatrix`, int64 in [0, p), on the small prime fields, and
+an `IntMatrix` of Python ints over Z and the other Z/m.  `matrix` reads
+outside data by the integer rule; `Ring._block` owns every fresh array the
+ring makes, from `_wrap` (its own arithmetic, reduced once, no integer
+rule) and `identity` (`zeros`, the hottest, builds its own); `canon`, the
+one reduction of `_set_blocks` and `_of`, keeps a block of the ring's kind
+and wraps any other.  A residue block refuses arithmetic and stacking with
+any other kind or p (TypeError).  So an F_p block stays int64 from
+generator to verdict, and `Ring.asarray` returns its array as it is.
 """
 
 import math
@@ -99,6 +101,8 @@ from .intmat import (
     FGAbelianGroup,
     IntMatrix,
     ResidueMatrix,
+    _integer,
+    _modulus,
     cokernel,
     decimal_integer,
     smith_kernel,
@@ -117,17 +121,18 @@ class ComplexError(ValueError):
 
 @dataclass(frozen=True)
 class Ring:
-    """Coefficient ring: Z when modulus is None, else Z/m (m >= 2).
+    """Coefficient ring: Z when modulus is None, else Z/m, m >= 2 read by
+    the integer rule.
 
-    Also the linear-algebra backend for matrices over the ring; see the
-    module docstring for which rings are solved in int64.
+    Also the linear-algebra backend for matrices over the ring, and the
+    builder of its blocks; see the module docstring.
     """
 
     modulus: int | None = None
 
     def __post_init__(self):
-        if self.modulus is not None and self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
+        if self.modulus is not None:
+            object.__setattr__(self, "modulus", _modulus(self.modulus))
 
     @property
     def is_integers(self) -> bool:
@@ -239,15 +244,15 @@ class Ring:
         return not np.count_nonzero(a % self.modulus if self.modulus else a)
 
     def canon(self, m: IntMatrix) -> IntMatrix:
-        """m as a block of this ring, reduced into [0, modulus); on a small
-        prime field a block the ring built is returned as it is.  On every
-        other ring a `ResidueMatrix`, whose arithmetic reduces mod its p, is
-        first read as the IntMatrix of its entries."""
+        """m as a block of this ring: returned as it is when it already is
+        one (a `ResidueMatrix` mod p on a small prime field, a plain
+        IntMatrix over Z), otherwise its entries reduced by `_wrap`."""
         if self.is_small_prime_field:
-            return m if isinstance(m, ResidueMatrix) and m.p == self.modulus else ResidueMatrix(m.array, self.modulus)
-        if isinstance(m, ResidueMatrix):
-            m = IntMatrix(m.array)
-        return m if self.modulus is None else m.reduce_mod(self.modulus)
+            if type(m) is ResidueMatrix and m.p == self.modulus:
+                return m
+        elif self.modulus is None and type(m) is IntMatrix:
+            return m
+        return self._wrap(m.array)
 
     def matrix(self, a) -> IntMatrix:
         """The block of this ring with the entries of a, any integer matrix
@@ -258,25 +263,29 @@ class Ring:
         return self.canon(IntMatrix(a))
 
     def _wrap(self, a: np.ndarray) -> IntMatrix:
-        """The block of this ring owning a fresh array with the entries of
-        a, a backend array that this ring's arithmetic made, reduced once mod
-        m and not read by the integer rule: int64 in [0, p) on a small prime
-        field, Python ints otherwise."""
+        """The block of this ring with the entries of a, a backend array or
+        a block's array, as a fresh array reduced once mod m, with no
+        integer-rule pass: int64 in [0, p) on a small prime field."""
         m = self.modulus
         if self.is_small_prime_field:
-            return ResidueMatrix._residues((a % m).astype(np.int64, copy=False), m)
+            return self._block((a % m).astype(np.int64, copy=False))
         a = np.asarray(a, dtype=object)
-        return IntMatrix._wrap(a % m if m else a.copy())
+        return self._block(a % m if m else a.copy())
+
+    def _block(self, a: np.ndarray) -> IntMatrix:
+        """The block of this ring owning a, a fresh canonical backend array."""
+        if self.is_small_prime_field:
+            return ResidueMatrix._residues(a, self.modulus)
+        return IntMatrix._wrap(a)
 
     def zeros(self, rows: int, cols: int) -> IntMatrix:
+        # built directly, not by `_block`: the hottest constructor
         if self.is_small_prime_field:
-            return ResidueMatrix.zeros(rows, cols, self.modulus)
+            return ResidueMatrix._residues(np.zeros((rows, cols), dtype=np.int64), self.modulus)
         return IntMatrix.zeros(rows, cols)
 
     def identity(self, n: int) -> IntMatrix:
-        if self.is_small_prime_field:
-            return ResidueMatrix.identity(n, self.modulus)
-        return IntMatrix.identity(n)
+        return self._block(np.eye(n, dtype=self.dtype))
 
     def __str__(self):
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
@@ -297,7 +306,7 @@ ZZ = Ring(None)
 
 
 def Zmod(m: int) -> Ring:
-    return Ring(int(m))
+    return Ring(m)
 
 
 def _layout(x: "Complex", y: "Complex", n: int) -> list[tuple[int, int, int, int]]:
@@ -402,7 +411,8 @@ class Complex(_GradedMap):
     __slots__ = ("ring", "_ranks")
 
     def __init__(self, ring: Ring, ranks: dict[int, int], differentials: dict[int, IntMatrix], check: bool = True):
-        clean_ranks = dict(sorted((int(i), int(r)) for i, r in ranks.items() if int(r) != 0))
+        read = ((_integer(i, "degree"), _integer(r, "rank")) for i, r in ranks.items())
+        clean_ranks = dict(sorted((i, r) for i, r in read if r))
         if any(r < 0 for r in clean_ranks.values()):
             raise ComplexError("negative rank")
         object.__setattr__(self, "ring", ring)
@@ -539,12 +549,12 @@ class Homotopy(_GradedMap):
 
     __slots__ = ("lhs", "rhs")
 
-    def __init__(self, lhs: ChainMap, rhs: ChainMap, components: dict[int, IntMatrix], check: bool = True):
+    def __init__(self, lhs: ChainMap, rhs: ChainMap, components: dict[int, IntMatrix]):
         lhs._require_parallel(rhs)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         self._set_blocks(components, "homotopy component")
-        if check and (bad := self._first_violation()) is not None:
+        if (bad := self._first_violation()) is not None:
             raise ComplexError(f"homotopy witness equation fails at degree {bad}", degree=bad)
 
     def _ends(self):
@@ -983,8 +993,6 @@ def hom_group(x: Complex, y: Complex) -> HomGroupPresentation:
 
 def reduce_mod(obj, m: int):
     """Entrywise reduction of a complex, chain map, or homotopy into Z/m."""
-    if m < 2:
-        raise ValueError("modulus must be at least 2")
     if isinstance(obj, Complex):
         if not obj.ring.is_integers:
             raise ComplexError("reduce_mod expects integer coefficients")

@@ -10,9 +10,11 @@ exactly, anything else raises ValueError.  Text is read by one stricter
 rule, `decimal_integer`: a JSON integer or ASCII digits with an optional
 sign.  IntMatrix's own results are frozen in place, never copied; each is
 made by `_new` of its left operand, so the arithmetic of a `ResidueMatrix`
-stays a `ResidueMatrix`.  Arithmetic and stacking refuse to mix the two
-kinds (`TypeError`): a mixed result would take its left operand's kind, and
-so depend on the order of the operands.
+stays a `ResidueMatrix`.  Arithmetic and stacking refuse to mix kinds
+(`TypeError`): an IntMatrix with a ResidueMatrix, or residue matrices of two
+primes, since a mixed result would take its left operand's kind and p, and
+so depend on the order of the operands.  `complexes.Ring` builds the
+blocks of a coefficient ring, and its `_block` owns the fresh arrays.
 
 Provided here:
 
@@ -57,6 +59,13 @@ def _integer(v, what: str = "matrix entry") -> int:
 
 
 _integers = np.frompyfunc(_integer, 1, 1)
+
+
+def _modulus(m) -> int:
+    """A modulus m by the integer rule, refused below 2."""
+    if (m := _integer(m, "modulus")) < 2:
+        raise ValueError("modulus must be at least 2")
+    return m
 
 
 def decimal_integer(v) -> int:
@@ -109,13 +118,12 @@ class IntMatrix:
         on self."""
         return IntMatrix._wrap(arr)
 
-    def _like(self, arr: np.ndarray) -> "IntMatrix":
-        """`_new` for an `arr` whose entries are self's own, moved about."""
-        return IntMatrix._wrap(arr)
+    # `_new` for an `arr` whose entries are self's own, moved about
+    _like = _new
 
     def _same_kind(self, other: "IntMatrix", op: str):
-        """Refuse `op` between an IntMatrix and a ResidueMatrix, either way
-        round."""
+        """Refuse `op` unless other is a plain IntMatrix too; a
+        `ResidueMatrix` refuses it in turn unless both share their p."""
         if type(other) is not type(self):
             raise TypeError(f"{op} of {type(self).__name__} and {type(other).__name__}")
 
@@ -182,7 +190,8 @@ class IntMatrix:
         return self._like(self._a.T)
 
     def reduce_mod(self, m: int) -> "IntMatrix":
-        return IntMatrix._wrap(self._a % int(m))
+        """The entries mod m in [0, m), as an IntMatrix of either kind."""
+        return IntMatrix(self._a % _modulus(m))
 
     def is_zero(self) -> bool:
         return not np.count_nonzero(self._a)
@@ -242,7 +251,8 @@ class ResidueMatrix(IntMatrix):
     """A matrix over F_p, p <= 2^20 (`modp.P_MAX`): IntMatrix's interface on
     an int64 array with entries in [0, p).  Every operation reduces its
     result mod p once; a product of n-entry rows and columns stays below
-    n p^2 < 2^63.  It equals, and hashes like, the IntMatrix of its entries.
+    n p^2 < 2^63.  It equals, and hashes like, the IntMatrix of its entries,
+    but its arithmetic and stacking take only a ResidueMatrix of the same p.
     """
 
     __slots__ = ("p",)
@@ -252,9 +262,7 @@ class ResidueMatrix(IntMatrix):
         integer rule."""
         if not (isinstance(entries, np.ndarray) and entries.dtype == np.int64 and entries.ndim == 2):
             entries = _to_object_array(entries)
-        a = entries % p
-        if a.dtype != np.int64:
-            a = a.astype(np.int64)
+        a = (entries % p).astype(np.int64, copy=False)
         a.setflags(write=False)
         self._a, self.p = a, p
 
@@ -266,19 +274,17 @@ class ResidueMatrix(IntMatrix):
         m._a, m.p = arr, p
         return m
 
-    @staticmethod
-    def zeros(rows: int, cols: int, p: int) -> "ResidueMatrix":
-        return ResidueMatrix._residues(np.zeros((rows, cols), dtype=np.int64), p)
-
-    @staticmethod
-    def identity(n: int, p: int) -> "ResidueMatrix":
-        return ResidueMatrix._residues(np.eye(n, dtype=np.int64), p)
-
     def _new(self, arr: np.ndarray) -> "ResidueMatrix":
         return ResidueMatrix(arr, self.p)
 
     def _like(self, arr: np.ndarray) -> "ResidueMatrix":
-        return ResidueMatrix._residues(arr, self.p) if arr.dtype == np.int64 else self._new(arr)
+        return ResidueMatrix._residues(arr, self.p)
+
+    def _same_kind(self, other: IntMatrix, op: str):
+        """Refuse `op` unless other is a ResidueMatrix over the same F_p."""
+        if type(other) is not ResidueMatrix or other.p != self.p:
+            theirs = f"ResidueMatrix mod {other.p}" if type(other) is ResidueMatrix else type(other).__name__
+            raise TypeError(f"{op} of ResidueMatrix mod {self.p} and {theirs}")
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ResidueMatrix):
@@ -289,9 +295,6 @@ class ResidueMatrix(IntMatrix):
 
     def scale(self, k: int) -> "ResidueMatrix":
         return self._new(self._a * (_integer(k, "scale factor") % self.p))
-
-    def reduce_mod(self, m: int) -> IntMatrix:
-        return IntMatrix(self._a % int(m))
 
     def __repr__(self):
         return f"ResidueMatrix({self.tolist()!r}, p={self.p})"
@@ -402,7 +405,7 @@ def smith_normal_form(a: IntMatrix, modulus: int | None = None) -> SmithDecompos
     The reduction runs on Python lists of rows, as `det` does; U^-1 and V,
     which only ever change by columns, are kept as lists of their columns.
     """
-    m, (nr, nc) = modulus, a.shape
+    m, (nr, nc) = None if modulus is None else _modulus(modulus), a.shape
     d = a.array.tolist()
     if m:
         d = [[x % m for x in row] for row in d]
@@ -508,7 +511,7 @@ def inverse(a: IntMatrix, modulus: int | None = None) -> IntMatrix | None:
     every row an operation changes is reduced into [0, m), as in
     `smith_normal_form`.
     """
-    m, n = modulus, a.rows
+    m, n = None if modulus is None else _modulus(modulus), a.rows
     if n != a.cols:
         raise DimensionMismatch("inverse of a non-square matrix")
     rows = [row + unit for row, unit in zip(a.array.tolist(), _identity_rows(n))]
@@ -550,9 +553,7 @@ def solve_linear(
     b = _to_object_array([b])[0]
     if a.rows != len(b):
         raise DimensionMismatch(f"matrix has {a.rows} rows but rhs has {len(b)}")
-    m = None if modulus is None else int(modulus)
-    if m is not None and m < 2:
-        raise ValueError("modulus must be at least 2")
+    m = None if modulus is None else _modulus(modulus)
     s = smith_normal_form(a, m)
     diag, v = s.diagonal(), s.v.array
     x = smith_solve(s.u.array, diag, v, b.reshape(-1, 1), m)

@@ -131,13 +131,7 @@ def _rref_array(r: np.ndarray, p: int, start: int, pivots: list[int]) -> tuple[n
 
 def kernel(a: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of the null space of a over F_p."""
-    nrows, ncols = a.shape
-    if ncols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if nrows == 0:
-        return np.eye(ncols, dtype=np.int64)
-    r, pivots = rref(a, p)
-    return kernel_from_rref(r, pivots, ncols, p)
+    return kernel_from_rref(*rref(a, p), a.shape[1], p)
 
 
 def kernel_from_rref(r: np.ndarray, pivots: list[int], ncols: int, p: int) -> np.ndarray:
@@ -163,10 +157,6 @@ def solve(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]
     nrows, ncols = a.shape
     if b.shape != (nrows,):
         raise ValueError("rhs length mismatch")
-    if ncols == 0:
-        if (b % p).any():
-            return None
-        return np.zeros(0, dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
     r, pivots = rref(np.hstack([a, b.reshape(-1, 1)]), p)
     if pivots and pivots[-1] >= ncols:
         return None

@@ -31,7 +31,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import modp
-from .intmat import IntMatrix, smith_normal_form, smith_solve
+from .intmat import IntMatrix, _integer, _modulus, smith_normal_form, smith_solve
 
 
 class UnsupportedRepresentation(TypeError):
@@ -101,7 +101,7 @@ class FpMatrix(FieldMatrix):
         arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("expected a square matrix")
-        self.p = int(p)
+        self.p = _integer(p, "prime")
         if self.p > modp.P_MAX or not modp.is_prime(self.p):
             raise ValueError(f"matrices over F_p need a prime p <= {modp.P_MAX}, got {self.p}")
         self.a = _residues(arr, self.p)
@@ -155,7 +155,7 @@ class FiniteAlgebra:
     __slots__ = ("p", "dim", "table", "one_coords")
 
     def __init__(self, p: int, table, one_coords):
-        self.p = int(p)
+        self.p = _integer(p, "prime")
         t = _residues(table, self.p)
         if t.ndim != 3 or t.shape[0] != t.shape[1] or t.shape[1] != t.shape[2]:
             raise ValueError("structure constants must form an n x n x n table")
@@ -232,9 +232,8 @@ class ResidueElement:
     value: int
 
     def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        object.__setattr__(self, "value", self.value % self.modulus)
+        object.__setattr__(self, "modulus", _modulus(self.modulus))
+        object.__setattr__(self, "value", _integer(self.value, "residue") % self.modulus)
 
 
 # ---------------------------------------------------------------------------

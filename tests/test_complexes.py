@@ -41,7 +41,15 @@ from homcart.complexes import (
     shift,
     zero_map,
 )
-from homcart.intmat import FGAbelianGroup, IntMatrix, ResidueMatrix, smith_normal_form, smith_solve, solve_linear
+from homcart.intmat import (
+    DimensionMismatch,
+    FGAbelianGroup,
+    IntMatrix,
+    ResidueMatrix,
+    smith_normal_form,
+    smith_solve,
+    solve_linear,
+)
 from homcart.suite import build_star, fuzz_prop2, lemma2, prop2_replay
 
 from helpers import cmap, cpx, one_term, two_term
@@ -622,7 +630,7 @@ def test_cone_map_restricts_to_g_and_checks_its_homotopy():
         assert cone_map(cn, incl, k).compose(incl) == incl
         if not f.is_zero():
             with pytest.raises(ComplexError):
-                cone_map(cn, incl, Homotopy(k.lhs, k.rhs, {}, check=False))
+                cone_map(cn, incl, Homotopy._of(k.lhs, k.rhs, {}))
             refused += 1
     assert refused
 
@@ -802,7 +810,7 @@ def test_degreewise_invertible_maps_take_the_closed_form_contraction(monkeypatch
         h = is_homotopy_equivalence(f)
         cn = cone_complex(f)
         assert h.lhs == identity_map(cn) and h.rhs == zero_map(cn, cn)
-        Homotopy(h.lhs, h.rhs, h.components(), check=True)
+        Homotopy(h.lhs, h.rhs, h.components())
         g = homotopy_inverse(f, h)
         assert g.compose(f) == identity_map(f.source)
         assert f.compose(g) == identity_map(f.target)
@@ -980,7 +988,7 @@ def test_cone_homotopy_is_the_null_homotopy_zero_one_over_z_z9_f3():
             cn, incl, _ = cone(g)
             k = cone_homotopy(incl, g)
             assert k.lhs == incl.compose(g) and k.rhs == zero_map(g.source, cn)
-            Homotopy(k.lhs, k.rhs, k.components(), check=True)
+            Homotopy(k.lhs, k.rhs, k.components())
             x, y = g.source, g.target
             for i in x.degrees():
                 assert k.component(i) == IntMatrix.vstack(
@@ -1350,3 +1358,88 @@ def test_a_map_hash_is_cached_unchanged_and_shared_by_equal_maps():
             ChainMap(x, y, f.components()),
         ):
             assert same == f and hash(same) == hash(f)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Zmod(2.9),
+        lambda: Zmod("7"),
+        lambda: Ring(2.5),
+        lambda: Ring(6.0),
+        lambda: Ring(1),
+        lambda: reduce_mod(two_term(3), 2.5),
+        lambda: Complex(ZZ, {0: 1.9}, {}),
+        lambda: Complex(ZZ, {"1": True}, {}),
+    ],
+    ids=["zmod-float", "zmod-str", "ring-float", "ring-integral-float", "ring-below-two", "reduce-mod", "rank", "degree"],
+)
+def test_moduli_degrees_and_ranks_are_read_by_the_integer_rule(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_a_modulus_is_kept_as_a_plain_int():
+    ring = Ring(np.int64(6))
+    assert ring == Zmod(6) and type(ring.modulus) is int and str(ring) == "Z/6"
+    c = Complex(ZZ, {np.int64(0): np.int8(1), True: 1}, {})
+    assert c._ranks == {0: 1, 1: 1} and all(type(v) is int for kv in c._ranks.items() for v in kv)
+
+
+def test_a_homotopy_has_no_unchecked_entry_point_but_the_ring_made_one():
+    f = identity_map(two_term(3))
+    with pytest.raises(TypeError):
+        Homotopy(f, f, {}, check=False)
+    with pytest.raises(ComplexError):
+        Homotopy(f, zero_map(f.source, f.target), {})
+
+
+def _wrong_cone_map():
+    x = one_term()
+    f = identity_map(x)
+    cn, incl, _ = cone(f)
+    k = homotopic(incl.compose(f), zero_map(x, cn))
+    return cone_map(x, incl, k)
+
+
+_X, _Y = one_term(), two_term(2)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: ChainMap(one_term(), one_term(Zmod(3)), {}), ComplexError),
+        (lambda: HomComplex(one_term(), one_term(Zmod(3))), ComplexError),
+        (lambda: identity_map(_X).compose(identity_map(_Y)), DimensionMismatch),
+        (lambda: identity_map(_X) + identity_map(_Y), DimensionMismatch),
+        (lambda: identity_map(_X) - identity_map(_Y), DimensionMismatch),
+        (lambda: direct_sum(one_term(), one_term(Zmod(3))), ComplexError),
+        (_wrong_cone_map, ComplexError),
+        (lambda: pair(identity_map(_X), identity_map(_Y)), ComplexError),
+        (lambda: copair(identity_map(_X), identity_map(_Y)), ComplexError),
+        (lambda: hom_group(_X, _X).lookup(identity_map(_Y)), DimensionMismatch),
+        (lambda: reduce_mod(one_term(Zmod(3)), 3), ComplexError),
+        (lambda: reduce_mod(IntMatrix([[1]]), 3), TypeError),
+        (lambda: end_structure_mod_p(one_term(Zmod(4))), ComplexError),
+        (lambda: end_structure_mod_p(one_term()), ComplexError),
+    ],
+    ids=[
+        "chain-map-across-rings",
+        "hom-across-rings",
+        "compose",
+        "add-not-parallel",
+        "sub-not-parallel",
+        "direct-sum-across-rings",
+        "cone-map-wrong-cone",
+        "pair",
+        "copair",
+        "lookup-foreign-map",
+        "reduce-mod-of-z-mod-m",
+        "reduce-mod-unsupported",
+        "end-structure-z-mod-4",
+        "end-structure-z",
+    ],
+)
+def test_complexes_refuses_what_does_not_fit(build, error):
+    with pytest.raises(error):
+        build()

@@ -448,6 +448,28 @@ def test_mixed_kind_arithmetic_is_refused_in_either_order(op):
     assert type(op(residue, residue)) is ResidueMatrix
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda a, b: a @ b,
+        lambda a, b: a + b,
+        lambda a, b: a - b,
+        lambda a, b: IntMatrix.hstack([a, b]),
+        lambda a, b: IntMatrix.vstack([a, b]),
+    ],
+    ids=["matmul", "add", "sub", "hstack", "vstack"],
+)
+def test_residue_blocks_of_two_moduli_are_refused_in_either_order(op):
+    # a mixed result would take the left operand's p: 2 mod 3 one way
+    # round, 3 mod 5 the other
+    three, five = Ring(3).matrix([[2]]), Ring(5).matrix([[4]])
+    for left, right in ((three, five), (five, three)):
+        with pytest.raises(TypeError) as err:
+            op(left, right)
+        assert "mod 3" in str(err.value) and "mod 5" in str(err.value)
+    assert op(five, five).p == 5
+
+
 def test_bools_are_zero_and_one_and_round_trip_through_json():
     m = IntMatrix(np.array([[True, False]]))
     assert m.to_json() == [["1", "0"]]
@@ -578,7 +600,7 @@ def test_matrix_scalars_are_read_by_the_integer_rule(m, tripled):
 def test_integer_rule_errors_name_what_they_read():
     with pytest.raises(ValueError, match=r"^matrix entry 2\.5 is not an integer$"):
         IntMatrix([[1, 2.5]])
-    for m in (IntMatrix.identity(2), ResidueMatrix.identity(2, 5)):
+    for m in (IntMatrix.identity(2), Ring(5).identity(2)):
         with pytest.raises(ValueError, match=r"^scale factor 2\.5 is not an integer$"):
             m.scale(2.5)
 
@@ -595,3 +617,45 @@ def test_matrix_json_entries_are_decimal_integers(bad):
         IntMatrix.from_json([[bad]])
     for good in (7, "7", "-7", "+7", str(10**30)):
         assert IntMatrix.from_json([[good]]) == IntMatrix([[int(good)]])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: smith_normal_form(IntMatrix([[4]]), 2.5),
+        lambda: smith_normal_form(IntMatrix([[4]]), "7"),
+        lambda: inverse(IntMatrix([[1]]), 2.5),
+        lambda: solve_linear(IntMatrix([[1]]), [1], 2.5),
+        lambda: IntMatrix([[4]]).reduce_mod(2.5),
+        lambda: smith_normal_form(IntMatrix([[4]]), 1),
+    ],
+    ids=["smith-float", "smith-str", "inverse", "solve-linear", "reduce-mod", "smith-below-two"],
+)
+def test_a_given_modulus_is_read_by_the_integer_rule(build):
+    with pytest.raises(ValueError, match="modulus"):
+        build()
+
+
+def test_a_residue_matrix_reduces_to_the_intmatrix_of_its_entries():
+    m = Ring(5).matrix([[4, 3]]).reduce_mod(3)
+    assert type(m) is IntMatrix and m.tolist() == [[1, 0]] and all(type(v) is int for v in m.array.flat)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: IntMatrix([[1]]) + IntMatrix([[1, 2]]), DimensionMismatch),
+        (lambda: IntMatrix([[1]]) - IntMatrix([[1], [2]]), DimensionMismatch),
+        (lambda: IntMatrix.hstack([]), DimensionMismatch),
+        (lambda: IntMatrix.vstack([]), DimensionMismatch),
+        (lambda: IntMatrix.from_json([1, 2]), ValueError),
+        (lambda: IntMatrix.from_json("[[1]]"), ValueError),
+        (lambda: IntMatrix.from_json([[1]], rows=2), ValueError),
+        (lambda: det(IntMatrix([[1, 2]])), DimensionMismatch),
+        (lambda: FGAbelianGroup(-1), ValueError),
+    ],
+    ids=["add-shape", "sub-shape", "empty-hstack", "empty-vstack", "json-flat", "json-string", "json-rows", "det", "rank"],
+)
+def test_intmat_refuses_what_does_not_fit(build, error):
+    with pytest.raises(error):
+        build()

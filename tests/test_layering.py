@@ -216,15 +216,31 @@ def test_outside_data_keeps_the_checked_path():
         init = _names(method(cls, "__init__"))
         assert "_set_blocks" in init and "_first_violation" in init and "_of" not in init, cls
     assert not {"_set_blocks", "_layout", "_first_violation", "matrix", "_wrap"} & _names(method("_GradedMap", "_of"))
-    # the integer rule is skipped only on arrays that ring arithmetic made
+    # the integer rule is skipped only on arrays that ring arithmetic made,
+    # which `Ring._wrap` reduces and `Ring._block` owns
     wraps = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_wrap")
-    assert set(wraps) - {"Ring._wrap"} == {
+    assert set(wraps) - {"Ring._wrap", "Ring._block"} == {
         "HomComplex.unvec",
         "is_contractible",
         "is_homotopy_equivalence",
         "homotopy_inverse",
+        "Ring.canon",
     }, wraps
     assert "_wrap" not in _names(method("Ring", "matrix"))
+
+
+def test_the_ring_owns_its_fresh_blocks_in_one_method():
+    tree = _parse("complexes.py")
+    residues = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_residues")
+    # zeros, the hottest constructor, builds its residue block directly
+    assert sorted(residues) == ["Ring._block", "Ring.zeros"], residues
+    built = _functions_around(tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "ResidueMatrix")
+    assert built == ["Ring.matrix"], built
+    calls = {n.func.attr for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    assert "reduce_mod" not in calls
+    residue = next(n for n in ast.walk(_parse("intmat.py")) if isinstance(n, ast.ClassDef) and n.name == "ResidueMatrix")
+    methods = {n.name for n in residue.body if isinstance(n, ast.FunctionDef)}
+    assert not {"zeros", "identity", "reduce_mod"} & methods
 
 
 def test_defining_equations_are_checked_in_one_function():

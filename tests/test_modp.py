@@ -53,6 +53,7 @@ def test_solve_returns_a_solution_and_a_kernel_basis(p):
         solvable += 1
         x, kernel = got
         assert x.shape == (n,) and kernel.shape[0] == n
+        assert x.dtype == kernel.dtype == np.int64
         assert tuple(int(v) for v in x) in solutions
         # ker a has p^(n - rank) elements
         assert len(_solutions(a, np.zeros_like(b), p)) == p ** kernel.shape[1]
@@ -65,6 +66,33 @@ def test_solve_returns_a_solution_and_a_kernel_basis(p):
         assert len(members) == p ** kernel.shape[1]
         assert members == solutions
     assert solvable >= 50
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)], ids=["0xn", "nx0", "0x0"])
+def test_kernel_and_solve_of_an_empty_shape(p, shape):
+    rows, cols = shape
+    a = np.zeros(shape, dtype=np.int64)
+    kernel = modp.kernel(a, p)
+    assert kernel.dtype == np.int64 and np.array_equal(kernel, np.eye(cols, dtype=np.int64))
+    x, basis = modp.solve(a, np.zeros(rows, dtype=np.int64), p)
+    assert x.dtype == basis.dtype == np.int64 and np.array_equal(x, np.zeros(cols)) and np.array_equal(basis, kernel)
+    if rows:
+        assert modp.solve(a, np.ones(rows, dtype=np.int64), p) is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: modp.rref(np.eye(2, dtype=np.int64), modp.P_MAX + 1),
+        lambda: modp.kernel(np.eye(2, dtype=np.int64), 1),
+        lambda: modp.solve(np.eye(2, dtype=np.int64), np.zeros(3, dtype=np.int64), 3),
+    ],
+    ids=["prime-above-range", "prime-below-range", "rhs-length"],
+)
+def test_modp_refuses_what_does_not_fit(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_is_prime_agrees_with_sympy():

@@ -953,3 +953,26 @@ def test_each_search_of_the_paper_decomposes_its_homotopy_block_once(monkeypatch
             verify_paper(a)
         # two classes asked on each of the two searches, one decomposition each
         assert per_search == [(2, 1), (2, 1)], a
+
+
+def _identity_square(**maps):
+    a = one_term()
+    return CommutativeSquare(**{name: maps.get(name, identity_map(a)) for name in ("g", "gprime", "b", "c")})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _identity_square(b=identity_map(two_term(2))), "vertical maps do not match the top row"),
+        (lambda: _identity_square(gprime=identity_map(two_term(2))), "bottom row does not match the vertical maps"),
+        (
+            lambda: squares._ConstraintSystem(one_term(), one_term(), [Constraint(identity_map(two_term(2)))]),
+            "constraint shapes do not compose",
+        ),
+        (lambda: find_compatible_equivalence(one_term(), one_term(Zmod(3)), []), "search across different rings"),
+    ],
+    ids=["top-row", "bottom-row", "constraint-shapes", "across-rings"],
+)
+def test_squares_refuses_what_does_not_fit(build, message):
+    with pytest.raises(ComplexError, match=message):
+        build()

@@ -193,3 +193,39 @@ def test_triangles_are_built_and_rotated_without_solving(monkeypatch):
             t = standard_triangle(f)
             built += [t, rotate(t), rotate(rotate(t))]
     assert all(composites_null(t) for t in built)
+
+
+
+# the standard triangle of 0 : R -> [R --2--> R], whose three objects differ
+_T = standard_triangle(zero_map(one_term(), two_term(2)))
+
+
+def _morphism(p, q, r):
+    return TriangleMorphism(_T, _T, *(identity_map(getattr(_T, end)) for end in (p, q, r)))
+
+
+def _unrotatable():
+    """A triangle whose h o g is the identity of R[1], not null-homotopic."""
+    x = one_term()
+    return rotation_witness(Triangle(zero_map(x, shift(x)), identity_map(shift(x)), identity_map(shift(x))))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Triangle(_T.f, _T.h, _T.h), "g does not start where f ends"),
+        (lambda: Triangle(_T.f, _T.g, zero_map(_T.z, _T.x)), "h does not end at the shift of the source"),
+        (lambda: _morphism("y", "y", "z"), "first component has wrong endpoints"),
+        (lambda: _morphism("x", "x", "z"), "second component has wrong endpoints"),
+        (lambda: _morphism("x", "y", "y"), "third component has wrong endpoints"),
+        (
+            lambda: verify_distinguished_with_witness(_T, identity_map(one_term())),
+            "witness must map the cone of f to the third object",
+        ),
+        (_unrotatable, "h o g is not null-homotopic"),
+    ],
+    ids=["g-after-f", "h-into-shift", "morphism-first", "morphism-second", "morphism-third", "witness-ends", "rotation"],
+)
+def test_triangles_refuses_what_does_not_fit(build, message):
+    with pytest.raises(ComplexError, match=message):
+        build()

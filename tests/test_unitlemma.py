@@ -258,6 +258,31 @@ def test_prime_field_matrices_refuse_entries_that_are_not_integers(entries):
         FpMatrix(5, entries)
 
 
+_DUAL_NUMBERS = [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FpMatrix(5.0, [[1]]),
+        lambda: FpMatrix("5", [[1]]),
+        lambda: FiniteAlgebra(5.0, _DUAL_NUMBERS, [1, 0]),
+        lambda: ResidueElement(9.0, 3),
+        lambda: ResidueElement("9", 3),
+        lambda: ResidueElement(9, 1.5),
+    ],
+    ids=["matrix-prime-float", "matrix-prime-str", "algebra-prime", "residue-modulus-float", "residue-modulus-str", "residue-value"],
+)
+def test_primes_moduli_and_residues_are_read_by_the_integer_rule(build):
+    with pytest.raises(ValueError, match="is not an integer"):
+        build()
+
+
+def test_a_residue_keeps_plain_ints():
+    e = ResidueElement(np.int64(9), np.int8(-3))
+    assert (e.modulus, e.value) == (9, 6) and type(e.modulus) is type(e.value) is int
+
+
 def test_prime_field_matrices_reduce_integers_of_every_kind():
     e = FpMatrix(5, np.array([[np.int64(-1), 2**70], [True, 12]], dtype=object))
     assert e.a.dtype == np.int64
