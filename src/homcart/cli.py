@@ -235,9 +235,18 @@ def cmd_unit_lemma(args) -> int:
             params = [decimal_integer(v) for v in desc.split(":")[1:]]
             if len(params) != (1 if rational else 2) or params[-1] < 1:
                 raise ValueError(f"expected {'matq:k' if rational else 'matf:p:k'} with k >= 1")
+            if not rational:
+                FpMatrix.field(params[0])
+        except ValueError as e:
+            raise UsageError(f"bad matrix ring: {e}") from e
+        k = params[-1]
+        try:
             rows = json.loads(args.eps)
-            if not isinstance(rows, list) or len(rows) != params[-1]:
-                raise ValueError(f"expected a {params[-1]}x{params[-1]} matrix")
+        except ValueError:
+            rows = None
+        if not (isinstance(rows, list) and len(rows) == k and all(isinstance(r, list) and len(r) == k for r in rows)):
+            raise UsageError(f"bad matrix shape: expected a {k}x{k} matrix as a JSON array of rows")
+        try:
             if rational:
                 eps = QMatrix([[_rational(v) for v in row] for row in rows])
             else:

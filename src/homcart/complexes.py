@@ -11,21 +11,25 @@ Over a modular ring all entries are kept canonical in [0, m); equality of
 matrices is therefore plain equality.  Homology is computed over Z only;
 residue-ring questions are answered by lifting and modular solving.
 
-`Complex`, `ChainMap` and `Homotopy` have two entry points.  Outside data
-takes the checked one, the constructor: every block is checked against
-`_layout` and reduced by the ring (`_set_blocks`), and the defining equation
-is checked; only `Complex` and `ChainMap` take check=False, for instances of
-templates whose identities are proved.  Blocks that the ring built take
-the trusted one, `_GradedMap._of`, which stores them as they are, keyed by
-`_layout`, with no check: so `compose`, `+`, `-`, `scale` and `shift` of
-chain maps, `identity_map`, `zero_map`, `cone`, `pair`, `copair`, `shift`,
-`direct_sum`, `cone_complex` and `cone_homotopy` build theirs, whose
-equations follow from their inputs' own.  In the Hom complex below the
+`Complex`, `ChainMap` and `Homotopy` store each block as a read-only
+backend array of their ring (see `Ring` below), and have two entry points.
+Outside data takes the checked one, the constructor: every block is checked
+against `_layout` and reduced by the ring (`_set_blocks`), and the defining
+equation is checked; only `Complex` and `ChainMap` take check=False, for
+instances of templates whose identities are proved.  Arrays that the ring
+made take the trusted one, `_GradedMap._of`, which stores them as they are,
+keyed by `_layout`, with no check: so `compose`, `+`, `-`, `scale` and
+`shift` of chain maps, `identity_map`, `zero_map`, `cone`, `pair`,
+`copair`, `shift`, `direct_sum`, `cone_complex` and `cone_homotopy` build
+theirs, whose equations follow from their inputs' own.  These compute on
+the stored arrays themselves: a product or sum is reduced once by
+`Ring._own`, and a stacked block is written into one zero array per degree
+by slices.  In the Hom complex below the
 defining equations are D(0) f = 0, D(-1) h = f - g, and for a differential
 d(i+1) d(i) = 0 (not D(1) d = 2 d d).  One walk,
 `_GradedMap._first_violation`, checks all three: block by block of
 `_layout(X, Y, n + 1)`, by increasing degree, it computes the residual
-(`_residual`) once on backend arrays, reduces it once mod m, and returns
+(`_residual`) once on the stored arrays, reduces it once mod m, and returns
 the first degree where it is nonzero, the degree `ComplexError` reports.
 
 Every linear question about maps is asked of the Hom complex (Weibel, An
@@ -74,24 +78,28 @@ one decomposition of a matrix, u a v = D diagonal, is `Ring.smith`: the
 Smith form, or `modp.diagonalize` over F_p, where three questions take
 one cheaper rref instead: `solve` of [a | b], `kernel` of a and `section`
 of [d | 1].
-`Ring.asarray` puts a matrix into its backend's form; no other code
-converts between the two.
+`Ring.asarray` puts outside matrices and vectors into the backend's form;
+the graded maps keep theirs in it already and are read without it.
 
-`Ring` also builds every block of a differential, chain map or homotopy:
-an `intmat.ResidueMatrix`, int64 in [0, p), on the small prime fields, and
-an `IntMatrix` of Python ints over Z and the other Z/m.  `matrix` reads
-outside data by the integer rule; `Ring._block` owns every fresh array the
-ring makes, from `_wrap` (its own arithmetic, reduced once, no integer
-rule) and `identity` (`zeros`, the hottest, builds its own); `canon`, the
-one reduction of `_set_blocks` and `_of`, keeps a block of the ring's kind
-and wraps any other.  A residue block refuses arithmetic and stacking with
-any other kind or p (TypeError).  So an F_p block stays int64 from
-generator to verdict, and `Ring.asarray` returns its array as it is.
+`Ring` also fixes the storage of a differential, chain map or homotopy:
+each block is a read-only array of the ring's `dtype`, int64 in [0, p) on
+the small prime fields, Python ints in [0, m) over the other Z/m and Python
+ints over Z.  A block is the edge type: `component`, `components` and
+`differential` return one over the stored array, uncopied, from
+`Ring._block`, the one place an array becomes a block: an
+`intmat.ResidueMatrix` on the small prime fields, an `IntMatrix` over Z and
+the other Z/m.  `matrix` reads outside data by the integer rule, and
+`canon` keeps a block of the ring's kind as it is and reduces any other:
+`_set_blocks` stores its array.  `Ring._own` reduces a fresh array that the
+ring's arithmetic made, once, with no integer rule, and makes it
+read-only.  A residue block refuses arithmetic and stacking with any other
+kind or p (TypeError).  So an F_p block stays int64 from generator to
+verdict, and `Ring.asarray` returns its array as it is.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -117,6 +125,21 @@ class ComplexError(ValueError):
     def __init__(self, message: str, degree: int | None = None):
         super().__init__(message)
         self.degree = degree
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only in place."""
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=256)
+def _shared(rows: int, cols: int, dtype, k: int | None = None) -> np.ndarray:
+    """The read-only rows x cols array of dtype that is zero, or, given k,
+    has ones on diagonal k (`np.eye`).  Stored arrays are never written, so
+    the maps that store one share it: one copy for each of the last 256
+    shapes asked for."""
+    return _frozen(np.zeros((rows, cols), dtype=dtype) if k is None else np.eye(rows, cols, k, dtype=dtype))
 
 
 @dataclass(frozen=True)
@@ -246,46 +269,47 @@ class Ring:
     def canon(self, m: IntMatrix) -> IntMatrix:
         """m as a block of this ring: returned as it is when it already is
         one (a `ResidueMatrix` mod p on a small prime field, a plain
-        IntMatrix over Z), otherwise its entries reduced by `_wrap`."""
+        IntMatrix over Z), otherwise a block of its entries reduced by
+        `_own`."""
         if self.is_small_prime_field:
             if type(m) is ResidueMatrix and m.p == self.modulus:
                 return m
         elif self.modulus is None and type(m) is IntMatrix:
             return m
-        return self._wrap(m.array)
+        return self._block(self._own(m.array))
 
     def matrix(self, a) -> IntMatrix:
         """The block of this ring with the entries of a, any integer matrix
         data, read by the integer rule: for outside data only.  An array that
-        this ring's own arithmetic made is owned by `_wrap` instead."""
+        this ring's own arithmetic made is reduced by `_own` instead."""
         if self.is_small_prime_field:
             return ResidueMatrix(a, self.modulus)
         return self.canon(IntMatrix(a))
 
-    def _wrap(self, a: np.ndarray) -> IntMatrix:
-        """The block of this ring with the entries of a, a backend array or
-        a block's array, as a fresh array reduced once mod m, with no
-        integer-rule pass: int64 in [0, p) on a small prime field."""
+    def _own(self, a: np.ndarray) -> np.ndarray:
+        """a, a fresh result of arithmetic on this ring's arrays, as a
+        stored array: reduced once mod m, with no integer-rule pass, and made
+        read-only: int64 in [0, p) on a small prime field, Python ints
+        otherwise.  Over Z a fresh object array is kept uncopied."""
         m = self.modulus
         if self.is_small_prime_field:
-            return self._block((a % m).astype(np.int64, copy=False))
-        a = np.asarray(a, dtype=object)
-        return self._block(a % m if m else a.copy())
+            a = (a % m).astype(np.int64, copy=False)
+        elif m:
+            a = np.asarray(a, dtype=object) % m
+        else:
+            a = np.asarray(a, dtype=object)
+        return _frozen(a)
 
     def _block(self, a: np.ndarray) -> IntMatrix:
-        """The block of this ring owning a, a fresh canonical backend array."""
+        """The block of this ring over a, a canonical backend array, shared
+        and made read-only, not copied: the one place an array of this ring
+        becomes a block."""
         if self.is_small_prime_field:
             return ResidueMatrix._residues(a, self.modulus)
         return IntMatrix._wrap(a)
 
     def zeros(self, rows: int, cols: int) -> IntMatrix:
-        # built directly, not by `_block`: the hottest constructor
-        if self.is_small_prime_field:
-            return ResidueMatrix._residues(np.zeros((rows, cols), dtype=np.int64), self.modulus)
-        return IntMatrix.zeros(rows, cols)
-
-    def identity(self, n: int) -> IntMatrix:
-        return self._block(np.eye(n, dtype=self.dtype))
+        return self._block(np.zeros((rows, cols), dtype=self.dtype))
 
     def __str__(self):
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
@@ -322,9 +346,10 @@ def _layout(x: "Complex", y: "Complex", n: int) -> list[tuple[int, int, int, int
 
 
 class _GradedMap:
-    """A degree-n map x -> y, kept as one block X^i -> Y^(i+n), reduced by the
-    ring, for each entry of `_layout(x, y, n)`; `_ends` gives (x, y, n) and
-    `_residual(i)` block i of its defining equation."""
+    """A degree-n map x -> y, kept as one block X^i -> Y^(i+n) for each entry
+    of `_layout(x, y, n)`: a read-only backend array of the ring, reduced;
+    `_ends` gives (x, y, n) and `_residual(i)` block i of its defining
+    equation."""
 
     __slots__ = ("_blocks",)
 
@@ -332,19 +357,19 @@ class _GradedMap:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _set_blocks(self, given: dict, what: str):
-        """Store the given blocks, and a zero block for each layout entry
-        given none.  A block of the wrong shape, or a nonzero block outside
-        the layout, raises ComplexError at its degree."""
+        """Store the arrays of the given blocks, and a zero array for each
+        layout entry given none.  A block of the wrong shape, or a nonzero
+        block outside the layout, raises ComplexError at its degree."""
         x, y, n = self._ends()
         ring, blocks = x.ring, {}
         for i, r, c, _ in _layout(x, y, n):
             m = given.get(i)
             if m is None:
-                blocks[i] = ring.zeros(r, c)
+                blocks[i] = _shared(r, c, ring.dtype)
             elif m.shape != (r, c):
                 raise ComplexError(f"{what} at degree {i} has shape {m.shape}, expected {(r, c)}", degree=i)
             else:
-                blocks[i] = ring.canon(m)
+                blocks[i] = ring.canon(m).array
         for i, m in given.items():
             if i not in blocks and not m.is_zero():
                 raise ComplexError(f"nonzero {what} at degree {i} maps to or from rank 0", degree=int(i))
@@ -353,18 +378,15 @@ class _GradedMap:
     @classmethod
     def _of(cls, first, second, blocks: dict):
         """The map with ends (first, second), its constructor's first two
-        arguments, owning `blocks`: blocks that the ring built, one for each
-        entry of `_layout` and in its order (a complex's ranks nonzero and by
-        increasing degree).  They are stored with no layout walk, no shape
-        check and no check of the defining equation.  Only over a Z/m kept as
-        `IntMatrix`, whose arithmetic does not reduce, is each block reduced,
-        once, by `Ring.canon`."""
+        arguments, owning `blocks`: read-only canonical arrays that the ring
+        made (fresh ones reduced by `Ring._own`, or shared ones taken from
+        stored maps or `_shared`), one for each entry of `_layout` and in its
+        order (a complex's ranks nonzero and by increasing degree).  They are
+        stored as they are, with no layout walk, no shape check and no check
+        of the defining equation."""
         self = object.__new__(cls)
         for name, end in zip(cls.__slots__, (first, second)):
             object.__setattr__(self, name, end)
-        ring = self._ends()[0].ring
-        if ring.modulus and not ring.is_small_prime_field:
-            blocks = {i: ring.canon(m) for i, m in blocks.items()}
         object.__setattr__(self, "_blocks", blocks)
         return self
 
@@ -373,11 +395,11 @@ class _GradedMap:
         d_Y(i+n) phi_i - (-1)^n phi_(i+1) d_X(i), each term present where
         phi has its block, and 0 where neither is."""
         x, y, n = self._ends()
-        a, phi, out = x.ring.asarray, self._blocks, 0
+        phi, out = self._blocks, 0
         if i in phi:
-            out = a(y._blocks[i + n]) @ a(phi[i])
+            out = y._blocks[i + n] @ phi[i]
         if i + 1 in phi:
-            right = a(phi[i + 1]) @ a(x._blocks[i])
+            right = phi[i + 1] @ x._blocks[i]
             out = out + right if n % 2 else out - right
         return out
 
@@ -388,20 +410,32 @@ class _GradedMap:
         return next((i for i, _, _, _ in _layout(x, y, n + 1) if not x.ring.is_zero(self._residual(i))), None)
 
     def component(self, i: int) -> IntMatrix:
-        """The block X^i -> Y^(i+n); zero outside the layout."""
+        """The block X^i -> Y^(i+n), over its stored array; zero outside
+        the layout."""
+        x, y, n = self._ends()
         got = self._blocks.get(i)
         if got is not None:
-            return got
-        x, y, n = self._ends()
+            return x.ring._block(got)
         return x.ring.zeros(y.rank(i + n), x.rank(i))
 
     def components(self) -> dict[int, IntMatrix]:
-        return dict(self._blocks)
+        block = self._ends()[0].ring._block
+        return {i: block(a) for i, a in self._blocks.items()}
 
     def blocks_to_json(self) -> dict:
         """The nonzero blocks, keyed by degree: the one JSON writer of
         differentials, chain maps and homotopies."""
-        return {str(i): m.to_json() for i, m in self._blocks.items() if not m.is_zero()}
+        return {str(i): m.to_json() for i, m in self.components().items() if not m.is_zero()}
+
+
+def _equal_blocks(a: dict, b: dict) -> bool:
+    """Whether the stored arrays of two maps with one layout are equal:
+    int64 arrays by their bytes, object arrays entry by entry."""
+    for i, m in a.items():
+        n = b[i]
+        if m is not n and (m.tobytes() != n.tobytes() if m.dtype == np.int64 else (m != n).any()):
+            return False
+    return True
 
 
 class Complex(_GradedMap):
@@ -426,8 +460,8 @@ class Complex(_GradedMap):
 
     def _residual(self, i: int):
         """d(i+1) d(i), X^i -> X^(i+2)."""
-        d, a = self._blocks, self.ring.asarray
-        return a(d[i + 1]) @ a(d[i]) if i in d else 0
+        d = self._blocks
+        return d[i + 1] @ d[i] if i in d else 0
 
     differential = _GradedMap.component
 
@@ -444,11 +478,11 @@ class Complex(_GradedMap):
         return not self._ranks
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Complex)
             and self.ring == other.ring
             and self._ranks == other._ranks
-            and self._blocks == other._blocks
+            and _equal_blocks(self._blocks, other._blocks)
         )
 
     def __hash__(self):
@@ -481,50 +515,59 @@ class ChainMap(_GradedMap):
         the middle complex has rank 0."""
         if other.target != self.source:
             raise DimensionMismatch("chain maps do not compose")
-        x, y, mid = other.source, self.target, other._blocks
-        return ChainMap._of(
-            x, y, {i: self._blocks[i] @ mid[i] if i in mid else x.ring.zeros(r, c) for i, r, c, _ in _layout(x, y, 0)}
-        )
+        x, y, left, mid = other.source, self.target, self._blocks, other._blocks
+        own, dt = x.ring._own, x.ring.dtype
+        blocks = {i: own(left[i] @ mid[i]) if i in mid else _shared(r, c, dt) for i, r, c, _ in _layout(x, y, 0)}
+        return ChainMap._of(x, y, blocks)
+
+    def _parallel(self, blocks: dict) -> "ChainMap":
+        """The map source -> target owning `blocks`, fresh arrays of its
+        layout, each reduced once by `Ring._own`."""
+        own = self.source.ring._own
+        return ChainMap._of(self.source, self.target, {i: own(a) for i, a in blocks.items()})
 
     def __add__(self, other: "ChainMap") -> "ChainMap":
         self._require_parallel(other)
-        return ChainMap._of(self.source, self.target, {i: m + other._blocks[i] for i, m in self._blocks.items()})
+        return self._parallel({i: m + other._blocks[i] for i, m in self._blocks.items()})
 
     def __sub__(self, other: "ChainMap") -> "ChainMap":
         self._require_parallel(other)
-        return ChainMap._of(self.source, self.target, {i: m - other._blocks[i] for i, m in self._blocks.items()})
+        return self._parallel({i: m - other._blocks[i] for i, m in self._blocks.items()})
 
     def __neg__(self) -> "ChainMap":
-        return ChainMap._of(self.source, self.target, {i: -m for i, m in self._blocks.items()})
+        return self._parallel({i: -m for i, m in self._blocks.items()})
 
     def scale(self, k: int) -> "ChainMap":
-        return ChainMap._of(self.source, self.target, {i: m.scale(k) for i, m in self._blocks.items()})
+        k, m = _integer(k, "scale factor"), self.source.ring.modulus
+        k = k % m if m else k
+        return self._parallel({i: a * k for i, a in self._blocks.items()})
 
     def shift(self) -> "ChainMap":
         """f[1] : X[1] -> Y[1], components f[1]_i = f_{i+1}."""
         return ChainMap._of(shift(self.source), shift(self.target), {i - 1: m for i, m in self._blocks.items()})
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self._blocks.values())
+        return not any(np.count_nonzero(m) for m in self._blocks.values())
 
     def _require_parallel(self, other: "ChainMap"):
         if self.source != other.source or self.target != other.target:
             raise DimensionMismatch("chain maps are not parallel")
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, ChainMap)
             and self.source == other.source
             and self.target == other.target
-            and self._blocks == other._blocks
+            and _equal_blocks(self._blocks, other._blocks)
         )
 
     def __hash__(self):
-        """Computed once, then kept in a slot: the map is immutable."""
+        """Computed once from the blocks, then kept in a slot: the map is
+        immutable."""
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.source, self.target, tuple(self._blocks.items())))
+            h = hash((self.source, self.target, tuple(self.components().items())))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -533,11 +576,13 @@ class ChainMap(_GradedMap):
 
 
 def identity_map(c: Complex) -> ChainMap:
-    return ChainMap._of(c, c, {i: c.ring.identity(r) for i, r in c._ranks.items()})
+    dt = c.ring.dtype
+    return ChainMap._of(c, c, {i: _shared(r, r, dt, 0) for i, r in c._ranks.items()})
 
 
 def zero_map(x: Complex, y: Complex) -> ChainMap:
-    return ChainMap._of(x, y, {i: x.ring.zeros(r, c) for i, r, c, _ in _layout(x, y, 0)})
+    dt = x.ring.dtype
+    return ChainMap._of(x, y, {i: _shared(r, c, dt) for i, r, c, _ in _layout(x, y, 0)})
 
 
 class Homotopy(_GradedMap):
@@ -562,32 +607,37 @@ class Homotopy(_GradedMap):
 
     def _residual(self, i: int):
         """Block i of D(-1) h - (f - g)."""
-        a = self.lhs.source.ring.asarray
-        return super()._residual(i) - (a(self.lhs._blocks[i]) - a(self.rhs._blocks[i]))
+        return super()._residual(i) - (self.lhs._blocks[i] - self.rhs._blocks[i])
 
     def __repr__(self):
         return f"Homotopy({self.lhs!r} ~ {self.rhs!r})"
 
 
+def _stacked(rows: int, cols: int, dtype, *pieces) -> np.ndarray:
+    """A fresh read-only rows x cols array of dtype, zero but for each piece
+    (top, left, a) written by slices from row top and column left; a piece
+    with a None is left out."""
+    out = np.zeros((rows, cols), dtype=dtype)
+    for top, left, a in pieces:
+        if a is not None:
+            out[top : top + a.shape[0], left : left + a.shape[1]] = a
+    return _frozen(out)
+
+
 def shift(c: Complex) -> Complex:
     """c[1]: rank(i) = rank_c(i+1) and differential(i) = -d_c(i+1)."""
     ranks = {i - 1: r for i, r in c._ranks.items()}
-    return Complex._of(c.ring, ranks, {i - 1: -d for i, d in c._blocks.items()})
+    return Complex._of(c.ring, ranks, {i - 1: c.ring._own(-d) for i, d in c._blocks.items()})
 
 
 def direct_sum(x: Complex, y: Complex) -> Complex:
     if x.ring != y.ring:
         raise ComplexError("direct sum over different rings")
     ranks = {i: x.rank(i) + y.rank(i) for i in sorted({*x.degrees(), *y.degrees()})}
-    zeros = x.ring.zeros
+    dx, dy, dt = x._blocks, y._blocks, x.ring.dtype
     diffs = {
-        i: IntMatrix.block(
-            [
-                [x.differential(i), zeros(x.rank(i + 1), y.rank(i))],
-                [zeros(y.rank(i + 1), x.rank(i)), y.differential(i)],
-            ]
-        )
-        for i in ranks
+        i: _stacked(ranks[i + 1], r, dt, (0, 0, dx.get(i)), (x.rank(i + 1), x.rank(i), dy.get(i)))
+        for i, r in ranks.items()
         if i + 1 in ranks
     }
     return Complex._of(x.ring, ranks, diffs)
@@ -596,19 +646,16 @@ def direct_sum(x: Complex, y: Complex) -> Complex:
 def cone_complex(f: ChainMap) -> Complex:
     """The mapping cone of f : X -> Y as a complex: degree i is
     Y^i + X^(i+1) with differential [[d_Y, f], [0, -d_X]]."""
-    x, y = f.source, f.target
+    x, y, ring = f.source, f.target, f.source.ring
     ranks = {i: y.rank(i) + x.rank(i + 1) for i in sorted({*y.degrees(), *(d - 1 for d in x.degrees())})}
-    diffs = {
-        i: IntMatrix.block(
-            [
-                [y.differential(i), f.component(i + 1)],
-                [x.ring.zeros(x.rank(i + 2), y.rank(i)), -x.differential(i + 1)],
-            ]
-        )
-        for i in ranks
-        if i + 1 in ranks
-    }
-    return Complex._of(x.ring, ranks, diffs)
+    dx, dy, fb, diffs = x._blocks, y._blocks, f._blocks, {}
+    for i, r in ranks.items():
+        if i + 1 in ranks:
+            top, left = y.rank(i + 1), y.rank(i)
+            minus_dx = -dx[i + 1] if i + 1 in dx else None
+            pieces = (0, 0, dy.get(i)), (0, left, fb.get(i + 1)), (top, left, minus_dx)
+            diffs[i] = ring._own(_stacked(ranks[i + 1], r, ring.dtype, *pieces))
+    return Complex._of(ring, ranks, diffs)
 
 
 def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
@@ -617,17 +664,15 @@ def cone(f: ChainMap) -> tuple[Complex, ChainMap, ChainMap]:
     Returns (`cone_complex(f)`, inclusion of Y, projection to X[1]).  The
     composite projection o inclusion is zero on the nose.
     """
-    x, y, ring = f.source, f.target, f.source.ring
+    x, y, dt = f.source, f.target, f.source.ring.dtype
     cn = cone_complex(f)
-    incl = ChainMap._of(
-        y, cn,
-        {i: IntMatrix.vstack([ring.identity(r), ring.zeros(x.rank(i + 1), r)]) for i, r in y._ranks.items()},
-    )
+    incl = ChainMap._of(y, cn, {i: _shared(cn.rank(i), r, dt, 0) for i, r in y._ranks.items()})
     proj = ChainMap._of(
-        cn, shift(x),
+        cn,
+        shift(x),
         {
-            i: IntMatrix.hstack([ring.zeros(x.rank(i + 1), y.rank(i)), ring.identity(x.rank(i + 1))])
-            for i in cn.degrees()
+            i: _shared(x.rank(i + 1), r, dt, y.rank(i))
+            for i, r in cn._ranks.items()
             if x.rank(i + 1) > 0
         },
     )
@@ -647,7 +692,12 @@ def cone_map(cn: Complex, g: ChainMap, k: Homotopy) -> ChainMap:
     degs = set(cn.degrees()) | set(y.degrees()) | {i - 1 for i in x.degrees()}
     if k.lhs.target != w or any(cn.rank(i) != y.rank(i) + x.rank(i + 1) for i in degs):
         raise ComplexError("cone_map needs cn = cone(f) for f : X -> Y, g : Y -> W and k : X -> W[-1]")
-    comps = {i: IntMatrix.hstack([g.component(i), k.component(i + 1)]) for i in cn.degrees() if w.rank(i)}
+    ring, gb, kb = w.ring, g._blocks, k._blocks
+    comps = {
+        i: ring._block(_stacked(w.rank(i), r, ring.dtype, (0, 0, gb.get(i)), (0, y.rank(i), kb.get(i + 1))))
+        for i, r in cn._ranks.items()
+        if w.rank(i)
+    }
     return ChainMap(cn, w, comps)
 
 
@@ -658,8 +708,8 @@ def cone_homotopy(incl: ChainMap, f: ChainMap) -> Homotopy:
     It holds on the nose, by the cone's differential, so it is built
     unchecked; `cone_map` and `Homotopy` re-check it wherever it is used.
     """
-    x, y, ring = f.source, f.target, f.source.ring
-    comps = {i: IntMatrix.vstack([ring.zeros(y.rank(i - 1), r), ring.identity(r)]) for i, r in x._ranks.items()}
+    x, y, dt = f.source, f.target, f.source.ring.dtype
+    comps = {i: _shared(y.rank(i - 1) + r, r, dt, -y.rank(i - 1)) for i, r in x._ranks.items()}
     return Homotopy._of(incl.compose(f), zero_map(x, incl.target), comps)
 
 
@@ -667,8 +717,12 @@ def pair(f: ChainMap, g: ChainMap) -> ChainMap:
     """(f; g) : X -> Y + Z for f : X -> Y and g : X -> Z."""
     if f.source != g.source:
         raise ComplexError("paired maps must share their source")
-    x, mid = f.source, direct_sum(f.target, g.target)
-    comps = {i: IntMatrix.vstack([f.component(i), g.component(i)]) for i in x.degrees() if mid.rank(i)}
+    x, mid, fb, gb = f.source, direct_sum(f.target, g.target), f._blocks, g._blocks
+    comps = {
+        i: _stacked(mid.rank(i), c, x.ring.dtype, (0, 0, fb.get(i)), (f.target.rank(i), 0, gb.get(i)))
+        for i, c in x._ranks.items()
+        if mid.rank(i)
+    }
     return ChainMap._of(x, mid, comps)
 
 
@@ -676,8 +730,12 @@ def copair(f: ChainMap, g: ChainMap) -> ChainMap:
     """(f, g) : Y + Z -> W for f : Y -> W and g : Z -> W."""
     if f.target != g.target:
         raise ComplexError("copaired maps must share their target")
-    mid, w = direct_sum(f.source, g.source), f.target
-    comps = {i: IntMatrix.hstack([f.component(i), g.component(i)]) for i in mid.degrees() if w.rank(i)}
+    mid, w, fb, gb = direct_sum(f.source, g.source), f.target, f._blocks, g._blocks
+    comps = {
+        i: _stacked(w.rank(i), c, w.ring.dtype, (0, 0, fb.get(i)), (0, f.source.rank(i), gb.get(i)))
+        for i, c in mid._ranks.items()
+        if w.rank(i)
+    }
     return ChainMap._of(mid, w, comps)
 
 
@@ -700,16 +758,15 @@ def _put_kron(block: np.ndarray, a: np.ndarray, b: np.ndarray):
 class HomComplex:
     """Hom(x, y) with the layout and differential of the module docstring.
 
-    Matrices and vectors are in the ring's backend form (`Ring.asarray`),
-    with entries not necessarily reduced.
+    Matrices and vectors are in the ring's backend form, with entries not
+    necessarily reduced; the differentials are the stored arrays of x and y.
     """
 
     def __init__(self, x: Complex, y: Complex):
         if x.ring != y.ring:
             raise ComplexError("Hom between different rings")
         self.x, self.y, self.ring = x, y, x.ring
-        self._dx = {i: self.ring.asarray(d) for i, d in x._blocks.items()}
-        self._dy = {i: self.ring.asarray(d) for i, d in y._blocks.items()}
+        self._dx, self._dy = x._blocks, y._blocks
 
     def layout(self, n: int) -> list[tuple[int, int, int, int]]:
         return _layout(self.x, self.y, n)
@@ -718,13 +775,17 @@ class HomComplex:
         return _size(self.layout(n))
 
     def vec(self, f: "ChainMap") -> np.ndarray:
-        """Vector of a chain map x -> y in Hom^0."""
-        parts = [self.ring.asarray(f.component(i)).reshape(-1) for i, _, _, _ in self.layout(0)]
+        """Vector of a chain map x -> y in Hom^0: its stored arrays, which
+        follow the layout, each read row-major."""
+        parts = [a.reshape(-1) for a in f._blocks.values()]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=self.ring.dtype)
 
     def unvec(self, v, n: int = 0) -> dict[int, IntMatrix]:
-        """Components of the degree-n map with vector v, as blocks of the ring."""
-        return {i: self.ring._wrap(np.asarray(v[off : off + r * c]).reshape(r, c)) for i, r, c, off in self.layout(n)}
+        """Components of the degree-n map with vector v, as blocks of the
+        ring over slices of one copy of v, reduced once."""
+        ring = self.ring
+        flat = ring._own(np.array(v, dtype=object) if ring.is_integers else np.asarray(v))
+        return {i: ring._block(flat[off : off + r * c].reshape(r, c)) for i, r, c, off in self.layout(n)}
 
     def D(self, n: int) -> np.ndarray:
         """Matrix of phi |-> d_y phi - (-1)^n phi d_x from Hom^n to Hom^(n+1)."""
@@ -736,10 +797,10 @@ class HomComplex:
             rows = slice(row, row + r * c)
             if i in pos:
                 sr, sc, off = pos[i]
-                _put_kron(out[rows, off : off + sr * sc], self._dy[i + n], np.eye(c, dtype=dt))
+                _put_kron(out[rows, off : off + sr * sc], self._dy[i + n], _shared(c, c, dt, 0))
             if i + 1 in pos:
                 sr, sc, off = pos[i + 1]
-                _put_kron(out[rows, off : off + sr * sc], np.eye(r, dtype=dt), sign * self._dx[i].T)
+                _put_kron(out[rows, off : off + sr * sc], _shared(r, r, dt, 0), sign * self._dx[i].T)
         return out
 
     def compose_matrix(self, pre: "ChainMap | None", post: "ChainMap | None") -> np.ndarray:
@@ -753,8 +814,8 @@ class HomComplex:
         for i, r, c, row in tgt:
             if i in pos:
                 sr, sc, off = pos[i]
-                left = ring.asarray(post.component(i)) if post is not None else np.eye(r, dtype=ring.dtype)
-                right = ring.asarray(pre.component(i)) if pre is not None else np.eye(c, dtype=ring.dtype)
+                left = post._blocks[i] if post is not None else _shared(r, r, ring.dtype, 0)
+                right = pre._blocks[i] if pre is not None else _shared(c, c, ring.dtype, 0)
                 _put_kron(out[row : row + r * c, off : off + sr * sc], left, right.T)
         return out
 
@@ -796,10 +857,12 @@ def is_contractible(c: Complex) -> Homotopy | None:
         if got is None or (by_rank and ranks.get(i - 1, 0) + got[1] != c.rank(i)):
             return None
         sections[i], ranks[i] = got
-    comps = {}
-    for i, _, _, _ in _layout(c, c, -1):
-        kerproj = ring.asarray(np.eye(c.rank(i), dtype=ring.dtype) - sections[i] @ ring.asarray(c.differential(i)))
-        comps[i] = ring._wrap(sections[i - 1] @ kerproj)
+    comps, d = {}, c._blocks
+    for i, _, n, _ in _layout(c, c, -1):
+        one = _shared(n, n, ring.dtype, 0)
+        kerproj = one - sections[i] @ d[i] if i in d else one
+        # reduced before the second product, so int64 entries stay below n p^2
+        comps[i] = ring._block(ring._own(sections[i - 1] @ ring._own(kerproj)))
     try:
         return Homotopy(identity_map(c), zero_map(c, c), comps)
     except ComplexError:
@@ -822,12 +885,11 @@ def _inverse_components(f: ChainMap) -> dict[int, np.ndarray] | None:
     if x.degrees() != y.degrees() or any(x.rank(i) != y.rank(i) for i in x.degrees()):
         return None
     inverses = {}
-    for i in x.degrees():
-        a = f.component(i)
-        inv = ring.inverse(a)
+    for i, a in f._blocks.items():
+        inv = ring.inverse(f.component(i))
         if inv is None:
             return None
-        if not ring.is_zero(ring.asarray(a) @ inv - np.eye(len(inv), dtype=ring.dtype)):
+        if not ring.is_zero(a @ inv - _shared(len(inv), len(inv), ring.dtype, 0)):
             raise AssertionError("inverse kernel produced a non-inverse")
         inverses[i] = inv
     return inverses
@@ -846,12 +908,11 @@ def is_homotopy_equivalence(f: ChainMap) -> Homotopy | None:
     inverses = _inverse_components(f)
     if inverses is None:
         return is_contractible(cn)
-    comps = {}
-    for i, inv in inverses.items():
-        if cn.rank(i - 1):
-            h = np.zeros((cn.rank(i - 1), cn.rank(i)), dtype=ring.dtype)
-            h[f.target.rank(i - 1) :, : inv.shape[1]] = inv
-            comps[i] = ring._wrap(h)
+    comps = {
+        i: ring._block(_stacked(cn.rank(i - 1), cn.rank(i), ring.dtype, (f.target.rank(i - 1), 0, inv)))
+        for i, inv in inverses.items()
+        if cn.rank(i - 1)
+    }
     return Homotopy(identity_map(cn), zero_map(cn, cn), comps)
 
 
@@ -864,7 +925,8 @@ def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
     """
     x, y = f.source, f.target
     # the block of cone^i -> cone^(i-1) from Y^i to X^i
-    comps = {i: x.ring._wrap(contraction.component(i).array[y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
+    blocks, block = contraction._blocks, x.ring._block
+    comps = {i: block(blocks[i][y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
     return ChainMap(y, x, comps)
 
 
@@ -996,7 +1058,7 @@ def reduce_mod(obj, m: int):
     if isinstance(obj, Complex):
         if not obj.ring.is_integers:
             raise ComplexError("reduce_mod expects integer coefficients")
-        return Complex(Zmod(m), obj._ranks, obj._blocks)
+        return Complex(Zmod(m), obj._ranks, obj.components())
     if isinstance(obj, ChainMap):
         src = reduce_mod(obj.source, m)
         tgt = reduce_mod(obj.target, m)

@@ -252,7 +252,8 @@ class ResidueMatrix(IntMatrix):
     an int64 array with entries in [0, p).  Every operation reduces its
     result mod p once; a product of n-entry rows and columns stays below
     n p^2 < 2^63.  It equals, and hashes like, the IntMatrix of its entries,
-    but its arithmetic and stacking take only a ResidueMatrix of the same p.
+    but its arithmetic and stacking take only a ResidueMatrix of the same p,
+    and it never equals a ResidueMatrix of another p.
     """
 
     __slots__ = ("p",)
@@ -288,7 +289,7 @@ class ResidueMatrix(IntMatrix):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ResidueMatrix):
-            return self._a.shape == other._a.shape and self._a.tobytes() == other._a.tobytes()
+            return self.p == other.p and self._a.shape == other._a.shape and self._a.tobytes() == other._a.tobytes()
         return super().__eq__(other)
 
     __hash__ = IntMatrix.__hash__

@@ -101,10 +101,17 @@ class FpMatrix(FieldMatrix):
         arr = np.asarray(entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("expected a square matrix")
-        self.p = _integer(p, "prime")
-        if self.p > modp.P_MAX or not modp.is_prime(self.p):
-            raise ValueError(f"matrices over F_p need a prime p <= {modp.P_MAX}, got {self.p}")
+        self.p = FpMatrix.field(p)
         self.a = _residues(arr, self.p)
+
+    @staticmethod
+    def field(p) -> int:
+        """p, read by the integer rule, when it is a prime these matrices
+        take; ValueError otherwise."""
+        p = _integer(p, "prime")
+        if p > modp.P_MAX or not modp.is_prime(p):
+            raise ValueError(f"matrices over F_p need a prime p <= {modp.P_MAX}, got {p}")
+        return p
 
     def _reduce(self, arr):
         return arr % self.p

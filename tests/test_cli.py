@@ -283,6 +283,28 @@ def test_unit_lemma_matrix_over_a_composite_modulus(capsys, ring, eps):
     assert err.startswith("error:") and "prime" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "ring, eps, message",
+    [
+        # a ring it refuses, a shape that is not k x k, an entry that is no integer
+        ("matf:1048583:1", "[[1]]", "error: bad matrix ring: matrices over F_p need a prime p <= 1048576, got 1048583"),
+        ("matf:4:1", "[[1]]", "error: bad matrix ring: matrices over F_p need a prime p <= 1048576, got 4\n"),
+        ("matf:3:0", "[]", "error: bad matrix ring: expected matf:p:k with k >= 1\n"),
+        ("matq:x", "[[1]]", "error: bad matrix ring: 'x' is not a decimal integer\n"),
+        ("matf:3:2", "[[1, 0]]", "error: bad matrix shape: expected a 2x2 matrix as a JSON array of rows\n"),
+        ("matq:2", "[[1], [0, 1]]", "error: bad matrix shape: expected a 2x2 matrix as a JSON array of rows\n"),
+        ("matf:3:1", "[[1]", "error: bad matrix shape: expected a 1x1 matrix as a JSON array of rows\n"),
+        ("matf:3:1", '[["x"]]', "error: bad matrix element: 'x' is not a decimal integer\n"),
+        ("matq:1", '[["1/0"]]', "error: bad matrix element: '1/0' is not a fraction"),
+    ],
+    ids=["prime-above-2^20", "composite", "k-zero", "k-not-decimal", "rows", "ragged", "not-json", "entry", "fraction"],
+)
+def test_unit_lemma_names_what_it_refused(capsys, ring, eps, message):
+    code, out, err = run(capsys, "unit-lemma", "--ring", ring, "--eps", eps)
+    assert code == 3 and out == ""
+    assert err.startswith(message), err
+
+
 def test_fuzz_zero_trials(capsys):
     code, out, err = run(capsys, "fuzz", "prop2", "--trials", "0")
     assert code == 0

@@ -1157,7 +1157,7 @@ def test_small_prime_fields_build_residue_blocks_and_read_them_back_unconverted(
     c = cpx({0: 2, 1: 2}, {0: [[1, 0], [0, 0]]}, ring=ring)
     f = identity_map(c)
     cn, incl, proj = cone(f)
-    built = [c.differential(0), c.differential(5), f.component(0), ring.zeros(2, 3), ring.identity(2)]
+    built = [c.differential(0), c.differential(5), ring.zeros(2, 3), *f.components().values()]
     built += [*cn.components().values(), *incl.components().values(), *proj.components().values()]
     built += [*direct_sum(c, c).components().values(), *cone_homotopy(incl, f).components().values()]
     built += [*is_homotopy_equivalence(f).components().values(), *is_contractible(cn).components().values()]
@@ -1168,7 +1168,8 @@ def test_small_prime_fields_build_residue_blocks_and_read_them_back_unconverted(
 def test_other_rings_keep_exact_blocks(ring):
     c = cpx({0: 1, 1: 1}, {0: [[2]]}, ring=ring)
     cn = cone_complex(identity_map(c))
-    for b in [c.differential(0), ring.zeros(1, 2), ring.identity(2), ring.matrix([[7]]), *cn.components().values()]:
+    built = [c.differential(0), ring.zeros(1, 2), *identity_map(c).components().values(), ring.matrix([[7]])]
+    for b in [*built, *cn.components().values()]:
         assert type(b) is IntMatrix and b.array.dtype == object
 
 
@@ -1281,10 +1282,33 @@ def _assert_ring_made(ring, blocks: dict):
             assert ring.is_integers or all(0 <= v < ring.modulus for v in a.flat)
 
 
+def _assert_stored(ring, obj):
+    """Every block obj stores is a read-only array of the ring's dtype,
+    canonical for the ring, and its component is the ring's block over
+    that same read-only data, which refuses a write."""
+    assert obj._blocks.keys() == obj.components().keys()
+    for i, a in obj._blocks.items():
+        assert type(a) is np.ndarray and a.dtype == ring.dtype and not a.flags.writeable
+        if ring.is_small_prime_field:
+            assert ((a >= 0) & (a < ring.modulus)).all()
+        else:
+            assert all(type(v) is int and (ring.is_integers or 0 <= v < ring.modulus) for v in a.flat)
+        block = obj.component(i)
+        assert type(block) is (ResidueMatrix if ring.is_small_prime_field else IntMatrix)
+        assert block.array is a
+        assert not block.array.flags.writeable and block == obj.component(i)
+        if a.size:
+            with pytest.raises(ValueError):
+                block.array[0, 0] = 1
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+
+
 def _assert_as_if_checked(obj):
     """obj equals itself rebuilt from its blocks by its checked constructor,
     with check=True: the same blocks in the same layout order, the same
-    degrees and hash, and so do its ends."""
+    degrees and hash, and so do its ends; both store their blocks as the
+    ring's read-only arrays."""
     if isinstance(obj, Complex):
         ring, again = obj.ring, Complex(obj.ring, dict(obj._ranks), obj.components())
         assert again == obj and again.degrees() == obj.degrees()
@@ -1299,6 +1323,8 @@ def _assert_as_if_checked(obj):
         _assert_as_if_checked(obj.rhs)
     assert list(again.components().items()) == list(obj.components().items())
     _assert_ring_made(ring, obj.components())
+    _assert_stored(ring, obj)
+    _assert_stored(ring, again)
 
 
 @settings(database=None, deadline=None, max_examples=60)
@@ -1326,6 +1352,9 @@ def test_ring_made_maps_equal_their_checked_rebuilds(ring, seed, k):
         contraction = is_homotopy_equivalence(candidate)
         if contraction is not None:
             built += [contraction, homotopy_inverse(candidate, contraction)]
+    # read-only as built: `component` freezes the array it wraps, so this
+    # looks before any block is read
+    assert all(not a.flags.writeable for obj in built for a in obj._blocks.values())
     for obj in built:
         _assert_as_if_checked(obj)
     # unvec of an unreduced vector of Python ints, as the squares search

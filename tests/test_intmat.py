@@ -470,6 +470,15 @@ def test_residue_blocks_of_two_moduli_are_refused_in_either_order(op):
     assert op(five, five).p == 5
 
 
+def test_residue_blocks_of_two_moduli_are_unequal_but_each_equals_its_entries():
+    three, five, plain = Ring(3).matrix([[2]]), Ring(5).matrix([[2]]), IntMatrix([[2]])
+    assert three != five and five != three and not three == five
+    assert three == plain == five and plain == three and plain == five
+    # equal to its entries, so it hashes like them, whatever its p
+    assert hash(three) == hash(plain) == hash(five)
+    assert three == Ring(3).matrix([[5]]) and Ring(5).matrix([[7]]) == five
+
+
 def test_bools_are_zero_and_one_and_round_trip_through_json():
     m = IntMatrix(np.array([[True, False]]))
     assert m.to_json() == [["1", "0"]]
@@ -600,7 +609,7 @@ def test_matrix_scalars_are_read_by_the_integer_rule(m, tripled):
 def test_integer_rule_errors_name_what_they_read():
     with pytest.raises(ValueError, match=r"^matrix entry 2\.5 is not an integer$"):
         IntMatrix([[1, 2.5]])
-    for m in (IntMatrix.identity(2), Ring(5).identity(2)):
+    for m in (IntMatrix.identity(2), Ring(5).matrix([[1, 0], [0, 1]])):
         with pytest.raises(ValueError, match=r"^scale factor 2\.5 is not an integer$"):
             m.scale(2.5)
 

@@ -7,8 +7,8 @@ classes and once for the constraint solutions, and reads every class it
 tries in Hom groups built at one site, the unit lemma's matrices share one
 field layer, primality is decided in `modp`, and
 the blocks of graded maps from outside data are checked in one function of
-`complexes`, while the blocks the ring builds enter by a private
-constructor and a private `Ring` wrap that only `complexes` calls, and
+`complexes`, while the arrays the ring builds enter by a private
+constructor and a private `Ring` reduction that only `complexes` calls, and
 their defining equations are checked in one walk, and read from JSON in one
 function of `jsonio`, and contractions, solves,
 kernels and quotients have one algorithm for every ring: no Hom-system
@@ -199,10 +199,11 @@ def test_block_shapes_are_checked_in_one_function():
 
 @pytest.mark.parametrize("module", ["squares.py", "suite.py", "jsonio.py", "cli.py", "triangles.py"])
 def test_ring_made_blocks_enter_only_inside_complexes(module):
-    """No other module names the trusted constructor or the ring's wrap, so
-    outside data cannot skip the checks."""
+    """No other module names the trusted constructor, the stored arrays or
+    the ring's reduction and blocks, so outside data cannot skip the
+    checks."""
     names = _names(_parse(module))
-    assert not {"_of", "_wrap"} & names, module
+    assert not {"_of", "_blocks", "_own", "_block"} & names, module
 
 
 def test_outside_data_keeps_the_checked_path():
@@ -215,25 +216,41 @@ def test_outside_data_keeps_the_checked_path():
     for cls in ("Complex", "ChainMap", "Homotopy"):
         init = _names(method(cls, "__init__"))
         assert "_set_blocks" in init and "_first_violation" in init and "_of" not in init, cls
-    assert not {"_set_blocks", "_layout", "_first_violation", "matrix", "_wrap"} & _names(method("_GradedMap", "_of"))
+    assert not {"_set_blocks", "_layout", "_first_violation", "matrix", "_own", "canon"} & _names(
+        method("_GradedMap", "_of")
+    )
     # the integer rule is skipped only on arrays that ring arithmetic made,
-    # which `Ring._wrap` reduces and `Ring._block` owns
-    wraps = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_wrap")
-    assert set(wraps) - {"Ring._wrap", "Ring._block"} == {
+    # which `Ring._own` reduces once, and an array becomes a block only in
+    # `Ring._block`
+    owns = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_own")
+    assert set(owns) == {
+        "ChainMap.compose",
+        "ChainMap._parallel",
+        "shift",
+        "cone_complex",
+        "HomComplex.unvec",
+        "is_contractible",
+        "Ring.canon",
+    }, owns
+    blocks = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_block")
+    assert set(blocks) == {
+        "_GradedMap.component",
+        "_GradedMap.components",
+        "cone_map",
         "HomComplex.unvec",
         "is_contractible",
         "is_homotopy_equivalence",
         "homotopy_inverse",
         "Ring.canon",
-    }, wraps
-    assert "_wrap" not in _names(method("Ring", "matrix"))
+        "Ring.zeros",
+    }, blocks
+    assert not {"_own", "_block"} & _names(method("Ring", "matrix"))
 
 
 def test_the_ring_owns_its_fresh_blocks_in_one_method():
     tree = _parse("complexes.py")
     residues = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_residues")
-    # zeros, the hottest constructor, builds its residue block directly
-    assert sorted(residues) == ["Ring._block", "Ring.zeros"], residues
+    assert residues == ["Ring._block"], residues
     built = _functions_around(tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "ResidueMatrix")
     assert built == ["Ring.matrix"], built
     calls = {n.func.attr for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}

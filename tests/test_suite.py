@@ -153,6 +153,37 @@ def test_fuzz_determinism():
     assert a == b
 
 
+# SHA-256 of the fuzz stream's trials, verdicts and replayed units over F_2,
+# F_3, Z/4 and Z/9; see test_the_fuzz_stream_is_pinned
+FUZZ_DIGEST = "a2eb8e61c3fab99da333af2608e0ed026769f7b8dc9bb52a0e21d5c9f722edda"
+
+
+def test_the_fuzz_stream_is_pinned():
+    # for each trial of fuzz_prop2(m, trials=25, seed=42): whether it was
+    # perturbed, its maps q and r, the verdict of its square with the
+    # verdict's source, and the automorphism 1 + e + a e^2 of its replay
+    import hashlib
+
+    out = []
+    for m in (2, 3, 4, 9):
+        for trial in fuzz_prop2(m, trials=25, seed=42):
+            verdict = is_homotopy_cartesian(trial.square)
+            out.append(
+                [
+                    m,
+                    trial.index,
+                    trial.perturbed,
+                    trial.morphism.q.blocks_to_json(),
+                    trial.morphism.r.blocks_to_json(),
+                    verdict.to_json(),
+                    verdict.details.get("source"),
+                    prop2_replay(trial.morphism).automorphism.blocks_to_json(),
+                ]
+            )
+    assert sum(perturbed for _, _, perturbed, *_ in out) >= 1
+    assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() == FUZZ_DIGEST
+
+
 def test_fuzz_trials_verify_and_decide_yes():
     for trial in fuzz_prop2(3, trials=10, seed=7):
         assert verify_triangle_morphism(trial.morphism).ok
