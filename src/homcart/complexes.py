@@ -18,19 +18,22 @@ against `_layout` and reduced by the ring (`_set_blocks`), and the defining
 equation is checked; only `Complex` and `ChainMap` take check=False, for
 instances of templates whose identities are proved.  Arrays that the ring
 made take the trusted one, `_GradedMap._of`, which stores them as they are,
-keyed by `_layout`, with no check: so `compose`, `+`, `-`, `scale` and
+keyed by `_layout`, with no check.  `compose`, `+`, `-`, `scale` and
 `shift` of chain maps, `identity_map`, `zero_map`, `cone`, `pair`,
 `copair`, `shift`, `direct_sum`, `cone_complex` and `cone_homotopy` build
-theirs, whose equations follow from their inputs' own.  These compute on
-the stored arrays themselves: a product or sum is reduced once by
-`Ring._own`, and a stacked block is written into one zero array per degree
-by slices.  In the Hom complex below the
-defining equations are D(0) f = 0, D(-1) h = f - g, and for a differential
-d(i+1) d(i) = 0 (not D(1) d = 2 d d).  One walk,
-`_GradedMap._first_violation`, checks all three: block by block of
-`_layout(X, Y, n + 1)`, by increasing degree, it computes the residual
-(`_residual`) once on the stored arrays, reduces it once mod m, and returns
-the first degree where it is nonzero, the degree `ComplexError` reports.
+theirs so, as their equations follow from their inputs' own: they compute
+on the stored arrays, a product or sum reduced once by `Ring._own`, a
+stacked block written into one zero array per degree by slices.  Every
+other map made from ring arrays (a solution, a contraction, a cone map, a
+random map, a Hom-group representative: `HomComplex.chain_map` turns a Hom
+vector into a map) is built by `_of` and then checked by `_checked`, as a
+constructor checks.  In the Hom complex below the defining equations are
+D(0) f = 0, D(-1) h = f - g, and for a differential d(i+1) d(i) = 0 (not
+D(1) d = 2 d d).  One walk, `_GradedMap._first_violation`, checks all
+three: block by block of `_layout(X, Y, n + 1)`, by increasing degree, it
+computes the residual (`_residual`) once on the stored arrays, reduces it
+once mod m, and returns the first degree where it is nonzero, the degree
+`ComplexError` reports.
 
 Every linear question about maps is asked of the Hom complex (Weibel, An
 Introduction to Homological Algebra, 2.7): Hom(X, Y)^n is the product over i
@@ -81,20 +84,17 @@ of [d | 1].
 `Ring.asarray` puts outside matrices and vectors into the backend's form;
 the graded maps keep theirs in it already and are read without it.
 
-`Ring` also fixes the storage of a differential, chain map or homotopy:
-each block is a read-only array of the ring's `dtype`, int64 in [0, p) on
-the small prime fields, Python ints in [0, m) over the other Z/m and Python
-ints over Z.  A block is the edge type: `component`, `components` and
-`differential` return one over the stored array, uncopied, from
-`Ring._block`, the one place an array becomes a block: an
-`intmat.ResidueMatrix` on the small prime fields, an `IntMatrix` over Z and
-the other Z/m.  `matrix` reads outside data by the integer rule, and
-`canon` keeps a block of the ring's kind as it is and reduces any other:
-`_set_blocks` stores its array.  `Ring._own` reduces a fresh array that the
-ring's arithmetic made, once, with no integer rule, and makes it
-read-only.  A residue block refuses arithmetic and stacking with any other
-kind or p (TypeError).  So an F_p block stays int64 from generator to
-verdict, and `Ring.asarray` returns its array as it is.
+`Ring` also fixes the storage of a differential, chain map or homotopy, and
+alone knows a block's modulus: each block is a read-only array of the
+ring's `dtype`, int64 in [0, p) on the small prime fields, Python ints in
+[0, m) over the other Z/m and Python ints over Z.  `Ring._own` reduces a
+fresh array once and makes it read-only; `_set_blocks` stores its outside
+blocks through it too.  The edge type is the one exact `IntMatrix`:
+`component`, `components` and `differential` return one from `Ring._block`,
+over the stored array itself over Z and Z/m, and over an exact copy of the
+int64 residues on F_p; `Ring.matrix` reads outside data by the integer rule
+into such a block.  No computation of this module reads a block: they take
+the stored arrays, so an F_p block stays int64 from generator to verdict.
 """
 
 import math
@@ -108,7 +108,6 @@ from .intmat import (
     DimensionMismatch,
     FGAbelianGroup,
     IntMatrix,
-    ResidueMatrix,
     _integer,
     _modulus,
     cokernel,
@@ -177,10 +176,7 @@ class Ring:
 
     def asarray(self, a) -> np.ndarray:
         """An integer matrix or vector in backend form: int64 reduced mod p
-        on a small prime field, exact Python ints otherwise.  The array of a
-        block this ring built is returned as it is, read-only."""
-        if isinstance(a, ResidueMatrix) and a.p == self.modulus:
-            return a.array
+        on a small prime field, exact Python ints otherwise."""
         a = np.asarray(a.array if isinstance(a, IntMatrix) else a)
         if self.is_small_prime_field:
             return (a % self.modulus).astype(np.int64)
@@ -204,11 +200,12 @@ class Ring:
         """The one decomposition of a matrix: backend arrays (u, diag, v,
         uinv) with u a v = D diagonal, D's diagonal `diag` and uinv = u^-1.
         Over a small prime field from `modp.diagonalize`, D = diag(1, ..., 1,
-        0, ...); otherwise the Smith form over Z of a reduced into [0, m)."""
+        0, ...); otherwise the Smith form over Z of a reduced into [0, m),
+        a, this ring's own object array, wrapped with no integer-rule pass."""
         if self.is_small_prime_field:
             u, v, uinv, r = modp.diagonalize(self.asarray(a), self.modulus)
             return u, [1] * r + [0] * (min(a.shape) - r), v, uinv
-        s = smith_normal_form(IntMatrix(a), self.modulus)
+        s = smith_normal_form(IntMatrix._wrap(a.view()), self.modulus)
         return s.u.array, s.diagonal(), s.v.array, s.uinv.array
 
     def kernel(self, a: np.ndarray) -> np.ndarray:
@@ -220,9 +217,9 @@ class Ring:
         _, diag, v, _ = self.smith(a)
         return smith_kernel(diag, v, self.modulus)
 
-    def section(self, d: IntMatrix):
-        """(s, r) with d s d = d and r = rank d, s as a backend array, or
-        None when d has no section.
+    def section(self, d: np.ndarray):
+        """(s, r) with d s d = d and r = rank d, for a stored array d, s as
+        a backend array, or None when d has no section.
 
         s = V T U from the decomposition U d V = D of `smith(d)`, with T
         diagonal and D T D = D: over Z, V[:, :r] U[:r, :] when every nonzero
@@ -236,12 +233,12 @@ class Ring:
         if rows == 0 or cols == 0:
             return np.zeros((cols, rows), dtype=self.dtype), 0
         if self.is_small_prime_field:
-            r, pivots = modp.rref(np.hstack([self.asarray(d), np.eye(rows, dtype=np.int64)]), self.modulus)
+            r, pivots = modp.rref(np.hstack([d, np.eye(rows, dtype=np.int64)]), self.modulus)
             rank = sum(1 for j in pivots if j < cols)
             s = np.zeros((cols, rows), dtype=np.int64)
             s[pivots[:rank]] = r[:rank, cols:]
             return s, rank
-        (u, diag, v, _), m = self.smith(d.array), self.modulus
+        (u, diag, v, _), m = self.smith(d), self.modulus
         if m is None:
             rank = sum(1 for x in diag if x)
             if any(x != 1 for x in diag[:rank]):
@@ -254,11 +251,11 @@ class Ring:
         k = len(diag)
         return (v[:, :k] * t) @ u[:k, :] % m, sum(1 for x in diag if x % m)
 
-    def inverse(self, a: IntMatrix) -> np.ndarray | None:
-        """a^-1 as a backend array for a square block a, or None when a is
-        not invertible: `intmat.inverse`, row elimination with no Smith
+    def inverse(self, a: np.ndarray) -> np.ndarray | None:
+        """a^-1 as a backend array for a square stored array a, or None when
+        a is not invertible: `intmat.inverse`, row elimination with no Smith
         form, on every ring."""
-        inv = intmat.inverse(a, self.modulus)
+        inv = intmat.inverse(self._block(a), self.modulus)
         return None if inv is None else self.asarray(inv)
 
     def is_zero(self, a) -> bool:
@@ -266,31 +263,17 @@ class Ring:
         mod m."""
         return not np.count_nonzero(a % self.modulus if self.modulus else a)
 
-    def canon(self, m: IntMatrix) -> IntMatrix:
-        """m as a block of this ring: returned as it is when it already is
-        one (a `ResidueMatrix` mod p on a small prime field, a plain
-        IntMatrix over Z), otherwise a block of its entries reduced by
-        `_own`."""
-        if self.is_small_prime_field:
-            if type(m) is ResidueMatrix and m.p == self.modulus:
-                return m
-        elif self.modulus is None and type(m) is IntMatrix:
-            return m
-        return self._block(self._own(m.array))
-
     def matrix(self, a) -> IntMatrix:
         """The block of this ring with the entries of a, any integer matrix
-        data, read by the integer rule: for outside data only.  An array that
-        this ring's own arithmetic made is reduced by `_own` instead."""
-        if self.is_small_prime_field:
-            return ResidueMatrix(a, self.modulus)
-        return self.canon(IntMatrix(a))
+        data, read by the integer rule and reduced: for outside data only."""
+        return self._block(self._own(IntMatrix(a).array))
 
     def _own(self, a: np.ndarray) -> np.ndarray:
-        """a, a fresh result of arithmetic on this ring's arrays, as a
-        stored array: reduced once mod m, with no integer-rule pass, and made
-        read-only: int64 in [0, p) on a small prime field, Python ints
-        otherwise.  Over Z a fresh object array is kept uncopied."""
+        """a, a fresh result of arithmetic on this ring's arrays or the array
+        of an outside block, as a stored array: reduced once mod m, with no
+        integer-rule pass, and made read-only: int64 in [0, p) on a small
+        prime field, Python ints otherwise.  Over Z an object array is kept
+        uncopied."""
         m = self.modulus
         if self.is_small_prime_field:
             a = (a % m).astype(np.int64, copy=False)
@@ -301,15 +284,9 @@ class Ring:
         return _frozen(a)
 
     def _block(self, a: np.ndarray) -> IntMatrix:
-        """The block of this ring over a, a canonical backend array, shared
-        and made read-only, not copied: the one place an array of this ring
-        becomes a block."""
-        if self.is_small_prime_field:
-            return ResidueMatrix._residues(a, self.modulus)
-        return IntMatrix._wrap(a)
-
-    def zeros(self, rows: int, cols: int) -> IntMatrix:
-        return self._block(np.zeros((rows, cols), dtype=self.dtype))
+        """The edge block of a stored array a: a itself, read-only, over Z
+        and Z/m, an exact copy of its int64 residues on a small prime field."""
+        return IntMatrix._wrap(a.astype(object) if self.is_small_prime_field else a)
 
     def __str__(self):
         return "Z" if self.modulus is None else f"Z/{self.modulus}"
@@ -369,7 +346,7 @@ class _GradedMap:
             elif m.shape != (r, c):
                 raise ComplexError(f"{what} at degree {i} has shape {m.shape}, expected {(r, c)}", degree=i)
             else:
-                blocks[i] = ring.canon(m).array
+                blocks[i] = ring._own(m.array)
         for i, m in given.items():
             if i not in blocks and not m.is_zero():
                 raise ComplexError(f"nonzero {what} at degree {i} maps to or from rank 0", degree=int(i))
@@ -383,7 +360,7 @@ class _GradedMap:
         stored maps or `_shared`), one for each entry of `_layout` and in its
         order (a complex's ranks nonzero and by increasing degree).  They are
         stored as they are, with no layout walk, no shape check and no check
-        of the defining equation."""
+        of the defining equation: `_checked` runs that."""
         self = object.__new__(cls)
         for name, end in zip(cls.__slots__, (first, second)):
             object.__setattr__(self, name, end)
@@ -409,14 +386,26 @@ class _GradedMap:
         x, y, n = self._ends()
         return next((i for i, _, _, _ in _layout(x, y, n + 1) if not x.ring.is_zero(self._residual(i))), None)
 
+    def _checked(self):
+        """self, once its defining equation holds in every degree
+        (`_first_violation`); otherwise ComplexError at the failing one."""
+        if (bad := self._first_violation()) is not None:
+            what = {
+                1: "differentials do not compose to zero",
+                0: "chain condition fails",
+                -1: "homotopy witness equation fails",
+            }[self._ends()[2]]
+            raise ComplexError(f"{what} at degree {bad}", degree=bad)
+        return self
+
     def component(self, i: int) -> IntMatrix:
-        """The block X^i -> Y^(i+n), over its stored array; zero outside
-        the layout."""
+        """The block X^i -> Y^(i+n), the edge block of its stored array
+        (`Ring._block`); zero outside the layout."""
         x, y, n = self._ends()
         got = self._blocks.get(i)
         if got is not None:
             return x.ring._block(got)
-        return x.ring.zeros(y.rank(i + n), x.rank(i))
+        return IntMatrix.zeros(y.rank(i + n), x.rank(i))
 
     def components(self) -> dict[int, IntMatrix]:
         block = self._ends()[0].ring._block
@@ -452,8 +441,8 @@ class Complex(_GradedMap):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_ranks", clean_ranks)
         self._set_blocks(differentials, "differential")
-        if check and (bad := self._first_violation()) is not None:
-            raise ComplexError(f"differentials do not compose to zero at degree {bad}", degree=bad)
+        if check:
+            self._checked()
 
     def _ends(self):
         return self, self, 1
@@ -504,8 +493,8 @@ class ChainMap(_GradedMap):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         self._set_blocks(components, "component")
-        if check and (bad := self._first_violation()) is not None:
-            raise ComplexError(f"chain condition fails at degree {bad}", degree=bad)
+        if check:
+            self._checked()
 
     def _ends(self):
         return self.source, self.target, 0
@@ -563,11 +552,12 @@ class ChainMap(_GradedMap):
 
     def __hash__(self):
         """Computed once from the blocks, then kept in a slot: the map is
-        immutable."""
+        immutable.  Each block hashes as the `IntMatrix` of its entries."""
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.source, self.target, tuple(self.components().items())))
+            blocks = tuple((i, (a.shape, tuple(a.ravel().tolist()))) for i, a in self._blocks.items())
+            h = hash((self.source, self.target, blocks))
             object.__setattr__(self, "_hash", h)
             return h
 
@@ -599,8 +589,7 @@ class Homotopy(_GradedMap):
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
         self._set_blocks(components, "homotopy component")
-        if (bad := self._first_violation()) is not None:
-            raise ComplexError(f"homotopy witness equation fails at degree {bad}", degree=bad)
+        self._checked()
 
     def _ends(self):
         return self.lhs.source, self.lhs.target, -1
@@ -692,13 +681,13 @@ def cone_map(cn: Complex, g: ChainMap, k: Homotopy) -> ChainMap:
     degs = set(cn.degrees()) | set(y.degrees()) | {i - 1 for i in x.degrees()}
     if k.lhs.target != w or any(cn.rank(i) != y.rank(i) + x.rank(i + 1) for i in degs):
         raise ComplexError("cone_map needs cn = cone(f) for f : X -> Y, g : Y -> W and k : X -> W[-1]")
-    ring, gb, kb = w.ring, g._blocks, k._blocks
+    dt, gb, kb = w.ring.dtype, g._blocks, k._blocks
     comps = {
-        i: ring._block(_stacked(w.rank(i), r, ring.dtype, (0, 0, gb.get(i)), (0, y.rank(i), kb.get(i + 1))))
+        i: _stacked(w.rank(i), r, dt, (0, 0, gb.get(i)), (0, y.rank(i), kb.get(i + 1)))
         for i, r in cn._ranks.items()
         if w.rank(i)
     }
-    return ChainMap(cn, w, comps)
+    return ChainMap._of(cn, w, comps)._checked()
 
 
 def cone_homotopy(incl: ChainMap, f: ChainMap) -> Homotopy:
@@ -780,12 +769,18 @@ class HomComplex:
         parts = [a.reshape(-1) for a in f._blocks.values()]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=self.ring.dtype)
 
-    def unvec(self, v, n: int = 0) -> dict[int, IntMatrix]:
-        """Components of the degree-n map with vector v, as blocks of the
-        ring over slices of one copy of v, reduced once."""
+    def unvec(self, v, n: int = 0) -> dict[int, np.ndarray]:
+        """The stored arrays of the degree-n map with vector v: slices of
+        one copy of v, reduced once."""
         ring = self.ring
         flat = ring._own(np.array(v, dtype=object) if ring.is_integers else np.asarray(v))
-        return {i: ring._block(flat[off : off + r * c].reshape(r, c)) for i, r, c, off in self.layout(n)}
+        return {i: flat[off : off + r * c].reshape(r, c) for i, r, c, off in self.layout(n)}
+
+    def chain_map(self, v, check: bool = True) -> "ChainMap":
+        """The chain map x -> y with vector v in Hom^0, its chain condition
+        checked unless check is False."""
+        f = ChainMap._of(self.x, self.y, self.unvec(v))
+        return f._checked() if check else f
 
     def D(self, n: int) -> np.ndarray:
         """Matrix of phi |-> d_y phi - (-1)^n phi d_x from Hom^n to Hom^(n+1)."""
@@ -824,17 +819,19 @@ def homotopic(f: ChainMap, g: ChainMap) -> Homotopy | None:
     """A verified homotopy between parallel maps f and g, if one exists.
 
     Equal maps get the zero homotopy, verified like any other, without
-    building or solving anything.  Otherwise decided by solving
+    building a matrix or solving anything.  Otherwise decided by solving
     D(-1) h = f - g in the Hom complex.
     """
     f._require_parallel(g)
-    if f == g:
-        return Homotopy(f, g, {})
     hom = HomComplex(f.source, f.target)
-    sol = hom.ring.solve(hom.D(-1), hom.vec(f) - hom.vec(g))
-    if sol is None:
-        return None
-    return Homotopy(f, g, hom.unvec(sol[0], -1))
+    if f == g:
+        blocks = {i: _shared(r, c, hom.ring.dtype) for i, r, c, _ in hom.layout(-1)}
+    else:
+        sol = hom.ring.solve(hom.D(-1), hom.vec(f) - hom.vec(g))
+        if sol is None:
+            return None
+        blocks = hom.unvec(sol[0], -1)
+    return Homotopy._of(f, g, blocks)._checked()
 
 
 def is_contractible(c: Complex) -> Homotopy | None:
@@ -849,22 +846,22 @@ def is_contractible(c: Complex) -> Homotopy | None:
     rank d(i) = rank(i), and a failed contraction check raises; over the
     other Z/m that check decides exactness, and a failure returns None.
     """
-    ring = c.ring
+    ring, d = c.ring, c._blocks
     by_rank = ring.is_integers or ring.is_small_prime_field
     sections, ranks = {}, {}
     for i in c.degrees():
-        got = ring.section(c.differential(i))
+        got = ring.section(d[i] if i in d else _shared(0, c.rank(i), ring.dtype))
         if got is None or (by_rank and ranks.get(i - 1, 0) + got[1] != c.rank(i)):
             return None
         sections[i], ranks[i] = got
-    comps, d = {}, c._blocks
+    comps = {}
     for i, _, n, _ in _layout(c, c, -1):
         one = _shared(n, n, ring.dtype, 0)
         kerproj = one - sections[i] @ d[i] if i in d else one
         # reduced before the second product, so int64 entries stay below n p^2
-        comps[i] = ring._block(ring._own(sections[i - 1] @ ring._own(kerproj)))
+        comps[i] = ring._own(sections[i - 1] @ ring._own(kerproj))
     try:
-        return Homotopy(identity_map(c), zero_map(c, c), comps)
+        return Homotopy._of(identity_map(c), zero_map(c, c), comps)._checked()
     except ComplexError:
         if by_rank:
             raise
@@ -886,7 +883,7 @@ def _inverse_components(f: ChainMap) -> dict[int, np.ndarray] | None:
         return None
     inverses = {}
     for i, a in f._blocks.items():
-        inv = ring.inverse(f.component(i))
+        inv = ring.inverse(a)
         if inv is None:
             return None
         if not ring.is_zero(a @ inv - _shared(len(inv), len(inv), ring.dtype, 0)):
@@ -908,12 +905,9 @@ def is_homotopy_equivalence(f: ChainMap) -> Homotopy | None:
     inverses = _inverse_components(f)
     if inverses is None:
         return is_contractible(cn)
-    comps = {
-        i: ring._block(_stacked(cn.rank(i - 1), cn.rank(i), ring.dtype, (f.target.rank(i - 1), 0, inv)))
-        for i, inv in inverses.items()
-        if cn.rank(i - 1)
-    }
-    return Homotopy(identity_map(cn), zero_map(cn, cn), comps)
+    top, dt = f.target.rank, ring.dtype
+    comps = {i: _stacked(r, c, dt, (top(i - 1), 0, inverses.get(i))) for i, r, c, _ in _layout(cn, cn, -1)}
+    return Homotopy._of(identity_map(cn), zero_map(cn, cn), comps)._checked()
 
 
 def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
@@ -923,11 +917,13 @@ def homotopy_inverse(f: ChainMap, contraction: Homotopy) -> ChainMap:
     The block of the contraction mapping the Y-part to the X[1]-part is a
     chain map Y -> X inverting f up to homotopy on both sides.
     """
-    x, y = f.source, f.target
+    x, y, cn, blocks = f.source, f.target, contraction.lhs.source, contraction._blocks
+    degs = {*cn.degrees(), *y.degrees(), *(i - 1 for i in x.degrees())}
+    if any(cn.rank(i) != y.rank(i) + x.rank(i + 1) for i in degs):
+        raise ComplexError("homotopy_inverse needs a contraction of cone(f)")
     # the block of cone^i -> cone^(i-1) from Y^i to X^i
-    blocks, block = contraction._blocks, x.ring._block
-    comps = {i: block(blocks[i][y.rank(i - 1) :, :c]) for i, _, c, _ in _layout(y, x, 0)}
-    return ChainMap(y, x, comps)
+    comps = {i: blocks[i][y.rank(i - 1) :, :c] for i, _, c, _ in _layout(y, x, 0)}
+    return ChainMap._of(y, x, comps)._checked()
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1024,7 @@ class HomGroupPresentation:
         self.group = self.classes.group
 
     def _maps(self, vectors) -> list[ChainMap]:
-        return [ChainMap(self.x, self.y, self.hom.unvec(v)) for v in vectors]
+        return [self.hom.chain_map(v) for v in vectors]
 
     @property
     def torsion_reps(self) -> list[ChainMap]:
@@ -1094,7 +1090,7 @@ def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int) -> Complex:
         r = rng.randint(0, max_rank)
         if r:
             ranks[i] = r
-    diffs: dict[int, IntMatrix] = {}
+    diffs: dict[int, np.ndarray] = {}
     prev: np.ndarray | None = None
     for i in range(n_degrees):
         rs, rt = ranks.get(i, 0), ranks.get(i + 1, 0)
@@ -1108,9 +1104,9 @@ def random_complex(ring: Ring, rng, n_degrees: int, max_rank: int) -> Complex:
             system = np.zeros((rt * prev.shape[1], rt * rs), dtype=ring.dtype)
             _put_kron(system, np.eye(rt, dtype=ring.dtype), prev.T)
             mat = _random_combo(ring.kernel(system), rng, p).reshape(rt, rs)
-        diffs[i] = ring.matrix(mat)
+        diffs[i] = ring._own(mat)
         prev = mat
-    return Complex(ring, ranks, diffs)
+    return Complex._of(ring, ranks, diffs)._checked()
 
 
 def random_chain_map(x: Complex, y: Complex, rng) -> ChainMap:
@@ -1119,8 +1115,7 @@ def random_chain_map(x: Complex, y: Complex, rng) -> ChainMap:
     if x.ring.is_integers:
         raise ComplexError("random_chain_map needs a finite coefficient ring")
     hom = HomComplex(x, y)
-    v = _random_combo(x.ring.kernel(hom.D(0)), rng, x.ring.modulus)
-    return ChainMap(x, y, hom.unvec(v))
+    return hom.chain_map(_random_combo(x.ring.kernel(hom.D(0)), rng, x.ring.modulus))
 
 
 def end_structure_mod_p(c: Complex):

@@ -8,19 +8,13 @@ vector j to target basis vector i.
 Outside data is read by one integer rule: integers of every kind are kept
 exactly, anything else raises ValueError.  Text is read by one stricter
 rule, `decimal_integer`: a JSON integer or ASCII digits with an optional
-sign.  IntMatrix's own results are frozen in place, never copied; each is
-made by `_new` of its left operand, so the arithmetic of a `ResidueMatrix`
-stays a `ResidueMatrix`.  Arithmetic and stacking refuse to mix kinds
-(`TypeError`): an IntMatrix with a ResidueMatrix, or residue matrices of two
-primes, since a mixed result would take its left operand's kind and p, and
-so depend on the order of the operands.  `complexes.Ring` builds the
-blocks of a coefficient ring, and its `_block` owns the fresh arrays.
+sign.  IntMatrix's own results are frozen in place, never copied.
 
 Provided here:
 
-* `IntMatrix` -- immutable exact matrix with the usual block/arithmetic ops,
-* `ResidueMatrix` -- the same interface over a prime field F_p with
-  p <= 2^20: int64 entries in [0, p), reduced once per operation,
+* `IntMatrix` -- the one matrix type: immutable, exact, an object array of
+  Python ints on every coefficient ring, with the usual block and
+  arithmetic ops; `complexes.Ring` alone knows a block's modulus,
 * `smith_normal_form` -- U A V = D with unimodular U, V and divisibility
   chain d_1 | d_2 | ..., plus the inverse of U; given a modulus m, every
   operation is reduced mod m, so nothing grows past m,
@@ -79,8 +73,7 @@ def decimal_integer(v) -> int:
 def _to_object_array(entries) -> np.ndarray:
     """The integer rule: a fresh 2-d object array of Python ints (bools 0 and
     1); any other entry, an integral float too, raises ValueError.  An
-    `IntMatrix` is read by its entries, a `ResidueMatrix` as its integers in
-    [0, p)."""
+    `IntMatrix` is read by its entries."""
     if isinstance(entries, IntMatrix):
         entries = entries.array
     elif not isinstance(entries, np.ndarray):
@@ -113,27 +106,9 @@ class IntMatrix:
         object.__setattr__(m, "_a", arr)
         return m
 
-    def _new(self, arr: np.ndarray) -> "IntMatrix":
-        """A matrix of self's kind owning `arr`, a fresh result of arithmetic
-        on self."""
-        return IntMatrix._wrap(arr)
-
-    # `_new` for an `arr` whose entries are self's own, moved about
-    _like = _new
-
-    def _same_kind(self, other: "IntMatrix", op: str):
-        """Refuse `op` unless other is a plain IntMatrix too; a
-        `ResidueMatrix` refuses it in turn unless both share their p."""
-        if type(other) is not type(self):
-            raise TypeError(f"{op} of {type(self).__name__} and {type(other).__name__}")
-
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix._wrap(np.zeros((rows, cols), dtype=object))
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix._wrap(np.eye(n, dtype=object))
 
     @property
     def array(self) -> np.ndarray:
@@ -159,39 +134,26 @@ class IntMatrix:
         return [[int(v) for v in row] for row in self._a]
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_kind(other, "product")
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot compose {self.shape} with {other.shape}"
             )
         if self.cols == 0:
-            return self._new(np.zeros((self.rows, other.cols), dtype=self._a.dtype))
-        return self._new(self._a @ other._a)
+            return IntMatrix.zeros(self.rows, other.cols)
+        return IntMatrix._wrap(self._a @ other._a)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_kind(other, "sum")
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in addition")
-        return self._new(self._a + other._a)
+        return IntMatrix._wrap(self._a + other._a)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_kind(other, "difference")
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in subtraction")
-        return self._new(self._a - other._a)
+        return IntMatrix._wrap(self._a - other._a)
 
     def __neg__(self) -> "IntMatrix":
-        return self._new(-self._a)
-
-    def scale(self, k: int) -> "IntMatrix":
-        return self._new(self._a * _integer(k, "scale factor"))
-
-    def transpose(self) -> "IntMatrix":
-        return self._like(self._a.T)
-
-    def reduce_mod(self, m: int) -> "IntMatrix":
-        """The entries mod m in [0, m), as an IntMatrix of either kind."""
-        return IntMatrix(self._a % _modulus(m))
+        return IntMatrix._wrap(-self._a)
 
     def is_zero(self) -> bool:
         return not np.count_nonzero(self._a)
@@ -211,21 +173,15 @@ class IntMatrix:
 
     @staticmethod
     def hstack(blocks: list["IntMatrix"]) -> "IntMatrix":
-        """The blocks side by side, all of one kind."""
         if not blocks:
             raise DimensionMismatch("hstack of no blocks")
-        for b in blocks[1:]:
-            blocks[0]._same_kind(b, "hstack")
-        return blocks[0]._like(np.concatenate([b._a for b in blocks], axis=1))
+        return IntMatrix._wrap(np.concatenate([b._a for b in blocks], axis=1))
 
     @staticmethod
     def vstack(blocks: list["IntMatrix"]) -> "IntMatrix":
-        """The blocks one above the other, all of one kind."""
         if not blocks:
             raise DimensionMismatch("vstack of no blocks")
-        for b in blocks[1:]:
-            blocks[0]._same_kind(b, "vstack")
-        return blocks[0]._like(np.concatenate([b._a for b in blocks]))
+        return IntMatrix._wrap(np.concatenate([b._a for b in blocks]))
 
     @staticmethod
     def block(grid: list[list["IntMatrix"]]) -> "IntMatrix":
@@ -245,60 +201,6 @@ class IntMatrix:
         if cols is not None and m.cols != cols:
             raise ValueError(f"expected {cols} cols, got {m.cols}")
         return m
-
-
-class ResidueMatrix(IntMatrix):
-    """A matrix over F_p, p <= 2^20 (`modp.P_MAX`): IntMatrix's interface on
-    an int64 array with entries in [0, p).  Every operation reduces its
-    result mod p once; a product of n-entry rows and columns stays below
-    n p^2 < 2^63.  It equals, and hashes like, the IntMatrix of its entries,
-    but its arithmetic and stacking take only a ResidueMatrix of the same p,
-    and it never equals a ResidueMatrix of another p.
-    """
-
-    __slots__ = ("p",)
-
-    def __init__(self, entries, p: int):
-        """The entries mod p: an int64 array as it is, other data by the
-        integer rule."""
-        if not (isinstance(entries, np.ndarray) and entries.dtype == np.int64 and entries.ndim == 2):
-            entries = _to_object_array(entries)
-        a = (entries % p).astype(np.int64, copy=False)
-        a.setflags(write=False)
-        self._a, self.p = a, p
-
-    @staticmethod
-    def _residues(arr: np.ndarray, p: int) -> "ResidueMatrix":
-        """Own `arr`, int64 with entries in [0, p), uncopied and unreduced."""
-        m = object.__new__(ResidueMatrix)
-        arr.setflags(write=False)
-        m._a, m.p = arr, p
-        return m
-
-    def _new(self, arr: np.ndarray) -> "ResidueMatrix":
-        return ResidueMatrix(arr, self.p)
-
-    def _like(self, arr: np.ndarray) -> "ResidueMatrix":
-        return ResidueMatrix._residues(arr, self.p)
-
-    def _same_kind(self, other: IntMatrix, op: str):
-        """Refuse `op` unless other is a ResidueMatrix over the same F_p."""
-        if type(other) is not ResidueMatrix or other.p != self.p:
-            theirs = f"ResidueMatrix mod {other.p}" if type(other) is ResidueMatrix else type(other).__name__
-            raise TypeError(f"{op} of ResidueMatrix mod {self.p} and {theirs}")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, ResidueMatrix):
-            return self.p == other.p and self._a.shape == other._a.shape and self._a.tobytes() == other._a.tobytes()
-        return super().__eq__(other)
-
-    __hash__ = IntMatrix.__hash__
-
-    def scale(self, k: int) -> "ResidueMatrix":
-        return self._new(self._a * (_integer(k, "scale factor") % self.p))
-
-    def __repr__(self):
-        return f"ResidueMatrix({self.tolist()!r}, p={self.p})"
 
 
 def det(a: IntMatrix) -> int:

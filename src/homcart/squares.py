@@ -286,7 +286,7 @@ class _ConstraintSystem:
         self.a, self.b = a, np.concatenate(rhs)
 
     def phi_of(self, x) -> ChainMap:
-        return ChainMap(self.d, self.t, self.hom.unvec(x[: self.n_phi]))
+        return self.hom.chain_map(x[: self.n_phi])
 
     @cached_property
     def _homotopy_smith(self):
@@ -374,7 +374,7 @@ def _unit_classes(d: Complex, t: Complex, hom) -> list[ChainMap] | None:
     reps = hom.classes.free_reps + hom.classes.torsion_reps
     ranges = [(1,)] * g.free_rank + [range(o) for o in g.invariant_factors]
     walk = _walk(np.zeros(hom.hom.dim(0), dtype=object), reps, ranges, MAX_CANDIDATES)
-    plus = [ChainMap(d, t, hom.hom.unvec(v), check=False) for v in walk]
+    plus = [hom.hom.chain_map(v, check=False) for v in walk]
     return plus + [-phi for phi in plus] * g.free_rank
 
 

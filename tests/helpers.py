@@ -92,7 +92,7 @@ def _z_chain_map(x: Complex, y: Complex, rng) -> ChainMap:
     hom = HomComplex(x, y)
     basis = ZZ.kernel(hom.D(0))
     coeffs = np.array([rng.randint(-2, 2) for _ in range(basis.shape[1])], dtype=object)
-    return ChainMap(x, y, hom.unvec(basis @ coeffs))
+    return hom.chain_map(basis @ coeffs)
 
 
 def z_squares(seed: int, count: int):

@@ -45,7 +45,6 @@ from homcart.intmat import (
     DimensionMismatch,
     FGAbelianGroup,
     IntMatrix,
-    ResidueMatrix,
     smith_normal_form,
     smith_solve,
     solve_linear,
@@ -172,7 +171,7 @@ def test_homotopic_maps_that_differ_still_reach_the_solver(monkeypatch, m):
         f = f if m is None else reduce_mod(f, m)
         hom = HomComplex(f.source, f.target)
         h = np.array([rng.randint(-3, 3) for _ in range(hom.dim(-1))], dtype=hom.ring.dtype)
-        g = ChainMap(f.source, f.target, hom.unvec(hom.vec(f) + hom.D(-1) @ h))
+        g = hom.chain_map(hom.vec(f) + hom.D(-1) @ h)
         if g != f:
             pairs.append((f, g))
     assert pairs
@@ -492,7 +491,7 @@ def test_hom_complex_vectors_round_trip():
         hom = HomComplex(f.source, f.target)
         v = hom.vec(f)
         assert len(v) == hom.dim(0)
-        assert hom.unvec(v) == f.components()
+        assert hom.chain_map(v) == f and hom.chain_map(v).components() == f.components()
         # chain maps are cocycles
         assert np.count_nonzero(hom.D(0) @ v) == 0
 
@@ -656,7 +655,7 @@ def test_section_answers_empty_shapes_without_a_kernel(ring, monkeypatch):
     monkeypatch.setattr("homcart.complexes.smith_normal_form", refuse)
     monkeypatch.setattr(modp, "rref", refuse)
     for rows, cols in ((0, 3), (2, 0)):
-        s, r = ring.section(IntMatrix.zeros(rows, cols))
+        s, r = ring.section(np.zeros((rows, cols), dtype=ring.dtype))
         assert r == 0
         assert s.shape == (cols, rows)
 
@@ -760,7 +759,7 @@ def test_section_splits_random_matrices(m):
     rng = random.Random(67)
     split = refused = 0
     for d in _random_matrices(ring, rng):
-        got = ring.section(d)
+        got = ring.section(ring.asarray(d))
         if ring.is_prime_field:
             rank = DomainMatrix.from_Matrix(Matrix(d.tolist())).convert_to(GF(m)).rank()
         else:
@@ -776,13 +775,13 @@ def test_section_splits_random_matrices(m):
         assert got is not None
         s, r = got
         assert r == rank and s.shape == (d.cols, d.rows)
-        assert ring.canon(d @ IntMatrix(s) @ d - d).is_zero()
+        assert ring.is_zero((d @ IntMatrix(s) @ d - d).array)
         split += 1
     assert split >= 30
     # Z/6 is a product of fields: there, as over F_p, every matrix splits
     assert bool(refused) == (m in (None, 4, 9, 12))
     if ring.is_integers:
-        assert ring.section(IntMatrix([[2]])) is None
+        assert ring.section(np.array([[2]], dtype=object)) is None
 
 
 def _degreewise_invertible_maps():
@@ -851,7 +850,7 @@ def test_the_closed_form_contraction_takes_no_smith_form(monkeypatch):
 def test_a_wrong_inverse_raises_rather_than_reading_as_no_equivalence(monkeypatch):
     import homcart.intmat as intmat
 
-    monkeypatch.setattr(intmat, "inverse", lambda a, m=None: IntMatrix.identity(a.rows).scale(2))
+    monkeypatch.setattr(intmat, "inverse", lambda a, m=None: IntMatrix(2 * np.eye(a.rows, dtype=np.int64)))
     with pytest.raises(AssertionError, match="non-inverse"):
         is_homotopy_equivalence(identity_map(one_term()))
 
@@ -927,7 +926,7 @@ def _random_zm_complex(ring, rng):
 
 def _random_zm_map(x, y, rng):
     hom = HomComplex(x, y)
-    return ChainMap(x, y, hom.unvec(_random_combo(x.ring.kernel(hom.D(0)), rng, x.ring.modulus)))
+    return hom.chain_map(_random_combo(x.ring.kernel(hom.D(0)), rng, x.ring.modulus))
 
 
 ZM_MODULI = (4, 6, 9, 12)
@@ -992,7 +991,7 @@ def test_cone_homotopy_is_the_null_homotopy_zero_one_over_z_z9_f3():
             x, y = g.source, g.target
             for i in x.degrees():
                 assert k.component(i) == IntMatrix.vstack(
-                    [IntMatrix.zeros(y.rank(i - 1), x.rank(i)), IntMatrix.identity(x.rank(i))]
+                    [IntMatrix.zeros(y.rank(i - 1), x.rank(i)), IntMatrix(np.eye(x.rank(i), dtype=np.int64))]
                 )
             checked += 1
     assert checked == 3 * len(corpus(random.Random(59)))
@@ -1099,7 +1098,7 @@ def test_homotopies_raise_exactly_where_their_witness_equation_fails(ring):
         x, y, hom = f.source, f.target, HomComplex(f.source, f.target)
         dm1, lay = ZZ.asarray(hom.D(-1)), hom.layout(-1)
         h = {i: _random_block(r, c, rng) for i, r, c, _ in lay}
-        g = ChainMap(x, y, hom.unvec(ZZ.asarray(hom.vec(f)) - dm1 @ _vector(lay, h)))
+        g = hom.chain_map(ZZ.asarray(hom.vec(f)) - dm1 @ _vector(lay, h))
         for comps in (h, _perturbed(h, lay, rng)):
             miss = dm1 @ _vector(lay, comps) - ZZ.asarray(hom.vec(f)) + ZZ.asarray(hom.vec(g))
             bad = _first_nonzero_block(hom.layout(0), miss, ring.modulus)
@@ -1148,27 +1147,75 @@ def test_blocks_of_the_wrong_shape_or_outside_the_layout_raise_at_their_degree(r
 
 
 @pytest.mark.parametrize("p", [2, 3, 1048573])
-def test_small_prime_fields_build_residue_blocks_and_read_them_back_unconverted(p):
+def test_small_prime_fields_build_residue_blocks_and_read_them_back_unconverted(p, monkeypatch):
+    """F_p maps store int64 residues, and the ring's sections and inverses
+    read those stored arrays themselves."""
     ring = Zmod(p)
     m = ring.matrix([[p + 1, -1], [2 * p, 5]])
-    assert isinstance(m, ResidueMatrix) and m.array.dtype == np.int64
-    assert m == IntMatrix([[1, p - 1], [0, 5 % p]])
-    assert ring.canon(m) is m and ring.asarray(m) is m.array
+    assert type(m) is IntMatrix and m == IntMatrix([[1, p - 1], [0, 5 % p]])
+    assert ring.asarray(m).dtype == np.int64 and ring.asarray(m).tolist() == m.tolist()
     c = cpx({0: 2, 1: 2}, {0: [[1, 0], [0, 0]]}, ring=ring)
     f = identity_map(c)
     cn, incl, proj = cone(f)
-    built = [c.differential(0), c.differential(5), ring.zeros(2, 3), *f.components().values()]
-    built += [*cn.components().values(), *incl.components().values(), *proj.components().values()]
-    built += [*direct_sum(c, c).components().values(), *cone_homotopy(incl, f).components().values()]
-    built += [*is_homotopy_equivalence(f).components().values(), *is_contractible(cn).components().values()]
-    assert all(isinstance(b, ResidueMatrix) and b.p == p for b in built)
+    built = [c, f, cn, incl, proj, direct_sum(c, c), cone_homotopy(incl, f), is_homotopy_equivalence(f)]
+    for obj in [*built, is_contractible(cn)]:
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in obj._blocks.values())
+    seen, section, inverse = [], Ring.section, Ring.inverse
+    monkeypatch.setattr(Ring, "section", lambda self, d: seen.append(d) or section(self, d))
+    monkeypatch.setattr(Ring, "inverse", lambda self, a: seen.append(a) or inverse(self, a))
+    assert is_contractible(cn) is not None and is_homotopy_equivalence(f) is not None
+    stored = [*cn._blocks.values(), *f._blocks.values()]
+    assert len(seen) == len(cn.degrees()) + len(f._blocks) and all(a.dtype == np.int64 for a in seen)
+    assert all(any(a is b for b in stored) for a in seen if a.size)
+
+
+_EDGE_RINGS = [ZZ, Zmod(4), Zmod(2), Zmod(3), Zmod(1048573), Zmod(1048583)]
+
+
+@pytest.mark.parametrize("ring", _EDGE_RINGS, ids=["Z", "Z4", "F2", "F3", "F1048573", "Z1048583"])
+def test_every_edge_block_is_an_exact_copy_of_the_stored_residues(ring):
+    """`component`, `components` and `differential` hand out IntMatrix
+    blocks of Python ints equal to the stored arrays; those stay read-only
+    arrays of the ring's dtype, int64 on the small prime fields, where the
+    block is a copy and not the stored array itself."""
+    rng = random.Random(37)
+    x, y = (_random_complex_over(ring, rng) for _ in range(2))
+    f = _random_map(x, y, rng)
+    cn, incl, proj = cone(f)
+    objects = [x, y, f, cn, incl, proj, cone_homotopy(incl, f), homotopic(f, f)]
+    objects.append(is_contractible(cone_complex(identity_map(x))))
+    assert ring.dtype == (np.int64 if ring.is_small_prime_field else object)
+    for obj in objects:
+        edges = obj.components()
+        assert edges.keys() == obj._blocks.keys()
+        for i, a in obj._blocks.items():
+            assert a.dtype == ring.dtype and not a.flags.writeable
+            for block in (edges[i], obj.component(i)):
+                assert type(block) is IntMatrix and block.array.dtype == object and not block.array.flags.writeable
+                assert all(type(v) is int for v in block.array.flat) and block.tolist() == a.tolist()
+                assert (block.array is a) != ring.is_small_prime_field
+    for i in x.degrees():
+        assert x.differential(i) == x.component(i)
+
+
+def test_products_of_large_prime_field_blocks_are_exact():
+    """Blocks of F_1048573 multiply as exact integers: the int64 product of
+    the same entries overflows."""
+    p = 1048573
+    c = cpx({0: 3, 1: 3}, ring=Zmod(p))
+    f = cmap(c, c, {0: [[p - 1] * 3] * 3, 1: [[p - 2] * 3] * 3})
+    a, b = f.component(0), f.component(1)
+    exact = [[9 * (p - 1) ** 2 * (p - 2)] * 3] * 3
+    assert (a @ b @ a).tolist() == exact and (a @ b @ a).array.dtype == object
+    stored = f._blocks[0] @ f._blocks[1] @ f._blocks[0]
+    assert stored.dtype == np.int64 and stored.tolist() != exact
 
 
 @pytest.mark.parametrize("ring", [ZZ, Zmod(4), Zmod(1048583)], ids=["Z", "Z4", "prime-above-2^20"])
 def test_other_rings_keep_exact_blocks(ring):
     c = cpx({0: 1, 1: 1}, {0: [[2]]}, ring=ring)
     cn = cone_complex(identity_map(c))
-    built = [c.differential(0), ring.zeros(1, 2), *identity_map(c).components().values(), ring.matrix([[7]])]
+    built = [c.differential(0), c.differential(5), *identity_map(c).components().values(), ring.matrix([[7]])]
     for b in [*built, *cn.components().values()]:
         assert type(b) is IntMatrix and b.array.dtype == object
 
@@ -1200,7 +1247,7 @@ def test_inverses_read_off_sections_over_z_and_fp_and_determinants_elsewhere():
     assert inverse(cmap(plane3, plane3, {0: [[1, 2], [2, 1]]})) is None
     # over Z/6 the section 2 of 2 has full rank, and 2 is still no unit
     z6 = one_term(ring=Zmod(6))
-    assert Zmod(6).section(IntMatrix([[2]]))[1] == 1
+    assert Zmod(6).section(np.array([[2]], dtype=object))[1] == 1
     assert inverse(cmap(z6, z6, {0: [[2]]})) is None
     assert inverse(cmap(z6, z6, {0: [[5]]}))[0].tolist() == [[5]]
 
@@ -1270,22 +1317,19 @@ def _random_map(x, y, rng) -> ChainMap:
 
 
 def _assert_ring_made(ring, blocks: dict):
-    """Every block as the ring builds it: int64 in [0, p) on a small prime
-    field, Python ints (in [0, m) over Z/m) otherwise."""
+    """Every edge block exact: an IntMatrix of Python ints, in [0, m) over
+    Z/m."""
     for m in blocks.values():
         a = m.array
-        if ring.is_small_prime_field:
-            assert type(m) is ResidueMatrix and m.p == ring.modulus and a.dtype == np.int64
-            assert ((a >= 0) & (a < ring.modulus)).all()
-        else:
-            assert type(m) is IntMatrix and all(type(v) is int for v in a.flat)
-            assert ring.is_integers or all(0 <= v < ring.modulus for v in a.flat)
+        assert type(m) is IntMatrix and all(type(v) is int for v in a.flat)
+        assert ring.is_integers or all(0 <= v < ring.modulus for v in a.flat)
 
 
 def _assert_stored(ring, obj):
     """Every block obj stores is a read-only array of the ring's dtype,
-    canonical for the ring, and its component is the ring's block over
-    that same read-only data, which refuses a write."""
+    canonical for the ring, and its component is an exact read-only block
+    of its entries, which refuses a write: over Z and Z/m the stored array
+    itself, on a small prime field a copy."""
     assert obj._blocks.keys() == obj.components().keys()
     for i, a in obj._blocks.items():
         assert type(a) is np.ndarray and a.dtype == ring.dtype and not a.flags.writeable
@@ -1294,8 +1338,8 @@ def _assert_stored(ring, obj):
         else:
             assert all(type(v) is int and (ring.is_integers or 0 <= v < ring.modulus) for v in a.flat)
         block = obj.component(i)
-        assert type(block) is (ResidueMatrix if ring.is_small_prime_field else IntMatrix)
-        assert block.array is a
+        assert type(block) is IntMatrix and block.tolist() == a.tolist()
+        assert (block.array is a) != ring.is_small_prime_field
         assert not block.array.flags.writeable and block == obj.component(i)
         if a.size:
             with pytest.raises(ValueError):
@@ -1344,7 +1388,7 @@ def test_ring_made_maps_equal_their_checked_rebuilds(ring, seed, k):
     # 1 + d h + h d: an equivalence, not always invertible in every degree
     hom = HomComplex(x, x)
     h = ring.asarray(np.array([rng.randint(-2, 2) for _ in range(hom.dim(-1))], dtype=object))
-    e = identity_map(x) + ChainMap(x, x, hom.unvec(hom.D(-1) @ h))
+    e = identity_map(x) + hom.chain_map(hom.D(-1) @ h)
     contraction = is_homotopy_equivalence(identity_map(x))
     assert contraction is not None
     built += [contraction, homotopy_inverse(identity_map(x), contraction)]
@@ -1357,16 +1401,15 @@ def test_ring_made_maps_equal_their_checked_rebuilds(ring, seed, k):
     assert all(not a.flags.writeable for obj in built for a in obj._blocks.values())
     for obj in built:
         _assert_as_if_checked(obj)
-    # unvec of an unreduced vector of Python ints, as the squares search
-    # walks them: the blocks the integer rule reads from it, owning their
-    # entries
+    # the map of an unreduced Hom vector of Python ints, as the squares
+    # search walks them: reduced, and owning its entries
     hom = HomComplex(x, y)
     v = np.asarray(hom.vec(f), dtype=object) + 7 * (ring.modulus or 0)
-    blocks = hom.unvec(v)
-    _assert_ring_made(ring, blocks)
-    assert blocks == {i: ring.matrix(np.asarray(v[o : o + r * c]).reshape(r, c)) for i, r, c, o in hom.layout(0)}
+    g = hom.chain_map(v)
+    _assert_as_if_checked(g)
+    assert g.components() == {i: ring.matrix(np.asarray(v[o : o + r * c]).reshape(r, c)) for i, r, c, o in hom.layout(0)}
     v += 1
-    assert blocks == f.components()
+    assert g == f and hash(g) == hash(f)
 
 
 def test_a_map_hash_is_cached_unchanged_and_shared_by_equal_maps():
@@ -1439,11 +1482,13 @@ _X, _Y = one_term(), two_term(2)
     [
         (lambda: ChainMap(one_term(), one_term(Zmod(3)), {}), ComplexError),
         (lambda: HomComplex(one_term(), one_term(Zmod(3))), ComplexError),
+        (lambda: HomComplex(_Y, _Y).chain_map(np.array([1, 0], dtype=object)), ComplexError),
         (lambda: identity_map(_X).compose(identity_map(_Y)), DimensionMismatch),
         (lambda: identity_map(_X) + identity_map(_Y), DimensionMismatch),
         (lambda: identity_map(_X) - identity_map(_Y), DimensionMismatch),
         (lambda: direct_sum(one_term(), one_term(Zmod(3))), ComplexError),
         (_wrong_cone_map, ComplexError),
+        (lambda: homotopy_inverse(identity_map(_X), is_contractible(cone_complex(identity_map(_Y)))), ComplexError),
         (lambda: pair(identity_map(_X), identity_map(_Y)), ComplexError),
         (lambda: copair(identity_map(_X), identity_map(_Y)), ComplexError),
         (lambda: hom_group(_X, _X).lookup(identity_map(_Y)), DimensionMismatch),
@@ -1455,11 +1500,13 @@ _X, _Y = one_term(), two_term(2)
     ids=[
         "chain-map-across-rings",
         "hom-across-rings",
+        "chain-map-of-a-non-cocycle",
         "compose",
         "add-not-parallel",
         "sub-not-parallel",
         "direct-sum-across-rings",
         "cone-map-wrong-cone",
+        "homotopy-inverse-wrong-cone",
         "pair",
         "copair",
         "lookup-foreign-map",

@@ -7,18 +7,20 @@ classes and once for the constraint solutions, and reads every class it
 tries in Hom groups built at one site, the unit lemma's matrices share one
 field layer, primality is decided in `modp`, and
 the blocks of graded maps from outside data are checked in one function of
-`complexes`, while the arrays the ring builds enter by a private
-constructor and a private `Ring` reduction that only `complexes` calls, and
-their defining equations are checked in one walk, and read from JSON in one
+`complexes`, reached from the three public constructors alone, while the
+arrays the ring builds enter by a private constructor and a private `Ring`
+reduction that only `complexes` calls, and every defining equation, of
+outside data or of a map made from ring arrays, is checked in one walk
+behind one check helper, and blocks are read from JSON in one
 function of `jsonio`, and contractions, solves,
 kernels and quotients have one algorithm for every ring: no Hom-system
 fallback, no recursion, one kernel formula (`intmat.smith_kernel`), and
 homology read off cokernels, with no kernel basis and no `Subquotient`;
-`intmat` copies only outside data, the working array of a Smith form and
-the entries a `ResidueMatrix` reads into int64; the Prop. 2 replay takes
+`intmat` copies only outside data and the working array of a Smith form,
+and has one matrix type, `IntMatrix`; the Prop. 2 replay takes
 its linear algebra from `Ring` alone, with no `unitlemma` import, and
 neither it nor the random generators ask whether the ring is a prime
-field; residue blocks are built only inside `Ring`, and `complexes`
+field; a block of a residue ring is made only by `Ring`, and `complexes`
 assembles Hom matrices without `np.kron`; the unit lemma solves rational
 dependence on the Smith kernel, modular inverses come from `pow`,
 triangles and squares are frozen records of their maps, the paper's
@@ -199,11 +201,16 @@ def test_block_shapes_are_checked_in_one_function():
 
 @pytest.mark.parametrize("module", ["squares.py", "suite.py", "jsonio.py", "cli.py", "triangles.py"])
 def test_ring_made_blocks_enter_only_inside_complexes(module):
-    """No other module names the trusted constructor, the stored arrays or
-    the ring's reduction and blocks, so outside data cannot skip the
-    checks."""
+    """No other module names the trusted constructor, its check, the stored
+    arrays or the ring's reduction and blocks, so outside data cannot skip
+    the checks."""
     names = _names(_parse(module))
-    assert not {"_of", "_blocks", "_own", "_block"} & names, module
+    assert not {"_of", "_checked", "_set_blocks", "_blocks", "_own", "_block"} & names, module
+
+
+def _calls(tree: ast.AST, attr: str) -> set[str]:
+    """The functions around each read of the attribute `attr`."""
+    return set(_functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == attr))
 
 
 def test_outside_data_keeps_the_checked_path():
@@ -213,51 +220,59 @@ def test_outside_data_keeps_the_checked_path():
     def method(cls, name):
         return next(n for n in classes[cls].body if isinstance(n, ast.FunctionDef) and n.name == name)
 
+    inits = {"Complex.__init__", "ChainMap.__init__", "Homotopy.__init__"}
     for cls in ("Complex", "ChainMap", "Homotopy"):
         init = _names(method(cls, "__init__"))
-        assert "_set_blocks" in init and "_first_violation" in init and "_of" not in init, cls
-    assert not {"_set_blocks", "_layout", "_first_violation", "matrix", "_own", "canon"} & _names(
+        assert "_set_blocks" in init and "_checked" in init and "_of" not in init, cls
+    assert not {"_set_blocks", "_layout", "_first_violation", "_checked", "matrix", "_own"} & _names(
         method("_GradedMap", "_of")
     )
+    # outside blocks are read and reduced only behind the public constructors
+    assert _calls(tree, "_set_blocks") == inits
+    # every equation is checked by one helper, around the one walk: by the
+    # constructors and by each function that builds from ring arrays
+    assert _calls(tree, "_first_violation") == {"_GradedMap._checked"}
+    assert _calls(tree, "_checked") == inits | {
+        "cone_map",
+        "HomComplex.chain_map",
+        "homotopic",
+        "is_contractible",
+        "is_homotopy_equivalence",
+        "homotopy_inverse",
+        "random_complex",
+    }
+    # no function that builds from ring arrays calls a public constructor:
+    # `reduce_mod` alone does, on the blocks of a map over Z
+    public = {"Complex", "ChainMap", "Homotopy"}
+    built = _functions_around(tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) in public)
+    assert set(built) == {"reduce_mod"}, built
     # the integer rule is skipped only on arrays that ring arithmetic made,
-    # which `Ring._own` reduces once, and an array becomes a block only in
-    # `Ring._block`
-    owns = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_own")
-    assert set(owns) == {
+    # or that an outside block holds, which `Ring._own` reduces once; an
+    # edge block is made only by `Ring._block`
+    assert _calls(tree, "_own") == {
         "ChainMap.compose",
         "ChainMap._parallel",
         "shift",
         "cone_complex",
         "HomComplex.unvec",
         "is_contractible",
-        "Ring.canon",
-    }, owns
-    blocks = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_block")
-    assert set(blocks) == {
-        "_GradedMap.component",
-        "_GradedMap.components",
-        "cone_map",
-        "HomComplex.unvec",
-        "is_contractible",
-        "is_homotopy_equivalence",
-        "homotopy_inverse",
-        "Ring.canon",
-        "Ring.zeros",
-    }, blocks
-    assert not {"_own", "_block"} & _names(method("Ring", "matrix"))
+        "random_complex",
+        "_GradedMap._set_blocks",
+        "Ring.matrix",
+    }
+    assert _calls(tree, "_block") == {"_GradedMap.component", "_GradedMap.components", "Ring.matrix", "Ring.inverse"}
 
 
 def test_the_ring_owns_its_fresh_blocks_in_one_method():
     tree = _parse("complexes.py")
-    residues = _functions_around(tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "_residues")
-    assert residues == ["Ring._block"], residues
-    built = _functions_around(tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "ResidueMatrix")
+    assert _calls(tree, "_wrap") == {"Ring._block", "Ring.smith"}
+    built = _functions_around(tree, lambda n: isinstance(n, ast.Call) and getattr(n.func, "id", None) == "IntMatrix")
     assert built == ["Ring.matrix"], built
     calls = {n.func.attr for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
-    assert "reduce_mod" not in calls
-    residue = next(n for n in ast.walk(_parse("intmat.py")) if isinstance(n, ast.ClassDef) and n.name == "ResidueMatrix")
-    methods = {n.name for n in residue.body if isinstance(n, ast.FunctionDef)}
-    assert not {"zeros", "identity", "reduce_mod"} & methods
+    assert not {"reduce_mod", "canon"} & calls
+    intmatrix = next(n for n in ast.walk(_parse("intmat.py")) if isinstance(n, ast.ClassDef) and n.name == "IntMatrix")
+    methods = {n.name for n in intmatrix.body if isinstance(n, ast.FunctionDef)}
+    assert not {"identity", "scale", "transpose", "reduce_mod", "_new", "_like", "_same_kind"} & methods
 
 
 def test_defining_equations_are_checked_in_one_function():
@@ -348,7 +363,7 @@ def test_intmat_copies_only_outside_data_and_the_smith_working_array():
         return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("astype", "copy")
 
     sites = _functions_around(_parse("intmat.py"), copy)
-    allowed = {"_to_object_array", "smith_normal_form", "ResidueMatrix.__init__"}
+    allowed = {"_to_object_array", "smith_normal_form"}
     assert sites and set(sites) <= allowed, f"arrays copied in {sorted(set(sites))}"
 
 
@@ -371,10 +386,14 @@ def test_complexes_assembles_hom_matrices_without_kron():
     assert hits == [], f"np.kron at lines {hits}"
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "intmat.py"))
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_residue_blocks_are_built_only_inside_ring(module):
-    outside = _uses_outside(_parse(module), "ResidueMatrix", ("Ring",))
-    assert outside == [], f"ResidueMatrix named outside Ring at lines {outside}"
+    """There is no second matrix type, and no module but `complexes`
+    reduces or makes a block of a ring."""
+    tree = _parse(module)
+    assert "ResidueMatrix" not in _names(tree) | {n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    if module != "complexes.py":
+        assert not {"_own", "_block"} & _names(tree), module
 
 
 def test_rational_dependence_runs_no_elimination_of_its_own():

@@ -5,7 +5,6 @@ import pytest
 
 from homcart.complexes import (
     ZZ,
-    ChainMap,
     ComplexError,
     HomComplex,
     Zmod,
@@ -37,7 +36,7 @@ def random_z_chain_map(x, y, rng, bound=2):
     v = np.zeros(basis.shape[0], dtype=object)
     for k in basis.T:
         v = v + rng.randint(-bound, bound) * k
-    return ChainMap(x, y, hom.unvec(v))
+    return hom.chain_map(v)
 
 
 def corpus(rng):
