@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homcart.complexes import ZZ, Complex, Ring, identity_map, reduce_mod
+from homcart.complexes import ZZ, Complex, ComplexError, Ring, copair, identity_map, pair, reduce_mod
 from homcart.intmat import (
     DimensionMismatch,
     FGAbelianGroup,
@@ -452,6 +452,46 @@ def test_blocks_of_any_two_rings_compute_exactly_in_either_order(op):
         want = op(IntMatrix(left.tolist()), IntMatrix(right.tolist()))
         assert type(got) is IntMatrix and got.array.dtype == object and got.tolist() == want.tolist()
     assert (plain @ three).tolist() == [[2**63]]
+
+
+def _unit(ring: Ring):
+    """The identity of the rank-1 complex over `ring` in degree 0."""
+    return identity_map(Complex(ring, {0: 1}, {}))
+
+
+_MAP_OPS = pytest.mark.parametrize(
+    "op, error",
+    [
+        (lambda f, g: f.compose(g), DimensionMismatch),
+        (lambda f, g: f + g, DimensionMismatch),
+        (lambda f, g: f - g, DimensionMismatch),
+        (copair, ComplexError),
+        (pair, ComplexError),
+    ],
+    ids=["matmul", "add", "sub", "hstack", "vstack"],
+)
+
+
+@_MAP_OPS
+def test_mixed_kind_arithmetic_is_refused_in_either_order(op, error):
+    # a block does not know its ring, a map does: maps over Z and over F_3
+    # do not combine, whichever comes first
+    plain, residue = _unit(ZZ), _unit(Ring(3))
+    for left, right in ((plain, residue), (residue, plain)):
+        with pytest.raises(error):
+            op(left, right)
+    # one ring on both sides is untouched
+    assert op(plain, plain).source.ring == ZZ
+    assert op(residue, residue).source.ring == Ring(3)
+
+
+@_MAP_OPS
+def test_residue_blocks_of_two_moduli_are_refused_in_either_order(op, error):
+    three, five = _unit(Ring(3)), _unit(Ring(5))
+    for left, right in ((three, five), (five, three)):
+        with pytest.raises(error):
+            op(left, right)
+    assert op(five, five).source.ring.modulus == 5
 
 
 def test_blocks_of_two_moduli_are_equal_when_their_entries_are():
